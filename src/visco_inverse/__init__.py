@@ -13,6 +13,7 @@ from .forward import (
     SourceCoefficients,
     boundary_trace_homogeneous,
     boundary_trace_source,
+    source_traces,
     verify_convolution_relation,
 )
 from .frames import (

@@ -8,8 +8,8 @@ The config is a single JSON file; see the README for the schema.  Each study
 writes a CSV series (``<study>.csv``) and a JSON summary (``<study>.json``)
 into the output directory.  The summary echoes the fully resolved
 configuration so a run can be reproduced from its outputs alone.  Exit codes:
-0 success, 2 validation problem, 3 numerical failure (singular Gram matrix
-or an out-of-tolerance resolvent identity).
+0 success, 2 validation problem, 3 numerical failure (singular Gram matrix,
+an out-of-tolerance resolvent identity, or a non-finite reported number).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericsError
-from .forward import SourceCoefficients, boundary_trace_source
+from .forward import SourceCoefficients, boundary_trace_source, source_traces
 from .frames import (
     SINGULAR_GRAM_RTOL,
     gram,
@@ -77,6 +77,29 @@ def _require(mapping, key, what):
     return mapping[key]
 
 
+def _real(value, what) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _reals(values, what) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must all be finite numbers")
+    return arr
+
+
+def _integer(value, what) -> int:
+    if isinstance(value, int):
+        return value
+    number = _real(value, what)
+    if not number.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _parse_kernel(raw) -> MemoryKernel:
     if raw is None:
         return ZeroKernel()
@@ -86,14 +109,15 @@ def _parse_kernel(raw) -> MemoryKernel:
     if variant == "zero":
         return ZeroKernel()
     if variant == "exponential":
-        return ExponentialKernel(float(_require(raw, "beta", "kernel")),
-                                 float(_require(raw, "alpha", "kernel")))
+        return ExponentialKernel(_real(_require(raw, "beta", "kernel"), "kernel: beta"),
+                                 _real(_require(raw, "alpha", "kernel"), "kernel: alpha"))
     if variant == "polynomial":
-        return PolynomialKernel(tuple(_require(raw, "coefficients", "kernel")))
+        return PolynomialKernel(tuple(_reals(_require(raw, "coefficients", "kernel"),
+                                             "kernel: coefficients")))
     if variant == "sampled":
         m0 = raw.get("m0")
-        return SampledKernel(np.asarray(_require(raw, "values", "kernel"), dtype=float),
-                             None if m0 is None else float(m0))
+        return SampledKernel(_reals(_require(raw, "values", "kernel"), "kernel: values"),
+                             None if m0 is None else _real(m0, "kernel: m0"))
     raise ValueError(f"kernel: unknown variant {variant!r}")
 
 
@@ -104,14 +128,14 @@ def _parse_sigma(raw) -> SourceModulation:
         raise ValueError("sigma: expected an object with a 'form' key")
     form = _require(raw, "form", "sigma")
     if form == "constant":
-        return ConstantModulation(float(_require(raw, "a", "sigma")))
+        return ConstantModulation(_real(_require(raw, "a", "sigma"), "sigma: a"))
     if form == "exponential":
-        return ExponentialModulation(float(_require(raw, "a", "sigma")))
+        return ExponentialModulation(_real(_require(raw, "a", "sigma"), "sigma: a"))
     if form == "affine":
-        return AffineModulation(float(_require(raw, "a", "sigma")),
-                                float(_require(raw, "b", "sigma")))
+        return AffineModulation(_real(_require(raw, "a", "sigma"), "sigma: a"),
+                                _real(_require(raw, "b", "sigma"), "sigma: b"))
     if form == "sampled":
-        return SampledModulation(np.asarray(_require(raw, "values", "sigma"), dtype=float))
+        return SampledModulation(_reals(_require(raw, "values", "sigma"), "sigma: values"))
     raise ValueError(f"sigma: unknown form {form!r}")
 
 
@@ -169,17 +193,18 @@ class ExperimentConfig:
 
         op_raw = _require(raw, "operator", "config")
         operator = OperatorSpec(
-            length=float(_require(op_raw, "length", "operator")),
-            potential_shift=float(op_raw.get("potential_shift", 0.0)),
+            length=_real(_require(op_raw, "length", "operator"), "operator: length"),
+            potential_shift=_real(op_raw.get("potential_shift", 0.0),
+                                  "operator: potential_shift"),
             observed_endpoints=tuple(op_raw.get("observed_endpoints", ["left"])),
         )
 
         grid_raw = _require(raw, "grid", "config")
-        horizon = float(_require(grid_raw, "T", "grid"))
-        dt = float(_require(grid_raw, "dt", "grid"))
+        horizon = _real(_require(grid_raw, "T", "grid"), "grid: T")
+        dt = _real(_require(grid_raw, "dt", "grid"), "grid: dt")
         if horizon <= 0.0 or dt <= 0.0:
             raise ValueError("grid: T and dt must be positive")
-        ratio = horizon / dt
+        ratio = _real(horizon / dt, "grid: T/dt")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
             raise ValueError(
                 f"grid: T/dt = {ratio!r} must be an integer within 1e-9"
@@ -189,35 +214,35 @@ class ExperimentConfig:
             raise ValueError("grid: need at least 2 steps")
         grid = TimeGrid(horizon, steps)
 
-        truncation = int(_require(raw, "N", "config"))
+        truncation = _integer(_require(raw, "N", "config"), "N")
         if truncation < 1:
             raise ValueError("N must be at least 1")
 
         kernel = _parse_kernel(raw.get("kernel"))
         sigma = _parse_sigma(raw.get("sigma"))
-        noise_level = float(raw.get("noise_level", 0.0))
+        noise_level = _real(raw.get("noise_level", 0.0), "noise_level")
         if noise_level < 0.0:
             raise ValueError("noise_level must be nonnegative")
-        seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+        seed = _integer(raw.get("seed", 0) if seed_override is None else seed_override, "seed")
         output = str(raw.get("output", "out")) if out_override is None else str(out_override)
 
         source = raw.get("source", "random")
         if isinstance(source, dict):
             if "unit" in source:
-                source = int(source["unit"])
+                source = _integer(source["unit"], "source: unit")
             elif "coefficients" in source:
-                source = [float(v) for v in source["coefficients"]]
+                source = _reals(source["coefficients"], "source: coefficients").tolist()
             else:
                 raise ValueError("source: expected 'unit' or 'coefficients'")
         elif isinstance(source, list):
-            source = [float(v) for v in source]
+            source = _reals(source, "source").tolist()
         elif source != "random":
             raise ValueError("source: expected 'random', a list, or an object")
 
         measurement = str(raw.get("measurement", "bu_prime"))
         if measurement not in ("bu_prime", "bu"):
             raise ValueError("measurement must be 'bu_prime' or 'bu'")
-        trials = int(raw.get("trials", 50))
+        trials = _integer(raw.get("trials", 50), "trials")
         if trials < 1:
             raise ValueError("trials must be at least 1")
 
@@ -296,12 +321,12 @@ def _study_simulate(cfg: ExperimentConfig, model: SpectralModel):
 
 def _study_reconstruct(cfg: ExperimentConfig, model: SpectralModel):
     f = cfg.resolve_source(model)
-    bu, bu_prime = boundary_trace_source(f, cfg.sigma, model, cfg.kernel, cfg.grid)
     kernels = build_reconstruction(model, cfg.kernel, cfg.sigma, cfg.grid)
+    bu, bu_prime = source_traces(kernels.duals.family, f, cfg.sigma)
     w = cfg.grid.weights
     sq = np.tensordot(np.abs(kernels.duals.values) ** 2, w, axes=(1, 0))  # (N, m)
     dual_scale = float(np.sqrt(sq.sum(axis=1).max())) or 1.0
-    if kernels.identity_residual > IDENTITY_RESIDUAL_RTOL * dual_scale:
+    if not (kernels.identity_residual <= IDENTITY_RESIDUAL_RTOL * dual_scale):
         raise NumericsError(
             "resolvent identity residual "
             f"{kernels.identity_residual:.3e} exceeds tolerance"
@@ -423,7 +448,19 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_summary(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _finite_only(value, found: list, key: str = ""):
+    """``value`` with every non-finite float replaced by None; their keys go to ``found``."""
+    if isinstance(value, dict):
+        return {k: _finite_only(v, found, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_only(v, found, key) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        found.append(key)
+        return None
+    return value
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -442,17 +479,22 @@ def run(cfg: ExperimentConfig) -> int:
             results, diagnostics, source_values = {}, {}, None
         if failure is None:
             failure = diagnostics.pop("failure", None)
-        if rows is not None:
-            _write_csv(csv_path, header, rows)
-        diagnostics = dict(diagnostics)
-        diagnostics["timestamp"] = datetime.now(timezone.utc).isoformat()
-        diagnostics["exit"] = failure if failure else "ok"
-        summary = {
+        non_finite = []
+        summary = _finite_only({
             "study": cfg.study,
             "config": cfg.effective(source_values),
             "results": results,
             "diagnostics": diagnostics,
-        }
+        }, non_finite)
+        if rows is not None and not np.isfinite(rows).all():
+            non_finite.append("rows")
+        if non_finite:
+            rows = None
+            failure = failure or "non-finite " + ", ".join(sorted(set(non_finite)))
+        if rows is not None:
+            _write_csv(csv_path, header, rows)
+        summary["diagnostics"]["timestamp"] = datetime.now(timezone.utc).isoformat()
+        summary["diagnostics"]["exit"] = failure if failure else "ok"
         _write_summary(outdir / f"{cfg.study}.json", summary)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
@@ -464,7 +506,7 @@ def run(cfg: ExperimentConfig) -> int:
         print(f"{cfg.study}: FAILED ({failure}); outputs in {outdir}", file=sys.stderr)
         return 3
     scalars = ", ".join(f"{k}={v:.6g}" for k, v in results.items()
-                        if isinstance(v, (int, float)) and math.isfinite(v))
+                        if isinstance(v, (int, float)))
     print(f"{cfg.study}: ok ({scalars}); outputs in {outdir}")
     return 0
 

@@ -9,10 +9,12 @@ homogeneous trace uses the signed-mode expansion
 whose coefficients a_n mix the initial data across the two branches; the
 sign and scaling bookkeeping lives in one place here and is pinned by unit
 tests against single-mode closed forms.  The source-driven traces follow
-from the convolution identity u = V_sigma w applied modewise:
+from the convolution identity u = V_sigma w.  Since V_sigma is linear and
+psi_n does not depend on time, the modal sum B w = sum f_n w_n psi_n is
+synthesized once and convolved as a whole:
 
-    B u  = sum f_n (V_sigma w_n) psi_n
-    B u' = sum f_n (sigma(0) w_n + V_sigma' w_n) psi_n.
+    B u  = V_sigma (B w)
+    B u' = sigma(0) B w + V_sigma' (B w).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
-from .modal import solve_w_many, solve_z_many
+from .frames import ModalFamily, w_trace_family
+from .modal import solve_z_many
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
@@ -113,6 +115,28 @@ def boundary_trace_homogeneous(
     return TraceSignal(grid, vals)
 
 
+def source_traces(
+    family: ModalFamily,
+    coeffs: SourceCoefficients,
+    modulation: SourceModulation,
+) -> tuple:
+    """Traces (B u, B u') of the source-driven system from its w trace family.
+
+    ``family`` holds the members w_n psi_n, n = 1..N, as built by
+    ``w_trace_family``.  B u' is assembled from sigma(0) B w + V_sigma' B w
+    rather than by differencing B u, keeping it exactly adjoint-compatible
+    with the reconstruction kernels built from the same family.
+    """
+    if len(coeffs) != len(family):
+        raise ValueError("source coefficient length must equal the family size")
+    grid = family.grid
+    bw = family.synthesize(coeffs.values)
+    bu = convolve(modulation.sample(grid), bw)
+    dv = convolve(modulation.sample_derivative(grid), bw)
+    bu_prime = TraceSignal(grid, modulation.at_zero() * bw.values + dv.values)
+    return bu, bu_prime
+
+
 def boundary_trace_source(
     coeffs: SourceCoefficients,
     modulation: SourceModulation,
@@ -120,39 +144,8 @@ def boundary_trace_source(
     kernel: MemoryKernel,
     grid: TimeGrid,
 ) -> tuple:
-    """Traces (B u, B u') of the source-driven system with source f.
-
-    B u' is assembled from sigma(0) w_n + V_sigma' w_n rather than by
-    differencing B u, keeping it exactly adjoint-compatible with the
-    reconstruction kernels.
-    """
-    if len(coeffs) != model.truncation:
-        raise ValueError("source coefficient length must equal the model truncation")
-    sigma = modulation.sample(grid)
-    sigma_prime = modulation.sample_derivative(grid)
-    s0 = modulation.at_zero()
-    modes = model.positive_modes
-    trajs = solve_w_many(modes, kernel, grid)
-
-    def mode_terms(item):
-        f_n, mode, traj = item
-        if f_n == 0.0:
-            return None
-        y = convolve(sigma, traj.z).values
-        dv = s0 * traj.z.values + convolve(sigma_prime, traj.z).values
-        return (
-            f_n * y[:, None] * mode.psi[None, :],
-            f_n * dv[:, None] * mode.psi[None, :],
-        )
-
-    m = model.dim
-    bu = np.zeros((grid.steps + 1, m), dtype=np.complex128)
-    bu_prime = np.zeros_like(bu)
-    for term in parallel_map(mode_terms, zip(coeffs.values, modes, trajs)):
-        if term is not None:
-            bu += term[0]
-            bu_prime += term[1]
-    return TraceSignal(grid, bu), TraceSignal(grid, bu_prime)
+    """Traces (B u, B u') of the source-driven system with source f."""
+    return source_traces(w_trace_family(model, kernel, grid), coeffs, modulation)
 
 
 def verify_convolution_relation(
@@ -164,10 +157,11 @@ def verify_convolution_relation(
 ) -> float:
     """Max-norm gap between the two routes to the source trace.
 
-    Route one synthesizes B u modewise; route two applies V_sigma to the
-    homogeneous trace started from rest with velocity f.  The two coincide
-    in exact arithmetic, so the value returned is pure discretization and
-    roundoff error.
+    Route one convolves the trace synthesized from the w family; route two
+    applies V_sigma to the homogeneous trace, built from the z family,
+    started from rest with velocity f.  The two coincide in exact
+    arithmetic, so the value returned is pure discretization and roundoff
+    error.
     """
     bu, _ = boundary_trace_source(coeffs, modulation, model, kernel, grid)
     data = InitialData(np.zeros(len(coeffs)), coeffs.values)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .frames import (
     DualFamily,
     FrameBounds,
@@ -38,7 +37,6 @@ from .frames import (
     y_trace_family,
 )
 from .forward import SourceCoefficients
-from .modal import solve_w_many
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
@@ -47,7 +45,6 @@ from .volterra import (
     TimeGrid,
     TraceSignal,
     ZeroKernel,
-    convolve,
     convolve_adjoint,
     h1_norm,
     resolvent_kernel,
@@ -100,18 +97,17 @@ def build_thetas(
     sigma_prime = modulation.sample_derivative(grid)
     K = resolvent_kernel(sigma, sigma_prime)
     w = grid.weights
-
-    def one_theta(k: int):
+    thetas = np.empty_like(duals.values)
+    residuals = np.zeros(len(duals))
+    for k in range(len(duals)):
         p_k = duals.dual(k)
         theta = TraceSignal(grid, (p_k.values + convolve_adjoint(K, p_k).values) / s0)
         back = s0 * theta.values + convolve_adjoint(sigma_prime, theta).values
         diff = back - p_k.values
-        res = float(np.sqrt(np.dot(w, (diff * np.conj(diff)).real.sum(axis=1))))
-        return theta.values, res
-
-    results = parallel_map(one_theta, range(len(duals)))
-    thetas = np.stack([r[0] for r in results])
-    residual = max((r[1] for r in results), default=0.0)
+        residuals[k] = np.sqrt(np.dot(w, (diff * np.conj(diff)).real.sum(axis=1)))
+        thetas[k] = theta.values
+    # np.max, unlike the builtin max, propagates a NaN residual to the gate
+    residual = float(residuals.max(initial=0.0))
     return ReconstructionKernels(
         duals, K, s0, thetas, frame_bounds(duals.gram), residual
     )
@@ -182,7 +178,8 @@ def _report(recovered_c: np.ndarray, truth, bounds, noise_level) -> Reconstructi
     if truth is not None:
         per_mode = np.abs(recovered.values - truth.values)
         denom = float(np.linalg.norm(truth.values))
-        rel = float(np.linalg.norm(per_mode) / denom) if denom > 0 else float("nan")
+        # undefined for a zero source: None, written as null, not a NaN
+        rel = float(np.linalg.norm(per_mode) / denom) if denom > 0 else None
     return ReconstructionReport(
         recovered, truth, per_mode, rel, bounds, noise_level, imag_res
     )
@@ -240,13 +237,7 @@ def stability_ratios(
             f"horizon {grid.horizon:g} below the observability threshold {threshold:g}"
         )
     # per-mode traces are reused across trials; only the mixing varies
-    sigma = modulation.sample(grid)
-    modes = model.positive_modes
-    trajs = solve_w_many(modes, kernel, grid)
-    per_mode = np.stack([
-        convolve(sigma, t.z).values[:, None] * m.psi[None, :]
-        for t, m in zip(trajs, modes)
-    ])
+    family = y_trace_family(model, kernel, modulation, grid)
     ratios = np.empty(trials)
     for i in range(trials):
         # one generator per trial, so an ensemble at truncation 2N extends
@@ -254,8 +245,7 @@ def stability_ratios(
         rng = np.random.default_rng((seed, i))
         f = rng.standard_normal(model.truncation)
         f /= np.linalg.norm(f)
-        bu = TraceSignal(grid, np.tensordot(f, per_mode, axes=1))
-        ratios[i] = h1_norm(bu)
+        ratios[i] = h1_norm(family.synthesize(f))
     return ratios
 
 

@@ -29,7 +29,6 @@ from .volterra import (
     ScalarSignal,
     TimeGrid,
     ZeroKernel,
-    l2_inner,
 )
 
 
@@ -185,17 +184,37 @@ def comparison_exponential(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> 
     return ScalarSignal(grid, np.exp((gamma + 1j * mode.lam) * grid.nodes))
 
 
+def _comparison_defects(modes, kernel: MemoryKernel, grid: TimeGrid, chunk: int) -> np.ndarray:
+    """|lambda_n|^2 ||z_n - comparison_n||^2 for nonzero-branch modes.
+
+    Modes are solved in chunks to bound memory on long grids, and each
+    defect is reduced row by row so no (chunk, J+1) comparison array exists.
+    """
+    if any(m.branch == "J0" for m in modes):
+        raise ValueError("the comparison defect is identically zero on the zero branch")
+    w = grid.weights
+    out = np.empty(len(modes))
+    for start in range(0, len(modes), chunk):
+        block = modes[start:start + chunk]
+        mus = np.array([m.mu for m in block], dtype=float)
+        z0 = np.ones(len(block), dtype=np.complex128)
+        p0 = np.array([1j * m.lam for m in block])
+        Z, _ = _integrate_family(mus, z0, p0, kernel, grid, keep_derivative=False)
+        for row, m in enumerate(block):
+            diff = Z[row] - comparison_exponential(m, kernel, grid).values
+            out[start + row] = abs(m.lam) ** 2 * float(
+                np.dot(w, (diff * np.conj(diff)).real)
+            )
+    return out
+
+
 def comparison_defect(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> float:
     """|lambda_n|^2 times the squared L2 distance of z_n from its comparison.
 
     The distance decays like 1/|lambda_n|, so this product stays bounded over
     the mode range; it is the quantity scanned for growth trends.
     """
-    if mode.branch == "J0":
-        raise ValueError("defect is identically zero on the zero branch")
-    traj = solve_z(mode, kernel, grid)
-    diff = ScalarSignal(grid, traj.z.values - comparison_exponential(mode, kernel, grid).values)
-    return float(abs(mode.lam) ** 2 * l2_inner(diff, diff).real)
+    return float(_comparison_defects([mode], kernel, grid, 1)[0])
 
 
 def comparison_defect_scan(
@@ -205,27 +224,6 @@ def comparison_defect_scan(
     indices,
     chunk: int = 32,
 ) -> np.ndarray:
-    """Vector of comparison defects for the listed positive mode indices.
-
-    Modes are solved in chunks to bound memory on long grids.
-    """
-    indices = list(indices)
+    """Vector of comparison defects for the listed positive mode indices."""
     modes = [model.mode(n) for n in indices]
-    if any(m.branch == "J0" for m in modes):
-        raise ValueError("defect scan only applies to nonzero branch values")
-    w = grid.weights
-    out = np.empty(len(modes))
-    for start in range(0, len(modes), chunk):
-        block = modes[start:start + chunk]
-        mus = np.array([m.mu for m in block], dtype=float)
-        z0 = np.ones(len(block), dtype=np.complex128)
-        p0 = np.array([1j * m.lam for m in block])
-        Z, _ = _integrate_family(mus, z0, p0, kernel, grid, keep_derivative=False)
-        gamma = 0.5 * kernel.at_zero()
-        for row, m in enumerate(block):
-            cmp_vals = np.exp((gamma + 1j * m.lam) * grid.nodes)
-            diff = Z[row] - cmp_vals
-            out[start + row] = abs(m.lam) ** 2 * float(
-                np.dot(w, (diff * np.conj(diff)).real)
-            )
-    return out
+    return _comparison_defects(modes, kernel, grid, chunk)

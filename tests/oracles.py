@@ -2,13 +2,15 @@
 
 These deliberately avoid the production code paths: the modal oracle
 augments the state with the running memory integral and propagates the
-resulting constant-coefficient linear system with a matrix exponential.
+resulting constant-coefficient linear system with a matrix exponential, and
+the source-trace oracle convolves every mode separately instead of the
+synthesized modal sum.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from visco_inverse import TimeGrid
+from visco_inverse import TimeGrid, convolve, solve_w_many
 
 
 def modal_oracle_exponential_kernel(
@@ -50,3 +52,23 @@ def naive_trapezoid_convolution(rho: np.ndarray, v: np.ndarray, dt: float) -> np
             acc += rho[j - l] * v[l]
         out[j] = dt * acc
     return out
+
+
+def source_traces_per_mode(coeffs, modulation, model, kernel, grid):
+    """(B u, B u') summed mode by mode from the w trajectories:
+
+        B u  = sum f_n (V_sigma w_n) psi_n
+        B u' = sum f_n (sigma(0) w_n + V_sigma' w_n) psi_n.
+    """
+    sigma = modulation.sample(grid)
+    sigma_prime = modulation.sample_derivative(grid)
+    s0 = modulation.at_zero()
+    modes = model.positive_modes
+    bu = np.zeros((grid.steps + 1, model.dim), dtype=complex)
+    bu_prime = np.zeros_like(bu)
+    for f_n, mode, traj in zip(coeffs.values, modes, solve_w_many(modes, kernel, grid)):
+        y = convolve(sigma, traj.z).values
+        dv = s0 * traj.z.values + convolve(sigma_prime, traj.z).values
+        bu += f_n * y[:, None] * mode.psi[None, :]
+        bu_prime += f_n * dv[:, None] * mode.psi[None, :]
+    return bu, bu_prime

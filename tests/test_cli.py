@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import visco_inverse.frames
+from visco_inverse import AffineModulation
 from visco_inverse.cli import ExperimentConfig, main, run
 
 PI = math.pi
@@ -75,6 +79,28 @@ class TestValidation:
         cfg = base_config(noise_level=-0.5)
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
 
+    @pytest.mark.parametrize("override", [
+        {"grid": {"T": math.inf, "dt": 0.1}},
+        {"grid": {"T": TWO_PI, "dt": math.nan}},
+        {"grid": {"T": 1e300, "dt": 1e-300}},
+        {"noise_level": math.inf},
+        {"kernel": {"variant": "exponential", "beta": math.nan, "alpha": 1.0}},
+        {"kernel": {"variant": "polynomial", "coefficients": [1.0, -math.inf]}},
+        {"sigma": {"form": "affine", "a": 1.0, "b": math.nan}},
+        {"sigma": {"form": "exponential", "a": math.inf}},
+    ], ids=["T", "dt", "T/dt", "noise_level", "kernel-beta", "kernel-coefficients",
+            "sigma-slope", "sigma-rate"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, override):
+        cfg = base_config(**override)
+        assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["N", "trials", "seed"])
+    def test_non_integral_count_rejected(self, tmp_path, capsys, key):
+        cfg = base_config(**{key: 2.7})
+        assert main(["stability-scan", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert "integer" in capsys.readouterr().err
+
     def test_bad_source_length(self, tmp_path):
         cfg = base_config(source=[1.0, 2.0])
         out = tmp_path / "o"
@@ -122,6 +148,12 @@ class TestReconstructStudy:
             outs.append(json.loads((out / "reconstruct.json").read_text())["config"]["source"])
         assert outs[0] != outs[1]
 
+    def test_zero_source_has_no_relative_error(self, tmp_path):
+        cfg = base_config(study="reconstruct", source=[0.0] * 8)
+        out = tmp_path / "res"
+        assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert strict_json(out / "reconstruct.json")["results"]["relative_l2_error"] is None
+
     def test_differentiated_measurement_path(self, tmp_path):
         cfg = base_config(study="reconstruct", source={"unit": 2}, measurement="bu")
         out = tmp_path / "res"
@@ -129,6 +161,37 @@ class TestReconstructStudy:
         summary = json.loads((out / "reconstruct.json").read_text())
         # differencing the trace costs O(dt^2) accuracy but must stay tight
         assert summary["results"]["relative_l2_error"] < 1e-4
+
+
+def strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNumericalFailure:
+    def config(self, tmp_path, **overrides):
+        raw = base_config(study="reconstruct", sigma={"form": "affine", "a": 1.0, "b": 0.5},
+                          output=str(tmp_path / "res"))
+        return dataclasses.replace(ExperimentConfig.from_mapping(raw, "reconstruct"), **overrides)
+
+    def test_nan_sigma_fails_the_identity_gate(self, tmp_path):
+        cfg = self.config(tmp_path, sigma=AffineModulation(1.0, math.nan))
+        assert run(cfg) == 3
+        assert not (tmp_path / "res" / "reconstruct.csv").exists()
+        summary = strict_json(tmp_path / "res" / "reconstruct.json")
+        assert "resolvent identity" in summary["diagnostics"]["exit"]
+        assert summary["config"]["sigma"]["b"] is None
+
+    def test_infinite_noise_is_a_numerical_failure(self, tmp_path):
+        cfg = self.config(tmp_path, noise_level=math.inf)
+        assert run(cfg) == 3
+        assert not (tmp_path / "res" / "reconstruct.csv").exists()
+        summary = strict_json(tmp_path / "res" / "reconstruct.json")
+        assert summary["diagnostics"]["exit"].startswith("non-finite")
+        assert "rows" in summary["diagnostics"]["exit"]
+        assert summary["results"]["relative_l2_error"] is None
 
 
 class TestOtherStudies:
@@ -195,22 +258,22 @@ class TestDeterminism:
             bodies.append((out / "reconstruct.csv").read_bytes())
         assert bodies[0] == bodies[1]
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = base_config(study="reconstruct", source="random", seed=9)
-        path = write_config(tmp_path, cfg)
-        out1 = tmp_path / "serial"
-        assert main(["reconstruct", "--config", str(path), "--out", str(out1)]) == 0
-        monkeypatch.setenv("VISCO_THREADS", "4")
-        out2 = tmp_path / "threaded"
-        assert main(["reconstruct", "--config", str(path), "--out", str(out2)]) == 0
-        assert (out1 / "reconstruct.csv").read_bytes() == (out2 / "reconstruct.csv").read_bytes()
+    def test_reconstruct_solves_the_w_family_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = visco_inverse.frames.solve_w_many
 
-    def test_garbage_thread_cap_is_a_validation_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VISCO_THREADS", "many")
-        cfg = base_config(study="reconstruct")
-        out = tmp_path / "x"
-        code = main(["reconstruct", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
-        assert code == 2
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        # patch every module that bound the solver, so no caller escapes the count
+        for name, module in list(sys.modules.items()):
+            if name.startswith("visco_inverse") and getattr(module, "solve_w_many", None) is solve:
+                monkeypatch.setattr(module, "solve_w_many", counting)
+        cfg = base_config(study="reconstruct", sigma={"form": "affine", "a": 1.0, "b": 0.5})
+        out = tmp_path / "res"
+        assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert len(calls) == 1
 
 
 class TestConfigObject:

@@ -21,6 +21,7 @@ from visco_inverse import (
     l2_norm,
     verify_convolution_relation,
 )
+from oracles import source_traces_per_mode
 
 PI = math.pi
 ROOT2PI = math.sqrt(2 / PI)
@@ -145,6 +146,16 @@ class TestSourceTrace:
         bu1, _ = boundary_trace_source(SourceCoefficients(f1), mod, model, kernel, grid)
         bu2, _ = boundary_trace_source(SourceCoefficients(f2), mod, model, kernel, grid)
         assert np.max(np.abs(bu_combo.values - bu1.values - 2 * bu2.values)) < 1e-12
+
+    def test_matches_per_mode_route(self, grid):
+        model = build_spectral_model(OperatorSpec(PI, observed_endpoints=("left", "right")), 8)
+        f = SourceCoefficients(np.random.default_rng(11).standard_normal(8))
+        mod = AffineModulation(1.0, 0.5)
+        kernel = ExponentialKernel(1.0, 1.0)
+        got = boundary_trace_source(f, mod, model, kernel, grid)
+        want = source_traces_per_mode(f, mod, model, kernel, grid)
+        for trace, ref in zip(got, want):
+            assert np.max(np.abs(trace.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_length_mismatch(self, model, grid):
         with pytest.raises(ValueError):
