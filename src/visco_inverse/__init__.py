@@ -82,6 +82,7 @@ from .volterra import (
     convolve_adjoint,
     differentiate,
     h1_norm,
+    inner_products,
     l2_inner,
     l2_norm,
     resolvent_kernel,

@@ -224,6 +224,8 @@ class ExperimentConfig:
         if noise_level < 0.0:
             raise ValueError("noise_level must be nonnegative")
         seed = _integer(raw.get("seed", 0) if seed_override is None else seed_override, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         output = str(raw.get("output", "out")) if out_override is None else str(out_override)
 
         source = raw.get("source", "random")
@@ -323,9 +325,8 @@ def _study_reconstruct(cfg: ExperimentConfig, model: SpectralModel):
     f = cfg.resolve_source(model)
     kernels = build_reconstruction(model, cfg.kernel, cfg.sigma, cfg.grid)
     bu, bu_prime = source_traces(kernels.duals.family, f, cfg.sigma)
-    w = cfg.grid.weights
-    sq = np.tensordot(np.abs(kernels.duals.values) ** 2, w, axes=(1, 0))  # (N, m)
-    dual_scale = float(np.sqrt(sq.sum(axis=1).max())) or 1.0
+    # ||p_k||^2 = <p_k, p_k> = coefficients[k, k] by biorthogonality
+    dual_scale = float(np.sqrt(np.diag(kernels.duals.coefficients).real.max())) or 1.0
     if not (kernels.identity_residual <= IDENTITY_RESIDUAL_RTOL * dual_scale):
         raise NumericsError(
             "resolvent identity residual "
@@ -493,6 +494,9 @@ def run(cfg: ExperimentConfig) -> int:
             failure = failure or "non-finite " + ", ".join(sorted(set(non_finite)))
         if rows is not None:
             _write_csv(csv_path, header, rows)
+        else:
+            # a failed run must not leave an earlier run's rows beside its summary
+            csv_path.unlink(missing_ok=True)
         summary["diagnostics"]["timestamp"] = datetime.now(timezone.utc).isoformat()
         summary["diagnostics"]["exit"] = failure if failure else "ok"
         _write_summary(outdir / f"{cfg.study}.json", summary)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularGramError
+from .errors import NumericsError, SingularGramError
 from .modal import solve_w_many, solve_z_many
 from .spectral import SpectralModel
 from .volterra import (
@@ -24,6 +24,7 @@ from .volterra import (
     TimeGrid,
     TraceSignal,
     convolve,
+    inner_products,
 )
 
 #: Gram matrices with min eigenvalue below this times the max eigenvalue are
@@ -51,13 +52,6 @@ class ModalFamily:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def member(self, i: int) -> TraceSignal:
-        return TraceSignal(self.grid, self.values[i])
-
-    @property
-    def members(self) -> list:
-        return [self.member(i) for i in range(len(self))]
 
     def synthesize(self, coeffs) -> TraceSignal:
         """Linear combination sum_n coeffs[n] * member_n."""
@@ -137,12 +131,8 @@ def gram(family: ModalFamily) -> GramMatrix:
     """Assemble and symmetrize the Gram matrix of the family."""
     if len(family) == 0:
         raise ValueError("cannot form the Gram matrix of an empty family")
-    w = family.grid.weights
-    flat = (family.values * np.sqrt(w)[None, :, None]).reshape(len(family), -1)
-    raw = flat @ flat.conj().T  # raw[n, k] = <member_n, member_k>
-    entries = raw.T
-    entries = 0.5 * (entries + entries.conj().T)
-    return GramMatrix(entries, family.grid.horizon, family.labels)
+    raw = inner_products(family.values, family.values, family.grid)
+    return GramMatrix(0.5 * (raw.T + raw.conj()), family.grid.horizon, family.labels)
 
 
 @dataclass(frozen=True)
@@ -160,9 +150,12 @@ def frame_bounds(g: GramMatrix) -> FrameBounds:
 
     These are the best constants c, C with
     c * sum |a|^2 <= ||sum a_n member_n||^2 <= C * sum |a|^2
-    over the truncated family.
+    over the truncated family.  A non-finite entry, the mark of an
+    overflowing modal solve, raises ``NumericsError``.
     """
     entries = g.entries
+    if not np.isfinite(entries).all():
+        raise NumericsError(f"non-finite Gram matrix (size {g.size}, horizon {g.horizon:g})")
     hermitian_defect = np.max(np.abs(entries - entries.conj().T))
     scale = max(1.0, float(np.max(np.abs(entries))))
     if hermitian_defect > 1e-8 * scale:
@@ -197,10 +190,6 @@ class DualFamily:
     def dual(self, k: int) -> TraceSignal:
         return TraceSignal(self.family.grid, self.values[k])
 
-    @property
-    def duals(self) -> list:
-        return [self.dual(k) for k in range(len(self))]
-
 
 def dual_family(family: ModalFamily, g: GramMatrix | None = None) -> DualFamily:
     """Construct the biorthogonal dual family by inverting the Gram matrix.
@@ -228,10 +217,7 @@ def dual_family(family: ModalFamily, g: GramMatrix | None = None) -> DualFamily:
 def biorthogonality_defect(duals: DualFamily) -> float:
     """max |<member_n, dual_k> - delta_nk| over the family, a health check."""
     fam = duals.family
-    w = fam.grid.weights
-    flat = (fam.values * w[None, :, None]).reshape(len(fam), -1)
-    dual_flat = duals.values.reshape(len(fam), -1)
-    inner = flat @ dual_flat.conj().T  # inner[n, k] = <member_n, dual_k>
+    inner = inner_products(fam.values, duals.values, fam.grid)
     return float(np.max(np.abs(inner - np.eye(len(fam)))))
 
 
@@ -239,9 +225,7 @@ def coefficients_via_duals(duals: DualFamily, signal: TraceSignal) -> np.ndarray
     """Recover expansion coefficients a_k = <signal, dual_k>."""
     if signal.grid != duals.family.grid:
         raise ValueError("signal grid does not match the family grid")
-    w = signal.grid.weights
-    weighted = (signal.values * w[:, None]).reshape(-1)
-    return duals.values.reshape(len(duals), -1).conj() @ weighted
+    return inner_products(signal.values[None], duals.values, signal.grid)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .volterra import (
     ZeroKernel,
     convolve_adjoint,
     h1_norm,
+    inner_products,
     resolvent_kernel,
 )
 
@@ -69,9 +70,6 @@ class ReconstructionKernels:
     @property
     def labels(self) -> tuple:
         return self.duals.family.labels
-
-    def theta(self, k: int) -> TraceSignal:
-        return TraceSignal(self.grid, self.thetas[k])
 
 
 def build_thetas(
@@ -96,15 +94,14 @@ def build_thetas(
     sigma = modulation.sample(grid)
     sigma_prime = modulation.sample_derivative(grid)
     K = resolvent_kernel(sigma, sigma_prime)
-    w = grid.weights
     thetas = np.empty_like(duals.values)
     residuals = np.zeros(len(duals))
     for k in range(len(duals)):
         p_k = duals.dual(k)
         theta = TraceSignal(grid, (p_k.values + convolve_adjoint(K, p_k).values) / s0)
         back = s0 * theta.values + convolve_adjoint(sigma_prime, theta).values
-        diff = back - p_k.values
-        residuals[k] = np.sqrt(np.dot(w, (diff * np.conj(diff)).real.sum(axis=1)))
+        diff = (back - p_k.values)[None]
+        residuals[k] = np.sqrt(inner_products(diff, diff, grid)[0, 0].real)
         thetas[k] = theta.values
     # np.max, unlike the builtin max, propagates a NaN residual to the gate
     residual = float(residuals.max(initial=0.0))
@@ -138,9 +135,7 @@ def _check_compatible(bu_prime: TraceSignal, kernels: ReconstructionKernels, mod
 
 def reconstruct_complex(bu_prime: TraceSignal, kernels: ReconstructionKernels) -> np.ndarray:
     """Raw complex inner products <B u', theta_k>, k = 1..N."""
-    w = bu_prime.grid.weights
-    weighted = (bu_prime.values * w[:, None]).reshape(-1)
-    return kernels.thetas.reshape(len(kernels.labels), -1).conj() @ weighted
+    return inner_products(bu_prime.values[None], kernels.thetas, bu_prime.grid)[0]
 
 
 def reconstruct(
@@ -225,9 +220,10 @@ def stability_ratios(
 ) -> np.ndarray:
     """Per-trial values of ||B u||_H1 / ||f|| over random unit sources.
 
-    Requires the horizon to reach the two-way travel time 2L, below which
-    the boundary observation cannot control every mode and the ratio is
-    meaningless.
+    ||B u||_H1^2 = f^T Q f for real f, with Q the real part of the H1 Gram
+    of the y family, so each trial costs O(N^2).  Requires the horizon to
+    reach the two-way travel time 2L, below which the boundary observation
+    cannot control every mode and the ratio is meaningless.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -236,8 +232,12 @@ def stability_ratios(
         raise ValueError(
             f"horizon {grid.horizon:g} below the observability threshold {threshold:g}"
         )
-    # per-mode traces are reused across trials; only the mixing varies
+    if grid.steps < 3:
+        raise ValueError("grid too coarse to differentiate (need steps >= 3)")
     family = y_trace_family(model, kernel, modulation, grid)
+    # the same differencing as volterra.differentiate, member by member
+    slopes = np.gradient(family.values, grid.dt, axis=1, edge_order=2)
+    Q = (gram(family).entries + gram(ModalFamily(grid, family.labels, slopes)).entries).real
     ratios = np.empty(trials)
     for i in range(trials):
         # one generator per trial, so an ensemble at truncation 2N extends
@@ -245,7 +245,7 @@ def stability_ratios(
         rng = np.random.default_rng((seed, i))
         f = rng.standard_normal(model.truncation)
         f /= np.linalg.norm(f)
-        ratios[i] = h1_norm(family.synthesize(f))
+        ratios[i] = np.sqrt(f @ Q @ f)
     return ratios
 
 

@@ -29,6 +29,7 @@ from .volterra import (
     ScalarSignal,
     TimeGrid,
     ZeroKernel,
+    inner_products,
 )
 
 
@@ -192,7 +193,6 @@ def _comparison_defects(modes, kernel: MemoryKernel, grid: TimeGrid, chunk: int)
     """
     if any(m.branch == "J0" for m in modes):
         raise ValueError("the comparison defect is identically zero on the zero branch")
-    w = grid.weights
     out = np.empty(len(modes))
     for start in range(0, len(modes), chunk):
         block = modes[start:start + chunk]
@@ -201,10 +201,8 @@ def _comparison_defects(modes, kernel: MemoryKernel, grid: TimeGrid, chunk: int)
         p0 = np.array([1j * m.lam for m in block])
         Z, _ = _integrate_family(mus, z0, p0, kernel, grid, keep_derivative=False)
         for row, m in enumerate(block):
-            diff = Z[row] - comparison_exponential(m, kernel, grid).values
-            out[start + row] = abs(m.lam) ** 2 * float(
-                np.dot(w, (diff * np.conj(diff)).real)
-            )
+            diff = (Z[row] - comparison_exponential(m, kernel, grid).values)[None]
+            out[start + row] = abs(m.lam) ** 2 * inner_products(diff, diff, grid)[0, 0].real
     return out
 
 

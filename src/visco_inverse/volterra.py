@@ -181,6 +181,21 @@ def resolvent_kernel(sigma: ScalarSignal, sigma_prime: ScalarSignal) -> ScalarSi
     return ScalarSignal(grid, K)
 
 
+def inner_products(a: np.ndarray, b: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Matrix of trapezoid inner products <a_i, b_k> of two stacks of signals.
+
+    Both stacks run along axis 0, with per-signal shape (J+1,) or (J+1, m).
+    The result is linear in ``a`` and conjugate-linear in ``b``.  Only a
+    weighted conjugate of ``a`` is materialised, so pass the smaller stack
+    as ``a``; a contiguous complex ``b`` is never copied.
+    """
+    if a.shape[1:] != b.shape[1:] or a.shape[1] != grid.steps + 1:
+        raise ValueError(f"stacks of shape {a.shape} and {b.shape} do not match the grid")
+    wa = np.conjugate(a, dtype=np.complex128)
+    wa *= grid.weights if a.ndim == 2 else grid.weights[:, None]
+    return np.conj(wa.reshape(len(a), -1) @ b.reshape(len(b), -1).T)
+
+
 def l2_inner(u: Signal, v: Signal) -> complex:
     """Trapezoid approximation of the L2(0,T; G) inner product <u, v>.
 
@@ -189,10 +204,7 @@ def l2_inner(u: Signal, v: Signal) -> complex:
     _check_same_grid(u, v)
     if u.values.shape != v.values.shape:
         raise ValueError("signals have mismatched value shapes")
-    prod = u.values * np.conj(v.values)
-    if prod.ndim == 2:
-        prod = prod.sum(axis=1)
-    return complex(np.dot(u.grid.weights, prod))
+    return complex(inner_products(u.values[None], v.values[None], u.grid)[0, 0])
 
 
 def l2_norm(u: Signal) -> float:

@@ -4,13 +4,15 @@ These deliberately avoid the production code paths: the modal oracle
 augments the state with the running memory integral and propagates the
 resulting constant-coefficient linear system with a matrix exponential, and
 the source-trace oracle convolves every mode separately instead of the
-synthesized modal sum.
+synthesized modal sum, the inner-product oracle writes the trapezoid rule
+out pair by pair, and the stability oracle takes the H1 norm of every
+trial's synthesized trace instead of a Gram quadratic form.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from visco_inverse import TimeGrid, convolve, solve_w_many
+from visco_inverse import TimeGrid, convolve, h1_norm, solve_w_many, y_trace_family
 
 
 def modal_oracle_exponential_kernel(
@@ -72,3 +74,26 @@ def source_traces_per_mode(coeffs, modulation, model, kernel, grid):
         bu += f_n * y[:, None] * mode.psi[None, :]
         bu_prime += f_n * dv[:, None] * mode.psi[None, :]
     return bu, bu_prime
+
+
+def naive_inner_products(a, b, dt: float) -> np.ndarray:
+    """<a_i, b_k> pair by pair, with the trapezoid rule written out."""
+    out = np.empty((len(a), len(b)), dtype=complex)
+    for i in range(len(a)):
+        for k in range(len(b)):
+            prod = a[i] * np.conj(b[k])
+            if prod.ndim == 2:
+                prod = prod.sum(axis=1)
+            out[i, k] = dt * (prod.sum() - 0.5 * (prod[0] + prod[-1]))
+    return out
+
+
+def stability_ratios_per_trial(model, kernel, modulation, grid, trials, seed):
+    """||B u||_H1 / ||f|| by synthesizing and differentiating every trial's trace."""
+    family = y_trace_family(model, kernel, modulation, grid)
+    ratios = np.empty(trials)
+    for i in range(trials):
+        f = np.random.default_rng((seed, i)).standard_normal(model.truncation)
+        f /= np.linalg.norm(f)
+        ratios[i] = h1_norm(family.synthesize(f))
+    return ratios

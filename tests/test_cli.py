@@ -101,6 +101,16 @@ class TestValidation:
         assert main(["stability-scan", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert "integer" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        cfg = base_config(seed=-1)
+        assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["stability-scan", "--config", str(path), "--seed", "-3"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_bad_source_length(self, tmp_path):
         cfg = base_config(source=[1.0, 2.0])
         out = tmp_path / "o"
@@ -183,6 +193,25 @@ class TestNumericalFailure:
         summary = strict_json(tmp_path / "res" / "reconstruct.json")
         assert "resolvent identity" in summary["diagnostics"]["exit"]
         assert summary["config"]["sigma"]["b"] is None
+
+    @pytest.mark.parametrize("study", ["reconstruct", "frame-bounds"])
+    def test_overflowing_modal_solve_is_a_numerical_failure(self, tmp_path, study):
+        cfg = base_config(kernel={"variant": "exponential", "beta": 1.0, "alpha": -500.0},
+                          grid={"T": TWO_PI, "dt": TWO_PI / 256}, N=4)
+        out = tmp_path / "res"
+        assert main([study, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+        assert not (out / f"{study}.csv").exists()
+        summary = strict_json(out / f"{study}.json")
+        assert "non-finite Gram" in summary["diagnostics"]["exit"]
+
+    def test_failed_run_removes_the_previous_csv(self, tmp_path):
+        out = tmp_path / "res"
+        for slope, code in ((0.5, 0), (1e300, 3)):
+            cfg = base_config(sigma={"form": "affine", "a": 1.0, "b": slope})
+            path = write_config(tmp_path, cfg)
+            assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == code
+        assert not (out / "reconstruct.csv").exists()
+        assert strict_json(out / "reconstruct.json")["diagnostics"]["exit"] != "ok"
 
     def test_infinite_noise_is_a_numerical_failure(self, tmp_path):
         cfg = self.config(tmp_path, noise_level=math.inf)

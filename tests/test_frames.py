@@ -137,6 +137,12 @@ class TestDualFamily:
         duals = dual_family(fam)
         assert biorthogonality_defect(duals) < 1e-8
 
+    def test_dual_norms_are_the_diagonal_coefficients(self, grid, model):
+        # <p_k, p_k> = sum_m C[k, m] <member_m, p_k> = C[k, k] by biorthogonality
+        duals = dual_family(w_trace_family(model, ExponentialKernel(1.0, 1.0), grid))
+        direct = np.einsum("j,kjc->k", grid.weights, np.abs(duals.values) ** 2)
+        np.testing.assert_allclose(np.diag(duals.coefficients).real, direct, rtol=1e-10)
+
     def test_coefficient_round_trip(self, grid):
         model = build_spectral_model(OperatorSpec(PI), 16)
         fam = w_trace_family(model, ZeroKernel(), grid)

@@ -10,6 +10,7 @@ from visco_inverse import (
     ExponentialModulation,
     ModalFamily,
     OperatorSpec,
+    PolynomialKernel,
     SourceCoefficients,
     TimeGrid,
     ZeroKernel,
@@ -28,6 +29,7 @@ from visco_inverse import (
     stability_scan,
     w_trace_family,
 )
+from oracles import stability_ratios_per_trial
 
 PI = math.pi
 
@@ -208,6 +210,25 @@ class TestStability:
     def test_trials_validated(self, model, grid):
         with pytest.raises(ValueError):
             stability_scan(model, ZeroKernel(), ConstantModulation(1.0), grid, 0, 0)
+
+    def test_coarse_grid_rejected(self, model):
+        with pytest.raises(ValueError, match="steps >= 3"):
+            stability_ratios(model, ZeroKernel(), ConstantModulation(1.0),
+                             TimeGrid(2 * PI, 2), 5, 0)
+
+    @pytest.mark.parametrize("kernel", [
+        ZeroKernel(), ExponentialKernel(1.0, 1.0), PolynomialKernel((1.0, -0.3, 0.05)),
+    ], ids=["zero", "exponential", "polynomial"])
+    @pytest.mark.parametrize("modulation", [
+        ConstantModulation(1.5), AffineModulation(1.0, 0.5),
+    ], ids=["constant", "affine"])
+    @pytest.mark.parametrize("endpoints", [("left",), ("left", "right")], ids=["one", "both"])
+    def test_gram_form_matches_per_trial_norms(self, kernel, modulation, endpoints):
+        model = build_spectral_model(OperatorSpec(PI, observed_endpoints=endpoints), 5)
+        g = TimeGrid(2 * PI + 0.5, 1024)
+        got = stability_ratios(model, kernel, modulation, g, 25, 7)
+        expected = stability_ratios_per_trial(model, kernel, modulation, g, 25, 7)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 class TestCounterexample:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from visco_inverse import (
     AffineModulation,
     ConstantModulation,
     ExponentialKernel,
     ExponentialModulation,
+    ModalFamily,
     PolynomialKernel,
     SampledKernel,
     SampledModulation,
@@ -17,12 +21,14 @@ from visco_inverse import (
     convolve,
     convolve_adjoint,
     differentiate,
+    gram,
     h1_norm,
+    inner_products,
     l2_inner,
     l2_norm,
     resolvent_kernel,
 )
-from oracles import naive_trapezoid_convolution
+from oracles import naive_inner_products, naive_trapezoid_convolution
 
 
 def grid_1s(dt=1e-3):
@@ -216,6 +222,58 @@ class TestInnerProductsAndNorms:
         g = grid_1s(1e-2)
         u = ScalarSignal(g, 2.0 * np.ones(g.steps + 1))
         assert l2_norm(u) == pytest.approx(2.0, rel=1e-12)
+
+
+@st.composite
+def signal_stacks(draw):
+    """Two stacks of complex signals on one grid; per-signal shape (J+1,) or (J+1, m)."""
+    grid = TimeGrid(draw(st.floats(0.1, 10.0)), draw(st.integers(2, 12)))
+    tail = draw(st.sampled_from([(), (1,), (2,)]))
+    elements = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    a, b = (
+        draw(hnp.arrays(np.complex128, (draw(st.integers(1, 4)), grid.steps + 1) + tail,
+                        elements=elements))
+        for _ in range(2)
+    )
+    return a, b, grid
+
+
+def stack_scale(a, b, grid):
+    """Size of the largest term an inner product of the stacks can sum."""
+    width = a[0].size // (grid.steps + 1)
+    return grid.horizon * width * max(np.abs(a).max(), 1.0) * max(np.abs(b).max(), 1.0)
+
+
+class TestInnerProductsProperties:
+    @given(signal_stacks())
+    def test_matches_the_pairwise_trapezoid_rule(self, stacks):
+        a, b, grid = stacks
+        got = inner_products(a, b, grid)
+        assert got.shape == (len(a), len(b))
+        np.testing.assert_allclose(got, naive_inner_products(a, b, grid.dt),
+                                   rtol=1e-12, atol=1e-13 * stack_scale(a, b, grid))
+
+    @given(signal_stacks())
+    def test_conjugate_symmetric(self, stacks):
+        a, b, grid = stacks
+        np.testing.assert_allclose(inner_products(b, a, grid),
+                                   inner_products(a, b, grid).conj().T,
+                                   rtol=1e-12, atol=1e-13 * stack_scale(a, b, grid))
+
+    @given(signal_stacks())
+    def test_gram_is_hermitian_positive_semidefinite(self, stacks):
+        a, _, grid = stacks
+        members = a if a.ndim == 3 else a[:, :, None]
+        G = gram(ModalFamily(grid, tuple(range(len(a))), members)).entries
+        np.testing.assert_array_equal(G, G.conj().T)
+        assert np.linalg.eigvalsh(G).min() >= -1e-12 * stack_scale(a, a, grid)
+
+    def test_mismatched_stacks_rejected(self):
+        g = grid_1s(0.1)
+        with pytest.raises(ValueError):
+            inner_products(np.ones((2, g.steps + 1, 1)), np.ones((2, g.steps + 1, 2)), g)
+        with pytest.raises(ValueError):
+            inner_products(np.ones((2, g.steps)), np.ones((2, g.steps)), g)
 
 
 class TestKernelsAndModulations:
