@@ -43,6 +43,7 @@ from .inverse import (
     noisy_reconstruction,
     reconstruct,
     reconstruct_complex,
+    stability_gram,
     stability_ratios,
     stability_scan,
 )

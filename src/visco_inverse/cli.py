@@ -37,6 +37,7 @@ from .inverse import (
     build_reconstruction,
     l2_only_counterexample,
     noisy_reconstruction,
+    stability_gram,
     stability_ratios,
 )
 from .modal import comparison_defect_scan
@@ -69,6 +70,10 @@ STUDIES = (
 
 #: relative resolvent-identity residual above which reconstruction aborts
 IDENTITY_RESIDUAL_RTOL = 1e-3
+
+#: most time steps a config may ask for, ten times the intended regime;
+#: larger grids are refused when parsed instead of failing to allocate
+MAX_GRID_STEPS = 10**7
 
 
 def _require(mapping, key, what):
@@ -212,6 +217,8 @@ class ExperimentConfig:
         steps = int(round(ratio))
         if steps < 2:
             raise ValueError("grid: need at least 2 steps")
+        if steps > MAX_GRID_STEPS:
+            raise ValueError(f"grid: T/dt = {ratio:g} exceeds the limit of {MAX_GRID_STEPS} steps")
         grid = TimeGrid(horizon, steps)
 
         truncation = _integer(_require(raw, "N", "config"), "N")
@@ -385,13 +392,17 @@ def _study_frame_bounds(cfg: ExperimentConfig, model: SpectralModel):
 
 
 def _study_stability_scan(cfg: ExperimentConfig, model: SpectralModel):
+    h1_gram = stability_gram(model, cfg.kernel, cfg.sigma, cfg.grid)
     ratios = stability_ratios(
-        model, cfg.kernel, cfg.sigma, cfg.grid, cfg.trials, cfg.seed
+        model, cfg.kernel, cfg.sigma, cfg.grid, cfg.trials, cfg.seed, h1_gram
     )
+    # sqrt(f^T Q f) over unit f ranges exactly over sqrt(eig(Q))
+    exact_min, exact_max = np.sqrt(np.maximum(np.linalg.eigvalsh(h1_gram)[[0, -1]], 0.0))
     header = ["trial", "ratio"]
     rows = np.column_stack([np.arange(len(ratios), dtype=float), ratios])
     results = {"min_ratio": float(ratios.min()), "max_ratio": float(ratios.max()),
-               "median_ratio": float(np.median(ratios))}
+               "median_ratio": float(np.median(ratios)),
+               "exact_min_ratio": float(exact_min), "exact_max_ratio": float(exact_max)}
     return header, rows, results, {}, None
 
 

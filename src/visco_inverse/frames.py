@@ -68,6 +68,14 @@ def _interleaved_indices(truncation: int):
     return out
 
 
+def _trace_values(model: SpectralModel, modes, signals, grid: TimeGrid) -> np.ndarray:
+    """(members, J+1, m) array of signal_n * psi_n, filled member by member."""
+    out = np.empty((len(modes), grid.steps + 1, model.dim), dtype=np.complex128)
+    for row, m, sig in zip(out, modes, signals):
+        np.multiply(sig.values[:, None], m.psi[None, :], out=row)
+    return out
+
+
 def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
     """Members z_n * psi_n over signed indices, ordered (+1, -1, +2, -2, ...).
 
@@ -77,7 +85,7 @@ def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -
     labels = _interleaved_indices(model.truncation)
     modes = [model.mode(n) for n in labels]
     trajs = solve_z_many(modes, kernel, grid)
-    vals = np.stack([t.z.values[:, None] * m.psi[None, :] for t, m in zip(trajs, modes)])
+    vals = _trace_values(model, modes, (t.z for t in trajs), grid)
     return ModalFamily(grid, tuple(labels), vals)
 
 
@@ -85,7 +93,7 @@ def w_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -
     """Members w_n * psi_n over positive indices 1..N."""
     modes = model.positive_modes
     trajs = solve_w_many(modes, kernel, grid)
-    vals = np.stack([t.z.values[:, None] * m.psi[None, :] for t, m in zip(trajs, modes)])
+    vals = _trace_values(model, modes, (t.z for t in trajs), grid)
     return ModalFamily(grid, tuple(m.index for m in modes), vals)
 
 
@@ -99,11 +107,10 @@ def y_trace_family(
     sigma = modulation.sample(grid)
     modes = model.positive_modes
     trajs = solve_w_many(modes, kernel, grid)
-    rows = []
-    for t, m in zip(trajs, modes):
-        y = convolve(sigma, t.z)
-        rows.append(y.values[:, None] * m.psi[None, :])
-    return ModalFamily(grid, tuple(m.index for m in modes), np.stack(rows))
+    # a generator, so one convolved trajectory exists at a time
+    ys = (convolve(sigma, t.z) for t in trajs)
+    vals = _trace_values(model, modes, ys, grid)
+    return ModalFamily(grid, tuple(m.index for m in modes), vals)
 
 
 @dataclass(frozen=True, eq=False)

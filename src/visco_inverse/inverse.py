@@ -210,23 +210,20 @@ def noisy_reconstruction(
     )
 
 
-def stability_ratios(
+def stability_gram(
     model: SpectralModel,
     kernel: MemoryKernel,
     modulation: SourceModulation,
     grid: TimeGrid,
-    trials: int,
-    seed: int,
 ) -> np.ndarray:
-    """Per-trial values of ||B u||_H1 / ||f|| over random unit sources.
+    """Real H1 Gram Q of the y family, so that ||B u||_H1^2 = f^T Q f for real f.
 
-    ||B u||_H1^2 = f^T Q f for real f, with Q the real part of the H1 Gram
-    of the y family, so each trial costs O(N^2).  Requires the horizon to
-    reach the two-way travel time 2L, below which the boundary observation
-    cannot control every mode and the ratio is meaningless.
+    Q is the real part of the Gram matrices of the members (V_sigma w_n) psi_n
+    and of their time derivatives; the square roots of its extreme
+    eigenvalues are the exact extremes of ||B u||_H1 / ||f||.  Requires the
+    horizon to reach the two-way travel time 2L, below which the boundary
+    observation cannot control every mode and the ratio is meaningless.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     threshold = 2.0 * model.spec.length
     if grid.horizon < threshold * (1.0 - 1e-12):
         raise ValueError(
@@ -237,7 +234,27 @@ def stability_ratios(
     family = y_trace_family(model, kernel, modulation, grid)
     # the same differencing as volterra.differentiate, member by member
     slopes = np.gradient(family.values, grid.dt, axis=1, edge_order=2)
-    Q = (gram(family).entries + gram(ModalFamily(grid, family.labels, slopes)).entries).real
+    return (gram(family).entries + gram(ModalFamily(grid, family.labels, slopes)).entries).real
+
+
+def stability_ratios(
+    model: SpectralModel,
+    kernel: MemoryKernel,
+    modulation: SourceModulation,
+    grid: TimeGrid,
+    trials: int,
+    seed: int,
+    h1_gram: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-trial values of ||B u||_H1 / ||f|| over random unit sources.
+
+    Each trial costs O(N^2) as sqrt(f^T Q f), with Q the ``stability_gram``
+    of the same arguments; pass it as ``h1_gram`` when it is already built.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if h1_gram is None:
+        h1_gram = stability_gram(model, kernel, modulation, grid)
     ratios = np.empty(trials)
     for i in range(trials):
         # one generator per trial, so an ensemble at truncation 2N extends
@@ -245,7 +262,7 @@ def stability_ratios(
         rng = np.random.default_rng((seed, i))
         f = rng.standard_normal(model.truncation)
         f /= np.linalg.norm(f)
-        ratios[i] = np.sqrt(f @ Q @ f)
+        ratios[i] = np.sqrt(f @ h1_gram @ f)
     return ratios
 
 

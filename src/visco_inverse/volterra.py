@@ -20,7 +20,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
+from scipy.linalg import solve_triangular, toeplitz
 from scipy.signal import fftconvolve
+
+from .errors import NumericsError
 
 
 @dataclass(frozen=True)
@@ -154,13 +158,61 @@ def convolve_adjoint(rho: ScalarSignal, z: Signal) -> Signal:
     return type(z)(grid, out)
 
 
+#: steps per leaf of the blocked causal-history solve; shorter leaves spend
+#: more in per-call FFT overhead than they save, longer ones let the modal
+#: step's in-leaf history sum dominate (timed at J = 16k..32k, N = 16)
+_LEAF_STEPS = 256
+#: complex elements per FFT history update, which bounds its temporaries
+_FFT_ELEMENTS = 1 << 16
+
+
+def _causal_blocks(x: np.ndarray, c: np.ndarray):
+    """Leaf ranges (lo, hi) of a causal-history solve for x[..., 1:], in order.
+
+    The unknowns x_n, n = 1..J, each see the history
+    H_n = sum over 1 <= l < n of c[n - l] x_l, with ``c`` a scalar kernel and
+    ``x`` a C-contiguous (J+1,) or (rows, J+1) array.  When a leaf is
+    yielded, every slot x[..., n] with lo <= n < hi holds the part of H_n
+    from l < lo; the caller adds the part from lo <= l < n, overwrites the
+    slots with the solution, and then asks for the next leaf.  Between
+    leaves one FFT convolution adds a solved block's history to the equally
+    long block after it, the divide-and-conquer Toeplitz solve of Hairer,
+    Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985), so the history
+    costs O(J log^2 J) instead of O(J^2).
+    """
+    J = x.shape[-1] - 1
+    rows = x.reshape(-1, J + 1)
+    rows[:, 1:] = 0.0
+    for k, lo in enumerate(range(1, J + 1, _LEAF_STEPS)):
+        hi = min(lo + _LEAF_STEPS, J + 1)
+        yield lo, hi
+        # the 2^t leaves ending here, 2^t the largest power of two dividing
+        # k + 1, are a left half of the recursion; the right half follows
+        width = _LEAF_STEPS * ((k + 1) & -(k + 1))
+        span = min(width, J + 1 - hi)
+        if span <= 0:
+            continue
+        # a circular convolution of length nfft >= width + span - 1 leaves
+        # the entries width-1 .. width+span-2 it is needed for unwrapped
+        nfft = next_fast_len(width + span - 1)
+        seg = fft(c[1:width + span], nfft)
+        step = max(1, _FFT_ELEMENTS // nfft)
+        for r in range(0, rows.shape[0], step):
+            part = fft(rows[r:r + step, hi - width:hi], nfft, axis=1)
+            part *= seg
+            part = ifft(part, axis=1, overwrite_x=True)
+            rows[r:r + step, hi:hi + span] += part[:, width - 1:width - 1 + span]
+
+
 def resolvent_kernel(sigma: ScalarSignal, sigma_prime: ScalarSignal) -> ScalarSignal:
     """Kernel K with (I + V_K)(sigma(0) + V_sigma') = sigma(0) * I.
 
-    Solves sigma(0) K + V_sigma' K = -sigma' by forward substitution on the
-    lower-triangular trapezoid system; the operator identity above then holds
-    up to an O(dt^2) quadrature defect confined to the diagonal and the first
-    column of the composed matrix.
+    Solves sigma(0) K + V_sigma' K = -sigma' on the lower-triangular
+    trapezoid system, a Toeplitz system in K(t_1..t_J), by the blocked
+    causal-history solve in O(J log^2 J), each leaf a dense triangular
+    solve.  The operator identity above then holds up to an O(dt^2)
+    quadrature defect confined to the diagonal and the first column of the
+    composed matrix.
     """
     _check_same_grid(sigma, sigma_prime)
     s0 = sigma.values[0]
@@ -173,11 +225,19 @@ def resolvent_kernel(sigma: ScalarSignal, sigma_prime: ScalarSignal) -> ScalarSi
     K = np.empty(J + 1, dtype=np.complex128)
     K[0] = -sp[0] / s0
     denom = s0 + 0.5 * dt * sp[0]
-    for j in range(1, J + 1):
-        hist = 0.5 * sp[j] * K[0]
-        if j > 1:
-            hist += np.dot(sp[j - 1:0:-1], K[1:j])
-        K[j] = (-sp[j] - dt * hist) / denom
+    if denom == 0.0:
+        raise NumericsError("singular resolvent system: sigma(0) + dt/2 sigma'(0) = 0")
+    n = min(_LEAF_STEPS, J)
+    leaf = toeplitz(sp[:n], np.zeros(n))
+    leaf *= dt
+    np.fill_diagonal(leaf, denom)
+    forcing = sp * -(1.0 + 0.5 * dt * K[0])
+    for lo, hi in _causal_blocks(K, sp):
+        # check_finite=False lets a NaN sigma' reach the identity gate
+        K[lo:hi] = solve_triangular(
+            leaf[:hi - lo, :hi - lo], forcing[lo:hi] - dt * K[lo:hi],
+            lower=True, check_finite=False,
+        )
     return ScalarSignal(grid, K)
 
 

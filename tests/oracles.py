@@ -5,8 +5,10 @@ augments the state with the running memory integral and propagates the
 resulting constant-coefficient linear system with a matrix exponential, and
 the source-trace oracle convolves every mode separately instead of the
 synthesized modal sum, the inner-product oracle writes the trapezoid rule
-out pair by pair, and the stability oracle takes the H1 norm of every
-trial's synthesized trace instead of a Gram quadratic form.
+out pair by pair, the stability oracle takes the H1 norm of every
+trial's synthesized trace instead of a Gram quadratic form, and the two
+Volterra oracles solve the resolvent and the generic-kernel modal history by
+O(J^2) forward substitution instead of the blocked FFT solve.
 """
 
 import numpy as np
@@ -97,3 +99,45 @@ def stability_ratios_per_trial(model, kernel, modulation, grid, trials, seed):
         f /= np.linalg.norm(f)
         ratios[i] = h1_norm(family.synthesize(f))
     return ratios
+
+
+def resolvent_kernel_loop(sigma: np.ndarray, sigma_prime: np.ndarray, dt: float) -> np.ndarray:
+    """sigma(0) K + V_sigma' K = -sigma' by forward substitution, one node at a time."""
+    s0, sp = sigma[0], sigma_prime
+    K = np.empty(len(sp), dtype=complex)
+    K[0] = -sp[0] / s0
+    denom = s0 + 0.5 * dt * sp[0]
+    for j in range(1, len(sp)):
+        hist = 0.5 * sp[j] * K[0]
+        if j > 1:
+            hist += np.dot(sp[j - 1:0:-1], K[1:j])
+        K[j] = (-sp[j] - dt * hist) / denom
+    return K
+
+
+def modal_history_loop(mus, z0, p0, mv: np.ndarray, dt: float):
+    """(Z, P) of the implicit-trapezoid modal step with a sampled kernel ``mv``,
+    summing the whole trapezoid history at every step."""
+    nm, J = len(mus), len(mv) - 1
+    Z = np.empty((nm, J + 1), dtype=complex)
+    P = np.empty_like(Z)
+    Z[:, 0] = z0
+    p = np.array(p0, dtype=complex)
+    P[:, 0] = p
+    m0 = float(mv[0])
+    kappa = 0.5 * dt * mus * m0
+    denom = 1.0 + 0.25 * dt * dt * (mus + kappa)
+    g = np.zeros(nm, dtype=complex)
+    for j in range(J):
+        zj = Z[:, j]
+        h = 0.5 * mv[j + 1] * Z[:, 0]
+        if j >= 1:
+            h = h + Z[:, 1:j + 1] @ mv[j:0:-1]
+        ghat = -mus * dt * h
+        znew = (zj + dt * p + 0.25 * dt * dt * (-mus * zj + g + ghat)) / denom
+        gnew = ghat - kappa * znew
+        p = p + 0.5 * dt * (-mus * zj + g - mus * znew + gnew)
+        g = gnew
+        Z[:, j + 1] = znew
+        P[:, j + 1] = p
+    return Z, P

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +55,25 @@ class TestValidation:
         cfg = base_config(grid={"T": TWO_PI, "dt": 1e-3})
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert "integer" in capsys.readouterr().err
+
+    def test_oversized_grid_rejected_at_parse_time(self, tmp_path, capsys):
+        cfg = base_config(grid={"T": 1e4, "dt": 1e-4})
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(["reconstruct", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "grid" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert not out.exists()
+
+    def test_grid_at_the_step_limit_is_accepted(self):
+        cfg = ExperimentConfig.from_mapping(base_config(grid={"T": 1.0, "dt": 1e-7}), "simulate")
+        assert cfg.grid.steps == 10**7
 
     def test_unknown_study_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -199,10 +220,15 @@ class TestNumericalFailure:
         cfg = base_config(kernel={"variant": "exponential", "beta": 1.0, "alpha": -500.0},
                           grid={"T": TWO_PI, "dt": TWO_PI / 256}, N=4)
         out = tmp_path / "res"
-        assert main([study, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([study, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert code == 3
+        # the solve stops at its first overflow instead of stepping on inf/NaN
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / f"{study}.csv").exists()
         summary = strict_json(out / f"{study}.json")
-        assert "non-finite Gram" in summary["diagnostics"]["exit"]
+        assert "non-finite modal state" in summary["diagnostics"]["exit"]
 
     def test_failed_run_removes_the_previous_csv(self, tmp_path):
         out = tmp_path / "res"
@@ -255,8 +281,12 @@ class TestOtherStudies:
         cfg = base_config(study="stability-scan", trials=5)
         out = tmp_path / "st"
         assert main(["stability-scan", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
-        summary = json.loads((out / "stability-scan.json").read_text())
-        assert 0 < summary["results"]["min_ratio"] <= summary["results"]["max_ratio"]
+        results = json.loads((out / "stability-scan.json").read_text())["results"]
+        assert 0 < results["min_ratio"] <= results["max_ratio"]
+        # the Monte-Carlo window lies inside the exact extremes sqrt(eig(Q))
+        slack = 1e-12 * results["exact_max_ratio"]
+        assert results["exact_min_ratio"] <= results["min_ratio"] + slack
+        assert results["max_ratio"] <= results["exact_max_ratio"] + slack
 
     def test_zest_decay_columns(self, tmp_path):
         cfg = base_config(N=6, kernel={"variant": "exponential", "beta": 1.0, "alpha": 1.0})

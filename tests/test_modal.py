@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from visco_inverse import (
     ExponentialKernel,
     OperatorSpec,
+    PolynomialKernel,
     SampledKernel,
     TimeGrid,
     ZeroKernel,
@@ -16,7 +20,9 @@ from visco_inverse import (
     solve_w,
     solve_z,
 )
-from oracles import modal_oracle_exponential_kernel
+from oracles import modal_history_loop, modal_oracle_exponential_kernel
+from visco_inverse.modal import _integrate_family
+from visco_inverse.volterra import _LEAF_STEPS
 
 PI = math.pi
 
@@ -135,8 +141,6 @@ class TestStructuralIdentities:
         assert np.max(np.abs(fast.z.values - slow.z.values)) < 1e-13
 
     def test_polynomial_kernel_goes_through_stored_history(self, model):
-        from visco_inverse import PolynomialKernel
-
         g = TimeGrid.from_step(1.0, 1e-2)
         poly = PolynomialKernel((1.0, -0.5))
         sampled = SampledKernel(poly.sample(g), m0=poly.at_zero())
@@ -182,3 +186,37 @@ class TestComparison:
         model = build_spectral_model(OperatorSpec(PI, -1.0), 2)
         with pytest.raises(ValueError):
             comparison_defect_scan(model, ZeroKernel(), grid, [1, 2])
+
+
+#: step counts at the edges of one, two and three leaves, and others
+LEAF_EDGE_STEPS = st.one_of(
+    st.sampled_from([k * _LEAF_STEPS + d for k in (1, 2, 3) for d in (-1, 0, 1)]),
+    st.integers(2, 3 * _LEAF_STEPS),
+)
+BOUNDED = {"min_value": -1.0, "max_value": 1.0}
+
+
+@st.composite
+def generic_families(draw):
+    """A batch of modal equations with random mu and data under a polynomial
+    or sampled kernel."""
+    grid = TimeGrid(draw(st.floats(0.5, 4.0)), draw(LEAF_EDGE_STEPS))
+    nm = draw(st.integers(1, 5))
+    mus = draw(hnp.arrays(float, nm, elements=st.floats(-4.0, 100.0)))
+    z0, p0 = (draw(hnp.arrays(complex, nm, elements=st.complex_numbers(max_magnitude=2.0)))
+              for _ in range(2))
+    if draw(st.booleans()):
+        kernel = PolynomialKernel(draw(st.lists(st.floats(**BOUNDED), min_size=1, max_size=3)))
+    else:
+        kernel = SampledKernel(draw(hnp.arrays(float, grid.steps + 1, elements=st.floats(**BOUNDED))))
+    return mus, z0, p0, kernel, grid
+
+
+class TestBlockedHistoryProperties:
+    @given(generic_families())
+    def test_matches_the_full_history_sum(self, drawn):
+        mus, z0, p0, kernel, grid = drawn
+        Z, P = _integrate_family(mus, z0, p0, kernel, grid)
+        Zo, Po = modal_history_loop(mus, z0, p0, kernel.sample(grid), grid.dt)
+        for got, expected in ((Z, Zo), (P, Po)):
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -12,6 +12,7 @@ from visco_inverse import (
     ExponentialKernel,
     ExponentialModulation,
     ModalFamily,
+    NumericsError,
     PolynomialKernel,
     SampledKernel,
     SampledModulation,
@@ -28,7 +29,8 @@ from visco_inverse import (
     l2_norm,
     resolvent_kernel,
 )
-from oracles import naive_inner_products, naive_trapezoid_convolution
+from oracles import naive_inner_products, naive_trapezoid_convolution, resolvent_kernel_loop
+from visco_inverse.volterra import _LEAF_STEPS
 
 
 def grid_1s(dt=1e-3):
@@ -167,6 +169,46 @@ class TestResolvent:
         sigma = ScalarSignal(g, g.nodes)
         with pytest.raises(ValueError):
             resolvent_kernel(sigma, ones(g))
+
+    def test_singular_trapezoid_system_is_a_numerical_failure(self):
+        # sigma(0) + dt/2 sigma'(0) = -1 + 0.25 * 4 = 0
+        g = TimeGrid(1.0, 2)
+        with pytest.raises(NumericsError, match="singular resolvent"):
+            resolvent_kernel(ScalarSignal(g, -1.0 + 4.0 * g.nodes),
+                             ScalarSignal(g, np.full(g.steps + 1, 4.0)))
+
+
+#: step counts at the edges of one, two and three leaves, and others
+LEAF_EDGE_STEPS = st.one_of(
+    st.sampled_from([k * _LEAF_STEPS + d for k in (1, 2, 3) for d in (-1, 0, 1)]),
+    st.integers(3, 3 * _LEAF_STEPS),
+)
+
+
+@st.composite
+def modulations(draw):
+    """Affine, exponential or sampled sigma with sigma(0) away from zero, on a grid."""
+    grid = TimeGrid(draw(st.floats(0.1, 4.0)), draw(LEAF_EDGE_STEPS))
+    a = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    form = draw(st.sampled_from(["affine", "exponential", "sampled"]))
+    if form == "affine":
+        return AffineModulation(a, draw(st.floats(-2.0, 2.0)) * abs(a)), grid
+    if form == "exponential":
+        return ExponentialModulation(draw(st.floats(-2.0, 2.0))), grid
+    # a smooth profile plus node-to-node noise of size dt, so sigma' stays O(1)
+    noise = draw(hnp.arrays(float, grid.steps + 1, elements=st.floats(-1.0, 1.0)))
+    values = a * (1.0 + 0.5 * np.sin(draw(st.floats(0.0, 3.0)) * grid.nodes)) + grid.dt * noise
+    return SampledModulation(values), grid
+
+
+class TestBlockedResolventProperties:
+    @given(modulations())
+    def test_matches_forward_substitution(self, drawn):
+        mod, grid = drawn
+        sigma, sigma_p = mod.sample(grid), mod.sample_derivative(grid)
+        expected = resolvent_kernel_loop(sigma.values, sigma_p.values, grid.dt)
+        got = resolvent_kernel(sigma, sigma_p).values
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_convolutions_commute():
