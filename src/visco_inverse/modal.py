@@ -10,14 +10,19 @@ their closed forms 1 + i*sgn(n)*t and t.
 
 Integration is an implicit-trapezoid step in (g, g'), solved in closed form,
 with the memory integral evaluated by the trapezoid rule over the stored
-history.  Exponential kernels use an algebraically identical one-step
-recursion for the history sum (no approximation beyond the quadrature that
-the naive sum already commits), which costs O(J) per mode.  Generic
-(polynomial or sampled) kernels step through leaves of the blocked
-causal-history solve in ``volterra``, which adds the history of earlier
-leaves by FFT convolution: O(J log^2 J) per mode instead of O(J^2).  Modes
-sharing a grid and kernel are advanced together as a batch.  A state that
-overflows stops the solve with ``NumericsError``.
+history; ``_trapezoid_step`` is the one statement of that step.  For the
+zero and exponential kernels the history is one extra state, the trapezoid
+memory sum S, so each step is a fixed real 3x3 map A on (g, g', S) per mode
+(the zero kernel is its M(0) = 0 case).  Powers A^1..A^L over one leaf of
+L = 256 steps are tabulated once; each leaf's values are their first rows
+applied to the leaf's start state, which A^L then carries to the next leaf.
+That is L + J/L Python iterations instead of J, with the discretisation
+unchanged.  Generic (polynomial or sampled) kernels step through leaves of
+the blocked causal-history solve in ``volterra``, which adds the history of
+earlier leaves by FFT convolution: O(J log^2 J) per mode instead of O(J^2).
+Modes sharing a grid and kernel are advanced together as a batch.  Only g is
+stored; g' is recovered on demand.  A state that overflows stops the solve
+with ``NumericsError``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .volterra import (
     ScalarSignal,
     TimeGrid,
     ZeroKernel,
+    _LEAF_STEPS,
     _causal_blocks,
     inner_products,
 )
@@ -41,12 +47,61 @@ from .volterra import (
 
 @dataclass(frozen=True, eq=False)
 class ModalTrajectory:
-    """Solution of one modal equation together with its derivative."""
+    """Solution of one modal equation and its initial derivative."""
 
     mode: Mode
     z: ScalarSignal
-    z_prime: ScalarSignal
+    p0: complex
     kernel: MemoryKernel
+
+    @property
+    def z_prime(self) -> ScalarSignal:
+        """The step's derivative, recovered from the solution on demand.
+
+        Every implicit-trapezoid step satisfies z_(n+1) - z_n =
+        dt/2 (p_n + p_(n+1)), so (-1)^n p_n = p_0 + sum over 1 <= k <= n of
+        (-1)^k 2 (z_k - z_(k-1)) / dt.
+        """
+        grid = self.z.grid
+        sign = np.where(np.arange(grid.steps + 1) % 2, -1.0, 1.0)
+        q = np.empty(grid.steps + 1, dtype=np.complex128)
+        q[0] = self.p0
+        q[1:] = np.diff(self.z.values) * sign[1:] * (2.0 / grid.dt)
+        return ScalarSignal(grid, sign * np.cumsum(q))
+
+
+def _trapezoid_step(mus, m0: float, dt: float):
+    """The implicit-trapezoid step (z_j, p_j, g_j, h) -> (z_j+1, p_j+1, g_j+1).
+
+    g_j is the memory forcing -mu times the memory integral at t_j, and h
+    the trapezoid history at t_j+1 without its own M(0)/2 term, which the
+    step takes implicitly.  The step is linear in (z, p, g, h).
+    """
+    kappa = 0.5 * dt * mus * m0
+    denom = 1.0 + 0.25 * dt * dt * (mus + kappa)
+
+    def step(z, p, g, h):
+        ghat = -mus * h
+        znew = (z + dt * p + 0.25 * dt * dt * (-mus * z + g + ghat)) / denom
+        gnew = ghat - kappa * znew
+        return znew, p + 0.5 * dt * (-mus * z + g - mus * znew + gnew), gnew
+
+    return step
+
+
+def _exponential_step_map(mus: np.ndarray, m0: float, decay: float, dt: float) -> np.ndarray:
+    """Real (modes, 3, 3) matrices A with (z, p, S)_(j+1) = A (z, p, S)_j.
+
+    For M(t) = m0 e^(-alpha t) the history at t_j+1 is
+    h = decay (S_j + dt/2 m0 z_j), decay = e^(-alpha dt), with S the
+    trapezoid memory sum (S_0 = 0) and g_j = -mu S_j, so each step is one
+    fixed linear map.  Its columns are the step applied to the unit states.
+    """
+    mu = mus[:, None]
+    z, p, S = np.eye(3)
+    h = decay * (S + 0.5 * dt * m0 * z)
+    znew, pnew, _ = _trapezoid_step(mu, m0, dt)(z, p, -mu * S, h)
+    return np.stack([znew, pnew, h + 0.5 * dt * m0 * znew], axis=1)
 
 
 def _integrate_family(
@@ -55,87 +110,62 @@ def _integrate_family(
     p0: np.ndarray,
     kernel: MemoryKernel,
     grid: TimeGrid,
-    keep_derivative: bool = True,
-):
+) -> np.ndarray:
     """Advance a batch of modal equations sharing one grid and kernel.
 
     ``mus`` holds the real stiffness coefficients lambda_n^2 = mu_n; the
-    state is complex.  Returns (Z, P) arrays of shape (len(mus), J+1); P is
-    None when ``keep_derivative`` is false.
+    state is complex.  Returns Z of shape (len(mus), J+1).
     """
     nm = mus.shape[0]
     J = grid.steps
     dt = grid.dt
     Z = np.empty((nm, J + 1), dtype=np.complex128)
     Z[:, 0] = z0
-    p = np.array(p0, dtype=np.complex128)
-    P = np.empty_like(Z) if keep_derivative else None
-    if P is not None:
-        P[:, 0] = p
-
-    zero_memory = isinstance(kernel, ZeroKernel)
-    exponential = isinstance(kernel, ExponentialKernel)
-    mv = None
     n = 0
     try:
         # stop at the first overflow instead of stepping on inf/NaN
         with np.errstate(over="raise", invalid="raise"):
-            if zero_memory:
-                m0 = 0.0
-            elif exponential:
-                m0 = kernel.beta
-                decay = np.exp(-kernel.alpha * dt)
-            else:
-                mv = kernel.sample(grid)
-                m0 = float(mv[0])
+            if isinstance(kernel, (ZeroKernel, ExponentialKernel)):
+                # the zero kernel is the m0 = 0 case of the exponential map
+                alpha = kernel.alpha if isinstance(kernel, ExponentialKernel) else 0.0
+                A = _exponential_step_map(mus, kernel.at_zero(), np.exp(-alpha * dt), dt)
+                # powers[:, k - 1] = A^k over one leaf; each leaf's columns of
+                # Z are their first rows applied to the leaf's start state
+                L = min(_LEAF_STEPS, J)
+                powers = np.empty((nm, L, 3, 3))
+                powers[:, 0] = A
+                for n in range(2, L + 1):
+                    np.matmul(powers[:, n - 2], A, out=powers[:, n - 1])
+                state = np.stack([z0, p0, np.zeros(nm)], axis=1).astype(np.complex128)[..., None]
+                for n in range(1, J + 1, L):
+                    hi = min(n + L, J + 1)
+                    Z[:, n:hi] = (powers[:, :hi - n, 0] @ state)[..., 0]
+                    state = powers[:, L - 1] @ state
+                return Z
 
-            kappa = 0.5 * dt * mus * m0
-            denom = 1.0 + 0.25 * dt * dt * (mus + kappa)
+            mv = kernel.sample(grid)
+            step = _trapezoid_step(mus, float(mv[0]), dt)
+            p = np.array(p0, dtype=np.complex128)
             g = np.zeros(nm, dtype=np.complex128)  # memory forcing -mu * S_j
-            S = np.zeros(nm, dtype=np.complex128)  # trapezoid history sum at t_j
-
-            # a generic kernel's unsolved slots Z[:, n] hold the history
-            # sum over the earlier leaves (see volterra._causal_blocks)
-            leaves = [(1, J + 1)] if mv is None else _causal_blocks(Z, mv)
-            for lo, hi in leaves:
+            # the unsolved slots Z[:, n] hold the history sum over the
+            # earlier leaves (see volterra._causal_blocks)
+            for lo, hi in _causal_blocks(Z, mv):
                 for n in range(lo, hi):
-                    zj = Z[:, n - 1]
-                    if zero_memory:
-                        rhs = zj + dt * p - 0.25 * dt * dt * mus * zj
-                        znew = rhs / denom
-                        p = p + 0.5 * dt * (-mus * (zj + znew))
-                    else:
-                        if exponential:
-                            h = decay * (S + 0.5 * dt * m0 * zj)
-                        else:
-                            h = dt * (0.5 * mv[n] * Z[:, 0] + Z[:, n]
-                                      + Z[:, lo:n] @ mv[n - lo:0:-1])
-                        ghat = -mus * h
-                        rhs = zj + dt * p + 0.25 * dt * dt * (-mus * zj + g + ghat)
-                        znew = rhs / denom
-                        gnew = ghat - kappa * znew
-                        p = p + 0.5 * dt * (-mus * zj + g - mus * znew + gnew)
-                        S = h + 0.5 * dt * m0 * znew
-                        g = gnew
-                    Z[:, n] = znew
-                    if P is not None:
-                        P[:, n] = p
+                    h = dt * (0.5 * mv[n] * Z[:, 0] + Z[:, n] + Z[:, lo:n] @ mv[n - lo:0:-1])
+                    Z[:, n], p, g = step(Z[:, n - 1], p, g, h)
     except FloatingPointError as exc:
         raise NumericsError(
             f"non-finite modal state at step {n} of {J} ({exc})"
         ) from None
-    return Z, P
+    return Z
 
 
 def _closed_form_zero_branch(mode: Mode, grid: TimeGrid, family: str):
+    """Values and initial derivative of a zero-branch trajectory."""
     t = grid.nodes
     if family == "z":
-        vals = 1.0 + 1j * mode.sign * t
-        dvals = np.full(t.shape, 1j * mode.sign, dtype=np.complex128)
-    else:
-        vals = t.astype(np.complex128)
-        dvals = np.ones_like(t, dtype=np.complex128)
-    return vals, dvals
+        return 1.0 + 1j * mode.sign * t, 1j * mode.sign
+    return t.astype(np.complex128), 1.0 + 0.0j
 
 
 def _initial_data(mode: Mode, family: str):
@@ -152,20 +182,13 @@ def _solve_many(modes, kernel, grid, family: str):
         init = [_initial_data(modes[i], family) for i in solved_idx]
         z0 = np.array([a for a, _ in init])
         p0 = np.array([b for _, b in init])
-        Z, P = _integrate_family(mus, z0, p0, kernel, grid)
+        Z = _integrate_family(mus, z0, p0, kernel, grid)
         for row, i in enumerate(solved_idx):
-            out[i] = ModalTrajectory(
-                modes[i],
-                ScalarSignal(grid, Z[row]),
-                ScalarSignal(grid, P[row]),
-                kernel,
-            )
+            out[i] = ModalTrajectory(modes[i], ScalarSignal(grid, Z[row]), complex(p0[row]), kernel)
     for i, m in enumerate(modes):
         if out[i] is None:
-            vals, dvals = _closed_form_zero_branch(m, grid, family)
-            out[i] = ModalTrajectory(
-                m, ScalarSignal(grid, vals), ScalarSignal(grid, dvals), kernel
-            )
+            vals, p0 = _closed_form_zero_branch(m, grid, family)
+            out[i] = ModalTrajectory(m, ScalarSignal(grid, vals), p0, kernel)
     return out
 
 
@@ -214,7 +237,7 @@ def _comparison_defects(modes, kernel: MemoryKernel, grid: TimeGrid, chunk: int)
         mus = np.array([m.mu for m in block], dtype=float)
         z0 = np.ones(len(block), dtype=np.complex128)
         p0 = np.array([1j * m.lam for m in block])
-        Z, _ = _integrate_family(mus, z0, p0, kernel, grid, keep_derivative=False)
+        Z = _integrate_family(mus, z0, p0, kernel, grid)
         for row, m in enumerate(block):
             diff = (Z[row] - comparison_exponential(m, kernel, grid).values)[None]
             out[start + row] = abs(m.lam) ** 2 * inner_products(diff, diff, grid)[0, 0].real

@@ -6,15 +6,25 @@ resulting constant-coefficient linear system with a matrix exponential, and
 the source-trace oracle convolves every mode separately instead of the
 synthesized modal sum, the inner-product oracle writes the trapezoid rule
 out pair by pair, the stability oracle takes the H1 norm of every
-trial's synthesized trace instead of a Gram quadratic form, and the two
+trial's synthesized trace instead of a Gram quadratic form, the two
 Volterra oracles solve the resolvent and the generic-kernel modal history by
-O(J^2) forward substitution instead of the blocked FFT solve.
+O(J^2) forward substitution instead of the blocked FFT solve, and the step
+oracle advances the zero- and exponential-kernel modal equations one step at
+a time instead of by powers of the step map.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from visco_inverse import TimeGrid, convolve, h1_norm, solve_w_many, y_trace_family
+from visco_inverse import (
+    ExponentialKernel,
+    TimeGrid,
+    ZeroKernel,
+    convolve,
+    h1_norm,
+    solve_w_many,
+    y_trace_family,
+)
 
 
 def modal_oracle_exponential_kernel(
@@ -115,15 +125,13 @@ def resolvent_kernel_loop(sigma: np.ndarray, sigma_prime: np.ndarray, dt: float)
     return K
 
 
-def modal_history_loop(mus, z0, p0, mv: np.ndarray, dt: float):
-    """(Z, P) of the implicit-trapezoid modal step with a sampled kernel ``mv``,
+def modal_history_loop(mus, z0, p0, mv: np.ndarray, dt: float) -> np.ndarray:
+    """Z of the implicit-trapezoid modal step with a sampled kernel ``mv``,
     summing the whole trapezoid history at every step."""
     nm, J = len(mus), len(mv) - 1
     Z = np.empty((nm, J + 1), dtype=complex)
-    P = np.empty_like(Z)
     Z[:, 0] = z0
     p = np.array(p0, dtype=complex)
-    P[:, 0] = p
     m0 = float(mv[0])
     kappa = 0.5 * dt * mus * m0
     denom = 1.0 + 0.25 * dt * dt * (mus + kappa)
@@ -139,5 +147,45 @@ def modal_history_loop(mus, z0, p0, mv: np.ndarray, dt: float):
         p = p + 0.5 * dt * (-mus * zj + g - mus * znew + gnew)
         g = gnew
         Z[:, j + 1] = znew
-        P[:, j + 1] = p
-    return Z, P
+    return Z
+
+
+def modal_step_loop(mus, z0, p0, kernel, grid: TimeGrid) -> np.ndarray:
+    """Z of the implicit-trapezoid modal step under a zero or exponential
+    kernel, one step at a time with the O(1) exponential history recursion."""
+    nm = mus.shape[0]
+    J = grid.steps
+    dt = grid.dt
+    Z = np.empty((nm, J + 1), dtype=np.complex128)
+    Z[:, 0] = z0
+    p = np.array(p0, dtype=np.complex128)
+
+    zero_memory = isinstance(kernel, ZeroKernel)
+    assert zero_memory or isinstance(kernel, ExponentialKernel)
+    if zero_memory:
+        m0 = 0.0
+    else:
+        m0 = kernel.beta
+        decay = np.exp(-kernel.alpha * dt)
+
+    kappa = 0.5 * dt * mus * m0
+    denom = 1.0 + 0.25 * dt * dt * (mus + kappa)
+    g = np.zeros(nm, dtype=np.complex128)  # memory forcing -mu * S_j
+    S = np.zeros(nm, dtype=np.complex128)  # trapezoid history sum at t_j
+    for n in range(1, J + 1):
+        zj = Z[:, n - 1]
+        if zero_memory:
+            rhs = zj + dt * p - 0.25 * dt * dt * mus * zj
+            znew = rhs / denom
+            p = p + 0.5 * dt * (-mus * (zj + znew))
+        else:
+            h = decay * (S + 0.5 * dt * m0 * zj)
+            ghat = -mus * h
+            rhs = zj + dt * p + 0.25 * dt * dt * (-mus * zj + g + ghat)
+            znew = rhs / denom
+            gnew = ghat - kappa * znew
+            p = p + 0.5 * dt * (-mus * zj + g - mus * znew + gnew)
+            S = h + 0.5 * dt * m0 * znew
+            g = gnew
+        Z[:, n] = znew
+    return Z

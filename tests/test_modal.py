@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from visco_inverse import (
     ExponentialKernel,
+    NumericsError,
     OperatorSpec,
     PolynomialKernel,
     SampledKernel,
@@ -20,7 +22,7 @@ from visco_inverse import (
     solve_w,
     solve_z,
 )
-from oracles import modal_history_loop, modal_oracle_exponential_kernel
+from oracles import modal_history_loop, modal_oracle_exponential_kernel, modal_step_loop
 from visco_inverse.modal import _integrate_family
 from visco_inverse.volterra import _LEAF_STEPS
 
@@ -47,6 +49,10 @@ class TestMemoryless:
     def test_w_is_plain_sine(self, model, grid):
         traj = solve_w(model.mode(2), ZeroKernel(), grid)
         assert np.max(np.abs(traj.z.values - np.sin(2 * grid.nodes))) < 5e-6
+
+    def test_derivative_is_recovered_from_the_solution(self, model, grid):
+        traj = solve_w(model.mode(2), ZeroKernel(), grid)
+        assert np.max(np.abs(traj.z_prime.values - 2 * np.cos(2 * grid.nodes))) < 1e-5
 
     def test_imaginary_branch_grows_like_cosh(self, grid):
         # mu_1 = -1 makes lambda = i; the two signed trajectories are the
@@ -216,7 +222,47 @@ class TestBlockedHistoryProperties:
     @given(generic_families())
     def test_matches_the_full_history_sum(self, drawn):
         mus, z0, p0, kernel, grid = drawn
-        Z, P = _integrate_family(mus, z0, p0, kernel, grid)
-        Zo, Po = modal_history_loop(mus, z0, p0, kernel.sample(grid), grid.dt)
-        for got, expected in ((Z, Zo), (P, Po)):
-            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        Z = _integrate_family(mus, z0, p0, kernel, grid)
+        expected = modal_history_loop(mus, z0, p0, kernel.sample(grid), grid.dt)
+        assert np.max(np.abs(Z - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@st.composite
+def exponential_families(draw):
+    """A batch of modal equations with random mu and data under the zero
+    kernel or an exponential one."""
+    grid = TimeGrid(draw(st.floats(0.5, 4.0)), draw(LEAF_EDGE_STEPS))
+    nm = draw(st.integers(1, 5))
+    mus = draw(hnp.arrays(float, nm, elements=st.floats(-4.0, 4000.0)))
+    z0, p0 = (draw(hnp.arrays(complex, nm, elements=st.complex_numbers(max_magnitude=2.0)))
+              for _ in range(2))
+    kernel = draw(st.one_of(
+        st.just(ZeroKernel()),
+        st.builds(ExponentialKernel, st.floats(-2.0, 3.0), st.floats(-3.0, 5.0)),
+    ))
+    return mus, z0, p0, kernel, grid
+
+
+class TestPropagatedStepProperties:
+    @given(exponential_families())
+    def test_matches_the_step_loop(self, drawn):
+        mus, z0, p0, kernel, grid = drawn
+        Z = _integrate_family(mus, z0, p0, kernel, grid)
+        expected = modal_step_loop(mus, z0, p0, kernel, grid)
+        assert np.max(np.abs(Z - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("kernel, mu, grid, step", [
+        # A^k overflows while the one-leaf power table is built
+        (ExponentialKernel(1.0, -500.0), 4.0, TimeGrid(4.0, 400), 142),
+        # the table is finite; the third leaf overflows, reported at its first step
+        (ZeroKernel(), -1e6, TimeGrid(1.0, 1000), 513),
+    ])
+    def test_overflow_is_a_numerical_failure(self, kernel, mu, grid, step):
+        ones = np.ones(1, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError,
+                               match=f"non-finite modal state at step {step} of {grid.steps} "):
+                _integrate_family(np.array([mu]), ones, ones, kernel, grid)
