@@ -17,7 +17,6 @@ from .forward import (
     verify_convolution_relation,
 )
 from .frames import (
-    DualFamily,
     FrameBounds,
     GramMatrix,
     ModalFamily,
@@ -25,7 +24,7 @@ from .frames import (
     bessel_ratio,
     biorthogonality_defect,
     coefficients_via_duals,
-    dual_family,
+    dual_coefficients,
     frame_bounds,
     gram,
     leading_frame_bounds,
@@ -38,7 +37,6 @@ from .inverse import (
     ReconstructionKernels,
     ReconstructionReport,
     build_reconstruction,
-    build_thetas,
     l2_only_counterexample,
     noisy_reconstruction,
     reconstruct,

@@ -75,6 +75,10 @@ IDENTITY_RESIDUAL_RTOL = 1e-3
 #: larger grids are refused when parsed instead of failing to allocate
 MAX_GRID_STEPS = 10**7
 
+#: most N * (steps + 1), the size of the factored modal family Z, a config may
+#: ask for: 500 modes on 10^6 steps, 8 GB of complex values
+MAX_MODE_NODES = 5 * 10**8
+
 
 def _require(mapping, key, what):
     if key not in mapping:
@@ -97,6 +101,8 @@ def _reals(values, what) -> np.ndarray:
 
 
 def _integer(value, what) -> int:
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     if isinstance(value, int):
         return value
     number = _real(value, what)
@@ -197,11 +203,14 @@ class ExperimentConfig:
             )
 
         op_raw = _require(raw, "operator", "config")
+        endpoints = op_raw.get("observed_endpoints", ["left"])
+        if not isinstance(endpoints, list):
+            raise ValueError(f"operator: observed_endpoints: expected a list, got {endpoints!r}")
         operator = OperatorSpec(
             length=_real(_require(op_raw, "length", "operator"), "operator: length"),
             potential_shift=_real(op_raw.get("potential_shift", 0.0),
                                   "operator: potential_shift"),
-            observed_endpoints=tuple(op_raw.get("observed_endpoints", ["left"])),
+            observed_endpoints=tuple(endpoints),
         )
 
         grid_raw = _require(raw, "grid", "config")
@@ -224,6 +233,9 @@ class ExperimentConfig:
         truncation = _integer(_require(raw, "N", "config"), "N")
         if truncation < 1:
             raise ValueError("N must be at least 1")
+        if truncation * (steps + 1) > MAX_MODE_NODES:
+            raise ValueError(f"N x (steps + 1) = {truncation} x {steps + 1} exceeds "
+                             f"the limit of {MAX_MODE_NODES} modal values")
 
         kernel = _parse_kernel(raw.get("kernel"))
         sigma = _parse_sigma(raw.get("sigma"))
@@ -331,9 +343,9 @@ def _study_simulate(cfg: ExperimentConfig, model: SpectralModel):
 def _study_reconstruct(cfg: ExperimentConfig, model: SpectralModel):
     f = cfg.resolve_source(model)
     kernels = build_reconstruction(model, cfg.kernel, cfg.sigma, cfg.grid)
-    bu, bu_prime = source_traces(kernels.duals.family, f, cfg.sigma)
+    bu, bu_prime = source_traces(kernels.family, f, cfg.sigma)
     # ||p_k||^2 = <p_k, p_k> = coefficients[k, k] by biorthogonality
-    dual_scale = float(np.sqrt(np.diag(kernels.duals.coefficients).real.max())) or 1.0
+    dual_scale = float(np.sqrt(np.diag(kernels.coefficients).real.max())) or 1.0
     if not (kernels.identity_residual <= IDENTITY_RESIDUAL_RTOL * dual_scale):
         raise NumericsError(
             "resolvent identity residual "

@@ -11,7 +11,8 @@ sign and scaling bookkeeping lives in one place here and is pinned by unit
 tests against single-mode closed forms.  The source-driven traces follow
 from the convolution identity u = V_sigma w.  Since V_sigma is linear and
 psi_n does not depend on time, the modal sum B w = sum f_n w_n psi_n is
-synthesized once and convolved as a whole:
+synthesized once from the factored family, as Z^T (f * Psi), and convolved
+as a whole:
 
     B u  = V_sigma (B w)
     B u' = sigma(0) B w + V_sigma' (B w).
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import ModalFamily, w_trace_family
-from .modal import solve_z_many
+from .frames import ModalFamily, w_trace_family, z_trace_family
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
@@ -81,10 +81,10 @@ class SourceCoefficients:
         return cls(vals)
 
 
-def _signed_coefficients(data: InitialData, model: SpectralModel) -> np.ndarray:
+def _signed_coefficients(data: InitialData, modes) -> np.ndarray:
     """Coefficients a_n of the signed-mode expansion of the trace."""
-    a = np.empty(2 * model.truncation, dtype=np.complex128)
-    for i, mode in enumerate(model.modes):
+    a = np.empty(len(modes), dtype=np.complex128)
+    for i, mode in enumerate(modes):
         k = abs(mode.index) - 1
         if mode.branch == "J1":
             # sgn(n) * lambda_|n| * xi_|n| collapses to lambda_n * xi_|n|
@@ -107,12 +107,9 @@ def boundary_trace_homogeneous(
     """
     if len(data) != model.truncation:
         raise ValueError("initial data length must equal the model truncation")
-    a = _signed_coefficients(data, model)
-    trajs = solve_z_many(model.modes, kernel, grid)
-    Z = np.stack([t.z.values for t in trajs])
-    psis = np.stack([m.psi for m in model.modes])
-    vals = 0.5 * np.einsum("k,kj,kc->jc", a, Z, psis)
-    return TraceSignal(grid, vals)
+    family = z_trace_family(model, kernel, grid)
+    a = _signed_coefficients(data, [model.mode(n) for n in family.labels])
+    return family.synthesize(0.5 * a)
 
 
 def source_traces(

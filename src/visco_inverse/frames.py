@@ -1,12 +1,15 @@
 """Frame analysis of modal trace families and their biorthogonal duals.
 
 A modal family collects the boundary signals g_n(t) * psi_n for a scalar
-trajectory family g (the z, w or convolved-w trajectories).  Its Gram matrix
-under the discrete L2(0,T; G) inner product yields sharp two-sided frame
-constants for the truncated span (extreme eigenvalues), and inverting it
-yields the biorthogonal dual family within that span.  Because the inner
-product is a fixed discrete bilinear form, biorthogonality holds to linear
-solver precision rather than quadrature accuracy.
+trajectory family g (the z, w or convolved-w trajectories), stored factored
+as the trajectories Z (members, J+1) and trace vectors Psi (members, m).
+Its Gram matrix under the discrete L2(0,T; G) inner product, the trajectory
+Gram times the trace-vector Gram entry by entry, yields sharp two-sided
+frame constants for the truncated span (extreme eigenvalues).  Its inverse
+gives the biorthogonal dual family within that span, held as coefficients
+alone.  Because the inner product is a fixed discrete bilinear form,
+biorthogonality holds to linear solver precision rather than quadrature
+accuracy.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .modal import solve_w_many, solve_z_many
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
+    ScalarSignal,
     SourceModulation,
     TimeGrid,
     TraceSignal,
@@ -34,46 +38,49 @@ SINGULAR_GRAM_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class ModalFamily:
-    """Stacked trace signals sharing one grid; labels name the modes."""
+    """Members scalars[n] * psis[n] sharing one grid; labels name the modes."""
 
     grid: TimeGrid
     labels: tuple
-    values: np.ndarray  # (members, J+1, m)
+    scalars: np.ndarray  # (members, J+1), the trajectories g_n
+    psis: np.ndarray  # (members, m), the trace vectors psi_n
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[0] != len(self.labels):
-            raise ValueError("family values must be (members, nodes, dim)")
-        if arr.shape[1] != self.grid.steps + 1:
-            raise ValueError("family values do not match the grid")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        labels = tuple(self.labels)
+        scalars = np.asarray(self.scalars, dtype=np.complex128)
+        psis = np.asarray(self.psis, dtype=np.complex128)
+        if scalars.shape != (len(labels), self.grid.steps + 1):
+            raise ValueError("family scalars must be (members, nodes) on the grid")
+        if psis.ndim != 2 or psis.shape[0] != len(labels) or psis.shape[1] < 1:
+            raise ValueError("family trace vectors must be (members, dim)")
+        scalars.setflags(write=False)
+        psis.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "scalars", scalars)
+        object.__setattr__(self, "psis", psis)
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def synthesize(self, coeffs) -> TraceSignal:
-        """Linear combination sum_n coeffs[n] * member_n."""
+        """Linear combination sum_n coeffs[n] * member_n, as Z^T (coeffs * Psi)."""
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != (len(self),):
             raise ValueError("coefficient vector does not match the family size")
-        return TraceSignal(self.grid, np.tensordot(coeffs, self.values, axes=1))
+        return TraceSignal(self.grid, self.scalars.T @ (coeffs[:, None] * self.psis))
+
+    def inner_with(self, signal: TraceSignal) -> np.ndarray:
+        """Vector of <signal, member_n> = sum_c <signal_c, g_n> conj(psi_n,c)."""
+        if signal.grid != self.grid or signal.dim != self.psis.shape[1]:
+            raise ValueError("signal does not match the family grid and dimension")
+        per_dim = inner_products(signal.values.T, self.scalars, self.grid)
+        return np.einsum("cn,nc->n", per_dim, self.psis.conj())
 
 
-def _interleaved_indices(truncation: int):
-    out = []
-    for n in range(1, truncation + 1):
-        out.extend((n, -n))
-    return out
-
-
-def _trace_values(model: SpectralModel, modes, signals, grid: TimeGrid) -> np.ndarray:
-    """(members, J+1, m) array of signal_n * psi_n, filled member by member."""
-    out = np.empty((len(modes), grid.steps + 1, model.dim), dtype=np.complex128)
-    for row, m, sig in zip(out, modes, signals):
-        np.multiply(sig.values[:, None], m.psi[None, :], out=row)
-    return out
+def _trace_family(modes, trajs, grid: TimeGrid, labels) -> ModalFamily:
+    return ModalFamily(
+        grid, labels, np.stack([t.z.values for t in trajs]), np.stack([m.psi for m in modes])
+    )
 
 
 def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
@@ -82,19 +89,16 @@ def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -
     The interleaving makes every leading block of 2k members the family at
     truncation k, so nested truncation scans reuse one Gram matrix.
     """
-    labels = _interleaved_indices(model.truncation)
+    labels = [sign * n for n in range(1, model.truncation + 1) for sign in (1, -1)]
     modes = [model.mode(n) for n in labels]
-    trajs = solve_z_many(modes, kernel, grid)
-    vals = _trace_values(model, modes, (t.z for t in trajs), grid)
-    return ModalFamily(grid, tuple(labels), vals)
+    return _trace_family(modes, solve_z_many(modes, kernel, grid), grid, labels)
 
 
 def w_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
     """Members w_n * psi_n over positive indices 1..N."""
     modes = model.positive_modes
     trajs = solve_w_many(modes, kernel, grid)
-    vals = _trace_values(model, modes, (t.z for t in trajs), grid)
-    return ModalFamily(grid, tuple(m.index for m in modes), vals)
+    return _trace_family(modes, trajs, grid, [m.index for m in modes])
 
 
 def y_trace_family(
@@ -104,13 +108,14 @@ def y_trace_family(
     grid: TimeGrid,
 ) -> ModalFamily:
     """Members (V_sigma w_n) * psi_n, the time-integrated source responses."""
+    family = w_trace_family(model, kernel, grid)
     sigma = modulation.sample(grid)
-    modes = model.positive_modes
-    trajs = solve_w_many(modes, kernel, grid)
-    # a generator, so one convolved trajectory exists at a time
-    ys = (convolve(sigma, t.z) for t in trajs)
-    vals = _trace_values(model, modes, ys, grid)
-    return ModalFamily(grid, tuple(m.index for m in modes), vals)
+    ys = np.empty_like(family.scalars)
+    # one trajectory at a time: a batched FFT convolution would hold several
+    # (members, 2J) temporaries at once and raise the peak memory of a scan
+    for row, z in zip(ys, family.scalars):
+        row[:] = convolve(sigma, ScalarSignal(grid, z)).values
+    return ModalFamily(grid, family.labels, ys, family.psis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +140,12 @@ class GramMatrix:
 
 
 def gram(family: ModalFamily) -> GramMatrix:
-    """Assemble and symmetrize the Gram matrix of the family."""
+    """Assemble and symmetrize the Gram matrix of the family, with
+    <g_i psi_i, g_k psi_k> = <g_i, g_k> (psi_i . conj psi_k)."""
     if len(family) == 0:
         raise ValueError("cannot form the Gram matrix of an empty family")
-    raw = inner_products(family.values, family.values, family.grid)
+    Z, psis = family.scalars, family.psis
+    raw = inner_products(Z, Z, family.grid) * (psis @ psis.conj().T)
     return GramMatrix(0.5 * (raw.T + raw.conj()), family.grid.horizon, family.labels)
 
 
@@ -182,33 +189,15 @@ def leading_frame_bounds(g: GramMatrix, sizes) -> list:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class DualFamily:
-    """Biorthogonal dual of a modal family within its span."""
+def dual_coefficients(g: GramMatrix) -> np.ndarray:
+    """Coefficients C = conj(G^-1) of the biorthogonal dual family.
 
-    family: ModalFamily
-    gram: GramMatrix
-    coefficients: np.ndarray  # dual_k = sum_m coefficients[k, m] * member_m
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.family)
-
-    def dual(self, k: int) -> TraceSignal:
-        return TraceSignal(self.family.grid, self.values[k])
-
-
-def dual_family(family: ModalFamily, g: GramMatrix | None = None) -> DualFamily:
-    """Construct the biorthogonal dual family by inverting the Gram matrix.
-
-    Raises ``SingularGramError`` when the smallest eigenvalue is below
+    The dual members are p_k = sum_m C[k, m] member_m, so that
+    <member_n, p_k> = (G^-1 G)[k, n] = delta_nk.  Raises
+    ``SingularGramError`` when the smallest eigenvalue is below
     ``SINGULAR_GRAM_RTOL`` times the largest, i.e. when the family has
     numerically lost its lower frame bound at this truncation and horizon.
     """
-    if g is None:
-        g = gram(family)
-    if g.size != len(family):
-        raise ValueError("Gram matrix size does not match the family")
     bounds = frame_bounds(g)
     if bounds.upper <= 0.0 or bounds.lower <= SINGULAR_GRAM_RTOL * bounds.upper:
         raise SingularGramError(
@@ -216,23 +205,25 @@ def dual_family(family: ModalFamily, g: GramMatrix | None = None) -> DualFamily:
             f"{bounds.lower:.3e} vs max {bounds.upper:.3e} "
             f"(size {g.size}, horizon {g.horizon:g})"
         )
-    coeffs = np.conj(np.linalg.solve(g.entries, np.eye(g.size)))
-    vals = np.tensordot(coeffs, family.values, axes=1)
-    return DualFamily(family, g, coeffs, vals)
+    return np.conj(np.linalg.solve(g.entries, np.eye(g.size)))
 
 
-def biorthogonality_defect(duals: DualFamily) -> float:
-    """max |<member_n, dual_k> - delta_nk| over the family, a health check."""
-    fam = duals.family
-    inner = inner_products(fam.values, duals.values, fam.grid)
-    return float(np.max(np.abs(inner - np.eye(len(fam)))))
+def biorthogonality_defect(g: GramMatrix, coefficients: np.ndarray) -> float:
+    """max |<member_n, p_k> - delta_nk| over the family, a health check.
+
+    <member_n, p_k> = sum_m conj(C[k, m]) G[m, n], from the Gram alone.
+    """
+    inner = np.conj(coefficients) @ g.entries
+    return float(np.max(np.abs(inner - np.eye(g.size))))
 
 
-def coefficients_via_duals(duals: DualFamily, signal: TraceSignal) -> np.ndarray:
-    """Recover expansion coefficients a_k = <signal, dual_k>."""
-    if signal.grid != duals.family.grid:
-        raise ValueError("signal grid does not match the family grid")
-    return inner_products(signal.values[None], duals.values, signal.grid)[0]
+def coefficients_via_duals(
+    family: ModalFamily, coefficients: np.ndarray, signal: TraceSignal
+) -> np.ndarray:
+    """Recover expansion coefficients a_k = <signal, p_k> = conj(C) <signal, member>."""
+    if coefficients.shape != (len(family), len(family)):
+        raise ValueError("dual coefficients do not match the family size")
+    return np.conj(coefficients) @ family.inner_with(signal)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,21 @@
 """Source recovery from a single boundary measurement.
 
-The reconstruction kernels theta_k turn the time-integrated measurement
-back into biorthogonal test functions: with K the resolvent kernel of
-sigma'/sigma(0),
+With K the resolvent kernel of sigma'/sigma(0) and p_k the biorthogonal
+duals of the w family, the kernels theta_k = sigma(0)^-1 (I + V_K*) p_k
+recover f_k = < B u', theta_k >.  They are never formed: V_K* is the exact
+discrete adjoint of V_K, so with C the dual coefficients
 
-    theta_k = sigma(0)^-1 (I + V_K*) p_k,
+    f_k = sigma(0)^-1 sum_m conj(C[k, m]) < (I + V_K) B u', w_m psi_m >,
 
-so that (sigma(0) + V_sigma'*) theta_k reproduces the dual p_k of the modal
-family w_n psi_n, and
-
-    f_k = < B u', theta_k >
-
-recovers each source coefficient.  At the discrete level the adjoint
-identity and biorthogonality are exact by construction; the only systematic
-residual is the O(dt^2) quadrature defect of the discrete resolvent
-identity, which rescales every recovered coefficient by the same factor
-1 - (dt^2 / 4) (sigma'(0) / sigma(0))^2 to leading order and vanishes under
-grid refinement.
+one causal convolution of the measurement and N m scalar inner products.
+The resolvent identity is checked without theta too: the discrete defect
+D = sigma(0)^-1 (I + V_K)(sigma(0) + V_sigma') - I vanishes on row 0 and,
+by the trapezoid resolvent equation itself, below the diagonal outside
+column 0, so D is d I off row 0 plus a first column c, with
+d = -(dt^2 / 4) (sigma'(0) / sigma(0))^2 up to roundoff.  Adjoint identity
+and biorthogonality are exact by construction; the only systematic residual
+is that O(dt^2) defect, which rescales every recovered coefficient by the
+same factor 1 + d (B w vanishes at t = 0) and vanishes under refinement.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import (
-    DualFamily,
     FrameBounds,
     ModalFamily,
-    dual_family,
+    coefficients_via_duals,
+    dual_coefficients,
     frame_bounds,
     gram,
     leading_frame_bounds,
@@ -45,7 +44,7 @@ from .volterra import (
     TimeGrid,
     TraceSignal,
     ZeroKernel,
-    convolve_adjoint,
+    convolve,
     h1_norm,
     inner_products,
     resolvent_kernel,
@@ -54,60 +53,39 @@ from .volterra import (
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionKernels:
-    """Test functions theta_k plus the ingredients they were built from."""
+    """The w family, its dual coefficients and the resolvent of sigma."""
 
-    duals: DualFamily
+    family: ModalFamily
+    coefficients: np.ndarray  # p_k = sum_m coefficients[k, m] * w_m psi_m
     resolvent: ScalarSignal
     sigma0: float
-    thetas: np.ndarray  # (N, J+1, m)
     bounds: FrameBounds
     identity_residual: float  # max_k || (sigma0 + V_sigma'*) theta_k - p_k ||
 
-    @property
-    def grid(self) -> TimeGrid:
-        return self.duals.family.grid
 
-    @property
-    def labels(self) -> tuple:
-        return self.duals.family.labels
+def _identity_residuals(
+    family: ModalFamily, coefficients: np.ndarray, s0: float,
+    sigma_prime: ScalarSignal, K: ScalarSignal,
+) -> np.ndarray:
+    """|| D* p_k || for every dual p_k, with D = d I off row 0 plus c e_0^T.
 
-
-def build_thetas(
-    duals: DualFamily,
-    modulation: SourceModulation,
-    grid: TimeGrid,
-) -> ReconstructionKernels:
-    """Assemble theta_k = sigma(0)^-1 (p_k + V_K* p_k) from the dual family.
-
-    The defining identity (sigma(0) + V_sigma'*) theta_k = p_k is checked
-    and its worst L2 residual stored on the result.  For constant
-    modulations the resolvent vanishes and the residual is at roundoff;
-    otherwise it carries the O(dt^2) interior defect of the discrete
-    resolvent identity plus an O(dt) artifact at the initial node that is
-    invisible to signals vanishing there.
+    D* = W^-1 D^H W for the trapezoid weights W, so ||D* p||^2 =
+    |d|^2 (||p||^2 - w_0 |p(0)|^2) + |<p, c>|^2 / w_0, where ||p_k||^2 =
+    C[k, k] by biorthogonality and p_k(0) = 0 as the w family vanishes there.
     """
-    if duals.family.grid != grid:
-        raise ValueError("dual family lives on a different grid")
-    s0 = modulation.at_zero()
-    if s0 == 0.0:
-        raise ValueError("modulation must have sigma(0) != 0 for reconstruction")
-    sigma = modulation.sample(grid)
-    sigma_prime = modulation.sample_derivative(grid)
-    K = resolvent_kernel(sigma, sigma_prime)
-    thetas = np.empty_like(duals.values)
-    residuals = np.zeros(len(duals))
-    for k in range(len(duals)):
-        p_k = duals.dual(k)
-        theta = TraceSignal(grid, (p_k.values + convolve_adjoint(K, p_k).values) / s0)
-        back = s0 * theta.values + convolve_adjoint(sigma_prime, theta).values
-        diff = (back - p_k.values)[None]
-        residuals[k] = np.sqrt(inner_products(diff, diff, grid)[0, 0].real)
-        thetas[k] = theta.values
-    # np.max, unlike the builtin max, propagates a NaN residual to the gate
-    residual = float(residuals.max(initial=0.0))
-    return ReconstructionKernels(
-        duals, K, s0, thetas, frame_bounds(duals.gram), residual
+    grid = family.grid
+    units = np.eye(grid.steps + 1, 2)
+    # s0 D = V_sigma' + V_K (s0 + V_sigma'), free of the identity's cancellation
+    v_units = convolve(sigma_prime, TraceSignal(grid, units)).values
+    D = (v_units + convolve(K, TraceSignal(grid, s0 * units + v_units)).values) / s0
+    c, d = D[:, 0], D[1, 1]
+    # <p_k, c> = sum_m C[k, m] <w_m, c> psi_m, a vector in G
+    with_c = coefficients @ (
+        np.conj(inner_products(c[None], family.scalars, grid)[0])[:, None] * family.psis
     )
+    squares = (abs(d) ** 2 * np.diag(coefficients).real
+               + np.sum(np.abs(with_c) ** 2, axis=1) / grid.weights[0])
+    return np.sqrt(np.maximum(squares, 0.0))
 
 
 def build_reconstruction(
@@ -116,26 +94,45 @@ def build_reconstruction(
     modulation: SourceModulation,
     grid: TimeGrid,
 ) -> ReconstructionKernels:
-    """Full pipeline: modal family, Gram, biorthogonal dual, then thetas."""
+    """Full pipeline: modal family, Gram, dual coefficients and resolvent.
+
+    The defining identity (sigma(0) + V_sigma'*) theta_k = p_k is checked
+    and its worst L2 residual stored on the result.  For constant
+    modulations the resolvent vanishes and the residual is exactly zero;
+    otherwise it carries the O(dt^2) interior defect of the discrete
+    resolvent identity plus an O(dt) artifact at the initial node that is
+    invisible to signals vanishing there.
+    """
+    s0 = modulation.at_zero()
+    if s0 == 0.0:
+        raise ValueError("modulation must have sigma(0) != 0 for reconstruction")
+    sigma = modulation.sample(grid)
+    sigma_prime = modulation.sample_derivative(grid)
     family = w_trace_family(model, kernel, grid)
-    duals = dual_family(family, gram(family))
-    return build_thetas(duals, modulation, grid)
+    g = gram(family)
+    coefficients = dual_coefficients(g)
+    K = resolvent_kernel(sigma, sigma_prime)
+    residuals = _identity_residuals(family, coefficients, s0, sigma_prime, K)
+    # np.max, unlike the builtin max, propagates a NaN residual to the gate
+    residual = float(residuals.max(initial=0.0))
+    return ReconstructionKernels(family, coefficients, K, s0, frame_bounds(g), residual)
 
 
-def _check_compatible(bu_prime: TraceSignal, kernels: ReconstructionKernels, model: SpectralModel):
-    if bu_prime.grid != kernels.grid:
-        raise ValueError("measurement grid does not match the kernel grid")
-    if kernels.labels != tuple(range(1, model.truncation + 1)):
+def _check_compatible(kernels: ReconstructionKernels, model: SpectralModel):
+    # a measurement on another grid or of another dimension fails in
+    # reconstruct_complex, before any inner product
+    if kernels.family.labels != tuple(range(1, model.truncation + 1)):
         raise ValueError(
             "reconstruction kernels were built at a different truncation than the model"
         )
-    if bu_prime.dim != kernels.thetas.shape[2]:
-        raise ValueError("measurement dimension does not match the kernels")
 
 
 def reconstruct_complex(bu_prime: TraceSignal, kernels: ReconstructionKernels) -> np.ndarray:
-    """Raw complex inner products <B u', theta_k>, k = 1..N."""
-    return inner_products(bu_prime.values[None], kernels.thetas, bu_prime.grid)[0]
+    """Raw complex values <B u', theta_k> = sigma(0)^-1 <(I + V_K) B u', p_k>, k = 1..N."""
+    lifted = bu_prime.values + convolve(kernels.resolvent, bu_prime).values
+    return coefficients_via_duals(
+        kernels.family, kernels.coefficients, TraceSignal(bu_prime.grid, lifted)
+    ) / kernels.sigma0
 
 
 def reconstruct(
@@ -148,7 +145,7 @@ def reconstruct(
     The real parts are returned; for real data the imaginary parts sit at
     roundoff level and can be inspected via ``reconstruct_complex``.
     """
-    _check_compatible(bu_prime, kernels, model)
+    _check_compatible(kernels, model)
     return SourceCoefficients(reconstruct_complex(bu_prime, kernels).real)
 
 
@@ -196,7 +193,7 @@ def noisy_reconstruction(
     """
     if noise_level < 0.0:
         raise ValueError("noise level must be nonnegative")
-    _check_compatible(bu_prime, kernels, model)
+    _check_compatible(kernels, model)
     values = bu_prime.values
     if noise_level > 0.0:
         rng = np.random.default_rng(seed)
@@ -233,8 +230,9 @@ def stability_gram(
         raise ValueError("grid too coarse to differentiate (need steps >= 3)")
     family = y_trace_family(model, kernel, modulation, grid)
     # the same differencing as volterra.differentiate, member by member
-    slopes = np.gradient(family.values, grid.dt, axis=1, edge_order=2)
-    return (gram(family).entries + gram(ModalFamily(grid, family.labels, slopes)).entries).real
+    slopes = np.gradient(family.scalars, grid.dt, axis=1, edge_order=2)
+    slope_family = ModalFamily(grid, family.labels, slopes, family.psis)
+    return (gram(family).entries + gram(slope_family).entries).real
 
 
 def stability_ratios(
@@ -306,7 +304,7 @@ def l2_only_counterexample(
     if not 1 <= nmax <= model.truncation:
         raise ValueError(f"nmax must lie in 1..{model.truncation}")
     family = y_trace_family(model, ZeroKernel(), modulation, grid)
-    sub = ModalFamily(grid, family.labels[:nmax], family.values[:nmax])
+    sub = ModalFamily(grid, family.labels[:nmax], family.scalars[:nmax], family.psis[:nmax])
     g = gram(sub)
     norms = np.sqrt(np.diag(g.entries).real)
     lams = np.array([model.mode(n).lam for n in sub.labels])

@@ -10,8 +10,13 @@ trial's synthesized trace instead of a Gram quadratic form, the two
 Volterra oracles solve the resolvent and the generic-kernel modal history by
 O(J^2) forward substitution instead of the blocked FFT solve, and the step
 oracle advances the zero- and exponential-kernel modal equations one step at
-a time instead of by powers of the step map.
+a time instead of by powers of the step map.  The reconstruction oracle
+materialises every family member, dual and reconstruction kernel theta_k as
+a (members, J+1, m) array and recovers through <B u', theta_k>, the route
+the factored family replaces.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -19,9 +24,13 @@ from scipy.linalg import expm
 from visco_inverse import (
     ExponentialKernel,
     TimeGrid,
+    TraceSignal,
     ZeroKernel,
     convolve,
+    convolve_adjoint,
     h1_norm,
+    inner_products,
+    resolvent_kernel,
     solve_w_many,
     y_trace_family,
 )
@@ -189,3 +198,50 @@ def modal_step_loop(mus, z0, p0, kernel, grid: TimeGrid) -> np.ndarray:
             g = gnew
         Z[:, n] = znew
     return Z
+
+
+def family_values(family) -> np.ndarray:
+    """(members, J+1, m) array of the members scalars[n] * psis[n]."""
+    return family.scalars[:, :, None] * family.psis[:, None, :]
+
+
+def dual_values(family, coefficients) -> np.ndarray:
+    """(members, J+1, m) array of the duals p_k = sum_m C[k, m] member_m."""
+    return np.tensordot(coefficients, family_values(family), axes=1)
+
+
+@dataclass
+class ThetaRoute:
+    """Every intermediate of the materialised reconstruction."""
+
+    gram: np.ndarray
+    duals: np.ndarray  # (N, J+1, m)
+    thetas: np.ndarray  # (N, J+1, m)
+    identity_residual: float
+    recovered: np.ndarray  # complex <B u', theta_k>
+
+
+def reconstruct_via_thetas(family, modulation, bu_prime) -> ThetaRoute:
+    """Gram, duals, theta_k = sigma(0)^-1 (p_k + V_K* p_k) and <B u', theta_k>,
+    with every member, dual and theta materialised."""
+    grid = family.grid
+    values = family_values(family)
+    raw = inner_products(values, values, grid)
+    g = 0.5 * (raw.T + raw.conj())
+    coeffs = np.conj(np.linalg.solve(g, np.eye(len(g))))
+    duals = np.tensordot(coeffs, values, axes=1)
+    s0 = modulation.at_zero()
+    sigma = modulation.sample(grid)
+    sigma_prime = modulation.sample_derivative(grid)
+    K = resolvent_kernel(sigma, sigma_prime)
+    thetas = np.empty_like(duals)
+    residuals = np.zeros(len(duals))
+    for k in range(len(duals)):
+        p_k = TraceSignal(grid, duals[k])
+        theta = TraceSignal(grid, (p_k.values + convolve_adjoint(K, p_k).values) / s0)
+        back = s0 * theta.values + convolve_adjoint(sigma_prime, theta).values
+        diff = (back - p_k.values)[None]
+        residuals[k] = np.sqrt(inner_products(diff, diff, grid)[0, 0].real)
+        thetas[k] = theta.values
+    recovered = inner_products(bu_prime.values[None], thetas, grid)[0]
+    return ThetaRoute(g, duals, thetas, float(residuals.max(initial=0.0)), recovered)

@@ -4,16 +4,18 @@ import math
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import visco_inverse.frames
 from visco_inverse import AffineModulation
-from visco_inverse.cli import ExperimentConfig, main, run
+from visco_inverse.cli import MAX_MODE_NODES, ExperimentConfig, main, run
 
 PI = math.pi
 TWO_PI = 2 * PI
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**overrides):
@@ -75,6 +77,30 @@ class TestValidation:
         cfg = ExperimentConfig.from_mapping(base_config(grid={"T": 1.0, "dt": 1e-7}), "simulate")
         assert cfg.grid.steps == 10**7
 
+    def test_oversized_family_rejected_at_parse_time(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "reconstruct_orthogonal.json").read_text())
+        cfg["N"] = 10**6
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(["reconstruct", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "N x (steps + 1)" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert not out.exists()
+
+    def test_family_at_the_size_limit_is_accepted(self):
+        grid = {"T": 4.999, "dt": 1e-3}
+        N = MAX_MODE_NODES // 5000
+        cfg = ExperimentConfig.from_mapping(base_config(grid=grid, N=N), "simulate")
+        assert cfg.truncation * (cfg.grid.steps + 1) == MAX_MODE_NODES
+        with pytest.raises(ValueError, match="N x"):
+            ExperimentConfig.from_mapping(base_config(grid=grid, N=N + 1), "simulate")
+
     def test_unknown_study_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["made-up-study", "--config", str(write_config(tmp_path, base_config()))])
@@ -121,6 +147,21 @@ class TestValidation:
         cfg = base_config(**{key: 2.7})
         assert main(["stability-scan", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert "integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("N", True), ("trials", True), ("seed", False), ("source", {"unit": True}),
+    ], ids=["N", "trials", "seed", "source-unit"])
+    def test_bool_count_rejected(self, tmp_path, capsys, key, value):
+        cfg = base_config(**{key: value})
+        assert main(["stability-scan", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_string_endpoints_rejected(self, tmp_path, capsys):
+        cfg = base_config(operator={"length": PI, "observed_endpoints": "left"})
+        assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert "observed_endpoints: expected a list" in err
+        assert "'l'" not in err
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         cfg = base_config(seed=-1)

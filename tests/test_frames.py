@@ -18,7 +18,8 @@ from visco_inverse import (
     biorthogonality_defect,
     build_spectral_model,
     coefficients_via_duals,
-    dual_family,
+    dual_coefficients,
+    inner_products,
     frame_bounds,
     gram,
     leading_frame_bounds,
@@ -26,6 +27,7 @@ from visco_inverse import (
     y_trace_family,
     z_trace_family,
 )
+from oracles import dual_values, family_values
 
 PI = math.pi
 
@@ -42,10 +44,8 @@ def model():
 
 def sine_family(grid, count, scale=None):
     scale = math.sqrt(2 / PI) if scale is None else scale
-    vals = np.stack([
-        (scale * np.sin(n * grid.nodes))[:, None] for n in range(1, count + 1)
-    ])
-    return ModalFamily(grid, tuple(range(1, count + 1)), vals)
+    vals = np.stack([scale * np.sin(n * grid.nodes) for n in range(1, count + 1)])
+    return ModalFamily(grid, tuple(range(1, count + 1)), vals, np.ones((count, 1)))
 
 
 class TestGram:
@@ -54,7 +54,7 @@ class TestGram:
         np.testing.assert_allclose(G.entries, 2.0 * np.eye(6), atol=1e-10)
 
     def test_zero_member(self, grid):
-        fam = ModalFamily(grid, (1,), np.zeros((1, grid.steps + 1, 1)))
+        fam = ModalFamily(grid, (1,), np.zeros((1, grid.steps + 1)), np.ones((1, 1)))
         G = gram(fam)
         assert G.entries[0, 0] == 0.0
 
@@ -74,7 +74,7 @@ class TestGram:
         fam = w_trace_family(model, ZeroKernel(), grid)
         G = gram(fam)
         w = grid.weights
-        m2, m5 = fam.values[1, :, 0], fam.values[4, :, 0]
+        m2, m5 = family_values(fam)[[1, 4], :, 0]
         direct = np.sum(w * m5 * np.conj(m2))
         assert G.entries[1, 4] == pytest.approx(direct, abs=1e-12)
 
@@ -119,38 +119,44 @@ class TestFrameBounds:
             leading_frame_bounds(G, [5])
 
 
+def materialised_duals(fam):
+    return dual_values(fam, dual_coefficients(gram(fam)))
+
+
 class TestDualFamily:
     def test_diagonal_inversion(self, grid):
         fam = sine_family(grid, 5)
-        duals = dual_family(fam)
-        expected = 0.5 * fam.values
-        np.testing.assert_allclose(duals.values, expected, atol=1e-9)
+        expected = 0.5 * family_values(fam)
+        np.testing.assert_allclose(materialised_duals(fam), expected, atol=1e-9)
 
     def test_orthonormal_family_is_self_dual(self, grid):
         fam = sine_family(grid, 5, scale=math.sqrt(1 / PI))
-        duals = dual_family(fam)
-        np.testing.assert_allclose(duals.values, fam.values, atol=1e-9)
+        np.testing.assert_allclose(materialised_duals(fam), family_values(fam), atol=1e-9)
 
     def test_biorthogonality(self, grid):
         model = build_spectral_model(OperatorSpec(PI), 12)
         fam = w_trace_family(model, ExponentialKernel(1.0, 1.0), grid)
-        duals = dual_family(fam)
-        assert biorthogonality_defect(duals) < 1e-8
+        G = gram(fam)
+        assert biorthogonality_defect(G, dual_coefficients(G)) < 1e-8
+        # the same defect on materialised members and duals
+        inner = inner_products(family_values(fam), materialised_duals(fam), grid)
+        assert np.max(np.abs(inner - np.eye(len(fam)))) < 1e-8
 
     def test_dual_norms_are_the_diagonal_coefficients(self, grid, model):
         # <p_k, p_k> = sum_m C[k, m] <member_m, p_k> = C[k, k] by biorthogonality
-        duals = dual_family(w_trace_family(model, ExponentialKernel(1.0, 1.0), grid))
-        direct = np.einsum("j,kjc->k", grid.weights, np.abs(duals.values) ** 2)
-        np.testing.assert_allclose(np.diag(duals.coefficients).real, direct, rtol=1e-10)
+        fam = w_trace_family(model, ExponentialKernel(1.0, 1.0), grid)
+        direct = np.einsum("j,kjc->k", grid.weights, np.abs(materialised_duals(fam)) ** 2)
+        coefficients = dual_coefficients(gram(fam))
+        np.testing.assert_allclose(np.diag(coefficients).real, direct, rtol=1e-10)
 
     def test_coefficient_round_trip(self, grid):
         model = build_spectral_model(OperatorSpec(PI), 16)
         fam = w_trace_family(model, ZeroKernel(), grid)
-        duals = dual_family(fam)
+        coefficients = dual_coefficients(gram(fam))
         rng = np.random.default_rng(8)
         a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         a /= np.linalg.norm(a)
-        rec = coefficients_via_duals(duals, fam.synthesize(a))
+        rec = coefficients_via_duals(fam, coefficients, fam.synthesize(a))
         assert np.max(np.abs(rec - a)) < 1e-8
 
     def test_singular_gram_detected(self):
@@ -159,13 +165,13 @@ class TestDualFamily:
         model = build_spectral_model(OperatorSpec(PI), 24)
         fam = z_trace_family(model, ZeroKernel(), grid)
         with pytest.raises(SingularGramError):
-            dual_family(fam)
+            dual_coefficients(gram(fam))
 
     def test_size_mismatch_rejected(self, grid):
         fam = sine_family(grid, 4)
-        G = gram(sine_family(grid, 3))
+        coefficients = dual_coefficients(gram(sine_family(grid, 3)))
         with pytest.raises(ValueError):
-            dual_family(fam, G)
+            coefficients_via_duals(fam, coefficients, fam.synthesize(np.ones(4)))
 
 
 def test_perturbation_bracketing(grid):
@@ -173,11 +179,10 @@ def test_perturbation_bracketing(grid):
     # [(1-q)^2 c, (1+q)^2 C] of the reference family
     base = sine_family(grid, 6)
     bump = np.stack([
-        (0.05 * math.sqrt(2 / PI) * np.sin((n + 6) * grid.nodes))[:, None]
-        for n in range(1, 7)
+        0.05 * math.sqrt(2 / PI) * np.sin((n + 6) * grid.nodes) for n in range(1, 7)
     ])
-    perturbed = ModalFamily(grid, base.labels, base.values + bump)
-    diff = ModalFamily(grid, base.labels, bump)
+    perturbed = ModalFamily(grid, base.labels, base.scalars + bump, base.psis)
+    diff = ModalFamily(grid, base.labels, bump, base.psis)
     G_base = gram(base)
     G_diff = gram(diff)
     # q^2 = sup ||sum a (e - f)||^2 / ||sum a e||^2, a generalized eigenproblem

@@ -2,34 +2,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visco_inverse import (
     AffineModulation,
     ConstantModulation,
     ExponentialKernel,
     ExponentialModulation,
-    ModalFamily,
+    GramMatrix,
     OperatorSpec,
     PolynomialKernel,
+    SampledModulation,
     SourceCoefficients,
     TimeGrid,
     ZeroKernel,
     boundary_trace_source,
     build_reconstruction,
     build_spectral_model,
-    build_thetas,
-    dual_family,
+    coefficients_via_duals,
     frame_bounds,
     gram,
+    inner_products,
     l2_only_counterexample,
     noisy_reconstruction,
     reconstruct,
     reconstruct_complex,
+    source_traces,
     stability_ratios,
     stability_scan,
-    w_trace_family,
 )
-from oracles import stability_ratios_per_trial
+from oracles import reconstruct_via_thetas, stability_ratios_per_trial
+from visco_inverse.volterra import _LEAF_STEPS
 
 PI = math.pi
 
@@ -49,51 +53,63 @@ def ortho_kernels(model, grid):
     return build_reconstruction(model, ZeroKernel(), ConstantModulation(1.0), grid)
 
 
+def unit_measurement(kernels, modulation, k=3):
+    """B u' of the unit source e_k, synthesized from the kernels' own w family."""
+    f = SourceCoefficients.unit(k, len(kernels.family))
+    return source_traces(kernels.family, f, modulation)[1]
+
+
 class TestThetas:
+    # theta_k is never formed; the materialised route lives in the oracle
     def test_constant_modulation_keeps_duals(self, model, grid):
-        fam = w_trace_family(model, ZeroKernel(), grid)
-        duals = dual_family(fam)
-        kernels = build_thetas(duals, ConstantModulation(1.0), grid)
-        np.testing.assert_array_equal(kernels.thetas, duals.values)
+        mod = ConstantModulation(1.0)
+        kernels = build_reconstruction(model, ZeroKernel(), mod, grid)
         assert kernels.identity_residual == 0.0
         assert np.max(np.abs(kernels.resolvent.values)) == 0.0
+        bup = unit_measurement(kernels, mod)
+        np.testing.assert_array_equal(
+            reconstruct_complex(bup, kernels),
+            coefficients_via_duals(kernels.family, kernels.coefficients, bup),
+        )
+        oracle = reconstruct_via_thetas(kernels.family, mod, bup)
+        np.testing.assert_array_equal(oracle.thetas, oracle.duals)
 
     def test_exponential_modulation_closed_form(self, model):
         # K = -a turns theta_k into p_k - a * integral of p_k over [t, T];
         # check at interior nodes against direct quadrature
         a = 0.6
         grid = TimeGrid.from_step(2 * PI, 2e-3)
-        fam = w_trace_family(model, ZeroKernel(), grid)
-        duals = dual_family(fam)
-        kernels = build_thetas(duals, ExponentialModulation(a), grid)
+        mod = ExponentialModulation(a)
+        kernels = build_reconstruction(model, ZeroKernel(), mod, grid)
         np.testing.assert_allclose(kernels.resolvent.values.real, -a, atol=1e-6)
-        p = duals.values[2, :, 0]
+        bup = unit_measurement(kernels, mod)
+        oracle = reconstruct_via_thetas(kernels.family, mod, bup)
+        p = kernels.family.synthesize(kernels.coefficients[2]).values[:, 0]
         w = grid.weights
         tail = np.array([np.sum((w * p)[j:]) - 0.5 * grid.dt * p[j] for j in range(len(p))])
         expected = p - a * tail
-        got = kernels.thetas[2, :, 0]
+        got = oracle.thetas[2, :, 0]
         np.testing.assert_allclose(got[1:-1], expected[1:-1], atol=5e-5)
+        np.testing.assert_allclose(reconstruct_complex(bup, kernels), oracle.recovered,
+                                   rtol=0, atol=1e-12)
 
     def test_identity_residual_shrinks_with_dt(self, model):
         res = []
         for dt in (4e-3, 2e-3):
             g = TimeGrid.from_step(2 * PI, dt)
-            fam = w_trace_family(model, ZeroKernel(), g)
-            kernels = build_thetas(dual_family(fam), AffineModulation(1.0, 0.5), g)
+            kernels = build_reconstruction(model, ZeroKernel(), AffineModulation(1.0, 0.5), g)
             res.append(kernels.identity_residual)
         assert res[0] / res[1] > 2.0  # between dt^1.5 and dt^2 scaling
 
     def test_sigma0_zero_rejected(self, model, grid):
-        fam = w_trace_family(model, ZeroKernel(), grid)
-        duals = dual_family(fam)
         with pytest.raises(ValueError):
-            build_thetas(duals, ConstantModulation(0.0), grid)
+            build_reconstruction(model, ZeroKernel(), ConstantModulation(0.0), grid)
 
     def test_grid_mismatch_rejected(self, model, grid):
-        fam = w_trace_family(model, ZeroKernel(), grid)
-        duals = dual_family(fam)
+        # a sampled modulation on another grid cannot be reconstructed against
+        other = TimeGrid.from_step(1.0, 1e-3)
         with pytest.raises(ValueError):
-            build_thetas(duals, ConstantModulation(1.0), TimeGrid.from_step(1.0, 1e-3))
+            build_reconstruction(model, ZeroKernel(), SampledModulation(1.0 + other.nodes), grid)
 
     def test_theta_family_keeps_lower_frame_bound(self, model, grid):
         # the reconstruction kernels inherit the frame property
@@ -102,9 +118,80 @@ class TestThetas:
             (ExponentialKernel(1.0, 1.0), AffineModulation(1.0, 0.5)),
         ):
             kernels = build_reconstruction(model, kernel, mod, grid)
-            fam = ModalFamily(grid, kernels.labels, kernels.thetas)
-            b = frame_bounds(gram(fam))
+            thetas = reconstruct_via_thetas(kernels.family, mod,
+                                             unit_measurement(kernels, mod)).thetas
+            raw = inner_products(thetas, thetas, grid)
+            g = GramMatrix(0.5 * (raw.T + raw.conj()), grid.horizon, kernels.family.labels)
+            b = frame_bounds(g)
             assert b.lower > 1e-4 * b.upper
+
+
+KERNELS = {
+    "zero": st.just(ZeroKernel()),
+    "exponential": st.builds(ExponentialKernel, st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    "polynomial": st.builds(PolynomialKernel, st.tuples(
+        st.floats(0.0, 1.5), st.floats(-0.5, 0.5), st.floats(-0.1, 0.1))),
+}
+
+
+@st.composite
+def reconstruction_cases(draw, kernels, form):
+    """A model, kernel, modulation of the given form and grid with a
+    well-posed reconstruction, and a source.
+
+    sigma stays away from zero on [0, T]: where it vanishes, the resolvent
+    grows like e^(|sigma'/sigma| t) and every route to f loses digits in
+    proportion, so there is nothing to compare to 1e-12.
+    """
+    steps = draw(st.sampled_from([_LEAF_STEPS // 2, _LEAF_STEPS - 1, _LEAF_STEPS,
+                                  _LEAF_STEPS + 1, 2 * _LEAF_STEPS + 1]))
+    grid = TimeGrid(2 * PI + 0.5, steps)
+    endpoints = draw(st.sampled_from([("left",), ("left", "right")]))
+    # q = -1 puts mode 1 on the zero branch, q = -1.5 makes lambda_1 imaginary
+    shift = draw(st.sampled_from([-1.5, -1.0, 0.0]))
+    model = build_spectral_model(OperatorSpec(PI, shift, observed_endpoints=endpoints),
+                                 draw(st.integers(1, 4)))
+    s0 = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    rate, wobble = draw(st.floats(-0.1, 1.0)), draw(st.floats(0.0, 0.3))
+    modulation = {
+        "constant": lambda: ConstantModulation(s0),
+        "affine": lambda: AffineModulation(s0, s0 * rate),
+        "exponential": lambda: ExponentialModulation(rate),
+        "sampled": lambda: SampledModulation(
+            s0 * (1.0 + rate * grid.nodes + wobble * np.sin(2.0 * grid.nodes))),
+    }[form]()
+    f = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=model.truncation,
+                               max_size=model.truncation)))
+    if not np.any(f):
+        f[0] = 1.0
+    return model, draw(kernels), modulation, grid, SourceCoefficients(f)
+
+
+class TestThetaFreeRouteProperties:
+    # the factored route against every theta_k materialised (tests/oracles.py)
+    @pytest.mark.parametrize("memory", sorted(KERNELS))
+    @pytest.mark.parametrize("form", ["constant", "affine", "exponential", "sampled"])
+    @settings(max_examples=6)
+    @given(data=st.data())
+    def test_matches_the_materialised_theta_route(self, memory, form, data):
+        model, kernel, modulation, grid, f = data.draw(reconstruction_cases(KERNELS[memory], form))
+        kernels = build_reconstruction(model, kernel, modulation, grid)
+        _, bup = source_traces(kernels.family, f, modulation)
+        oracle = reconstruct_via_thetas(kernels.family, modulation, bup)
+
+        entries = gram(kernels.family).entries
+        assert np.max(np.abs(entries - oracle.gram)) <= 1e-13 * np.max(np.abs(oracle.gram))
+
+        got = reconstruct_complex(bup, kernels)
+        assert np.linalg.norm(got - oracle.recovered) <= 1e-12 * np.linalg.norm(oracle.recovered)
+
+        # 1e-9 relative, above a roundoff floor: for constant sigma the
+        # factored residual is exactly 0 and the materialised one ~1e-17
+        dual_scale = np.sqrt(np.diag(kernels.coefficients).real.max())
+        np.testing.assert_allclose(kernels.identity_residual, oracle.identity_residual,
+                                   rtol=1e-9, atol=1e-13 * dual_scale)
+        if form == "constant":
+            assert kernels.identity_residual == 0.0
 
 
 class TestReconstruct:

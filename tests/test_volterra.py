@@ -29,7 +29,12 @@ from visco_inverse import (
     l2_norm,
     resolvent_kernel,
 )
-from oracles import naive_inner_products, naive_trapezoid_convolution, resolvent_kernel_loop
+from oracles import (
+    family_values,
+    naive_inner_products,
+    naive_trapezoid_convolution,
+    resolvent_kernel_loop,
+)
 from visco_inverse.volterra import _LEAF_STEPS
 
 
@@ -304,11 +309,18 @@ class TestInnerProductsProperties:
 
     @given(signal_stacks())
     def test_gram_is_hermitian_positive_semidefinite(self, stacks):
+        # a factored family: trajectories from the stack, trace vectors from
+        # its first node (or 1 for scalar signals)
         a, _, grid = stacks
-        members = a if a.ndim == 3 else a[:, :, None]
-        G = gram(ModalFamily(grid, tuple(range(len(a))), members)).entries
+        scalars, psis = (a, np.ones((len(a), 1))) if a.ndim == 2 else (a[:, :, 0], a[:, 0, :])
+        family = ModalFamily(grid, tuple(range(len(a))), scalars, psis)
+        G = gram(family).entries
         np.testing.assert_array_equal(G, G.conj().T)
-        assert np.linalg.eigvalsh(G).min() >= -1e-12 * stack_scale(a, a, grid)
+        members = family_values(family)
+        scale = stack_scale(members, members, grid)
+        assert np.linalg.eigvalsh(G).min() >= -1e-12 * scale
+        raw = inner_products(members, members, grid)
+        np.testing.assert_allclose(G, raw.T, rtol=1e-12, atol=1e-13 * scale)
 
     def test_mismatched_stacks_rejected(self):
         g = grid_1s(0.1)
