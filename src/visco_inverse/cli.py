@@ -27,12 +27,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .forward import SourceCoefficients, boundary_trace_source, source_traces
-from .frames import (
-    SINGULAR_GRAM_RTOL,
-    gram,
-    leading_frame_bounds,
-    z_trace_family,
-)
+from .frames import gram, leading_frame_bounds, z_trace_family
 from .inverse import (
     build_reconstruction,
     l2_only_counterexample,
@@ -86,18 +81,27 @@ def _require(mapping, key, what):
     return mapping[key]
 
 
+def _is_number(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int, but are not numbers
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _real(value, what) -> float:
-    number = float(value)
+    if not _is_number(value):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return number
 
 
 def _reals(values, what) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must all be finite numbers")
-    return arr
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of numbers, got {values!r}")
+    return np.array([_real(v, what) for v in values], dtype=float)
 
 
 def _integer(value, what) -> int:
@@ -398,7 +402,7 @@ def _study_frame_bounds(cfg: ExperimentConfig, model: SpectralModel):
     results = {"frame_lower": full.lower, "frame_upper": full.upper,
                "ratio": full.lower / full.upper if full.upper > 0 else float("nan")}
     diagnostics = {}
-    if full.upper <= 0.0 or full.lower <= SINGULAR_GRAM_RTOL * full.upper:
+    if full.singular:
         diagnostics["failure"] = "singular Gram"
     return header, rows, results, diagnostics, None
 

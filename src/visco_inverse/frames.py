@@ -15,6 +15,7 @@ accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .modal import solve_w_many, solve_z_many
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
-    ScalarSignal,
     SourceModulation,
     TimeGrid,
     TraceSignal,
@@ -109,12 +109,7 @@ def y_trace_family(
 ) -> ModalFamily:
     """Members (V_sigma w_n) * psi_n, the time-integrated source responses."""
     family = w_trace_family(model, kernel, grid)
-    sigma = modulation.sample(grid)
-    ys = np.empty_like(family.scalars)
-    # one trajectory at a time: a batched FFT convolution would hold several
-    # (members, 2J) temporaries at once and raise the peak memory of a scan
-    for row, z in zip(ys, family.scalars):
-        row[:] = convolve(sigma, ScalarSignal(grid, z)).values
+    ys = convolve(modulation.sample(grid), TraceSignal(grid, family.scalars.T)).values.T
     return ModalFamily(grid, family.labels, ys, family.psis)
 
 
@@ -138,6 +133,11 @@ class GramMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def bounds(self) -> FrameBounds:
+        """``frame_bounds`` of this Gram, from one eigen-decomposition per Gram."""
+        return frame_bounds(self)
+
 
 def gram(family: ModalFamily) -> GramMatrix:
     """Assemble and symmetrize the Gram matrix of the family, with
@@ -157,6 +157,11 @@ class FrameBounds:
     upper: float
     size: int
     horizon: float
+
+    @property
+    def singular(self) -> bool:
+        """Lower bound lost: lower not above SINGULAR_GRAM_RTOL * upper, or NaN."""
+        return not (self.upper > 0.0 and self.lower > SINGULAR_GRAM_RTOL * self.upper)
 
 
 def frame_bounds(g: GramMatrix) -> FrameBounds:
@@ -194,12 +199,12 @@ def dual_coefficients(g: GramMatrix) -> np.ndarray:
 
     The dual members are p_k = sum_m C[k, m] member_m, so that
     <member_n, p_k> = (G^-1 G)[k, n] = delta_nk.  Raises
-    ``SingularGramError`` when the smallest eigenvalue is below
-    ``SINGULAR_GRAM_RTOL`` times the largest, i.e. when the family has
-    numerically lost its lower frame bound at this truncation and horizon.
+    ``SingularGramError`` when the bounds are ``FrameBounds.singular``, i.e.
+    when the family has numerically lost its lower frame bound at this
+    truncation and horizon.
     """
-    bounds = frame_bounds(g)
-    if bounds.upper <= 0.0 or bounds.lower <= SINGULAR_GRAM_RTOL * bounds.upper:
+    bounds = g.bounds
+    if bounds.singular:
         raise SingularGramError(
             "singular Gram: min eigenvalue "
             f"{bounds.lower:.3e} vs max {bounds.upper:.3e} "

@@ -29,7 +29,6 @@ from .frames import (
     ModalFamily,
     coefficients_via_duals,
     dual_coefficients,
-    frame_bounds,
     gram,
     leading_frame_bounds,
     w_trace_family,
@@ -45,6 +44,7 @@ from .volterra import (
     TraceSignal,
     ZeroKernel,
     convolve,
+    differentiate,
     h1_norm,
     inner_products,
     resolvent_kernel,
@@ -115,7 +115,7 @@ def build_reconstruction(
     residuals = _identity_residuals(family, coefficients, s0, sigma_prime, K)
     # np.max, unlike the builtin max, propagates a NaN residual to the gate
     residual = float(residuals.max(initial=0.0))
-    return ReconstructionKernels(family, coefficients, K, s0, frame_bounds(g), residual)
+    return ReconstructionKernels(family, coefficients, K, s0, g.bounds, residual)
 
 
 def _check_compatible(kernels: ReconstructionKernels, model: SpectralModel):
@@ -226,11 +226,8 @@ def stability_gram(
         raise ValueError(
             f"horizon {grid.horizon:g} below the observability threshold {threshold:g}"
         )
-    if grid.steps < 3:
-        raise ValueError("grid too coarse to differentiate (need steps >= 3)")
     family = y_trace_family(model, kernel, modulation, grid)
-    # the same differencing as volterra.differentiate, member by member
-    slopes = np.gradient(family.scalars, grid.dt, axis=1, edge_order=2)
+    slopes = differentiate(TraceSignal(grid, family.scalars.T)).values.T
     slope_family = ModalFamily(grid, family.labels, slopes, family.psis)
     return (gram(family).entries + gram(slope_family).entries).real
 

@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.linalg import solve_triangular, toeplitz
-from scipy.signal import fftconvolve
 
 from .errors import NumericsError
 
@@ -118,23 +117,45 @@ def _check_same_grid(a, b):
         raise ValueError("signals live on different time grids")
 
 
-def _causal_convolution(rho: np.ndarray, values: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid quadrature of the causal convolution, zero at t_0.
+#: steps per leaf of the blocked causal-history solve; shorter leaves spend
+#: more in per-call FFT overhead than they save, longer ones let the modal
+#: step's in-leaf history sum dominate (timed at J = 16k..32k, N = 16)
+_LEAF_STEPS = 256
+#: complex elements per row-chunk FFT of ``_convolve_rows``, bounding its temporaries
+_FFT_ELEMENTS = 1 << 16
 
-    ``values`` may be (J+1,) or (J+1, m); the kernel is always scalar.
+
+def _convolve_rows(x: np.ndarray, k: np.ndarray, lo: int, out: np.ndarray):
+    """Add entries lo..lo+count-1 of the linear convolution of each row of
+    ``x`` (rows, n) with the 1-D kernel ``k`` to ``out`` (rows, count).
+
+    A circular convolution of length nfft >= max(lo + count, n + len(k) - 1 - lo)
+    leaves them unwrapped; rows go through it in chunks of at most
+    ``_FFT_ELEMENTS`` values, so many signals cost no more memory than one.
     """
-    r = rho if values.ndim == 1 else rho[:, None]
-    full = fftconvolve(r, values, axes=0)[: values.shape[0]]
-    out = dt * (full - 0.5 * r * values[0] - 0.5 * rho[0] * values)
-    out[0] = 0.0
-    return out
+    count = out.shape[1]
+    nfft = next_fast_len(max(lo + count, x.shape[1] + len(k) - 1 - lo))
+    spectrum = fft(k, nfft)
+    step = max(1, _FFT_ELEMENTS // nfft)
+    for r in range(0, x.shape[0], step):
+        part = fft(x[r:r + step], nfft, axis=1)
+        part *= spectrum
+        part = ifft(part, axis=1, overwrite_x=True)
+        out[r:r + step] += part[:, lo:lo + count]
 
 
 def convolve(rho: ScalarSignal, v: Signal) -> Signal:
-    """Apply the causal Volterra convolution with kernel ``rho`` to ``v``."""
+    """Apply the causal Volterra convolution with kernel ``rho`` to ``v``: trapezoid
+    quadrature, zero at t_0, of each row of the (rows, J+1) view of its samples."""
     _check_same_grid(rho, v)
-    out = _causal_convolution(rho.values, v.values, rho.grid.dt)
-    return type(v)(v.grid, out)
+    r, x = rho.values, np.atleast_2d(v.values.T)
+    out = np.zeros_like(x)
+    _convolve_rows(x, r, 0, out)
+    out -= 0.5 * r * x[:, :1]
+    out -= 0.5 * r[0] * x
+    out *= rho.grid.dt
+    out[:, 0] = 0.0
+    return type(v)(v.grid, out.T.reshape(v.values.shape))
 
 
 def convolve_adjoint(rho: ScalarSignal, z: Signal) -> Signal:
@@ -149,21 +170,13 @@ def convolve_adjoint(rho: ScalarSignal, z: Signal) -> Signal:
     grid = rho.grid
     w = grid.weights
     rbar = np.conj(rho.values)
-    y = z.values * (w if z.values.ndim == 1 else w[:, None])
-    kernel = rbar[::-1] if y.ndim == 1 else rbar[::-1, None]
-    corr = fftconvolve(y, kernel, axes=0)[grid.steps:]
+    y = np.atleast_2d(z.values.T) * w
+    corr = np.zeros_like(y)
+    _convolve_rows(y, rbar[::-1], grid.steps, corr)
     out = grid.dt * (corr - 0.5 * rbar[0] * y)
-    out[0] = 0.5 * grid.dt * (corr[0] - rbar[0] * y[0])
-    out /= w if y.ndim == 1 else w[:, None]
-    return type(z)(grid, out)
-
-
-#: steps per leaf of the blocked causal-history solve; shorter leaves spend
-#: more in per-call FFT overhead than they save, longer ones let the modal
-#: step's in-leaf history sum dominate (timed at J = 16k..32k, N = 16)
-_LEAF_STEPS = 256
-#: complex elements per FFT history update, which bounds its temporaries
-_FFT_ELEMENTS = 1 << 16
+    out[:, 0] = 0.5 * grid.dt * (corr[:, 0] - rbar[0] * y[:, 0])
+    out /= w
+    return type(z)(grid, out.T.reshape(z.values.shape))
 
 
 def _causal_blocks(x: np.ndarray, c: np.ndarray):
@@ -190,18 +203,9 @@ def _causal_blocks(x: np.ndarray, c: np.ndarray):
         # k + 1, are a left half of the recursion; the right half follows
         width = _LEAF_STEPS * ((k + 1) & -(k + 1))
         span = min(width, J + 1 - hi)
-        if span <= 0:
-            continue
-        # a circular convolution of length nfft >= width + span - 1 leaves
-        # the entries width-1 .. width+span-2 it is needed for unwrapped
-        nfft = next_fast_len(width + span - 1)
-        seg = fft(c[1:width + span], nfft)
-        step = max(1, _FFT_ELEMENTS // nfft)
-        for r in range(0, rows.shape[0], step):
-            part = fft(rows[r:r + step, hi - width:hi], nfft, axis=1)
-            part *= seg
-            part = ifft(part, axis=1, overwrite_x=True)
-            rows[r:r + step, hi:hi + span] += part[:, width - 1:width - 1 + span]
+        if span > 0:
+            _convolve_rows(rows[:, hi - width:hi], c[1:width + span], width - 1,
+                           rows[:, hi:hi + span])
 
 
 def resolvent_kernel(sigma: ScalarSignal, sigma_prime: ScalarSignal) -> ScalarSignal:
@@ -259,11 +263,10 @@ def inner_products(a: np.ndarray, b: np.ndarray, grid: TimeGrid) -> np.ndarray:
 def l2_inner(u: Signal, v: Signal) -> complex:
     """Trapezoid approximation of the L2(0,T; G) inner product <u, v>.
 
-    Linear in the first argument, conjugate-linear in the second.
+    Linear in the first argument, conjugate-linear in the second; signals of
+    different shapes are rejected by ``inner_products``.
     """
     _check_same_grid(u, v)
-    if u.values.shape != v.values.shape:
-        raise ValueError("signals have mismatched value shapes")
     return complex(inner_products(u.values[None], v.values[None], u.grid)[0, 0])
 
 

@@ -66,14 +66,17 @@ def modal_oracle_exponential_kernel(
 
 
 def naive_trapezoid_convolution(rho: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """Direct O(J^2) trapezoid convolution, kept free of FFTs on purpose."""
+    """Direct O(J^2) trapezoid convolution, kept free of FFTs on purpose.
+
+    ``v`` may be (J+1,) or (J+1, m); each node's interior sum over
+    l = 1..j-1 of rho[j - l] v[l] is one dot product.
+    """
     J = len(v) - 1
+    reversed_rho = np.ascontiguousarray(rho[::-1], dtype=complex)  # [J - k] is rho[k]
     out = np.zeros_like(v, dtype=complex)
     for j in range(1, J + 1):
-        acc = 0.5 * rho[j] * v[0] + 0.5 * rho[0] * v[j]
-        for l in range(1, j):
-            acc += rho[j - l] * v[l]
-        out[j] = dt * acc
+        interior = reversed_rho[J - j + 1:J] @ v[1:j]
+        out[j] = dt * (0.5 * rho[j] * v[0] + 0.5 * rho[0] * v[j] + interior)
     return out
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -162,6 +164,26 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "observed_endpoints: expected a list" in err
         assert "'l'" not in err
+
+    @pytest.mark.parametrize("mutate, key", [
+        (lambda c: c.update(noise_level=True), "noise_level"),
+        (lambda c: c.update(kernel={"variant": "exponential", "beta": "2", "alpha": 1.0}),
+         "kernel: beta"),
+        (lambda c: c["operator"].update(length="3.14"), "operator: length"),
+        (lambda c: c.update(kernel={"variant": "polynomial", "coefficients": [True, 0.5]}),
+         "kernel: coefficients"),
+        (lambda c: c.update(kernel={"variant": "polynomial", "coefficients": "1"}),
+         "kernel: coefficients"),
+    ], ids=["bool-noise", "string-beta", "string-length", "bool-coefficient",
+            "string-coefficients"])
+    def test_non_number_real_rejected(self, tmp_path, capsys, mutate, key):
+        cfg = json.loads((CONFIGS / "reconstruct_orthogonal.json").read_text())
+        mutate(cfg)
+        cfg["output"] = str(tmp_path / "out")
+        assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be a")
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         cfg = base_config(seed=-1)
@@ -374,6 +396,20 @@ class TestDeterminism:
         out = tmp_path / "res"
         assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
         assert len(calls) == 1
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+    # scipy.signal pulls in scipy.stats, optimize, interpolate and more, most
+    # of the package's import time; the CLI needs none of them
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, visco_inverse.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfigObject:

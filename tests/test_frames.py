@@ -5,11 +5,14 @@ import pytest
 from scipy.linalg import eigh
 
 from visco_inverse import (
+    AffineModulation,
     ConstantModulation,
     ExponentialKernel,
+    FrameBounds,
     GramMatrix,
     ModalFamily,
     OperatorSpec,
+    ScalarSignal,
     SingularGramError,
     TimeGrid,
     ZeroKernel,
@@ -18,6 +21,7 @@ from visco_inverse import (
     biorthogonality_defect,
     build_spectral_model,
     coefficients_via_duals,
+    convolve,
     dual_coefficients,
     inner_products,
     frame_bounds,
@@ -111,12 +115,31 @@ class TestFrameBounds:
         b4, b32 = leading_frame_bounds(G, [4, 32])
         assert b32.lower < 0.05 * b4.lower
 
+    @pytest.mark.parametrize("lower, upper, singular", [
+        (1.0, 2.0, False), (1e-9, 1.0, False), (1e-11, 1.0, True), (0.0, 0.0, True),
+        (-1.0, 1.0, True), (math.nan, 1.0, True), (1.0, math.nan, True),
+    ])
+    def test_singular_gate(self, lower, upper, singular):
+        assert FrameBounds(lower, upper, 2, 1.0).singular is singular
+
     def test_leading_bounds_validation(self, grid):
         G = gram(sine_family(grid, 4))
         with pytest.raises(ValueError):
             leading_frame_bounds(G, [0])
         with pytest.raises(ValueError):
             leading_frame_bounds(G, [5])
+
+
+def test_batched_y_family_matches_per_member_convolution(grid, model):
+    # 8 members over an FFT of about 12.6k run as a chunk of 5 rows and one of 3
+    kernel, modulation = ExponentialKernel(1.0, 1.0), AffineModulation(1.0, 0.5)
+    fam = y_trace_family(model, kernel, modulation, grid)
+    w = w_trace_family(model, kernel, grid)
+    sigma = modulation.sample(grid)
+    per_member = np.stack([convolve(sigma, ScalarSignal(grid, z)).values for z in w.scalars])
+    assert fam.labels == w.labels
+    np.testing.assert_array_equal(fam.psis, w.psis)
+    assert np.linalg.norm(fam.scalars - per_member) <= 1e-15 * np.linalg.norm(per_member)
 
 
 def materialised_duals(fam):

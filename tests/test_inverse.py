@@ -167,6 +167,15 @@ def reconstruction_cases(draw, kernels, form):
     return model, draw(kernels), modulation, grid, SourceCoefficients(f)
 
 
+def test_reconstruction_decomposes_the_gram_once(model, grid, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    kernels = build_reconstruction(model, ZeroKernel(), AffineModulation(1.0, 0.5), grid)
+    assert calls == [(8, 8)]
+    assert kernels.bounds == frame_bounds(gram(kernels.family))
+
+
 class TestThetaFreeRouteProperties:
     # the factored route against every theta_k materialised (tests/oracles.py)
     @pytest.mark.parametrize("memory", sorted(KERNELS))

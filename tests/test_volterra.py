@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.fft import next_fast_len
 
 from visco_inverse import (
     AffineModulation,
@@ -35,7 +36,27 @@ from oracles import (
     naive_trapezoid_convolution,
     resolvent_kernel_loop,
 )
-from visco_inverse.volterra import _LEAF_STEPS
+from visco_inverse.volterra import _FFT_ELEMENTS, _LEAF_STEPS
+
+# (steps, m) of the chunking cases; m None is a ScalarSignal.  5000 x 7 runs
+# several rows per FFT chunk with a partial last chunk, 32768 has an FFT
+# longer than _FFT_ELEMENTS, one row per chunk
+CHUNK_CASES = pytest.mark.parametrize("steps, m", [
+    (100, None), (5000, 7), (32768, None),
+], ids=["scalar", "rows-beyond-chunk", "one-row-chunks"])
+
+
+def random_signal(rng, grid, m):
+    shape = (grid.steps + 1,) if m is None else (grid.steps + 1, m)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return ScalarSignal(grid, values) if m is None else TraceSignal(grid, values)
+
+
+def test_chunk_cases_cover_the_row_chunking():
+    # the FFT length of a convolution and of an adjoint on J steps
+    rows = [_FFT_ELEMENTS // next_fast_len(2 * J + 1) for J in (5000, 32768)]
+    assert 1 <= rows[0] < 7 and 7 % rows[0] != 0
+    assert rows[1] == 0
 
 
 def grid_1s(dt=1e-3):
@@ -87,11 +108,12 @@ class TestConvolve:
         out = convolve(rho, ones(g))
         assert out.values[-1].real == pytest.approx(1 - math.exp(-1), abs=1e-6)
 
-    def test_matches_naive_quadrature(self):
-        g = TimeGrid.from_step(1.0, 1e-2)
+    @CHUNK_CASES
+    def test_matches_naive_quadrature(self, steps, m):
+        g = TimeGrid(1.0, steps)
         rng = np.random.default_rng(42)
         rho = ScalarSignal(g, rng.standard_normal(g.steps + 1))
-        v = ScalarSignal(g, rng.standard_normal(g.steps + 1) + 1j * rng.standard_normal(g.steps + 1))
+        v = random_signal(rng, g, m)
         naive = naive_trapezoid_convolution(rho.values, v.values, g.dt)
         np.testing.assert_allclose(convolve(rho, v).values, naive, atol=1e-12)
 
@@ -107,15 +129,18 @@ class TestAdjoint:
         out = convolve_adjoint(z, ones(g))
         assert np.all(out.values == 0.0)
 
-    def test_adjoint_identity_exact(self):
-        g = grid_1s()
+    @pytest.mark.parametrize("steps, m, draws", [
+        (1000, 2, 20), (100, None, 5), (5000, 7, 2), (32768, None, 2),
+    ], ids=["pairs", "scalar", "rows-beyond-chunk", "one-row-chunks"])
+    def test_adjoint_identity_exact(self, steps, m, draws):
+        # V u from the FFT-free oracle, so the adjoint is checked on its own
+        g = TimeGrid(1.0, steps)
         rng = np.random.default_rng(9)
-        J = g.steps
-        for _ in range(20):
-            rho = ScalarSignal(g, rng.standard_normal(J + 1) + 1j * rng.standard_normal(J + 1))
-            u = TraceSignal(g, rng.standard_normal((J + 1, 2)) + 1j * rng.standard_normal((J + 1, 2)))
-            v = TraceSignal(g, rng.standard_normal((J + 1, 2)) + 1j * rng.standard_normal((J + 1, 2)))
-            gap = l2_inner(convolve(rho, u), v) - l2_inner(u, convolve_adjoint(rho, v))
+        for _ in range(draws):
+            rho = random_signal(rng, g, None)
+            u, v = random_signal(rng, g, m), random_signal(rng, g, m)
+            vu = type(u)(g, naive_trapezoid_convolution(rho.values, u.values, g.dt))
+            gap = l2_inner(vu, v) - l2_inner(u, convolve_adjoint(rho, v))
             assert abs(gap) < 1e-13
 
     def test_unit_kernel_anticausal_integral(self):
