@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import NumericsError
 from .forward import SourceCoefficients, boundary_trace_source, source_traces
@@ -281,7 +282,7 @@ class ExperimentConfig:
 
     def resolve_source(self, model: SpectralModel) -> SourceCoefficients:
         if self.source == "random":
-            rng = np.random.default_rng(self.seed)
+            rng = default_rng(self.seed)
             f = rng.standard_normal(model.truncation)
             return SourceCoefficients(f / np.linalg.norm(f))
         if isinstance(self.source, int):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import NumericsError, SingularGramError
 from .modal import solve_w_many, solve_z_many
@@ -272,7 +273,7 @@ def bessel_defect(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     eps_grid = np.geomspace(1e-3 * horizon, horizon, eps_count)
     worst = 0.0
     K = 2 * model.truncation

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .frames import (
     FrameBounds,
@@ -196,7 +197,7 @@ def noisy_reconstruction(
     _check_compatible(kernels, model)
     values = bu_prime.values
     if noise_level > 0.0:
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         raw = rng.standard_normal(values.shape)
         noise = TraceSignal(bu_prime.grid, raw)
         scale = noise_level * h1_norm(bu_prime) / h1_norm(noise)
@@ -254,7 +255,7 @@ def stability_ratios(
     for i in range(trials):
         # one generator per trial, so an ensemble at truncation 2N extends
         # the ensemble at truncation N draw by draw
-        rng = np.random.default_rng((seed, i))
+        rng = default_rng((seed, i))
         f = rng.standard_normal(model.truncation)
         f /= np.linalg.norm(f)
         ratios[i] = np.sqrt(f @ h1_gram @ f)

@@ -17,11 +17,11 @@ under grid refinement and never couples to signals vanishing at t = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.linalg import solve_triangular, toeplitz
+from numpy.fft import fft, ifft
+from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericsError
 
@@ -125,6 +125,21 @@ _LEAF_STEPS = 256
 _FFT_ELEMENTS = 1 << 16
 
 
+@lru_cache
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c >= n, a fast size for ``numpy.fft``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve_rows(x: np.ndarray, k: np.ndarray, lo: int, out: np.ndarray):
     """Add entries lo..lo+count-1 of the linear convolution of each row of
     ``x`` (rows, n) with the 1-D kernel ``k`` to ``out`` (rows, count).
@@ -134,13 +149,13 @@ def _convolve_rows(x: np.ndarray, k: np.ndarray, lo: int, out: np.ndarray):
     ``_FFT_ELEMENTS`` values, so many signals cost no more memory than one.
     """
     count = out.shape[1]
-    nfft = next_fast_len(max(lo + count, x.shape[1] + len(k) - 1 - lo))
+    nfft = _fast_len(max(lo + count, x.shape[1] + len(k) - 1 - lo))
     spectrum = fft(k, nfft)
     step = max(1, _FFT_ELEMENTS // nfft)
     for r in range(0, x.shape[0], step):
         part = fft(x[r:r + step], nfft, axis=1)
         part *= spectrum
-        part = ifft(part, axis=1, overwrite_x=True)
+        part = ifft(part, axis=1)
         out[r:r + step] += part[:, lo:lo + count]
 
 
@@ -213,10 +228,10 @@ def resolvent_kernel(sigma: ScalarSignal, sigma_prime: ScalarSignal) -> ScalarSi
 
     Solves sigma(0) K + V_sigma' K = -sigma' on the lower-triangular
     trapezoid system, a Toeplitz system in K(t_1..t_J), by the blocked
-    causal-history solve in O(J log^2 J), each leaf a dense triangular
-    solve.  The operator identity above then holds up to an O(dt^2)
-    quadrature defect confined to the diagonal and the first column of the
-    composed matrix.
+    causal-history solve in O(J log^2 J), each leaf a convolution with the
+    first column of its lower-triangular Toeplitz inverse.  The operator
+    identity above then holds up to an O(dt^2) quadrature defect confined
+    to the diagonal and the first column of the composed matrix.
     """
     _check_same_grid(sigma, sigma_prime)
     s0 = sigma.values[0]
@@ -231,17 +246,14 @@ def resolvent_kernel(sigma: ScalarSignal, sigma_prime: ScalarSignal) -> ScalarSi
     denom = s0 + 0.5 * dt * sp[0]
     if denom == 0.0:
         raise NumericsError("singular resolvent system: sigma(0) + dt/2 sigma'(0) = 0")
-    n = min(_LEAF_STEPS, J)
-    leaf = toeplitz(sp[:n], np.zeros(n))
-    leaf *= dt
-    np.fill_diagonal(leaf, denom)
+    # u, the first column of the inverse of the leaf matrix, by forward substitution
+    u = np.empty(min(_LEAF_STEPS, J), dtype=np.complex128)
+    u[0] = 1.0 / denom
+    for k in range(1, len(u)):
+        u[k] = -dt * np.dot(sp[1:k + 1], u[k - 1::-1]) / denom
     forcing = sp * -(1.0 + 0.5 * dt * K[0])
     for lo, hi in _causal_blocks(K, sp):
-        # check_finite=False lets a NaN sigma' reach the identity gate
-        K[lo:hi] = solve_triangular(
-            leaf[:hi - lo, :hi - lo], forcing[lo:hi] - dt * K[lo:hi],
-            lower=True, check_finite=False,
-        )
+        K[lo:hi] = np.convolve(u[:hi - lo], forcing[lo:hi] - dt * K[lo:hi])[:hi - lo]
     return ScalarSignal(grid, K)
 
 
@@ -339,7 +351,7 @@ class PolynomialKernel(MemoryKernel):
             raise ValueError("polynomial kernel needs at least one coefficient")
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(grid.nodes, self.coefficients)
+        return polyval(grid.nodes, self.coefficients)
 
     def at_zero(self) -> float:
         return self.coefficients[0]

@@ -398,18 +398,37 @@ class TestDeterminism:
         assert len(calls) == 1
 
 
-def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
-    # scipy.signal pulls in scipy.stats, optimize, interpolate and more, most
-    # of the package's import time; the CLI needs none of them
+def test_cli_imports_numpy_submodules_up_front_and_never_scipy(tmp_path):
+    # numpy loads numpy.fft, numpy.random and numpy.polynomial lazily; the
+    # package imports them itself, so their cost falls in the import and not
+    # in the first run.  numpy is the only runtime dependency: no scipy
+    # module may load, at import or during a run of the generic kernel path.
+    cfg = base_config(study="reconstruct", N=4, grid={"T": TWO_PI, "dt": TWO_PI / 512},
+                      kernel={"variant": "polynomial", "coefficients": [1.0, -0.5]},
+                      sigma={"form": "affine", "a": 1.0, "b": 0.5})
+    path, out = write_config(tmp_path, cfg), tmp_path / "res"
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, visco_inverse.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    code = f"""
+import sys
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        seen.append(name)
+
+sys.meta_path.insert(0, Spy())
+import visco_inverse.cli
+print([m for m in ("numpy.fft", "numpy.random", "numpy.polynomial") if m not in sys.modules])
+rc = visco_inverse.cli.main(["reconstruct", "--config", {str(path)!r}, "--out", {str(out)!r}])
+print(rc, sorted({{m for m in seen + list(sys.modules) if m.split(".")[0] == "scipy"}}))
+"""
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "0 []"
 
 
 class TestConfigObject:

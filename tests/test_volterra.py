@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.fft import next_fast_len
 
 from visco_inverse import (
     AffineModulation,
@@ -36,7 +35,7 @@ from oracles import (
     naive_trapezoid_convolution,
     resolvent_kernel_loop,
 )
-from visco_inverse.volterra import _FFT_ELEMENTS, _LEAF_STEPS
+from visco_inverse.volterra import _FFT_ELEMENTS, _LEAF_STEPS, _fast_len
 
 # (steps, m) of the chunking cases; m None is a ScalarSignal.  5000 x 7 runs
 # several rows per FFT chunk with a partial last chunk, 32768 has an FFT
@@ -54,9 +53,25 @@ def random_signal(rng, grid, m):
 
 def test_chunk_cases_cover_the_row_chunking():
     # the FFT length of a convolution and of an adjoint on J steps
-    rows = [_FFT_ELEMENTS // next_fast_len(2 * J + 1) for J in (5000, 32768)]
+    rows = [_FFT_ELEMENTS // _fast_len(2 * J + 1) for J in (5000, 32768)]
     assert 1 <= rows[0] < 7 and 7 % rows[0] != 0
     assert rows[1] == 0
+
+
+def test_fast_len_is_the_next_5_smooth_length():
+    def is_5_smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    smooth = [m for m in range(1, 40001) if is_5_smooth(m)]
+    expected = np.array(smooth)[np.searchsorted(smooth, np.arange(1, 20001))]
+    assert [_fast_len(n) for n in range(1, 20001)] == expected.tolist()
+    # 2J + 1 for the workloads' J = 8192, 16384, 32768; the blocked solve's
+    # convolutions run on powers of two
+    assert [_fast_len(2 * J + 1) for J in (8192, 16384, 32768)] == [16875, 32805, 65610]
+    assert all(_fast_len(2 ** k) == 2 ** k for k in range(31))
 
 
 def grid_1s(dt=1e-3):
@@ -216,11 +231,10 @@ LEAF_EDGE_STEPS = st.one_of(
 
 
 @st.composite
-def modulations(draw):
+def modulations(draw, form):
     """Affine, exponential or sampled sigma with sigma(0) away from zero, on a grid."""
     grid = TimeGrid(draw(st.floats(0.1, 4.0)), draw(LEAF_EDGE_STEPS))
     a = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
-    form = draw(st.sampled_from(["affine", "exponential", "sampled"]))
     if form == "affine":
         return AffineModulation(a, draw(st.floats(-2.0, 2.0)) * abs(a)), grid
     if form == "exponential":
@@ -232,9 +246,11 @@ def modulations(draw):
 
 
 class TestBlockedResolventProperties:
-    @given(modulations())
-    def test_matches_forward_substitution(self, drawn):
-        mod, grid = drawn
+    # one test per form, so each form gets its own draws of the leaf edges
+    @pytest.mark.parametrize("form", ["affine", "exponential", "sampled"])
+    @given(data=st.data())
+    def test_matches_forward_substitution(self, form, data):
+        mod, grid = data.draw(modulations(form))
         sigma, sigma_p = mod.sample(grid), mod.sample_derivative(grid)
         expected = resolvent_kernel_loop(sigma.values, sigma_p.values, grid.dt)
         got = resolvent_kernel(sigma, sigma_p).values
