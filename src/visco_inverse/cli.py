@@ -155,17 +155,6 @@ def _parse_sigma(raw) -> SourceModulation:
     raise ValueError(f"sigma: unknown form {form!r}")
 
 
-def _kernel_dict(kernel: MemoryKernel) -> dict:
-    if isinstance(kernel, ZeroKernel):
-        return {"variant": "zero"}
-    if isinstance(kernel, ExponentialKernel):
-        return {"variant": "exponential", "beta": kernel.beta, "alpha": kernel.alpha}
-    if isinstance(kernel, PolynomialKernel):
-        return {"variant": "polynomial", "coefficients": list(kernel.coefficients)}
-    return {"variant": "sampled", "values": list(map(float, kernel.values)),
-            "m0": kernel.m0}
-
-
 def _sigma_dict(sigma: SourceModulation) -> dict:
     if isinstance(sigma, ConstantModulation):
         return {"form": "constant", "a": sigma.value}
@@ -301,7 +290,7 @@ class ExperimentConfig:
                 "potential_shift": self.operator.potential_shift,
                 "observed_endpoints": list(self.operator.observed_endpoints),
             },
-            "kernel": _kernel_dict(self.kernel),
+            "kernel": self.kernel.to_dict(),
             "sigma": _sigma_dict(self.sigma),
             "grid": {"T": self.grid.horizon, "dt": self.grid.dt,
                      "steps": self.grid.steps},
@@ -417,8 +406,11 @@ def _study_stability_scan(cfg: ExperimentConfig, model: SpectralModel):
     exact_min, exact_max = np.sqrt(np.maximum(np.linalg.eigvalsh(h1_gram)[[0, -1]], 0.0))
     header = ["trial", "ratio"]
     rows = np.column_stack([np.arange(len(ratios), dtype=float), ratios])
+    # np.median's value from a sort; np.median and np.quantile import numpy.ma
+    ordered = np.sort(ratios)
+    median = 0.5 * (ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2])
     results = {"min_ratio": float(ratios.min()), "max_ratio": float(ratios.max()),
-               "median_ratio": float(np.median(ratios)),
+               "median_ratio": float(median),
                "exact_min_ratio": float(exact_min), "exact_max_ratio": float(exact_max)}
     return header, rows, results, {}, None
 

@@ -11,14 +11,16 @@ their closed forms 1 + i*sgn(n)*t and t.
 Integration is an implicit-trapezoid step in (g, g'), solved in closed form,
 with the memory integral evaluated by the trapezoid rule over the stored
 history; ``_trapezoid_step`` is the one statement of that step.  For the
-zero and exponential kernels the history is one extra state, the trapezoid
-memory sum S, so each step is a fixed real 3x3 map A on (g, g', S) per mode
-(the zero kernel is its M(0) = 0 case).  Powers A^1..A^L over one leaf of
-L = 256 steps are tabulated once; each leaf's values are their first rows
-applied to the leaf's start state, which A^L then carries to the next leaf.
-That is L + J/L Python iterations instead of J, with the discretisation
-unchanged.  Generic (polynomial or sampled) kernels step through leaves of
-the blocked causal-history solve in ``volterra``, which adds the history of
+zero, exponential and polynomial kernels, which have a finite realization
+M(t) = c^T e^(Rt) b (``MemoryKernel.realization``), the history is a d-vector
+state X, the trapezoid memory sum taken with e^(R(t - s)) b, so each step is
+a fixed real (2+d)x(2+d) map A on (g, g', X) per mode: d = 1 for the zero and
+exponential kernels, d = degree + 1 for a polynomial.  Powers A^1..A^L over
+one leaf of L = 256 steps are tabulated once; each leaf's values are their
+first rows applied to the leaf's start state, which A^L then carries to the
+next leaf.  That is L + J/L Python iterations instead of J, with the
+discretisation unchanged.  Only sampled kernels step through leaves of the
+blocked causal-history solve in ``volterra``, which adds the history of
 earlier leaves by FFT convolution: O(J log^2 J) per mode instead of O(J^2).
 Modes sharing a grid and kernel are advanced together as a batch.  Only g is
 stored; g' is recovered on demand.  A state that overflows stops the solve
@@ -34,11 +36,9 @@ import numpy as np
 from .errors import NumericsError
 from .spectral import Mode
 from .volterra import (
-    ExponentialKernel,
     MemoryKernel,
     ScalarSignal,
     TimeGrid,
-    ZeroKernel,
     _LEAF_STEPS,
     _causal_blocks,
     inner_products,
@@ -89,19 +89,23 @@ def _trapezoid_step(mus, m0: float, dt: float):
     return step
 
 
-def _exponential_step_map(mus: np.ndarray, m0: float, decay: float, dt: float) -> np.ndarray:
-    """Real (modes, 3, 3) matrices A with (z, p, S)_(j+1) = A (z, p, S)_j.
+def _step_map(mus: np.ndarray, realization, dt: float) -> np.ndarray:
+    """Real (modes, 2+d, 2+d) matrices A with (z, p, X)_(j+1) = A (z, p, X)_j.
 
-    For M(t) = m0 e^(-alpha t) the history at t_j+1 is
-    h = decay (S_j + dt/2 m0 z_j), decay = e^(-alpha dt), with S the
-    trapezoid memory sum (S_0 = 0) and g_j = -mu S_j, so each step is one
-    fixed linear map.  Its columns are the step applied to the unit states.
+    For M(t) = c^T e^(Rt) b, X_j is the trapezoid memory sum at t_j with the
+    d-vector e^(R(t_j - s)) b in place of M(t_j - s) (X_0 = 0), so g_j =
+    -mu c^T X_j, and the history at t_j+1 without its own term is h = c^T H,
+    H = E (X_j + dt/2 b z_j), E = e^(R dt).  Each step is then one fixed
+    linear map; its columns are the step applied to the unit states.
     """
+    E, b, c = realization
     mu = mus[:, None]
-    z, p, S = np.eye(3)
-    h = decay * (S + 0.5 * dt * m0 * z)
-    znew, pnew, _ = _trapezoid_step(mu, m0, dt)(z, p, -mu * S, h)
-    return np.stack([znew, pnew, h + 0.5 * dt * m0 * znew], axis=1)
+    unit = np.eye(2 + len(b))
+    z, p, X = unit[0], unit[1], unit[2:]
+    H = E @ (X + 0.5 * dt * b[:, None] * z)
+    znew, pnew, _ = _trapezoid_step(mu, float(c @ b), dt)(z, p, -mu * (c @ X), c @ H)
+    Xnew = H + 0.5 * dt * b[:, None] * znew[:, None]
+    return np.concatenate([znew[:, None], pnew[:, None], Xnew], axis=1)
 
 
 def _integrate_family(
@@ -125,22 +129,26 @@ def _integrate_family(
     try:
         # stop at the first overflow instead of stepping on inf/NaN
         with np.errstate(over="raise", invalid="raise"):
-            if isinstance(kernel, (ZeroKernel, ExponentialKernel)):
-                # the zero kernel is the m0 = 0 case of the exponential map
-                alpha = kernel.alpha if isinstance(kernel, ExponentialKernel) else 0.0
-                A = _exponential_step_map(mus, kernel.at_zero(), np.exp(-alpha * dt), dt)
-                # powers[:, k - 1] = A^k over one leaf; each leaf's columns of
-                # Z are their first rows applied to the leaf's start state
+            realization = kernel.realization(dt)
+            if realization is not None:
+                A = _step_map(mus, realization, dt)
+                D = A.shape[1]
+                # rows[:, k - 1] = the first row of A^k over one leaf; each
+                # leaf's columns of Z are these rows applied to the leaf's
+                # start state, which power = A^L carries to the next leaf
                 L = min(_LEAF_STEPS, J)
-                powers = np.empty((nm, L, 3, 3))
-                powers[:, 0] = A
+                rows = np.empty((nm, L, D))
+                rows[:, 0] = A[:, 0]
+                power = A
                 for n in range(2, L + 1):
-                    np.matmul(powers[:, n - 2], A, out=powers[:, n - 1])
-                state = np.stack([z0, p0, np.zeros(nm)], axis=1).astype(np.complex128)[..., None]
+                    power = power @ A
+                    rows[:, n - 1] = power[:, 0]
+                state = np.zeros((nm, D, 1), dtype=np.complex128)
+                state[:, 0, 0], state[:, 1, 0] = z0, p0
                 for n in range(1, J + 1, L):
                     hi = min(n + L, J + 1)
-                    Z[:, n:hi] = (powers[:, :hi - n, 0] @ state)[..., 0]
-                    state = powers[:, L - 1] @ state
+                    Z[:, n:hi] = (rows[:, :hi - n] @ state)[..., 0]
+                    state = power @ state
                 return Z
 
             mv = kernel.sample(grid)

@@ -313,6 +313,15 @@ class MemoryKernel:
         """M(0), needed for the comparison-exponential growth rate M(0)/2."""
         raise NotImplementedError
 
+    def realization(self, dt: float):
+        """(E, b, c) with M(t) = c^T e^(Rt) b and E = e^(R dt), a d x d matrix,
+        or None for a kernel without a finite realization."""
+        raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        """The kernel as its config object."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class ZeroKernel(MemoryKernel):
@@ -323,6 +332,12 @@ class ZeroKernel(MemoryKernel):
 
     def at_zero(self) -> float:
         return 0.0
+
+    def realization(self, dt: float):
+        return np.ones((1, 1)), np.zeros(1), np.zeros(1)
+
+    def to_dict(self) -> dict:
+        return {"variant": "zero"}
 
 
 @dataclass(frozen=True)
@@ -337,6 +352,12 @@ class ExponentialKernel(MemoryKernel):
 
     def at_zero(self) -> float:
         return self.beta
+
+    def realization(self, dt: float):
+        return np.full((1, 1), np.exp(-self.alpha * dt)), np.array([self.beta]), np.ones(1)
+
+    def to_dict(self) -> dict:
+        return {"variant": "exponential", "beta": self.beta, "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -355,6 +376,19 @@ class PolynomialKernel(MemoryKernel):
 
     def at_zero(self) -> float:
         return self.coefficients[0]
+
+    def realization(self, dt: float):
+        # R is the nilpotent shift, R e_i = e_(i-1), so e^(Rt) e_(d-1) has
+        # entries t^k / k! at i = d-1-k and c_i = a_(d-1-i) (d-1-i)!
+        if len(self.coefficients) > 170:  # 171! overflows a float
+            return None
+        k = np.arange(len(self.coefficients))
+        factorials = np.cumprod(np.maximum(k, 1.0))
+        E = np.triu((dt ** k / factorials)[np.abs(k[None, :] - k[:, None])])
+        return E, np.eye(len(k))[-1], (np.array(self.coefficients) * factorials)[::-1]
+
+    def to_dict(self) -> dict:
+        return {"variant": "polynomial", "coefficients": list(self.coefficients)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,6 +420,12 @@ class SampledKernel(MemoryKernel):
         if self.m0 is None:
             raise ValueError("sampled kernel used without a declared M(0)")
         return self.m0
+
+    def realization(self, dt: float):
+        return None
+
+    def to_dict(self) -> dict:
+        return {"variant": "sampled", "values": list(map(float, self.values)), "m0": self.m0}
 
 
 # ---------------------------------------------------------------------------

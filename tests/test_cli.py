@@ -431,6 +431,35 @@ print(rc, sorted({{m for m in seen + list(sys.modules) if m.split(".")[0] == "sc
     assert lines[0] == "[]" and lines[-1] == "0 []"
 
 
+def test_stability_scan_takes_its_median_without_numpy_ma(tmp_path):
+    # np.median and np.quantile import numpy.ma on first use, a cost inside
+    # cli.run; the scan's median comes from a sort and must equal np.median's
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = []
+    for trials in (5, 6):  # one odd and one even count
+        cfg = base_config(study="stability-scan", trials=trials, N=4,
+                          kernel={"variant": "polynomial", "coefficients": [1.0, -0.5]})
+        runs.append((str(write_config(tmp_path, cfg, f"scan{trials}.json")),
+                     str(tmp_path / f"scan{trials}")))
+    code = f"""
+import sys
+import visco_inverse.cli
+codes = [visco_inverse.cli.main(["stability-scan", "--config", path, "--out", out])
+         for path, out in {runs!r}]
+print(codes, "numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+    for _, out in runs:
+        ratios = np.loadtxt(Path(out) / "stability-scan.csv", delimiter=",", skiprows=1)[:, 1]
+        results = json.loads((Path(out) / "stability-scan.json").read_text())["results"]
+        assert results["median_ratio"] == np.median(ratios)
+
+
 class TestConfigObject:
     def test_from_mapping_resolves_defaults(self):
         cfg = ExperimentConfig.from_mapping(base_config(), "simulate")
@@ -439,6 +468,17 @@ class TestConfigObject:
         assert cfg.trials == 50
         assert cfg.output == "out"
         assert cfg.grid.steps == 2048
+
+    @pytest.mark.parametrize("kernel", [
+        {"variant": "zero"},
+        {"variant": "exponential", "beta": 1.0, "alpha": 0.25},
+        {"variant": "polynomial", "coefficients": [1.0, -0.5, 2.0]},
+        {"variant": "sampled", "values": [1.0, 0.5, 0.25], "m0": 1.0},
+        {"variant": "sampled", "values": [1.0, 0.5, 0.25], "m0": None},
+    ], ids=["zero", "exponential", "polynomial", "sampled", "sampled-without-m0"])
+    def test_summary_echoes_the_kernel_as_configured(self, kernel):
+        cfg = ExperimentConfig.from_mapping(base_config(kernel=kernel), "simulate")
+        assert cfg.effective()["kernel"] == kernel
 
     def test_run_requires_writable_output(self, tmp_path):
         blocker = tmp_path / "file"

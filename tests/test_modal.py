@@ -23,6 +23,7 @@ from visco_inverse import (
     solve_z,
 )
 from oracles import modal_history_loop, modal_oracle_exponential_kernel, modal_step_loop
+from visco_inverse import modal
 from visco_inverse.modal import _integrate_family
 from visco_inverse.volterra import _LEAF_STEPS
 
@@ -146,13 +147,38 @@ class TestStructuralIdentities:
         slow = solve_z(model.mode(5), sampled, g)
         assert np.max(np.abs(fast.z.values - slow.z.values)) < 1e-13
 
-    def test_polynomial_kernel_goes_through_stored_history(self, model):
+    def test_polynomial_kernel_matches_the_full_history_sum(self, model):
         g = TimeGrid.from_step(1.0, 1e-2)
         poly = PolynomialKernel((1.0, -0.5))
+        mode = model.mode(4)
+        traj = solve_z(mode, poly, g)
+        expected = modal_history_loop(np.array([mode.mu]), [1.0], [1j * mode.lam],
+                                      poly.sample(g), g.dt)[0]
+        assert np.max(np.abs(traj.z.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_only_sampled_kernels_take_the_history_solve(self, model, monkeypatch):
+        class HistorySolve(Exception):
+            pass
+
+        def refuse(*args):
+            raise HistorySolve
+
+        monkeypatch.setattr(modal, "_causal_blocks", refuse)
+        g = TimeGrid.from_step(1.0, 1e-2)
+        poly = PolynomialKernel((1.0, -0.5))
+        for kernel in (poly, ExponentialKernel(0.7, 1.3), ZeroKernel()):
+            solve_z(model.mode(4), kernel, g)
+        with pytest.raises(HistorySolve):
+            solve_z(model.mode(4), SampledKernel(poly.sample(g), m0=poly.at_zero()), g)
+
+    def test_polynomial_past_170_coefficients_takes_the_history_solve(self, model):
+        # its realization would need 171!, which overflows a float
+        g = TimeGrid.from_step(1.0, 1e-2)
+        poly = PolynomialKernel((1.0,) + (0.0,) * 170 + (1.0,))
+        assert poly.realization(g.dt) is None
         sampled = SampledKernel(poly.sample(g), m0=poly.at_zero())
-        a = solve_z(model.mode(4), poly, g)
-        b = solve_z(model.mode(4), sampled, g)
-        np.testing.assert_array_equal(a.z.values, b.z.values)
+        np.testing.assert_array_equal(solve_z(model.mode(4), poly, g).z.values,
+                                      solve_z(model.mode(4), sampled, g).z.values)
 
 
 class TestComparison:
@@ -243,12 +269,36 @@ def exponential_families(draw):
     return mus, z0, p0, kernel, grid
 
 
+@st.composite
+def polynomial_families(draw, degree):
+    """A batch of modal equations with random mu and data under a polynomial
+    kernel of the given degree with random coefficients."""
+    grid = TimeGrid(draw(st.floats(0.5, 4.0)), draw(LEAF_EDGE_STEPS))
+    nm = draw(st.integers(1, 5))
+    mus = draw(hnp.arrays(float, nm, elements=st.floats(-4.0, 4000.0)))
+    z0, p0 = (draw(hnp.arrays(complex, nm, elements=st.complex_numbers(max_magnitude=2.0)))
+              for _ in range(2))
+    # coefficients from a drawn seed: hypothesis's own float draws favour 0
+    # and tiny values, which leave few distinct kernels in 40 examples
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = PolynomialKernel(rng.uniform(-3.0, 3.0, degree + 1))
+    return mus, z0, p0, kernel, grid
+
+
 class TestPropagatedStepProperties:
     @given(exponential_families())
     def test_matches_the_step_loop(self, drawn):
         mus, z0, p0, kernel, grid = drawn
         Z = _integrate_family(mus, z0, p0, kernel, grid)
         expected = modal_step_loop(mus, z0, p0, kernel, grid)
+        assert np.max(np.abs(Z - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("degree", range(4))
+    @given(data=st.data())
+    def test_polynomial_matches_the_full_history_sum(self, degree, data):
+        mus, z0, p0, kernel, grid = data.draw(polynomial_families(degree))
+        Z = _integrate_family(mus, z0, p0, kernel, grid)
+        expected = modal_history_loop(mus, z0, p0, kernel.sample(grid), grid.dt)
         assert np.max(np.abs(Z - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
@@ -258,6 +308,8 @@ class TestOverflow:
         (ExponentialKernel(1.0, -500.0), 4.0, TimeGrid(4.0, 400), 142),
         # the table is finite; the third leaf overflows, reported at its first step
         (ZeroKernel(), -1e6, TimeGrid(1.0, 1000), 513),
+        # a cubic memory: A^193 overflows while the power table is built
+        (PolynomialKernel((0.0, 0.0, 0.0, -1e12)), 100.0, TimeGrid(10.0, 1000), 193),
     ])
     def test_overflow_is_a_numerical_failure(self, kernel, mu, grid, step):
         ones = np.ones(1, dtype=complex)
