@@ -72,7 +72,8 @@ IDENTITY_RESIDUAL_RTOL = 1e-3
 MAX_GRID_STEPS = 10**7
 
 #: most N * (steps + 1), the size of the factored modal family Z, a config may
-#: ask for: 500 modes on 10^6 steps, 8 GB of complex values
+#: ask for: 500 modes on 10^6 steps, 8 GB of complex values; it bounds the
+#: trials * N draws of stability-scan as well
 MAX_MODE_NODES = 5 * 10**8
 
 
@@ -260,6 +261,9 @@ class ExperimentConfig:
         trials = _integer(raw.get("trials", 50), "trials")
         if trials < 1:
             raise ValueError("trials must be at least 1")
+        if study == "stability-scan" and trials * truncation > MAX_MODE_NODES:
+            raise ValueError(f"trials x N = {trials} x {truncation} exceeds "
+                             f"the limit of {MAX_MODE_NODES} drawn values")
 
         if study == "reconstruct" and sigma.at_zero() == 0.0:
             raise ValueError("sigma(0) must be nonzero for the reconstruct study")
@@ -464,8 +468,8 @@ def _write_csv(path: Path, header, rows):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in np.atleast_2d(rows):
-            writer.writerow([repr(float(v)) for v in row])
+        # csv writes a Python float as its repr
+        writer.writerows(np.atleast_2d(np.asarray(rows, dtype=float)).tolist())
 
 
 def _write_summary(path: Path, payload: dict):

@@ -21,9 +21,10 @@ same factor 1 + d (B w vanishes at t = 0) and vanishes under refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
-from numpy.random import default_rng
+from numpy.random import PCG64, Generator, default_rng
 
 from .frames import (
     FrameBounds,
@@ -233,6 +234,74 @@ def stability_gram(
     return (gram(family).entries + gram(slope_family).entries).real
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence hash constants (pool of 4 words) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple:
+    """SeedSequence's hash of uint32 words, and the hash constant after it."""
+    nxt = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(nxt)
+    return value ^ (value >> np.uint32(16)), nxt
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _seed_states(seed: int, trials: int) -> np.ndarray:
+    """Row i is SeedSequence((seed, i)).generate_state(4, np.uint64), for i < trials.
+
+    numpy's SeedSequence mixing, run once over uint32 arrays indexed by
+    trial.  The entropy words are those of ``seed``, least significant
+    first, then i, which must fit one word.  The hash constant evolves
+    alike for every trial, so it stays a scalar.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    seed = int(seed)
+    words = [np.full(trials, (seed >> s) & _MASK32, np.uint32)
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    words.append(np.arange(trials, dtype=np.uint32))
+    words += [np.zeros(trials, np.uint32)] * (4 - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:4]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    # every pool word into every other, then each entropy word past the pool
+    for src, dst in permutations(range(4), 2):
+        value, const = _hashmix(pool[src], const, _MULT_A)
+        pool[dst] = _mix(pool[dst], value)
+    for word in words[4:]:
+        for dst in range(4):
+            value, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    state, const = np.empty((trials, 8), np.uint32), _INIT_B
+    for k in range(8):
+        state[:, k], const = _hashmix(pool[k % 4], const, _MULT_B)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _trial_draws(seed: int, trials: int, n: int) -> np.ndarray:
+    """Row i is default_rng((seed, i)).standard_normal(n) bit for bit, from one generator."""
+    bits = PCG64(0)
+    draws = Generator(bits).standard_normal
+    rows = np.empty((trials, n))
+    for row, (s_hi, s_lo, q_hi, q_lo) in zip(rows, _seed_states(seed, trials).tolist()):
+        # PCG64's seeding: inc = 2 initseq + 1, then two steps around adding initstate
+        inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
+        state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        draws(out=row)
+    return rows
+
+
 def stability_ratios(
     model: SpectralModel,
     kernel: MemoryKernel,
@@ -244,22 +313,20 @@ def stability_ratios(
 ) -> np.ndarray:
     """Per-trial values of ||B u||_H1 / ||f|| over random unit sources.
 
-    Each trial costs O(N^2) as sqrt(f^T Q f), with Q the ``stability_gram``
-    of the same arguments; pass it as ``h1_gram`` when it is already built.
+    Trial i draws f from ``default_rng((seed, i))``, bit for bit, so an
+    ensemble at truncation 2N extends the ensemble at truncation N draw by
+    draw; the seeds of all trials are hashed in one vectorised pass and one
+    generator is reseeded per trial.  Each ratio is sqrt(f^T Q f), with Q
+    the ``stability_gram`` of the same arguments; pass it as ``h1_gram``
+    when it is already built.  Trial indices must fit 32 bits.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= trials <= 1 << 32:
+        raise ValueError("trials must lie in 1..2^32")
     if h1_gram is None:
         h1_gram = stability_gram(model, kernel, modulation, grid)
-    ratios = np.empty(trials)
-    for i in range(trials):
-        # one generator per trial, so an ensemble at truncation 2N extends
-        # the ensemble at truncation N draw by draw
-        rng = default_rng((seed, i))
-        f = rng.standard_normal(model.truncation)
-        f /= np.linalg.norm(f)
-        ratios[i] = np.sqrt(f @ h1_gram @ f)
-    return ratios
+    f = _trial_draws(seed, trials, model.truncation)
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    return np.sqrt(np.einsum("ij,ij->i", f @ h1_gram, f))
 
 
 def stability_scan(

@@ -13,7 +13,7 @@ import pytest
 
 import visco_inverse.frames
 from visco_inverse import AffineModulation
-from visco_inverse.cli import MAX_MODE_NODES, ExperimentConfig, main, run
+from visco_inverse.cli import MAX_MODE_NODES, ExperimentConfig, _write_csv, main, run
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -102,6 +102,30 @@ class TestValidation:
         assert cfg.truncation * (cfg.grid.steps + 1) == MAX_MODE_NODES
         with pytest.raises(ValueError, match="N x"):
             ExperimentConfig.from_mapping(base_config(grid=grid, N=N + 1), "simulate")
+
+    def test_oversized_scan_rejected_at_parse_time(self, tmp_path, capsys):
+        cfg = base_config(study="stability-scan", trials=10**12)
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(["stability-scan", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "trials x N" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert not out.exists()
+
+    def test_scan_at_the_draw_limit_is_accepted(self):
+        trials = MAX_MODE_NODES // 8
+        cfg = ExperimentConfig.from_mapping(base_config(N=8, trials=trials), "stability-scan")
+        assert cfg.trials * cfg.truncation == MAX_MODE_NODES
+        with pytest.raises(ValueError, match="trials x N"):
+            ExperimentConfig.from_mapping(base_config(N=8, trials=trials + 1), "stability-scan")
+        # other studies draw no trials
+        ExperimentConfig.from_mapping(base_config(N=8, trials=trials + 1), "simulate")
 
     def test_unknown_study_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -458,6 +482,19 @@ print(codes, "numpy.ma" in sys.modules)
         ratios = np.loadtxt(Path(out) / "stability-scan.csv", delimiter=",", skiprows=1)[:, 1]
         results = json.loads((Path(out) / "stability-scan.json").read_text())["results"]
         assert results["median_ratio"] == np.median(ratios)
+
+
+def test_csv_rows_keep_the_per_value_repr_bytes(tmp_path):
+    # the bytes of the former writer, one repr(float(v)) per value
+    def per_value(rows):
+        return "a,b,c\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                   for row in np.atleast_2d(rows))
+
+    rows = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 1e-300],
+                     [1.0 / 3.0, 2.5e17, -5e-324], [4000.0, 1e16, 0.1]])
+    for name, table in (("rows", rows), ("row", rows[1])):
+        _write_csv(tmp_path / name, ["a", "b", "c"], table)
+        assert (tmp_path / name).read_bytes() == per_value(table).encode()
 
 
 class TestConfigObject:

@@ -29,10 +29,13 @@ from visco_inverse import (
     reconstruct,
     reconstruct_complex,
     source_traces,
+    stability_gram,
     stability_ratios,
     stability_scan,
 )
 from oracles import reconstruct_via_thetas, stability_ratios_per_trial
+import visco_inverse.inverse
+from visco_inverse.inverse import _trial_draws
 from visco_inverse.volterra import _LEAF_STEPS
 
 PI = math.pi
@@ -325,6 +328,66 @@ class TestStability:
         got = stability_ratios(model, kernel, modulation, g, 25, 7)
         expected = stability_ratios_per_trial(model, kernel, modulation, g, 25, 7)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_gram_form_matches_exact_per_trial_quadratic_forms(self):
+        model = build_spectral_model(OperatorSpec(PI), 12)
+        g = TimeGrid(2 * PI + 0.5, 1024)
+        args = (model, PolynomialKernel((1.0, -0.5)), AffineModulation(1.0, 0.5), g)
+        q = stability_gram(*args)
+        expected = []
+        for i in range(300):
+            f = np.random.default_rng((11, i)).standard_normal(12)
+            f /= np.linalg.norm(f)
+            expected.append(np.sqrt(f @ q @ f))
+        got = stability_ratios(*args, 300, 11, h1_gram=q)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    def test_builds_no_generator_per_trial(self, model, grid, monkeypatch):
+        q = stability_gram(model, ZeroKernel(), ConstantModulation(1.0), grid)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("default_rng called inside stability_ratios")
+
+        monkeypatch.setattr(visco_inverse.inverse, "default_rng", refuse)
+        ratios = stability_ratios(model, ZeroKernel(), ConstantModulation(1.0), grid,
+                                  40, 5, h1_gram=q)
+        assert ratios.shape == (40,) and np.all(ratios > 0)
+
+    def test_trial_count_and_seed_validated(self, model, grid):
+        q = np.eye(model.truncation)
+        with pytest.raises(ValueError, match="trials"):
+            stability_ratios(model, ZeroKernel(), ConstantModulation(1.0), grid,
+                             (1 << 32) + 1, 0, h1_gram=q)
+        with pytest.raises(ValueError, match="seed"):
+            stability_ratios(model, ZeroKernel(), ConstantModulation(1.0), grid,
+                             3, -1, h1_gram=q)
+
+
+# seeds of 1, 2 and 3 uint32 words, and of 4 or more, whose entropy words
+# outnumber SeedSequence's pool and take its second mixing loop
+SEED_WIDTHS = {
+    "one-word": st.integers(0, 2**32 - 1),
+    "two-words": st.integers(2**32, 2**64 - 1),
+    "three-words": st.integers(2**64, 2**96 - 1),
+    "past-the-pool": st.integers(2**96, 2**256),
+}
+
+
+class TestTrialDrawProperties:
+    @pytest.mark.parametrize("width", list(SEED_WIDTHS))
+    def test_rows_are_numpy_default_rng_draws(self, width):
+        @given(SEED_WIDTHS[width], st.integers(1, 300), st.integers(1, 40))
+        def check(seed, trials, n):
+            expected = [np.random.default_rng((seed, i)).standard_normal(n)
+                        for i in range(trials)]
+            assert np.array_equal(_trial_draws(seed, trials, n), np.array(expected))
+
+        check()
+
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
+    def test_fixed_seeds(self, seed):
+        expected = [np.random.default_rng((seed, i)).standard_normal(16) for i in range(500)]
+        assert np.array_equal(_trial_draws(seed, 500, 16), np.array(expected))
 
 
 class TestCounterexample:
