@@ -468,8 +468,8 @@ def _write_csv(path: Path, header, rows):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        # csv writes a Python float as its repr
-        writer.writerows(np.atleast_2d(np.asarray(rows, dtype=float)).tolist())
+        # csv writes a Python float as its repr; one row's list at a time
+        writer.writerows(row.tolist() for row in np.atleast_2d(np.asarray(rows, dtype=float)))
 
 
 def _write_summary(path: Path, payload: dict):

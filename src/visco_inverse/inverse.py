@@ -20,6 +20,7 @@ same factor 1 + d (B w vanishes at t = 0) and vanishes under refinement.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -240,6 +241,9 @@ _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: trials that stability_ratios hashes and draws at once: its working set is
+#: O(block x N) on top of the O(trials) ratios, whatever the trial count
+_SCAN_BLOCK = 4096
 
 
 def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple:
@@ -254,20 +258,22 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> np.uint32(16))
 
 
-def _seed_states(seed: int, trials: int) -> np.ndarray:
-    """Row i is SeedSequence((seed, i)).generate_state(4, np.uint64), for i < trials.
+def _seed_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """Row i - start is SeedSequence((seed, i)).generate_state(4, np.uint64),
+    for start <= i < stop.
 
     numpy's SeedSequence mixing, run once over uint32 arrays indexed by
     trial.  The entropy words are those of ``seed``, least significant
     first, then i, which must fit one word.  The hash constant evolves
     alike for every trial, so it stays a scalar.
     """
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    seed = int(seed)
+    trials = stop - start
     words = [np.full(trials, (seed >> s) & _MASK32, np.uint32)
              for s in range(0, max(seed.bit_length(), 1), 32)]
-    words.append(np.arange(trials, dtype=np.uint32))
+    words.append(np.uint32(start) + np.arange(trials, dtype=np.uint32))
     words += [np.zeros(trials, np.uint32)] * (4 - len(words))
     pool, const = [], _INIT_A
     for word in words[:4]:
@@ -287,12 +293,13 @@ def _seed_states(seed: int, trials: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _trial_draws(seed: int, trials: int, n: int) -> np.ndarray:
-    """Row i is default_rng((seed, i)).standard_normal(n) bit for bit, from one generator."""
+def _trial_draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Row i - start is default_rng((seed, i)).standard_normal(n) bit for bit,
+    for start <= i < stop, from one generator."""
     bits = PCG64(0)
     draws = Generator(bits).standard_normal
-    rows = np.empty((trials, n))
-    for row, (s_hi, s_lo, q_hi, q_lo) in zip(rows, _seed_states(seed, trials).tolist()):
+    rows = np.empty((stop - start, n))
+    for row, (s_hi, s_lo, q_hi, q_lo) in zip(rows, _seed_states(seed, start, stop).tolist()):
         # PCG64's seeding: inc = 2 initseq + 1, then two steps around adding initstate
         inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
         state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
@@ -315,18 +322,22 @@ def stability_ratios(
 
     Trial i draws f from ``default_rng((seed, i))``, bit for bit, so an
     ensemble at truncation 2N extends the ensemble at truncation N draw by
-    draw; the seeds of all trials are hashed in one vectorised pass and one
-    generator is reseeded per trial.  Each ratio is sqrt(f^T Q f), with Q
-    the ``stability_gram`` of the same arguments; pass it as ``h1_gram``
-    when it is already built.  Trial indices must fit 32 bits.
+    draw.  The seeds of a block of trials are hashed in one vectorised pass
+    and one generator is reseeded per trial.  Each ratio is sqrt(f^T Q f),
+    with Q the ``stability_gram`` of the same arguments; pass it as
+    ``h1_gram`` when it is already built.  Trial indices must fit 32 bits.
     """
     if not 1 <= trials <= 1 << 32:
         raise ValueError("trials must lie in 1..2^32")
     if h1_gram is None:
         h1_gram = stability_gram(model, kernel, modulation, grid)
-    f = _trial_draws(seed, trials, model.truncation)
-    f /= np.linalg.norm(f, axis=1, keepdims=True)
-    return np.sqrt(np.einsum("ij,ij->i", f @ h1_gram, f))
+    ratios = np.empty(trials)
+    for start in range(0, trials, _SCAN_BLOCK):
+        stop = min(start + _SCAN_BLOCK, trials)
+        f = _trial_draws(seed, start, stop, model.truncation)
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        ratios[start:stop] = np.sqrt(np.einsum("ij,ij->i", f @ h1_gram, f))
+    return ratios
 
 
 def stability_scan(

@@ -35,7 +35,7 @@ from visco_inverse import (
 )
 from oracles import reconstruct_via_thetas, stability_ratios_per_trial
 import visco_inverse.inverse
-from visco_inverse.inverse import _trial_draws
+from visco_inverse.inverse import _SCAN_BLOCK, _trial_draws
 from visco_inverse.volterra import _LEAF_STEPS
 
 PI = math.pi
@@ -329,7 +329,10 @@ class TestStability:
         expected = stability_ratios_per_trial(model, kernel, modulation, g, 25, 7)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
-    def test_gram_form_matches_exact_per_trial_quadratic_forms(self):
+    # the default block holds all 300 trials; blocks of 7 split them unevenly
+    @pytest.mark.parametrize("block", [_SCAN_BLOCK, 7])
+    def test_gram_form_matches_exact_per_trial_quadratic_forms(self, block, monkeypatch):
+        monkeypatch.setattr(visco_inverse.inverse, "_SCAN_BLOCK", block)
         model = build_spectral_model(OperatorSpec(PI), 12)
         g = TimeGrid(2 * PI + 0.5, 1024)
         args = (model, PolynomialKernel((1.0, -0.5)), AffineModulation(1.0, 0.5), g)
@@ -361,6 +364,10 @@ class TestStability:
         with pytest.raises(ValueError, match="seed"):
             stability_ratios(model, ZeroKernel(), ConstantModulation(1.0), grid,
                              3, -1, h1_gram=q)
+        # a seed must be an integer, as numpy's SeedSequence demands
+        with pytest.raises(TypeError):
+            stability_ratios(model, ZeroKernel(), ConstantModulation(1.0), grid,
+                             3, 1.5, h1_gram=q)
 
 
 # seeds of 1, 2 and 3 uint32 words, and of 4 or more, whose entropy words
@@ -376,18 +383,24 @@ SEED_WIDTHS = {
 class TestTrialDrawProperties:
     @pytest.mark.parametrize("width", list(SEED_WIDTHS))
     def test_rows_are_numpy_default_rng_draws(self, width):
-        @given(SEED_WIDTHS[width], st.integers(1, 300), st.integers(1, 40))
-        def check(seed, trials, n):
+        @given(SEED_WIDTHS[width], st.integers(0, 2**32 - 300), st.integers(1, 300),
+               st.integers(1, 40))
+        def check(seed, start, trials, n):
+            stop = start + trials
             expected = [np.random.default_rng((seed, i)).standard_normal(n)
-                        for i in range(trials)]
-            assert np.array_equal(_trial_draws(seed, trials, n), np.array(expected))
+                        for i in range(start, stop)]
+            assert np.array_equal(_trial_draws(seed, start, stop, n), np.array(expected))
 
         check()
 
     @pytest.mark.parametrize("seed", [0, 1, 11, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
     def test_fixed_seeds(self, seed):
-        expected = [np.random.default_rng((seed, i)).standard_normal(16) for i in range(500)]
-        assert np.array_equal(_trial_draws(seed, 500, 16), np.array(expected))
+        # the first trials, and the last whose index fits one uint32 word
+        for start in (0, 2**32 - 500):
+            expected = [np.random.default_rng((seed, i)).standard_normal(16)
+                        for i in range(start, start + 500)]
+            assert np.array_equal(_trial_draws(seed, start, start + 500, 16),
+                                  np.array(expected))
 
 
 class TestCounterexample:
