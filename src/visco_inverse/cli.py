@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,15 +53,6 @@ from .volterra import (
     differentiate,
     h1_norm,
     l2_norm,
-)
-
-STUDIES = (
-    "simulate",
-    "reconstruct",
-    "frame-bounds",
-    "stability-scan",
-    "zest-decay",
-    "l2-counterexample",
 )
 
 #: relative resolvent-identity residual above which reconstruction aborts
@@ -117,53 +108,50 @@ def _integer(value, what) -> int:
     return int(number)
 
 
-def _parse_kernel(raw) -> MemoryKernel:
-    if raw is None:
-        return ZeroKernel()
-    if not isinstance(raw, dict):
-        raise ValueError("kernel: expected an object with a 'variant' key")
-    variant = _require(raw, "variant", "kernel")
-    if variant == "zero":
-        return ZeroKernel()
-    if variant == "exponential":
-        return ExponentialKernel(_real(_require(raw, "beta", "kernel"), "kernel: beta"),
-                                 _real(_require(raw, "alpha", "kernel"), "kernel: alpha"))
-    if variant == "polynomial":
-        return PolynomialKernel(tuple(_reals(_require(raw, "coefficients", "kernel"),
-                                             "kernel: coefficients")))
-    if variant == "sampled":
-        m0 = raw.get("m0")
-        return SampledKernel(_reals(_require(raw, "values", "kernel"), "kernel: values"),
-                             None if m0 is None else _real(m0, "kernel: m0"))
-    raise ValueError(f"kernel: unknown variant {variant!r}")
+def _optional_real(value, what) -> float | None:
+    return None if value is None else _real(value, what)
 
 
-def _parse_sigma(raw) -> SourceModulation:
-    if raw is None:
-        return ConstantModulation(1.0)
-    if not isinstance(raw, dict):
-        raise ValueError("sigma: expected an object with a 'form' key")
-    form = _require(raw, "form", "sigma")
-    if form == "constant":
-        return ConstantModulation(_real(_require(raw, "a", "sigma"), "sigma: a"))
-    if form == "exponential":
-        return ExponentialModulation(_real(_require(raw, "a", "sigma"), "sigma: a"))
-    if form == "affine":
-        return AffineModulation(_real(_require(raw, "a", "sigma"), "sigma: a"),
-                                _real(_require(raw, "b", "sigma"), "sigma: b"))
-    if form == "sampled":
-        return SampledModulation(_reals(_require(raw, "values", "sigma"), "sigma: values"))
-    raise ValueError(f"sigma: unknown form {form!r}")
+def _object(value, what, expected="an object") -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what}: expected {expected}")
+    return value
 
 
-def _sigma_dict(sigma: SourceModulation) -> dict:
-    if isinstance(sigma, ConstantModulation):
-        return {"form": "constant", "a": sigma.value}
-    if isinstance(sigma, ExponentialModulation):
-        return {"form": "exponential", "a": sigma.rate}
-    if isinstance(sigma, AffineModulation):
-        return {"form": "affine", "a": sigma.offset, "b": sigma.slope}
-    return {"form": "sampled", "values": list(map(float, sigma.values))}
+#: config spelling of each model input: a variant (form) name maps to its
+#: class and, in constructor order, each argument's config key and parser;
+#: an argument parsed by _optional_real may be omitted
+_KERNELS = {
+    "zero": (ZeroKernel, ()),
+    "exponential": (ExponentialKernel, (("beta", _real), ("alpha", _real))),
+    "polynomial": (PolynomialKernel, (("coefficients", _reals),)),
+    "sampled": (SampledKernel, (("values", _reals), ("m0", _optional_real))),
+}
+_SIGMAS = {
+    "constant": (ConstantModulation, (("a", _real),)),
+    "exponential": (ExponentialModulation, (("a", _real),)),
+    "affine": (AffineModulation, (("a", _real), ("b", _real))),
+    "sampled": (SampledModulation, (("values", _reals),)),
+}
+
+
+def _parse_input(raw, what, tag, table):
+    """The kernel or sigma object ``raw``, its class named by its ``tag`` key."""
+    name = _require(_object(raw, what, f"an object with a {tag!r} key"), tag, what)
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"{what}: unknown {tag} {name!r}")
+    cls, arguments = table[name]
+    return cls(*(parse(raw.get(key) if parse is _optional_real else _require(raw, key, what),
+                       f"{what}: {key}") for key, parse in arguments))
+
+
+def _input_dict(obj, tag, table) -> dict:
+    """``obj`` as its config object, the inverse of ``_parse_input``."""
+    for name, (cls, arguments) in table.items():
+        if type(obj) is cls:
+            # floats, tuples and arrays become JSON numbers and lists; None stays None
+            return {tag: name, **{key: np.asarray(getattr(obj, field.name)).tolist()
+                                  for (key, _), field in zip(arguments, fields(obj))}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +185,7 @@ class ExperimentConfig:
                 f"config names study {cfg_study!r} but {study!r} was requested"
             )
 
-        op_raw = _require(raw, "operator", "config")
+        op_raw = _object(_require(raw, "operator", "config"), "operator")
         endpoints = op_raw.get("observed_endpoints", ["left"])
         if not isinstance(endpoints, list):
             raise ValueError(f"operator: observed_endpoints: expected a list, got {endpoints!r}")
@@ -208,7 +196,7 @@ class ExperimentConfig:
             observed_endpoints=tuple(endpoints),
         )
 
-        grid_raw = _require(raw, "grid", "config")
+        grid_raw = _object(_require(raw, "grid", "config"), "grid")
         horizon = _real(_require(grid_raw, "T", "grid"), "grid: T")
         dt = _real(_require(grid_raw, "dt", "grid"), "grid: dt")
         if horizon <= 0.0 or dt <= 0.0:
@@ -232,8 +220,10 @@ class ExperimentConfig:
             raise ValueError(f"N x (steps + 1) = {truncation} x {steps + 1} exceeds "
                              f"the limit of {MAX_MODE_NODES} modal values")
 
-        kernel = _parse_kernel(raw.get("kernel"))
-        sigma = _parse_sigma(raw.get("sigma"))
+        kernel = (ZeroKernel() if raw.get("kernel") is None
+                  else _parse_input(raw["kernel"], "kernel", "variant", _KERNELS))
+        sigma = (ConstantModulation(1.0) if raw.get("sigma") is None
+                 else _parse_input(raw["sigma"], "sigma", "form", _SIGMAS))
         noise_level = _real(raw.get("noise_level", 0.0), "noise_level")
         if noise_level < 0.0:
             raise ValueError("noise_level must be nonnegative")
@@ -294,8 +284,8 @@ class ExperimentConfig:
                 "potential_shift": self.operator.potential_shift,
                 "observed_endpoints": list(self.operator.observed_endpoints),
             },
-            "kernel": self.kernel.to_dict(),
-            "sigma": _sigma_dict(self.sigma),
+            "kernel": _input_dict(self.kernel, "variant", _KERNELS),
+            "sigma": _input_dict(self.sigma, "form", _SIGMAS),
             "grid": {"T": self.grid.horizon, "dt": self.grid.dt,
                      "steps": self.grid.steps},
             "N": self.truncation,
@@ -462,6 +452,7 @@ _RUNNERS = {
     "zest-decay": _study_zest_decay,
     "l2-counterexample": _study_l2_counterexample,
 }
+STUDIES = tuple(_RUNNERS)
 
 
 def _write_csv(path: Path, header, rows):

@@ -5,8 +5,8 @@ For each nonzero branch value the scalar unknown g solves
     g''(t) + mu g(t) = -mu * integral of M(t - s) g(s) ds over [0, t]
 
 with mode-specific initial data: (1, i*lambda_n) for the z family and
-(0, lambda_n) for the w family.  Zero-branch modes bypass the solver and use
-their closed forms 1 + i*sgn(n)*t and t.
+(0, lambda_n) for the w family.  Zero-branch modes bypass the solver: their
+trajectories are z(0) + z'(0)*t, with z'(0) = i*sgn(n) for z and 1 for w.
 
 Integration is an implicit-trapezoid step in (g, g'), solved in closed form,
 with the memory integral evaluated by the trapezoid rule over the stored
@@ -168,36 +168,23 @@ def _integrate_family(
     return Z
 
 
-def _closed_form_zero_branch(mode: Mode, grid: TimeGrid, family: str):
-    """Values and initial derivative of a zero-branch trajectory."""
-    t = grid.nodes
-    if family == "z":
-        return 1.0 + 1j * mode.sign * t, 1j * mode.sign
-    return t.astype(np.complex128), 1.0 + 0.0j
-
-
 def _initial_data(mode: Mode, family: str):
+    """(z(0), z'(0)); the zero branch takes sgn(n) and 1 in place of lambda_n."""
     if family == "z":
-        return 1.0 + 0.0j, 1j * mode.lam
-    return 0.0 + 0.0j, mode.lam
+        return 1.0 + 0.0j, 1j * (mode.lam if mode.branch == "J1" else mode.sign)
+    return 0.0 + 0.0j, mode.lam if mode.branch == "J1" else 1.0 + 0.0j
 
 
 def _solve_many(modes, kernel, grid, family: str):
-    solved_idx = [i for i, m in enumerate(modes) if m.branch == "J1"]
-    out = [None] * len(modes)
-    if solved_idx:
-        mus = np.array([modes[i].mu for i in solved_idx], dtype=float)
-        init = [_initial_data(modes[i], family) for i in solved_idx]
-        z0 = np.array([a for a, _ in init])
-        p0 = np.array([b for _, b in init])
-        Z = _integrate_family(mus, z0, p0, kernel, grid)
-        for row, i in enumerate(solved_idx):
-            out[i] = ModalTrajectory(modes[i], ScalarSignal(grid, Z[row]), complex(p0[row]), kernel)
-    for i, m in enumerate(modes):
-        if out[i] is None:
-            vals, p0 = _closed_form_zero_branch(m, grid, family)
-            out[i] = ModalTrajectory(m, ScalarSignal(grid, vals), p0, kernel)
-    return out
+    init = [_initial_data(m, family) for m in modes]
+    solved = [i for i, m in enumerate(modes) if m.branch == "J1"]
+    rows = {}
+    if solved:
+        mus = np.array([modes[i].mu for i in solved], dtype=float)
+        Z = _integrate_family(mus, *np.array([init[i] for i in solved]).T, kernel, grid)
+        rows = dict(zip(solved, Z))  # views of the one integrated Z
+    return [ModalTrajectory(m, ScalarSignal(grid, rows[i] if i in rows else z0 + p0 * grid.nodes),
+                            complex(p0), kernel) for i, (m, (z0, p0)) in enumerate(zip(modes, init))]
 
 
 def solve_z_many(modes, kernel: MemoryKernel, grid: TimeGrid):
@@ -221,14 +208,13 @@ def solve_w(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> ModalTrajectory
 def comparison_exponential(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> ScalarSignal:
     """The reference signal exp((M(0)/2 + i*lambda_n) t).
 
-    Zero-branch modes return their closed form 1 + i*sgn(n)*t, for which the
-    difference to the z trajectory vanishes identically.
+    Zero-branch modes return their z trajectory 1 + i*sgn(n)*t, so the
+    difference vanishes identically.
     """
+    z0, p0 = _initial_data(mode, "z")
     if mode.branch == "J0":
-        vals, _ = _closed_form_zero_branch(mode, grid, "z")
-        return ScalarSignal(grid, vals)
-    gamma = 0.5 * kernel.at_zero()
-    return ScalarSignal(grid, np.exp((gamma + 1j * mode.lam) * grid.nodes))
+        return ScalarSignal(grid, z0 + p0 * grid.nodes)
+    return ScalarSignal(grid, np.exp((0.5 * kernel.at_zero() + p0) * grid.nodes))
 
 
 def _comparison_defects(modes, kernel: MemoryKernel, grid: TimeGrid, chunk: int) -> np.ndarray:
@@ -243,8 +229,7 @@ def _comparison_defects(modes, kernel: MemoryKernel, grid: TimeGrid, chunk: int)
     for start in range(0, len(modes), chunk):
         block = modes[start:start + chunk]
         mus = np.array([m.mu for m in block], dtype=float)
-        z0 = np.ones(len(block), dtype=np.complex128)
-        p0 = np.array([1j * m.lam for m in block])
+        z0, p0 = np.array([_initial_data(m, "z") for m in block]).T
         Z = _integrate_family(mus, z0, p0, kernel, grid)
         for row, m in enumerate(block):
             diff = (Z[row] - comparison_exponential(m, kernel, grid).values)[None]

@@ -318,10 +318,6 @@ class MemoryKernel:
         or None for a kernel without a finite realization."""
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        """The kernel as its config object."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ZeroKernel(MemoryKernel):
@@ -335,9 +331,6 @@ class ZeroKernel(MemoryKernel):
 
     def realization(self, dt: float):
         return np.ones((1, 1)), np.zeros(1), np.zeros(1)
-
-    def to_dict(self) -> dict:
-        return {"variant": "zero"}
 
 
 @dataclass(frozen=True)
@@ -355,9 +348,6 @@ class ExponentialKernel(MemoryKernel):
 
     def realization(self, dt: float):
         return np.full((1, 1), np.exp(-self.alpha * dt)), np.array([self.beta]), np.ones(1)
-
-    def to_dict(self) -> dict:
-        return {"variant": "exponential", "beta": self.beta, "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -386,9 +376,6 @@ class PolynomialKernel(MemoryKernel):
         factorials = np.cumprod(np.maximum(k, 1.0))
         E = np.triu((dt ** k / factorials)[np.abs(k[None, :] - k[:, None])])
         return E, np.eye(len(k))[-1], (np.array(self.coefficients) * factorials)[::-1]
-
-    def to_dict(self) -> dict:
-        return {"variant": "polynomial", "coefficients": list(self.coefficients)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,9 +410,6 @@ class SampledKernel(MemoryKernel):
 
     def realization(self, dt: float):
         return None
-
-    def to_dict(self) -> dict:
-        return {"variant": "sampled", "values": list(map(float, self.values)), "m0": self.m0}
 
 
 # ---------------------------------------------------------------------------

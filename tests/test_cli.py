@@ -140,6 +140,22 @@ class TestValidation:
         cfg = base_config(kernel={"variant": "fractional"})
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
 
+    @pytest.mark.parametrize("override, what", [
+        ({"kernel": {"variant": ["zero"]}}, "kernel: unknown variant"),
+        ({"sigma": {"form": 3}}, "sigma: unknown form"),
+    ], ids=["list-variant", "number-form"])
+    def test_non_string_tag_is_unknown(self, tmp_path, capsys, override, what):
+        cfg = base_config(**override)
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert what in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[], "x", 3, None], ids=["list", "string", "number", "null"])
+    @pytest.mark.parametrize("key", ["operator", "grid"])
+    def test_non_object_section_rejected(self, tmp_path, capsys, key, value):
+        cfg = base_config(**{key: value})
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == f"error: {key}: expected an object\n"
+
     def test_sigma_zero_rejected_for_reconstruction(self, tmp_path):
         cfg = base_config(sigma={"form": "constant", "a": 0.0})
         assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg))]) == 2
@@ -516,6 +532,28 @@ class TestConfigObject:
     def test_summary_echoes_the_kernel_as_configured(self, kernel):
         cfg = ExperimentConfig.from_mapping(base_config(kernel=kernel), "simulate")
         assert cfg.effective()["kernel"] == kernel
+
+    @pytest.mark.parametrize("sigma", [
+        {"form": "constant", "a": 2.0},
+        {"form": "exponential", "a": -0.5},
+        {"form": "affine", "a": 1.0, "b": 0.5},
+        {"form": "sampled", "values": [1.0, 0.75, 0.5, 0.25]},
+    ], ids=["constant", "exponential", "affine", "sampled"])
+    def test_summary_echoes_sigma_as_configured(self, sigma):
+        cfg = ExperimentConfig.from_mapping(base_config(sigma=sigma), "simulate")
+        assert cfg.effective()["sigma"] == sigma
+
+    def test_null_inputs_mean_the_defaults(self):
+        cfg = ExperimentConfig.from_mapping(base_config(kernel=None, sigma=None), "simulate")
+        assert cfg.effective()["kernel"] == {"variant": "zero"}
+        assert cfg.effective()["sigma"] == {"form": "constant", "a": 1.0}
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_sample_config_parses_and_echoes_its_inputs(self, path):
+        raw = json.loads(path.read_text())
+        effective = ExperimentConfig.from_mapping(raw, raw["study"]).effective()
+        assert effective["kernel"] == raw["kernel"]
+        assert effective["sigma"] == raw["sigma"]
 
     def test_run_requires_writable_output(self, tmp_path):
         blocker = tmp_path / "file"
