@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import NumericsError
-from .forward import SourceCoefficients, boundary_trace_source, source_traces
+from .forward import SourceCoefficients, boundary_trace_source, source_trace_prime, source_traces
 from .frames import gram, leading_frame_bounds, z_trace_family
 from .inverse import (
     build_reconstruction,
@@ -230,7 +230,9 @@ class ExperimentConfig:
         seed = _integer(raw.get("seed", 0) if seed_override is None else seed_override, "seed")
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
-        output = str(raw.get("output", "out")) if out_override is None else str(out_override)
+        output = raw.get("output", "out") if out_override is None else str(out_override)
+        if not isinstance(output, str):
+            raise ValueError("output: expected a string")
 
         source = raw.get("source", "random")
         if isinstance(source, dict):
@@ -331,7 +333,6 @@ def _study_simulate(cfg: ExperimentConfig, model: SpectralModel):
 def _study_reconstruct(cfg: ExperimentConfig, model: SpectralModel):
     f = cfg.resolve_source(model)
     kernels = build_reconstruction(model, cfg.kernel, cfg.sigma, cfg.grid)
-    bu, bu_prime = source_traces(kernels.family, f, cfg.sigma)
     # ||p_k||^2 = <p_k, p_k> = coefficients[k, k] by biorthogonality
     dual_scale = float(np.sqrt(np.diag(kernels.coefficients).real.max())) or 1.0
     if not (kernels.identity_residual <= IDENTITY_RESIDUAL_RTOL * dual_scale):
@@ -339,7 +340,10 @@ def _study_reconstruct(cfg: ExperimentConfig, model: SpectralModel):
             "resolvent identity residual "
             f"{kernels.identity_residual:.3e} exceeds tolerance"
         )
-    measured = bu_prime if cfg.measurement == "bu_prime" else differentiate(bu)
+    if cfg.measurement == "bu_prime":
+        measured = source_trace_prime(kernels.family, f, cfg.sigma)
+    else:
+        measured = differentiate(source_traces(kernels.family, f, cfg.sigma)[0])
     report = noisy_reconstruction(
         measured, cfg.noise_level, cfg.seed, kernels, model, truth=f
     )
@@ -359,6 +363,7 @@ def _study_reconstruct(cfg: ExperimentConfig, model: SpectralModel):
     diagnostics = {
         "imag_residual": report.imag_residual,
         "identity_residual": kernels.identity_residual,
+        "resolvent_residual": kernels.resolvent_residual,
         "noise_level": cfg.noise_level,
         "measurement": cfg.measurement,
     }

@@ -112,26 +112,32 @@ def boundary_trace_homogeneous(
     return family.synthesize(0.5 * a)
 
 
-def source_traces(
-    family: ModalFamily,
-    coeffs: SourceCoefficients,
-    modulation: SourceModulation,
-) -> tuple:
-    """Traces (B u, B u') of the source-driven system from its w trace family.
+def _trace_prime(bw: TraceSignal, modulation: SourceModulation) -> TraceSignal:
+    dv = convolve(modulation.sample_derivative(bw.grid), bw)
+    return TraceSignal(bw.grid, modulation.at_zero() * bw.values + dv.values)
+
+
+def source_trace_prime(family: ModalFamily, coeffs: SourceCoefficients,
+                       modulation: SourceModulation) -> TraceSignal:
+    """Trace B u' of the source-driven system from its w trace family.
 
     ``family`` holds the members w_n psi_n, n = 1..N, as built by
     ``w_trace_family``.  B u' is assembled from sigma(0) B w + V_sigma' B w
     rather than by differencing B u, keeping it exactly adjoint-compatible
     with the reconstruction kernels built from the same family.
     """
-    if len(coeffs) != len(family):
-        raise ValueError("source coefficient length must equal the family size")
-    grid = family.grid
+    return _trace_prime(family.synthesize(coeffs.values), modulation)
+
+
+def source_traces(
+    family: ModalFamily,
+    coeffs: SourceCoefficients,
+    modulation: SourceModulation,
+) -> tuple:
+    """Traces (B u, B u') of the source-driven system, B u' as in
+    ``source_trace_prime`` and B u = V_sigma B w."""
     bw = family.synthesize(coeffs.values)
-    bu = convolve(modulation.sample(grid), bw)
-    dv = convolve(modulation.sample_derivative(grid), bw)
-    bu_prime = TraceSignal(grid, modulation.at_zero() * bw.values + dv.values)
-    return bu, bu_prime
+    return convolve(modulation.sample(bw.grid), bw), _trace_prime(bw, modulation)
 
 
 def boundary_trace_source(

@@ -8,18 +8,27 @@ discrete adjoint of V_K, so with C the dual coefficients
     f_k = sigma(0)^-1 sum_m conj(C[k, m]) < (I + V_K) B u', w_m psi_m >,
 
 one causal convolution of the measurement and N m scalar inner products.
-The resolvent identity is checked without theta too: the discrete defect
-D = sigma(0)^-1 (I + V_K)(sigma(0) + V_sigma') - I vanishes on row 0 and,
-by the trapezoid resolvent equation itself, below the diagonal outside
-column 0, so D is d I off row 0 plus a first column c, with
-d = -(dt^2 / 4) (sigma'(0) / sigma(0))^2 up to roundoff.  Adjoint identity
-and biorthogonality are exact by construction; the only systematic residual
-is that O(dt^2) defect, which rescales every recovered coefficient by the
-same factor 1 + d (B w vanishes at t = 0) and vanishes under refinement.
+K has a closed form when sigma' = c e^(at) (constant, affine or exponential
+sigma); a sampled sigma takes the blocked solve.  The resolvent identity is
+checked without theta too.  Where the resolvent-equation residual
+e = sigma' + sigma(0) K + V_sigma' K vanishes, the discrete defect
+D = sigma(0)^-1 (I + V_K)(sigma(0) + V_sigma') - I is d I off row 0 plus a
+first column c, zero at row 0, with
+
+    sigma(0) c = (dt/2) (e - (dt/2) sigma'(0) K) off row 0,
+    sigma(0) d = (dt/2) (sigma'(0) + K(0) (sigma(0) + (dt/2) sigma'(0))),
+
+so d = -(dt^2 / 4) (sigma'(0) / sigma(0))^2 up to roundoff.  One convolution
+of the K in hand, V_K sigma' = V_sigma' K, gives c and e; max |e| / max |sigma'|
+is reported, as D's form takes e = 0 for granted.  Adjoint identity and
+biorthogonality are exact by construction; the only systematic residual is
+that O(dt^2) defect, which rescales every recovered coefficient by the same
+factor 1 + d (B w vanishes at t = 0) and vanishes under refinement.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import permutations
@@ -64,31 +73,58 @@ class ReconstructionKernels:
     sigma0: float
     bounds: FrameBounds
     identity_residual: float  # max_k || (sigma0 + V_sigma'*) theta_k - p_k ||
+    resolvent_residual: float  # max |sigma' + sigma0 K + V_sigma' K| / max |sigma'|
+
+
+def _resolvent(modulation: SourceModulation, grid: TimeGrid,
+               sigma_prime: ScalarSignal) -> ScalarSignal:
+    """``resolvent_kernel`` of the modulation, in closed form when sigma' = c e^(at).
+
+    Equation n of the trapezoid system less e^(a dt) times equation n - 1
+    leaves K_n = rho K_(n-1), rho = e^(a dt) (1 - h) / (1 + h) with
+    h = dt c / (2 sigma(0)), so K_n = -rho^n c / sigma(0): one exp of n log rho,
+    log1p for the factors in h, as rho**n would carry rho's rounding n times.
+    Without a realization, or unless |h| < 1, the blocked solve runs instead.
+    """
+    c, a = modulation.realization() or (math.nan, 0.0)
+    s0, dt = modulation.at_zero(), grid.dt
+    h = 0.5 * dt * c / s0 if s0 != 0.0 else math.nan
+    if not abs(h) < 1.0:
+        return resolvent_kernel(modulation.sample(grid), sigma_prime)
+    log_rho = a * dt + math.log1p(-h) - math.log1p(h)
+    return ScalarSignal(grid, -c / s0 * np.exp(np.arange(grid.steps + 1) * log_rho))
 
 
 def _identity_residuals(
     family: ModalFamily, coefficients: np.ndarray, s0: float,
     sigma_prime: ScalarSignal, K: ScalarSignal,
-) -> np.ndarray:
-    """|| D* p_k || for every dual p_k, with D = d I off row 0 plus c e_0^T.
+) -> tuple:
+    """|| D* p_k || for every dual p_k, with D = d I off row 0 plus c e_0^T,
+    and max |e| / max |sigma'| (0 for a constant sigma).
 
     D* = W^-1 D^H W for the trapezoid weights W, so ||D* p||^2 =
     |d|^2 (||p||^2 - w_0 |p(0)|^2) + |<p, c>|^2 / w_0, where ||p_k||^2 =
     C[k, k] by biorthogonality and p_k(0) = 0 as the w family vanishes there.
     """
     grid = family.grid
-    units = np.eye(grid.steps + 1, 2)
-    # s0 D = V_sigma' + V_K (s0 + V_sigma'), free of the identity's cancellation
-    v_units = convolve(sigma_prime, TraceSignal(grid, units)).values
-    D = (v_units + convolve(K, TraceSignal(grid, s0 * units + v_units)).values) / s0
-    c, d = D[:, 0], D[1, 1]
+    half, sp, k = 0.5 * grid.dt, sigma_prime.values, K.values
+    # the one convolution: V_sigma' K = V_K sigma', a product of the K in hand
+    e = sp + s0 * k + convolve(K, sigma_prime).values
+    e[0] = 0.0
+    # s0 c = V_sigma' e_0 + V_K (s0 e_0 + V_sigma' e_0), with V_sigma' e_0 = half sigma'
+    # and, V_K being linear, V_K V_sigma' e_0 = half (V_K sigma' - half sigma'(0) K)
+    c = half * (e - half * sp[0] * k) / s0
+    c[0] = 0.0
+    d = half * (sp[0] + k[0] * (s0 + half * sp[0])) / s0
+    scale = np.max(np.abs(sp))
+    resolvent_residual = float(np.max(np.abs(e)) / scale if scale else 0.0)
     # <p_k, c> = sum_m C[k, m] <w_m, c> psi_m, a vector in G
     with_c = coefficients @ (
         np.conj(inner_products(c[None], family.scalars, grid)[0])[:, None] * family.psis
     )
     squares = (abs(d) ** 2 * np.diag(coefficients).real
                + np.sum(np.abs(with_c) ** 2, axis=1) / grid.weights[0])
-    return np.sqrt(np.maximum(squares, 0.0))
+    return np.sqrt(np.maximum(squares, 0.0)), resolvent_residual
 
 
 def build_reconstruction(
@@ -109,16 +145,15 @@ def build_reconstruction(
     s0 = modulation.at_zero()
     if s0 == 0.0:
         raise ValueError("modulation must have sigma(0) != 0 for reconstruction")
-    sigma = modulation.sample(grid)
     sigma_prime = modulation.sample_derivative(grid)
     family = w_trace_family(model, kernel, grid)
     g = gram(family)
     coefficients = dual_coefficients(g)
-    K = resolvent_kernel(sigma, sigma_prime)
-    residuals = _identity_residuals(family, coefficients, s0, sigma_prime, K)
+    K = _resolvent(modulation, grid, sigma_prime)
+    residuals, resolvent_residual = _identity_residuals(family, coefficients, s0, sigma_prime, K)
     # np.max, unlike the builtin max, propagates a NaN residual to the gate
-    residual = float(residuals.max(initial=0.0))
-    return ReconstructionKernels(family, coefficients, K, s0, g.bounds, residual)
+    return ReconstructionKernels(family, coefficients, K, s0, g.bounds,
+                                 float(residuals.max(initial=0.0)), resolvent_residual)
 
 
 def _check_compatible(kernels: ReconstructionKernels, model: SpectralModel):

@@ -428,6 +428,10 @@ class SourceModulation:
     def at_zero(self) -> float:
         raise NotImplementedError
 
+    def realization(self):
+        """(c, a) with sigma'(t) = c e^(at), or None, as for a sampled modulation."""
+        return None
+
 
 @dataclass(frozen=True)
 class ConstantModulation(SourceModulation):
@@ -441,6 +445,9 @@ class ConstantModulation(SourceModulation):
 
     def at_zero(self):
         return self.value
+
+    def realization(self):
+        return 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -458,6 +465,9 @@ class ExponentialModulation(SourceModulation):
     def at_zero(self):
         return 1.0
 
+    def realization(self):
+        return self.rate, self.rate
+
 
 @dataclass(frozen=True)
 class AffineModulation(SourceModulation):
@@ -474,6 +484,9 @@ class AffineModulation(SourceModulation):
 
     def at_zero(self):
         return self.offset
+
+    def realization(self):
+        return self.slope, 0.0
 
 
 @dataclass(frozen=True, eq=False)

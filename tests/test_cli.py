@@ -156,6 +156,14 @@ class TestValidation:
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err == f"error: {key}: expected an object\n"
 
+    @pytest.mark.parametrize("value", [["x"], 3, None], ids=["list", "number", "null"])
+    def test_non_string_output_rejected(self, tmp_path, capsys, monkeypatch, value):
+        path = write_config(tmp_path, base_config(output=value))
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: output: expected a string\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_sigma_zero_rejected_for_reconstruction(self, tmp_path):
         cfg = base_config(sigma={"form": "constant", "a": 0.0})
         assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg))]) == 2
@@ -271,6 +279,18 @@ class TestReconstructStudy:
             assert key in eff
         assert eff["grid"]["steps"] == 2048
         assert len(eff["source"]) == 8  # the drawn coefficients are echoed
+
+    @pytest.mark.parametrize("sigma, zero", [
+        ({"form": "constant", "a": 2.0}, True),
+        ({"form": "affine", "a": 1.0, "b": 0.5}, False),
+        ({"form": "exponential", "a": -0.5}, False),
+    ], ids=["constant", "affine", "exponential"])
+    def test_resolvent_residual_is_reported(self, tmp_path, sigma, zero):
+        cfg = base_config(study="reconstruct", sigma=sigma)
+        out = tmp_path / "res"
+        assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        residual = strict_json(out / "reconstruct.json")["diagnostics"]["resolvent_residual"]
+        assert residual == 0.0 if zero else 0.0 < residual < 1e-13
 
     def test_seed_override_changes_random_source(self, tmp_path):
         cfg = base_config(study="reconstruct", source="random")

@@ -14,6 +14,7 @@ from visco_inverse import (
     OperatorSpec,
     PolynomialKernel,
     SampledModulation,
+    ScalarSignal,
     SourceCoefficients,
     TimeGrid,
     ZeroKernel,
@@ -35,7 +36,7 @@ from visco_inverse import (
 )
 from oracles import reconstruct_via_thetas, stability_ratios_per_trial
 import visco_inverse.inverse
-from visco_inverse.inverse import _SCAN_BLOCK, _trial_draws
+from visco_inverse.inverse import _SCAN_BLOCK, _identity_residuals, _trial_draws
 from visco_inverse.volterra import _LEAF_STEPS
 
 PI = math.pi
@@ -68,6 +69,7 @@ class TestThetas:
         mod = ConstantModulation(1.0)
         kernels = build_reconstruction(model, ZeroKernel(), mod, grid)
         assert kernels.identity_residual == 0.0
+        assert kernels.resolvent_residual == 0.0
         assert np.max(np.abs(kernels.resolvent.values)) == 0.0
         bup = unit_measurement(kernels, mod)
         np.testing.assert_array_equal(
@@ -127,6 +129,25 @@ class TestThetas:
             g = GramMatrix(0.5 * (raw.T + raw.conj()), grid.horizon, kernels.family.labels)
             b = frame_bounds(g)
             assert b.lower > 1e-4 * b.upper
+
+
+class TestResolventResidual:
+    # the identity residual's closed form takes e = 0 for granted; a K off
+    # the resolvent equation shows in e alone
+    @pytest.mark.parametrize("steps", [_LEAF_STEPS // 2, 3 * _LEAF_STEPS - 68])
+    @pytest.mark.parametrize("form", ["affine", "exponential", "sampled"])
+    def test_separates_a_perturbed_resolvent(self, model, form, steps):
+        grid = TimeGrid(2 * PI + 0.5, steps)
+        mod = {"affine": AffineModulation(1.0, 0.5), "exponential": ExponentialModulation(-0.8),
+               "sampled": SampledModulation(1.0 + 0.3 * np.sin(grid.nodes) + 0.2 * grid.nodes),
+               }[form]
+        kernels = build_reconstruction(model, ExponentialKernel(1.0, 1.0), mod, grid)
+        assert kernels.resolvent_residual <= 1e-14
+        tail = kernels.resolvent.values.copy()
+        tail[steps // 2:] *= 1.0 + 1e-3
+        _, residual = _identity_residuals(kernels.family, kernels.coefficients, mod.at_zero(),
+                                          mod.sample_derivative(grid), ScalarSignal(grid, tail))
+        assert residual >= 1e-5
 
 
 KERNELS = {
@@ -204,6 +225,8 @@ class TestThetaFreeRouteProperties:
                                    rtol=1e-9, atol=1e-13 * dual_scale)
         if form == "constant":
             assert kernels.identity_residual == 0.0
+        # K solves the trapezoid resolvent equation to roundoff, by either route
+        assert kernels.resolvent_residual <= 1e-13
 
 
 class TestReconstruct:

@@ -13,12 +13,16 @@ from visco_inverse import (
     ExponentialModulation,
     ModalFamily,
     NumericsError,
+    OperatorSpec,
     PolynomialKernel,
     SampledKernel,
     SampledModulation,
     ScalarSignal,
     TimeGrid,
     TraceSignal,
+    ZeroKernel,
+    build_reconstruction,
+    build_spectral_model,
     convolve,
     convolve_adjoint,
     differentiate,
@@ -35,6 +39,8 @@ from oracles import (
     naive_trapezoid_convolution,
     resolvent_kernel_loop,
 )
+import visco_inverse.inverse
+from visco_inverse.inverse import _resolvent
 from visco_inverse.volterra import _FFT_ELEMENTS, _LEAF_STEPS, _fast_len
 
 # (steps, m) of the chunking cases; m None is a ScalarSignal.  5000 x 7 runs
@@ -232,9 +238,12 @@ LEAF_EDGE_STEPS = st.one_of(
 
 @st.composite
 def modulations(draw, form):
-    """Affine, exponential or sampled sigma with sigma(0) away from zero, on a grid."""
+    """Constant, affine, exponential or sampled sigma with sigma(0) away from
+    zero, on a grid."""
     grid = TimeGrid(draw(st.floats(0.1, 4.0)), draw(LEAF_EDGE_STEPS))
     a = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if form == "constant":
+        return ConstantModulation(a), grid
     if form == "affine":
         return AffineModulation(a, draw(st.floats(-2.0, 2.0)) * abs(a)), grid
     if form == "exponential":
@@ -255,6 +264,57 @@ class TestBlockedResolventProperties:
         expected = resolvent_kernel_loop(sigma.values, sigma_p.values, grid.dt)
         got = resolvent_kernel(sigma, sigma_p).values
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestClosedFormResolvent:
+    """``inverse._resolvent``: K_n = K_0 rho^n when sigma' = c e^(at)."""
+
+    @pytest.mark.parametrize("form", ["constant", "affine", "exponential"])
+    @given(data=st.data())
+    def test_matches_forward_substitution(self, form, data):
+        mod, grid = data.draw(modulations(form))
+        sigma, sigma_p = mod.sample(grid), mod.sample_derivative(grid)
+        expected = resolvent_kernel_loop(sigma.values, sigma_p.values, grid.dt)
+        got = _resolvent(mod, grid, sigma_p).values
+        # the two routes differ only in how sigma' is rounded
+        unit = 16 * np.finfo(float).eps * (
+            1.0 + grid.horizon * np.max(np.abs(sigma_p.values)) / abs(mod.at_zero()))
+        assert np.max(np.abs(got - expected)) <= unit * np.max(np.abs(expected))
+
+    def test_no_drift_over_many_steps(self):
+        # rho**n would carry the rounding of rho 2^18 times: 3e-11 here
+        mod, grid = ExponentialModulation(0.7), TimeGrid(4.0, 1 << 18)
+        sigma_p = mod.sample_derivative(grid)
+        expected = resolvent_kernel(mod.sample(grid), sigma_p).values
+        got = _resolvent(mod, grid, sigma_p).values
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("mod, blocked", [
+        (AffineModulation(1.0, 0.5), False),
+        (ExponentialModulation(-1.5), False),
+        (ConstantModulation(-2.0), False),
+        (AffineModulation(1.0, 16.0), True),  # h = dt c / (2 sigma(0)) = 2
+        (ExponentialModulation(-12.0), True),  # h = -1.5
+        (SampledModulation(np.linspace(1.0, 2.0, 5)), True),
+    ], ids=["affine", "exponential", "constant", "h-above-one", "h-below-minus-one",
+            "sampled"])
+    def test_blocked_solve_only_without_a_usable_realization(self, mod, blocked, monkeypatch):
+        grid = TimeGrid(1.0, 4)
+        calls = []
+        monkeypatch.setattr(visco_inverse.inverse, "resolvent_kernel",
+                            lambda *args: calls.append(args) or resolvent_kernel(*args))
+        sigma_p = mod.sample_derivative(grid)
+        got = _resolvent(mod, grid, sigma_p).values
+        expected = resolvent_kernel(mod.sample(grid), sigma_p).values
+        assert len(calls) == blocked
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    def test_singular_trapezoid_system_fails_reconstruction(self):
+        # sigma(0) + dt/2 sigma'(0) = -1 + 0.0625 * 16 = 0, so h = -1
+        grid = TimeGrid(8.0, 64)
+        model = build_spectral_model(OperatorSpec(math.pi), 2)
+        with pytest.raises(NumericsError, match="singular resolvent"):
+            build_reconstruction(model, ZeroKernel(), AffineModulation(-1.0, 16.0), grid)
 
 
 def test_convolutions_commute():
