@@ -13,6 +13,8 @@ from .forward import (
     SourceCoefficients,
     boundary_trace_homogeneous,
     boundary_trace_source,
+    source_trace,
+    source_trace_prime,
     source_traces,
     verify_convolution_relation,
 )
@@ -46,6 +48,7 @@ from .inverse import (
     stability_scan,
 )
 from .modal import (
+    ModalSolution,
     ModalTrajectory,
     comparison_defect,
     comparison_defect_scan,

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import NumericsError
-from .forward import SourceCoefficients, boundary_trace_source, source_trace_prime, source_traces
+from .forward import SourceCoefficients, boundary_trace_source, source_trace, source_trace_prime
 from .frames import gram, leading_frame_bounds, z_trace_family
 from .inverse import (
     build_reconstruction,
@@ -343,7 +343,7 @@ def _study_reconstruct(cfg: ExperimentConfig, model: SpectralModel):
     if cfg.measurement == "bu_prime":
         measured = source_trace_prime(kernels.family, f, cfg.sigma)
     else:
-        measured = differentiate(source_traces(kernels.family, f, cfg.sigma)[0])
+        measured = differentiate(source_trace(kernels.family, f, cfg.sigma))
     report = noisy_reconstruction(
         measured, cfg.noise_level, cfg.seed, kernels, model, truth=f
     )

@@ -129,13 +129,21 @@ def source_trace_prime(family: ModalFamily, coeffs: SourceCoefficients,
     return _trace_prime(family.synthesize(coeffs.values), modulation)
 
 
+def source_trace(family: ModalFamily, coeffs: SourceCoefficients,
+                 modulation: SourceModulation) -> TraceSignal:
+    """Trace B u = V_sigma B w alone, from the w trace family as in
+    ``source_trace_prime``."""
+    bw = family.synthesize(coeffs.values)
+    return convolve(modulation.sample(bw.grid), bw)
+
+
 def source_traces(
     family: ModalFamily,
     coeffs: SourceCoefficients,
     modulation: SourceModulation,
 ) -> tuple:
-    """Traces (B u, B u') of the source-driven system, B u' as in
-    ``source_trace_prime`` and B u = V_sigma B w."""
+    """Traces (B u, B u') of the source-driven system from one B w, as in
+    ``source_trace`` and ``source_trace_prime``."""
     bw = family.synthesize(coeffs.values)
     return convolve(modulation.sample(bw.grid), bw), _trace_prime(bw, modulation)
 

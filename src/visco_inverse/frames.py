@@ -3,6 +3,9 @@
 A modal family collects the boundary signals g_n(t) * psi_n for a scalar
 trajectory family g (the z, w or convolved-w trajectories), stored factored
 as the trajectories Z (members, J+1) and trace vectors Psi (members, m).
+For the w and y families Z is real: the real rows of the modal solve, with
+each mode's factor (1, or i for an imaginary lambda_n) folded into Psi, and
+every product that reads Z is a real one.  The z family stays complex.
 Its Gram matrix under the discrete L2(0,T; G) inner product, the trajectory
 Gram times the trace-vector Gram entry by entry, yields sharp two-sided
 frame constants for the truncated span (extreme eigenvalues).  Its inverse
@@ -28,6 +31,7 @@ from .volterra import (
     SourceModulation,
     TimeGrid,
     TraceSignal,
+    _matmul,
     convolve,
     inner_products,
 )
@@ -43,12 +47,13 @@ class ModalFamily:
 
     grid: TimeGrid
     labels: tuple
-    scalars: np.ndarray  # (members, J+1), the trajectories g_n
-    psis: np.ndarray  # (members, m), the trace vectors psi_n
+    scalars: np.ndarray  # (members, J+1), the trajectories g_n: real or complex
+    psis: np.ndarray  # (members, m), the complex trace vectors psi_n
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        scalars = np.asarray(self.scalars, dtype=np.complex128)
+        scalars = np.asarray(self.scalars, dtype=np.complex128
+                             if np.iscomplexobj(self.scalars) else np.float64)
         psis = np.asarray(self.psis, dtype=np.complex128)
         if scalars.shape != (len(labels), self.grid.steps + 1):
             raise ValueError("family scalars must be (members, nodes) on the grid")
@@ -68,7 +73,7 @@ class ModalFamily:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != (len(self),):
             raise ValueError("coefficient vector does not match the family size")
-        return TraceSignal(self.grid, self.scalars.T @ (coeffs[:, None] * self.psis))
+        return TraceSignal(self.grid, _matmul(self.scalars.T, coeffs[:, None] * self.psis))
 
     def inner_with(self, signal: TraceSignal) -> np.ndarray:
         """Vector of <signal, member_n> = sum_c <signal_c, g_n> conj(psi_n,c)."""
@@ -78,10 +83,10 @@ class ModalFamily:
         return np.einsum("cn,nc->n", per_dim, self.psis.conj())
 
 
-def _trace_family(modes, trajs, grid: TimeGrid, labels) -> ModalFamily:
-    return ModalFamily(
-        grid, labels, np.stack([t.z.values for t in trajs]), np.stack([m.psi for m in modes])
-    )
+def _trace_family(solution, labels) -> ModalFamily:
+    """The members factor_n row_n psi_n, with the factors folded into Psi."""
+    psis = solution.factors[:, None] * np.stack([m.psi for m in solution.modes])
+    return ModalFamily(solution.grid, labels, solution.rows, psis)
 
 
 def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
@@ -91,15 +96,13 @@ def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -
     truncation k, so nested truncation scans reuse one Gram matrix.
     """
     labels = [sign * n for n in range(1, model.truncation + 1) for sign in (1, -1)]
-    modes = [model.mode(n) for n in labels]
-    return _trace_family(modes, solve_z_many(modes, kernel, grid), grid, labels)
+    return _trace_family(solve_z_many([model.mode(n) for n in labels], kernel, grid), labels)
 
 
 def w_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
-    """Members w_n * psi_n over positive indices 1..N."""
+    """Members w_n * psi_n over positive indices 1..N, on real rows."""
     modes = model.positive_modes
-    trajs = solve_w_many(modes, kernel, grid)
-    return _trace_family(modes, trajs, grid, [m.index for m in modes])
+    return _trace_family(solve_w_many(modes, kernel, grid), [m.index for m in modes])
 
 
 def y_trace_family(
@@ -108,7 +111,8 @@ def y_trace_family(
     modulation: SourceModulation,
     grid: TimeGrid,
 ) -> ModalFamily:
-    """Members (V_sigma w_n) * psi_n, the time-integrated source responses."""
+    """Members (V_sigma w_n) * psi_n, the time-integrated source responses;
+    the rows of a real sigma convolve the real w rows by real FFTs."""
     family = w_trace_family(model, kernel, grid)
     ys = convolve(modulation.sample(grid), TraceSignal(grid, family.scalars.T)).values.T
     return ModalFamily(grid, family.labels, ys, family.psis)
@@ -142,11 +146,19 @@ class GramMatrix:
 
 def gram(family: ModalFamily) -> GramMatrix:
     """Assemble and symmetrize the Gram matrix of the family, with
-    <g_i psi_i, g_k psi_k> = <g_i, g_k> (psi_i . conj psi_k)."""
+    <g_i psi_i, g_k psi_k> = <g_i, g_k> (psi_i . conj psi_k).
+
+    Real trajectories take one real product S S^T, S = Z W^(1/2) for the
+    trapezoid weights W, which numpy runs as a symmetric rank-k update."""
     if len(family) == 0:
         raise ValueError("cannot form the Gram matrix of an empty family")
     Z, psis = family.scalars, family.psis
-    raw = inner_products(Z, Z, family.grid) * (psis @ psis.conj().T)
+    if np.iscomplexobj(Z):
+        traj = inner_products(Z, Z, family.grid)
+    else:
+        S = Z * np.sqrt(family.grid.weights)
+        traj = S @ S.T
+    raw = traj * (psis @ psis.conj().T)
     return GramMatrix(0.5 * (raw.T + raw.conj()), family.grid.horizon, family.labels)
 
 

@@ -8,6 +8,12 @@ with mode-specific initial data: (1, i*lambda_n) for the z family and
 (0, lambda_n) for the w family.  Zero-branch modes bypass the solver: their
 trajectories are z(0) + z'(0)*t, with z'(0) = i*sgn(n) for z and 1 for w.
 
+The equation has real coefficients, so the w family is solved on a real
+state: w_n = (lambda_n / |lambda_n|) r_n, with r_n the real solution with
+data (0, |lambda_n|) and a factor that is 1, or i where q makes mu_n
+negative.  A solve returns the rows, real for w and complex for z, with the
+per-mode factors beside them (``ModalSolution``).
+
 Integration is an implicit-trapezoid step in (g, g'), solved in closed form,
 with the memory integral evaluated by the trapezoid rule over the stored
 history; ``_trapezoid_step`` is the one statement of that step.  For the
@@ -47,12 +53,18 @@ from .volterra import (
 
 @dataclass(frozen=True, eq=False)
 class ModalTrajectory:
-    """Solution of one modal equation and its initial derivative."""
+    """Solution z = factor * row of one modal equation, and z'(0)."""
 
     mode: Mode
-    z: ScalarSignal
+    grid: TimeGrid
+    row: np.ndarray
+    factor: complex
     p0: complex
-    kernel: MemoryKernel
+
+    @property
+    def z(self) -> ScalarSignal:
+        """The complex solution, built from the row on demand."""
+        return ScalarSignal(self.grid, self.factor * self.row)
 
     @property
     def z_prime(self) -> ScalarSignal:
@@ -62,12 +74,32 @@ class ModalTrajectory:
         dt/2 (p_n + p_(n+1)), so (-1)^n p_n = p_0 + sum over 1 <= k <= n of
         (-1)^k 2 (z_k - z_(k-1)) / dt.
         """
-        grid = self.z.grid
+        grid = self.grid
         sign = np.where(np.arange(grid.steps + 1) % 2, -1.0, 1.0)
         q = np.empty(grid.steps + 1, dtype=np.complex128)
         q[0] = self.p0
         q[1:] = np.diff(self.z.values) * sign[1:] * (2.0 / grid.dt)
         return ScalarSignal(grid, sign * np.cumsum(q))
+
+
+@dataclass(frozen=True, eq=False)
+class ModalSolution:
+    """Trajectories factors[n] * rows[n] of a batch of modes on one grid,
+    read one at a time as ``ModalTrajectory`` views of the rows."""
+
+    modes: tuple
+    grid: TimeGrid
+    rows: np.ndarray  # (modes, J+1): real for the w family, complex for z
+    factors: np.ndarray  # (modes,) complex
+    p0: np.ndarray  # (modes,) complex z'(0)
+
+    def __len__(self) -> int:
+        return len(self.modes)
+
+    def __getitem__(self, i: int) -> ModalTrajectory:
+        # an index past the end raises IndexError, which ends iteration
+        return ModalTrajectory(self.modes[i], self.grid, self.rows[i],
+                               complex(self.factors[i]), complex(self.p0[i]))
 
 
 def _trapezoid_step(mus, m0: float, dt: float):
@@ -118,12 +150,14 @@ def _integrate_family(
     """Advance a batch of modal equations sharing one grid and kernel.
 
     ``mus`` holds the real stiffness coefficients lambda_n^2 = mu_n; the
-    state is complex.  Returns Z of shape (len(mus), J+1).
+    state is real for real data and complex otherwise.  Returns Z of shape
+    (len(mus), J+1).
     """
     nm = mus.shape[0]
     J = grid.steps
     dt = grid.dt
-    Z = np.empty((nm, J + 1), dtype=np.complex128)
+    dtype = np.result_type(z0, p0, 1.0)
+    Z = np.empty((nm, J + 1), dtype=dtype)
     Z[:, 0] = z0
     n = 0
     try:
@@ -143,7 +177,7 @@ def _integrate_family(
                 for n in range(2, L + 1):
                     power = power @ A
                     rows[:, n - 1] = power[:, 0]
-                state = np.zeros((nm, D, 1), dtype=np.complex128)
+                state = np.zeros((nm, D, 1), dtype=dtype)
                 state[:, 0, 0], state[:, 1, 0] = z0, p0
                 for n in range(1, J + 1, L):
                     hi = min(n + L, J + 1)
@@ -153,8 +187,8 @@ def _integrate_family(
 
             mv = kernel.sample(grid)
             step = _trapezoid_step(mus, float(mv[0]), dt)
-            p = np.array(p0, dtype=np.complex128)
-            g = np.zeros(nm, dtype=np.complex128)  # memory forcing -mu * S_j
+            p = np.array(p0, dtype=dtype)
+            g = np.zeros(nm, dtype=dtype)  # memory forcing -mu * S_j
             # the unsolved slots Z[:, n] hold the history sum over the
             # earlier leaves (see volterra._causal_blocks)
             for lo, hi in _causal_blocks(Z, mv):
@@ -175,25 +209,34 @@ def _initial_data(mode: Mode, family: str):
     return 0.0 + 0.0j, mode.lam if mode.branch == "J1" else 1.0 + 0.0j
 
 
-def _solve_many(modes, kernel, grid, family: str):
-    init = [_initial_data(m, family) for m in modes]
+def _solve_many(modes, kernel, grid, family: str) -> ModalSolution:
+    z0, p0 = np.array([_initial_data(m, family) for m in modes]).reshape(-1, 2).T
+    factors = np.ones(len(modes), dtype=np.complex128)
+    data = z0, p0
+    if family == "w":
+        # w = (p0 / |p0|) r, r the real solution with data (0, |p0|)
+        scale = np.abs(p0)
+        factors, data = p0 / scale, (z0.real, scale)
     solved = [i for i, m in enumerate(modes) if m.branch == "J1"]
-    rows = {}
-    if solved:
-        mus = np.array([modes[i].mu for i in solved], dtype=float)
-        Z = _integrate_family(mus, *np.array([init[i] for i in solved]).T, kernel, grid)
-        rows = dict(zip(solved, Z))  # views of the one integrated Z
-    return [ModalTrajectory(m, ScalarSignal(grid, rows[i] if i in rows else z0 + p0 * grid.nodes),
-                            complex(p0), kernel) for i, (m, (z0, p0)) in enumerate(zip(modes, init))]
+    mus = np.array([modes[i].mu for i in solved], dtype=float)
+    if len(solved) == len(modes):
+        rows = _integrate_family(mus, *data, kernel, grid)
+    else:
+        rows = data[0][:, None] + data[1][:, None] * grid.nodes
+        if solved:
+            rows[solved] = _integrate_family(mus, *(d[solved] for d in data), kernel, grid)
+    rows.setflags(write=False)
+    return ModalSolution(modes, grid, rows, factors, p0)
 
 
-def solve_z_many(modes, kernel: MemoryKernel, grid: TimeGrid):
+def solve_z_many(modes, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
     """Trajectories with data (1, i*lambda_n) for several modes at once."""
     return _solve_many(tuple(modes), kernel, grid, "z")
 
 
-def solve_w_many(modes, kernel: MemoryKernel, grid: TimeGrid):
-    """Trajectories with data (0, lambda_n); these vanish at t = 0."""
+def solve_w_many(modes, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
+    """Trajectories with data (0, lambda_n); these vanish at t = 0.  The
+    rows are real: the solutions with data (0, |lambda_n|)."""
     return _solve_many(tuple(modes), kernel, grid, "w")
 
 

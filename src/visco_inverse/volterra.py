@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.fft import fft, ifft
+from numpy.fft import fft, ifft, irfft, rfft
 from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericsError
@@ -62,26 +62,25 @@ class TimeGrid:
         return w
 
 
-def _as_complex(values, expected_shape, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.shape != expected_shape:
-        raise ValueError(f"{what}: expected shape {expected_shape}, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+def _as_samples(values) -> np.ndarray:
+    """float64 samples, or complex128 for complex ``values``."""
+    return np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
 
 
 @dataclass(frozen=True, eq=False)
 class ScalarSignal:
-    """A complex-valued time series sampled on a ``TimeGrid``."""
+    """A real- or complex-valued time series sampled on a ``TimeGrid``."""
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values",
-            _as_complex(self.values, (self.grid.steps + 1,), "ScalarSignal"),
-        )
+        arr = _as_samples(self.values)
+        if arr.shape != (self.grid.steps + 1,):
+            raise ValueError(f"ScalarSignal: expected shape {(self.grid.steps + 1,)}, "
+                             f"got {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn) -> "ScalarSignal":
@@ -90,13 +89,14 @@ class ScalarSignal:
 
 @dataclass(frozen=True, eq=False)
 class TraceSignal:
-    """A time series of vectors in the observation space G = R^m."""
+    """A time series of vectors in the observation space G = R^m, real or
+    complex like ``ScalarSignal``."""
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.complex128)
+        arr = _as_samples(self.values)
         if arr.ndim != 2 or arr.shape[0] != self.grid.steps + 1 or arr.shape[1] < 1:
             raise ValueError(
                 f"TraceSignal: expected shape ({self.grid.steps + 1}, m>=1), got {arr.shape}"
@@ -147,29 +147,38 @@ def _convolve_rows(x: np.ndarray, k: np.ndarray, lo: int, out: np.ndarray):
     A circular convolution of length nfft >= max(lo + count, n + len(k) - 1 - lo)
     leaves them unwrapped; rows go through it in chunks of at most
     ``_FFT_ELEMENTS`` values, so many signals cost no more memory than one.
+    Real ``x`` and ``k`` take real transforms, half the work, and add a real
+    convolution, so a real ``out`` stays real.
     """
     count = out.shape[1]
     nfft = _fast_len(max(lo + count, x.shape[1] + len(k) - 1 - lo))
-    spectrum = fft(k, nfft)
+    forward, inverse = (fft, ifft) if np.iscomplexobj(x) or np.iscomplexobj(k) else (rfft, irfft)
+    spectrum = forward(k, nfft)
     step = max(1, _FFT_ELEMENTS // nfft)
     for r in range(0, x.shape[0], step):
-        part = fft(x[r:r + step], nfft, axis=1)
+        part = forward(x[r:r + step], nfft, axis=1)
         part *= spectrum
-        part = ifft(part, axis=1)
+        part = inverse(part, nfft, axis=1)
         out[r:r + step] += part[:, lo:lo + count]
 
 
 def convolve(rho: ScalarSignal, v: Signal) -> Signal:
     """Apply the causal Volterra convolution with kernel ``rho`` to ``v``: trapezoid
-    quadrature, zero at t_0, of each row of the (rows, J+1) view of its samples."""
+    quadrature, zero at t_0, of each row of the (rows, J+1) view of its samples.
+
+    The result is real when both are.  An all-zero kernel on finite samples
+    gives the exact zeros of the FFT route without running it; non-finite
+    samples still take it, and come out as NaN.
+    """
     _check_same_grid(rho, v)
     r, x = rho.values, np.atleast_2d(v.values.T)
-    out = np.zeros_like(x)
-    _convolve_rows(x, r, 0, out)
-    out -= 0.5 * r * x[:, :1]
-    out -= 0.5 * r[0] * x
-    out *= rho.grid.dt
-    out[:, 0] = 0.0
+    out = np.zeros(x.shape, np.result_type(r, x))
+    if r.any() or not np.isfinite(x).all():
+        _convolve_rows(x, r, 0, out)
+        out -= 0.5 * r * x[:, :1]
+        out -= 0.5 * r[0] * x
+        out *= rho.grid.dt
+        out[:, 0] = 0.0
     return type(v)(v.grid, out.T.reshape(v.values.shape))
 
 
@@ -241,13 +250,14 @@ def resolvent_kernel(sigma: ScalarSignal, sigma_prime: ScalarSignal) -> ScalarSi
     dt = grid.dt
     sp = sigma_prime.values
     J = grid.steps
-    K = np.empty(J + 1, dtype=np.complex128)
+    dtype = np.result_type(sigma.values, sp)  # real for a real sigma
+    K = np.empty(J + 1, dtype=dtype)
     K[0] = -sp[0] / s0
     denom = s0 + 0.5 * dt * sp[0]
     if denom == 0.0:
         raise NumericsError("singular resolvent system: sigma(0) + dt/2 sigma'(0) = 0")
     # u, the first column of the inverse of the leaf matrix, by forward substitution
-    u = np.empty(min(_LEAF_STEPS, J), dtype=np.complex128)
+    u = np.empty(min(_LEAF_STEPS, J), dtype=dtype)
     u[0] = 1.0 / denom
     for k in range(1, len(u)):
         u[k] = -dt * np.dot(sp[1:k + 1], u[k - 1::-1]) / denom
@@ -257,19 +267,32 @@ def resolvent_kernel(sigma: ScalarSignal, sigma_prime: ScalarSignal) -> ScalarSi
     return ScalarSignal(grid, K)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-d factors.  A complex factor against a real one goes
+    through real products of its real and imaginary parts, stacked: numpy
+    would cast the real factor, typically the large one, to complex."""
+    if np.iscomplexobj(b) and not np.iscomplexobj(a):
+        return _matmul(b.T, a.T).T
+    if np.iscomplexobj(a) and not np.iscomplexobj(b):
+        re, im = np.split(np.concatenate((a.real, a.imag)) @ b, 2)
+        return re + 1j * im
+    return a @ b
+
+
 def inner_products(a: np.ndarray, b: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Matrix of trapezoid inner products <a_i, b_k> of two stacks of signals.
 
     Both stacks run along axis 0, with per-signal shape (J+1,) or (J+1, m).
-    The result is linear in ``a`` and conjugate-linear in ``b``.  Only a
-    weighted conjugate of ``a`` is materialised, so pass the smaller stack
-    as ``a``; a contiguous complex ``b`` is never copied.
+    The result is linear in ``a`` and conjugate-linear in ``b``, and real
+    for real stacks.  Only a weighted conjugate of ``a`` is materialised, so
+    pass the smaller stack as ``a``; a contiguous ``b`` is never copied,
+    nor cast to complex against a complex ``a``.
     """
     if a.shape[1:] != b.shape[1:] or a.shape[1] != grid.steps + 1:
         raise ValueError(f"stacks of shape {a.shape} and {b.shape} do not match the grid")
-    wa = np.conjugate(a, dtype=np.complex128)
+    wa = np.conjugate(a, dtype=np.result_type(a, 1.0))
     wa *= grid.weights if a.ndim == 2 else grid.weights[:, None]
-    return np.conj(wa.reshape(len(a), -1) @ b.reshape(len(b), -1).T)
+    return np.conj(_matmul(wa.reshape(len(a), -1), b.reshape(len(b), -1).T))
 
 
 def l2_inner(u: Signal, v: Signal) -> complex:
@@ -438,10 +461,10 @@ class ConstantModulation(SourceModulation):
     value: float
 
     def sample(self, grid):
-        return ScalarSignal(grid, np.full(grid.steps + 1, self.value, dtype=np.complex128))
+        return ScalarSignal(grid, np.full(grid.steps + 1, self.value))
 
     def sample_derivative(self, grid):
-        return ScalarSignal(grid, np.zeros(grid.steps + 1, dtype=np.complex128))
+        return ScalarSignal(grid, np.zeros(grid.steps + 1))
 
     def at_zero(self):
         return self.value
@@ -480,7 +503,7 @@ class AffineModulation(SourceModulation):
         return ScalarSignal(grid, self.offset + self.slope * grid.nodes)
 
     def sample_derivative(self, grid):
-        return ScalarSignal(grid, np.full(grid.steps + 1, self.slope, dtype=np.complex128))
+        return ScalarSignal(grid, np.full(grid.steps + 1, self.slope))
 
     def at_zero(self):
         return self.offset

@@ -13,7 +13,9 @@ oracle advances the zero- and exponential-kernel modal equations one step at
 a time instead of by powers of the step map.  The reconstruction oracle
 materialises every family member, dual and reconstruction kernel theta_k as
 a (members, J+1, m) array and recovers through <B u', theta_k>, the route
-the factored family replaces.
+the factored family replaces.  The complex w route solves the w family on a
+complex state with its own data (0, lambda_n) and convolves it by complex
+FFTs, the route the real rows with folded factors replace.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from scipy.linalg import expm
 
 from visco_inverse import (
     ExponentialKernel,
+    ScalarSignal,
     TimeGrid,
     TraceSignal,
     ZeroKernel,
@@ -34,6 +37,7 @@ from visco_inverse import (
     solve_w_many,
     y_trace_family,
 )
+from visco_inverse.modal import _integrate_family
 
 
 def modal_oracle_exponential_kernel(
@@ -266,3 +270,16 @@ def reconstruct_via_thetas(family, modulation, bu_prime) -> ThetaRoute:
         thetas[k] = theta.values
     recovered = inner_products(bu_prime.values[None], thetas, grid)[0]
     return ThetaRoute(g, duals, thetas, float(residuals.max(initial=0.0)), recovered)
+
+
+def complex_w_route(model, kernel, modulation, grid) -> tuple:
+    """(W, Y, Psi): the w family solved mode by mode on a complex state from
+    its data (0, lambda_n), t on the zero branch; Y = V_sigma W by complex
+    FFTs, sigma cast to complex; Psi the trace vectors psi_n, no factor folded in."""
+    modes = model.positive_modes
+    W = np.array([grid.nodes + 0j if m.branch == "J0" else _integrate_family(
+        np.array([m.mu]), np.zeros(1, dtype=complex), np.array([m.lam]), kernel, grid)[0]
+        for m in modes])
+    sigma = ScalarSignal(grid, modulation.sample(grid).values.astype(complex))
+    Y = convolve(sigma, TraceSignal(grid, W.T)).values.T
+    return W, Y, np.stack([m.psi for m in modes])

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import visco_inverse.forward
 import visco_inverse.frames
 from visco_inverse import AffineModulation
 from visco_inverse.cli import MAX_MODE_NODES, ExperimentConfig, _write_csv, main, run
@@ -316,6 +317,18 @@ class TestReconstructStudy:
         # differencing the trace costs O(dt^2) accuracy but must stay tight
         assert summary["results"]["relative_l2_error"] < 1e-4
 
+
+    def test_bu_measurement_builds_bu_alone(self, tmp_path, monkeypatch):
+        # B u = V_sigma B w is the one convolution; no B u' is built beside it
+        calls = []
+        convolve = visco_inverse.forward.convolve
+        monkeypatch.setattr(visco_inverse.forward, "convolve",
+                            lambda *args: calls.append(1) or convolve(*args))
+        cfg = base_config(study="reconstruct", measurement="bu",
+                          sigma={"form": "affine", "a": 1.0, "b": 0.5})
+        out = tmp_path / "res"
+        assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert len(calls) == 1
 
 def strict_json(path):
     def reject(token):

@@ -1,20 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import eigh
 
 from visco_inverse import (
     AffineModulation,
     ConstantModulation,
     ExponentialKernel,
+    ExponentialModulation,
     FrameBounds,
     GramMatrix,
     ModalFamily,
     OperatorSpec,
+    PolynomialKernel,
+    SampledKernel,
+    SampledModulation,
     ScalarSignal,
     SingularGramError,
     TimeGrid,
+    TraceSignal,
     ZeroKernel,
     bessel_defect,
     bessel_ratio,
@@ -27,11 +36,13 @@ from visco_inverse import (
     frame_bounds,
     gram,
     leading_frame_bounds,
+    stability_gram,
     w_trace_family,
     y_trace_family,
     z_trace_family,
 )
-from oracles import dual_values, family_values
+from oracles import complex_w_route, dual_values, family_values, naive_inner_products
+from visco_inverse.volterra import _LEAF_STEPS
 
 PI = math.pi
 
@@ -140,6 +151,109 @@ def test_batched_y_family_matches_per_member_convolution(grid, model):
     assert fam.labels == w.labels
     np.testing.assert_array_equal(fam.psis, w.psis)
     assert np.linalg.norm(fam.scalars - per_member) <= 1e-15 * np.linalg.norm(per_member)
+
+
+MEMORY = {
+    "zero": lambda draw, grid: ZeroKernel(),
+    "exponential": lambda draw, grid: ExponentialKernel(draw(st.floats(0.0, 2.0)),
+                                                        draw(st.floats(0.0, 2.0))),
+    "polynomial": lambda draw, grid: PolynomialKernel(draw(st.tuples(
+        st.floats(0.0, 1.5), st.floats(-0.5, 0.5), st.floats(-0.1, 0.1)))),
+    "sampled": lambda draw, grid: SampledKernel(draw(hnp.arrays(
+        float, grid.steps + 1, elements=st.floats(-1.0, 1.0)))),
+}
+
+
+@st.composite
+def real_route_cases(draw, memory, form):
+    """A model with a random shift q, a kernel and sigma of the given kinds,
+    and a grid at or past one leaf of the blocked history solve.
+
+    With L = pi, mu_n = n^2 + q: q below -1 makes lambda_1 imaginary, and
+    q = -1 or -4 puts mode 1 or 2 on the zero branch.
+    """
+    grid = TimeGrid(draw(st.floats(0.5, 7.0)), draw(st.sampled_from(
+        [_LEAF_STEPS - 1, _LEAF_STEPS, _LEAF_STEPS + 1, 2 * _LEAF_STEPS + 1, 700])))
+    shift = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-1.0, -4.0])))
+    endpoints = draw(st.sampled_from([("left",), ("left", "right")]))
+    model = build_spectral_model(OperatorSpec(PI, shift, observed_endpoints=endpoints),
+                                 draw(st.integers(1, 4)))
+    s0 = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    rate = draw(st.floats(-1.0, 1.0))
+    modulation = {
+        "constant": lambda: ConstantModulation(s0),
+        "affine": lambda: AffineModulation(s0, s0 * rate),
+        "exponential": lambda: ExponentialModulation(rate),
+        "sampled": lambda: SampledModulation(s0 * (1.0 + rate * np.sin(grid.nodes))),
+    }[form]()
+    seed = draw(st.integers(0, 2**32 - 1))
+    return model, MEMORY[memory](draw, grid), modulation, grid, seed
+
+
+def assert_close(got, expected):
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+class TestRealRouteProperties:
+    # the real rows with folded factors against the complex route (tests/oracles.py)
+    @pytest.mark.parametrize("memory", sorted(MEMORY))
+    @pytest.mark.parametrize("form", ["constant", "affine", "exponential", "sampled"])
+    @settings(max_examples=3)
+    @given(data=st.data())
+    def test_matches_the_complex_route(self, memory, form, data):
+        model, kernel, modulation, grid, seed = data.draw(real_route_cases(memory, form))
+        W, Y, psis = complex_w_route(model, kernel, modulation, grid)
+        members = W[:, :, None] * psis[:, None, :]
+        fam = w_trace_family(model, kernel, grid)
+        assert fam.scalars.dtype == np.float64
+        assert_close(family_values(fam), members)
+        assert_close(gram(fam).entries, naive_inner_products(members, members, grid.dt).T)
+
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(len(fam)) + 1j * rng.standard_normal(len(fam))
+        assert_close(fam.synthesize(coeffs).values, np.tensordot(coeffs, members, axes=1))
+        signal = TraceSignal(grid, rng.standard_normal((grid.steps + 1, model.dim))
+                             + 1j * rng.standard_normal((grid.steps + 1, model.dim)))
+        assert_close(fam.inner_with(signal),
+                     naive_inner_products(signal.values[None], members, grid.dt)[0])
+
+        ys = y_trace_family(model, kernel, modulation, grid)
+        assert ys.scalars.dtype == np.float64
+        assert_close(family_values(ys), Y[:, :, None] * psis[:, None, :])
+
+
+@pytest.mark.parametrize("kernel", [ExponentialKernel(1.0, 1.0), "sampled"],
+                         ids=["step-map", "history-solve"])
+def test_real_family_allocates_no_complex_copy(kernel):
+    # peaks in units of one real R (N x (J+1) floats); a complex copy of R
+    # or of the y rows would add 2 R to each
+    N, J = 64, 4096
+    grid = TimeGrid(2 * PI + 0.5, J)
+    model = build_spectral_model(OperatorSpec(PI, 0.0, ("left", "right")), N)
+    if kernel == "sampled":
+        kernel = SampledKernel(ExponentialKernel(1.0, 1.0).sample(grid), m0=1.0)
+    modulation = AffineModulation(1.0, 0.5)
+    R = N * (J + 1) * 8
+    stability_gram(model, kernel, modulation, grid)  # the grid's cached nodes and weights
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in [("w_trace_family", lambda: w_trace_family(model, kernel, grid)),
+                           ("gram", lambda: gram(family)),
+                           ("stability_gram", lambda: stability_gram(model, kernel, modulation, grid))]:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = call()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / R
+            if name == "w_trace_family":
+                family = out
+            del out
+    finally:
+        tracemalloc.stop()
+    # measured: 1.26 (1.52 with the history solve), 1.14 and 3.17
+    assert peaks["w_trace_family"] <= 1.75, peaks
+    assert peaks["gram"] <= 1.5, peaks
+    assert peaks["stability_gram"] <= 3.5, peaks
 
 
 def materialised_duals(fam):

@@ -29,6 +29,7 @@ from visco_inverse import (
     noisy_reconstruction,
     reconstruct,
     reconstruct_complex,
+    source_trace_prime,
     source_traces,
     stability_gram,
     stability_ratios,
@@ -198,6 +199,24 @@ def test_reconstruction_decomposes_the_gram_once(model, grid, monkeypatch):
     kernels = build_reconstruction(model, ZeroKernel(), AffineModulation(1.0, 0.5), grid)
     assert calls == [(8, 8)]
     assert kernels.bounds == frame_bounds(gram(kernels.family))
+
+
+@pytest.mark.parametrize("modulation, ffts", [
+    (ConstantModulation(2.0), 0),
+    (AffineModulation(1.0, 0.5), 3),
+], ids=["constant", "affine"])
+def test_constant_sigma_reconstructs_without_an_fft(model, grid, monkeypatch, modulation, ffts):
+    # sigma' = 0 and K = 0: V_sigma' B w, V_K B u' and V_K sigma' are exact
+    # zeros; an affine sigma convolves all three
+    calls = []
+    rows = visco_inverse.volterra._convolve_rows
+    monkeypatch.setattr(visco_inverse.volterra, "_convolve_rows",
+                        lambda *args: calls.append(1) or rows(*args))
+    kernels = build_reconstruction(model, ZeroKernel(), modulation, grid)
+    f = SourceCoefficients.unit(3, 8)
+    got = reconstruct(source_trace_prime(kernels.family, f, modulation), kernels, model)
+    assert len(calls) == ffts
+    assert abs(got.values[2] - 1.0) < 1e-6
 
 
 class TestThetaFreeRouteProperties:

@@ -20,9 +20,16 @@ from visco_inverse import (
     comparison_defect_scan,
     comparison_exponential,
     solve_w,
+    solve_w_many,
     solve_z,
+    w_trace_family,
 )
-from oracles import modal_history_loop, modal_oracle_exponential_kernel, modal_step_loop
+from oracles import (
+    family_values,
+    modal_history_loop,
+    modal_oracle_exponential_kernel,
+    modal_step_loop,
+)
 from visco_inverse import modal
 from visco_inverse.modal import _integrate_family
 from visco_inverse.volterra import _LEAF_STEPS
@@ -170,6 +177,32 @@ class TestStructuralIdentities:
             solve_z(model.mode(4), kernel, g)
         with pytest.raises(HistorySolve):
             solve_z(model.mode(4), SampledKernel(poly.sample(g), m0=poly.at_zero()), g)
+
+    def test_sampled_kernel_w_family_on_a_real_state(self):
+        # past the first leaf, the blocked history solve adds real FFT
+        # convolutions into the real rows; q = -1.5 makes lambda_1 imaginary
+        g = TimeGrid(2.0, 3 * _LEAF_STEPS + 5)
+        poly = PolynomialKernel((1.0, -0.5, 0.2))
+        model = build_spectral_model(OperatorSpec(PI, -1.5), 4)
+        family = w_trace_family(model, SampledKernel(poly.sample(g), m0=1.0), g)
+        assert family.scalars.dtype == np.float64
+        modes = model.positive_modes
+        W = modal_history_loop(np.array([m.mu for m in modes]), np.zeros(4),
+                               np.array([m.lam for m in modes]), poly.sample(g), g.dt)
+        expected = W[:, :, None] * np.stack([m.psi for m in modes])[:, None, :]
+        got = family_values(family)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_w_rows_are_real_with_the_phase_beside_them(self):
+        # w_n = (lambda_n / |lambda_n|) r_n: a factor i where mu_n < 0, 1 on the zero branch
+        g = TimeGrid.from_step(1.0, 1e-2)
+        model = build_spectral_model(OperatorSpec(PI, -4.0), 3)  # mu = -3, 0, 5
+        solution = solve_w_many(model.positive_modes, ExponentialKernel(1.0, 1.0), g)
+        assert solution.rows.dtype == np.float64
+        np.testing.assert_array_equal(solution.factors, [1j, 1.0, 1.0])
+        np.testing.assert_array_equal(solution.rows[1], g.nodes)
+        for traj, mode in zip(solution, model.positive_modes):
+            assert traj.z_prime.values[0] == (mode.lam if mode.branch == "J1" else 1.0)
 
     def test_polynomial_past_170_coefficients_takes_the_history_solve(self, model):
         # its realization would need 171!, which overflows a float

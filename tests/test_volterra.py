@@ -317,6 +317,40 @@ class TestClosedFormResolvent:
             build_reconstruction(model, ZeroKernel(), AffineModulation(-1.0, 16.0), grid)
 
 
+class TestConvolutionBranches:
+    def test_real_operands_take_real_transforms(self):
+        grid = TimeGrid(3.0, 700)
+        rng = np.random.default_rng(5)
+        rho = ScalarSignal(grid, rng.standard_normal(701))
+        v = TraceSignal(grid, rng.standard_normal((701, 3)))
+        got = convolve(rho, v).values
+        assert got.dtype == np.float64
+        expected = naive_trapezoid_convolution(rho.values, v.values, grid.dt)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_zero_kernel_runs_no_fft(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(visco_inverse.volterra, "_convolve_rows",
+                            lambda *args: calls.append(args))
+        grid = TimeGrid(1.0, 300)
+        values = np.random.default_rng(6).standard_normal((301, 2)) * (1.0 + 1j)
+        got = convolve(ScalarSignal(grid, np.zeros(301)), TraceSignal(grid, values)).values
+        assert calls == []
+        assert got.dtype == np.complex128
+        # the exact +0.0 that the FFT route gives on finite data
+        assert not got.any()
+        assert not (np.signbit(got.real).any() or np.signbit(got.imag).any())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_zero_kernel_keeps_non_finite_data_non_finite(self, bad):
+        grid = TimeGrid(1.0, 300)
+        values = np.ones((301, 1))
+        values[7, 0] = bad
+        got = convolve(ScalarSignal(grid, np.zeros(301)), TraceSignal(grid, values)).values
+        assert not np.isfinite(got).all()
+
+
 def test_convolutions_commute():
     g = TimeGrid.from_step(1.0, 1e-3)
     m = ScalarSignal.from_function(g, lambda t: np.exp(-t))
