@@ -4,8 +4,9 @@ A modal family collects the boundary signals g_n(t) * psi_n for a scalar
 trajectory family g (the z, w or convolved-w trajectories), stored factored
 as the trajectories Z (members, J+1) and trace vectors Psi (members, m).
 For the w and y families Z is real: the real rows of the modal solve, with
-each mode's factor (1, or i for an imaginary lambda_n) folded into Psi, and
-every product that reads Z is a real one.  The z family stays complex.
+each mode's factor (1, or i for an imaginary lambda_n) folded into Psi, so
+Psi is real, every product that reads Z is a real one and the Gram is real.
+The z family stays complex.
 Its Gram matrix under the discrete L2(0,T; G) inner product, the trajectory
 Gram times the trace-vector Gram entry by entry, yields sharp two-sided
 frame constants for the truncated span (extreme eigenvalues).  Its inverse
@@ -112,7 +113,8 @@ def y_trace_family(
     grid: TimeGrid,
 ) -> ModalFamily:
     """Members (V_sigma w_n) * psi_n, the time-integrated source responses;
-    the rows of a real sigma convolve the real w rows by real FFTs."""
+    a real sigma keeps the rows real, and a realized one convolves them by
+    the leaf-blocked recurrence."""
     family = w_trace_family(model, kernel, grid)
     ys = convolve(modulation.sample(grid), TraceSignal(grid, family.scalars.T)).values.T
     return ModalFamily(grid, family.labels, ys, family.psis)
@@ -120,14 +122,16 @@ def y_trace_family(
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Hermitian Gram of a modal family, entries[k, n] = <member_n, member_k>."""
+    """Hermitian Gram of a modal family, entries[k, n] = <member_n, member_k>;
+    real for the w and y families, complex for the z family."""
 
     entries: np.ndarray
     horizon: float
     labels: tuple
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128)
+        arr = np.asarray(self.entries, dtype=np.complex128
+                         if np.iscomplexobj(self.entries) else np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("Gram matrix must be square")
         arr.setflags(write=False)
@@ -152,12 +156,22 @@ def gram(family: ModalFamily) -> GramMatrix:
     trapezoid weights W, which numpy runs as a symmetric rank-k update."""
     if len(family) == 0:
         raise ValueError("cannot form the Gram matrix of an empty family")
-    Z, psis = family.scalars, family.psis
+    Z = family.scalars
     if np.iscomplexobj(Z):
         traj = inner_products(Z, Z, family.grid)
     else:
         S = Z * np.sqrt(family.grid.weights)
         traj = S @ S.T
+    return _member_gram(traj, family)
+
+
+def _member_gram(traj: np.ndarray, family: ModalFamily) -> GramMatrix:
+    """The Gram of the members g_n psi_n from the Gram <g_n, g_k> of their
+    trajectories, symmetrized; real when both are, as for the w and y
+    families, whose Psi is real once the factors are folded in."""
+    psis = family.psis
+    if not psis.imag.any():
+        psis = psis.real
     raw = traj * (psis @ psis.conj().T)
     return GramMatrix(0.5 * (raw.T + raw.conj()), family.grid.horizon, family.labels)
 

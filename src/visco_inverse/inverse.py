@@ -39,6 +39,7 @@ from numpy.random import PCG64, Generator, default_rng
 from .frames import (
     FrameBounds,
     ModalFamily,
+    _member_gram,
     coefficients_via_duals,
     dual_coefficients,
     gram,
@@ -55,8 +56,8 @@ from .volterra import (
     TimeGrid,
     TraceSignal,
     ZeroKernel,
+    _slopes,
     convolve,
-    differentiate,
     h1_norm,
     inner_products,
     resolvent_kernel,
@@ -84,7 +85,9 @@ def _resolvent(modulation: SourceModulation, grid: TimeGrid,
     leaves K_n = rho K_(n-1), rho = e^(a dt) (1 - h) / (1 + h) with
     h = dt c / (2 sigma(0)), so K_n = -rho^n c / sigma(0): one exp of n log rho,
     log1p for the factors in h, as rho**n would carry rho's rounding n times.
-    Without a realization, or unless |h| < 1, the blocked solve runs instead.
+    K carries the realization (rho, 1, -c / sigma(0)), so V_K runs the
+    leaf-blocked recurrence.  Without a realization, or unless |h| < 1, the
+    blocked solve runs instead, and V_K takes the FFT.
     """
     c, a = modulation.realization() or (math.nan, 0.0)
     s0, dt = modulation.at_zero(), grid.dt
@@ -92,7 +95,8 @@ def _resolvent(modulation: SourceModulation, grid: TimeGrid,
     if not abs(h) < 1.0:
         return resolvent_kernel(modulation.sample(grid), sigma_prime)
     log_rho = a * dt + math.log1p(-h) - math.log1p(h)
-    return ScalarSignal(grid, -c / s0 * np.exp(np.arange(grid.steps + 1) * log_rho))
+    return ScalarSignal(grid, -c / s0 * np.exp(np.arange(grid.steps + 1) * log_rho),
+                        (math.exp(log_rho), 1.0, -c / s0))
 
 
 def _identity_residuals(
@@ -265,9 +269,14 @@ def stability_gram(
             f"horizon {grid.horizon:g} below the observability threshold {threshold:g}"
         )
     family = y_trace_family(model, kernel, modulation, grid)
-    slopes = differentiate(TraceSignal(grid, family.scalars.T)).values.T
-    slope_family = ModalFamily(grid, family.labels, slopes, family.psis)
-    return (gram(family).entries + gram(slope_family).entries).real
+    # one weighted buffer S = Z W^(1/2), then the slopes of Z in its place
+    root = np.sqrt(grid.weights)
+    S = family.scalars * root
+    traj = S @ S.T
+    _slopes(family.scalars.T, grid.dt, S.T)
+    S *= root
+    traj += S @ S.T
+    return _member_gram(traj, family).entries.real
 
 
 _MASK32 = 0xFFFFFFFF

@@ -21,11 +21,11 @@ zero, exponential and polynomial kernels, which have a finite realization
 M(t) = c^T e^(Rt) b (``MemoryKernel.realization``), the history is a d-vector
 state X, the trapezoid memory sum taken with e^(R(t - s)) b, so each step is
 a fixed real (2+d)x(2+d) map A on (g, g', X) per mode: d = 1 for the zero and
-exponential kernels, d = degree + 1 for a polynomial.  Powers A^1..A^L over
-one leaf of L = 256 steps are tabulated once; each leaf's values are their
-first rows applied to the leaf's start state, which A^L then carries to the
-next leaf.  That is L + J/L Python iterations instead of J, with the
-discretisation unchanged.  Only sampled kernels step through leaves of the
+exponential kernels, d = degree + 1 for a polynomial.  The first rows of
+A^1..A^L over one leaf of L = 256 steps are tabulated once, by doubling;
+each leaf's values are these rows applied to the leaf's start state, which
+A^L then carries to the next leaf.  That is log2(L) + J/L Python iterations
+instead of J, with the discretisation unchanged.  Only sampled kernels step through leaves of the
 blocked causal-history solve in ``volterra``, which adds the history of
 earlier leaves by FFT convolution: O(J log^2 J) per mode instead of O(J^2).
 Modes sharing a grid and kernel are advanced together as a batch.  Only g is
@@ -140,6 +140,18 @@ def _step_map(mus: np.ndarray, realization, dt: float) -> np.ndarray:
     return np.concatenate([znew[:, None], pnew[:, None], Xnew], axis=1)
 
 
+def _first_overflow(A: np.ndarray) -> int:
+    """The least k <= _LEAF_STEPS with a non-finite entry in A^k (0 if none),
+    the step reported when the doubling that fills a leaf table overflows."""
+    power = A
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, _LEAF_STEPS + 1):
+            power = power @ A
+            if not np.isfinite(power).all():
+                return k
+    return 0
+
+
 def _integrate_family(
     mus: np.ndarray,
     z0: np.ndarray,
@@ -167,16 +179,23 @@ def _integrate_family(
             if realization is not None:
                 A = _step_map(mus, realization, dt)
                 D = A.shape[1]
-                # rows[:, k - 1] = the first row of A^k over one leaf; each
-                # leaf's columns of Z are these rows applied to the leaf's
-                # start state, which power = A^L carries to the next leaf
+                # rows[:, k - 1] = the first row of A^k over one leaf, filled
+                # by doubling, power = A^m: the first rows of A^(m+1..2m) are
+                # those of A^(1..m) times A^m.  Each leaf's columns of Z are
+                # these rows applied to the leaf's start state, which power
+                # carries to the next leaf: _LEAF_STEPS is a power of two, so
+                # power ends at A^L whenever a second leaf follows
                 L = min(_LEAF_STEPS, J)
                 rows = np.empty((nm, L, D))
                 rows[:, 0] = A[:, 0]
-                power = A
-                for n in range(2, L + 1):
-                    power = power @ A
-                    rows[:, n - 1] = power[:, 0]
+                power, m = A, 1
+                try:
+                    while m < L:
+                        rows[:, m:2 * m] = rows[:, :min(m, L - m)] @ power
+                        power, m = power @ power, 2 * m
+                except FloatingPointError:
+                    n = _first_overflow(A)
+                    raise
                 state = np.zeros((nm, D, 1), dtype=dtype)
                 state[:, 0, 0], state[:, 1, 0] = z0, p0
                 for n in range(1, J + 1, L):

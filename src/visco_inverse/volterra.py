@@ -12,6 +12,15 @@ integral.  This makes ``<V u, v> == <u, V* v>`` hold to machine precision,
 which the biorthogonality and reconstruction machinery relies on.  The price
 is an O(dt) artifact in the adjoint at the two boundary nodes; it washes out
 under grid refinement and never couples to signals vanishing at t = 0.
+
+Two routes apply the same matrix.  A kernel with a finite realization
+rho_n = c^T E^n b (d <= 2: sigma and sigma' of a constant, affine or
+exponential modulation, and the closed-form resolvent K) convolves by a
+leaf-blocked recurrence: one lower-triangular Toeplitz product per leaf of
+``_LEAF_STEPS`` nodes and a d-state carried across leaves (Lubich & Schaedle,
+SIAM J. Sci. Comput. 24, 2002, for the state-space idea), with no FFT.
+Every other kernel (sampled sigma, sampled memory kernels, the blocked
+history and resolvent solves) and every adjoint take the FFT.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericsError
@@ -69,10 +79,16 @@ def _as_samples(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScalarSignal:
-    """A real- or complex-valued time series sampled on a ``TimeGrid``."""
+    """A real- or complex-valued time series sampled on a ``TimeGrid``.
+
+    A kernel may carry a ``realization`` (E, b, c): values[n] = c^T E^n b
+    with d = len(b) = 1, or d = 2 and E a unit Jordan block (an affine
+    kernel).  ``convolve`` then runs the leaf-blocked recurrence.
+    """
 
     grid: TimeGrid
     values: np.ndarray
+    realization: tuple | None = None
 
     def __post_init__(self):
         arr = _as_samples(self.values)
@@ -81,6 +97,12 @@ class ScalarSignal:
                              f"got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        if self.realization is not None:
+            E, b, c = (np.atleast_1d(np.asarray(a, dtype=float)) for a in self.realization)
+            E = E.reshape(len(b), len(b))
+            if len(b) > 2 or len(b) == 2 and not (E[0, 0] == E[1, 1] == 1.0 and E[1, 0] == 0.0):
+                raise ValueError("a realization needs d = 1, or d = 2 with a unit Jordan block")
+            object.__setattr__(self, "realization", (E, b, c))
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn) -> "ScalarSignal":
@@ -117,11 +139,14 @@ def _check_same_grid(a, b):
         raise ValueError("signals live on different time grids")
 
 
-#: steps per leaf of the blocked causal-history solve; shorter leaves spend
-#: more in per-call FFT overhead than they save, longer ones let the modal
-#: step's in-leaf history sum dominate (timed at J = 16k..32k, N = 16)
+#: steps per leaf of the blocked causal-history solve, of the modal step-map
+#: tables and of the realized convolution, a power of two; shorter leaves
+#: spend more in per-call FFT overhead than they save, longer ones let the
+#: modal step's in-leaf history sum dominate (timed at J = 16k..32k, N = 16)
 _LEAF_STEPS = 256
-#: complex elements per row-chunk FFT of ``_convolve_rows``, bounding its temporaries
+#: complex elements per row-chunk FFT of ``_convolve_rows``, and values in
+#: the two working arrays of a row chunk of ``_realized_rows``, bounding
+#: their temporaries
 _FFT_ELEMENTS = 1 << 16
 
 
@@ -162,18 +187,83 @@ def _convolve_rows(x: np.ndarray, k: np.ndarray, lo: int, out: np.ndarray):
         out[r:r + step] += part[:, lo:lo + count]
 
 
+def _gains(r: np.ndarray, d: int, n: np.ndarray) -> np.ndarray:
+    """(len(n), d, d) gains that carry the state of a realized kernel n nodes on.
+
+    The state at node s is h_s = sum over l < s of r[s - l] x_l, and for
+    d = 2 also the sum of those x_l.  The gains are read from the samples,
+    with r[n + i] = r[n] r[i] / r[0] (d = 1) or r[n] + r[i] - r[0] (d = 2).
+    """
+    if d == 1:
+        return (r[n] / r[0])[:, None, None]
+    gains = np.zeros((len(n), 2, 2), r.dtype)
+    gains[:, 0, 0] = gains[:, 1, 1] = 1.0
+    gains[:, 0, 1] = r[n] - r[0]
+    return gains
+
+
+def _realized_rows(x: np.ndarray, rho: ScalarSignal, out: np.ndarray):
+    """Write the trapezoid convolution of each row of ``x`` (rows, J+1) with
+    the realized kernel ``rho`` to ``out``, leaf by leaf.
+
+    Inside a leaf of L nodes it is one product with the lower-triangular
+    Toeplitz matrix of dt times the samples, halved on the diagonal, with
+    x_0 halved too.  The earlier leaves enter through the d-state at the
+    leaf's start, read out by the first rows of ``_gains``; each leaf adds
+    its own part of the state at the next start, and a doubling scan over
+    leaves (log2 of their count steps, each gain read from the samples)
+    sums them.  No table is a repeated product of E, so the operator stays
+    the Toeplitz matrix of the samples to a few roundoffs.  Rows go in
+    chunks whose padded input and product hold ``_FFT_ELEMENTS`` values
+    together at most, so many rows cost no more memory than one.
+    """
+    r, dt, d = rho.values, rho.grid.dt, len(rho.realization[1])
+    nodes = len(r)
+    L = min(_LEAF_STEPS, nodes)
+    leaves = -(-nodes // L)
+    k = np.arange(L)
+    # toeplitz[i, m] = dt r[i - m] for m <= i, the windows of (0, .., 0, r) reversed
+    toeplitz = dt * sliding_window_view(np.concatenate([np.zeros(L - 1), r[:L]]), L)[:, ::-1]
+    toeplitz[k, k] *= 0.5
+    if leaves > 1:  # then L <= J, so r[L] exists
+        read = _gains(r, d, k)[:, 0]
+        write = dt * np.stack([r[L - k], np.ones(L)])[:d].T
+        shifts = 1 << np.arange((leaves - 1).bit_length())
+        carries = _gains(r, d, shifts * L).transpose(0, 2, 1)
+    step = max(1, _FFT_ELEMENTS // (2 * leaves * L))
+    for lo in range(0, x.shape[0], step):
+        rows = x[lo:lo + step]
+        padded = np.zeros((len(rows), leaves, L), out.dtype)
+        padded.reshape(len(rows), -1)[:, :nodes] = rows
+        padded[:, 0, 0] *= 0.5
+        part = (padded.reshape(-1, L) @ toeplitz.T).reshape(padded.shape)
+        if leaves > 1:
+            # state[:, b] = the state at the start of leaf b, from leaves < b
+            state = np.zeros((len(rows), leaves, d), out.dtype)
+            state[:, 1:] = padded[:, :-1] @ write
+            for shift, carry in zip(shifts, carries):
+                state[:, shift:] += state[:, :-shift] @ carry
+            part += np.matmul(state, read.T, out=padded)  # padded is spent
+        out[lo:lo + step] = part.reshape(len(rows), -1)[:, :nodes]
+
+
 def convolve(rho: ScalarSignal, v: Signal) -> Signal:
     """Apply the causal Volterra convolution with kernel ``rho`` to ``v``: trapezoid
     quadrature, zero at t_0, of each row of the (rows, J+1) view of its samples.
 
-    The result is real when both are.  An all-zero kernel on finite samples
-    gives the exact zeros of the FFT route without running it; non-finite
-    samples still take it, and come out as NaN.
+    A kernel with a realization takes the leaf-blocked recurrence of
+    ``_realized_rows``, in O(J L) per row with no FFT; any other kernel
+    takes the FFT.  The result is real when both are.  An all-zero kernel
+    on finite samples gives the exact zeros of the FFT route without running
+    it; non-finite samples still take it, and come out as NaN.
     """
     _check_same_grid(rho, v)
     r, x = rho.values, np.atleast_2d(v.values.T)
     out = np.zeros(x.shape, np.result_type(r, x))
-    if r.any() or not np.isfinite(x).all():
+    if rho.realization is not None and r.any():
+        _realized_rows(x, rho, out)
+        out[:, 0] = 0.0
+    elif r.any() or not np.isfinite(x).all():
         _convolve_rows(x, r, 0, out)
         out -= 0.5 * r * x[:, :1]
         out -= 0.5 * r[0] * x
@@ -309,11 +399,21 @@ def l2_norm(u: Signal) -> float:
     return float(np.sqrt(max(l2_inner(u, u).real, 0.0)))
 
 
+def _slopes(f: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """np.gradient(f, dt, axis=0, edge_order=2), bit for bit, written into
+    ``out`` with no temporary of the size of ``f``."""
+    if len(f) < 4:
+        raise ValueError("grid too coarse to differentiate (need steps >= 3)")
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dt
+    out[0] = -1.5 / dt * f[0] + 2.0 / dt * f[1] - 0.5 / dt * f[2]
+    out[-1] = 0.5 / dt * f[-3] - 2.0 / dt * f[-2] + 1.5 / dt * f[-1]
+    return out
+
+
 def differentiate(u: Signal) -> Signal:
     """Centered-difference time derivative, second-order one-sided at the ends."""
-    if u.grid.steps < 3:
-        raise ValueError("grid too coarse to differentiate (need steps >= 3)")
-    return type(u)(u.grid, np.gradient(u.values, u.grid.dt, axis=0, edge_order=2))
+    return type(u)(u.grid, _slopes(u.values, u.grid.dt, np.empty_like(u.values)))
 
 
 def h1_norm(u: Signal) -> float:
@@ -456,15 +556,20 @@ class SourceModulation:
         return None
 
 
+def _geometric(grid: TimeGrid, values, ratio: float, scale: float) -> ScalarSignal:
+    """Samples scale * ratio^n, carrying the d = 1 realization (ratio, 1, scale)."""
+    return ScalarSignal(grid, values, (ratio, 1.0, scale))
+
+
 @dataclass(frozen=True)
 class ConstantModulation(SourceModulation):
     value: float
 
     def sample(self, grid):
-        return ScalarSignal(grid, np.full(grid.steps + 1, self.value))
+        return _geometric(grid, np.full(grid.steps + 1, self.value), 1.0, self.value)
 
     def sample_derivative(self, grid):
-        return ScalarSignal(grid, np.zeros(grid.steps + 1))
+        return _geometric(grid, np.zeros(grid.steps + 1), 1.0, 0.0)
 
     def at_zero(self):
         return self.value
@@ -480,10 +585,11 @@ class ExponentialModulation(SourceModulation):
     rate: float
 
     def sample(self, grid):
-        return ScalarSignal(grid, np.exp(self.rate * grid.nodes))
+        return _geometric(grid, np.exp(self.rate * grid.nodes), np.exp(self.rate * grid.dt), 1.0)
 
     def sample_derivative(self, grid):
-        return ScalarSignal(grid, self.rate * np.exp(self.rate * grid.nodes))
+        return _geometric(grid, self.rate * np.exp(self.rate * grid.nodes),
+                          np.exp(self.rate * grid.dt), self.rate)
 
     def at_zero(self):
         return 1.0
@@ -500,10 +606,12 @@ class AffineModulation(SourceModulation):
     slope: float
 
     def sample(self, grid):
-        return ScalarSignal(grid, self.offset + self.slope * grid.nodes)
+        # a unit Jordan block: E^n = [[1, n dt], [0, 1]]
+        return ScalarSignal(grid, self.offset + self.slope * grid.nodes,
+                            ([[1.0, grid.dt], [0.0, 1.0]], [0.0, 1.0], [self.slope, self.offset]))
 
     def sample_derivative(self, grid):
-        return ScalarSignal(grid, np.full(grid.steps + 1, self.slope))
+        return _geometric(grid, np.full(grid.steps + 1, self.slope), 1.0, self.slope)
 
     def at_zero(self):
         return self.offset

@@ -201,13 +201,19 @@ def test_reconstruction_decomposes_the_gram_once(model, grid, monkeypatch):
     assert kernels.bounds == frame_bounds(gram(kernels.family))
 
 
-@pytest.mark.parametrize("modulation, ffts", [
-    (ConstantModulation(2.0), 0),
-    (AffineModulation(1.0, 0.5), 3),
-], ids=["constant", "affine"])
-def test_constant_sigma_reconstructs_without_an_fft(model, grid, monkeypatch, modulation, ffts):
-    # sigma' = 0 and K = 0: V_sigma' B w, V_K B u' and V_K sigma' are exact
-    # zeros; an affine sigma convolves all three
+@pytest.mark.parametrize("modulation", [
+    ConstantModulation(2.0),
+    AffineModulation(1.0, 0.5),
+    ExponentialModulation(-0.7),
+    "sampled",
+], ids=["constant", "affine", "exponential", "sampled"])
+def test_realized_sigma_reconstructs_without_an_fft(model, grid, monkeypatch, modulation):
+    # sigma, sigma' and the closed-form K carry realizations, so V_sigma' B w,
+    # V_K B u' and V_K sigma' run the leaf-blocked recurrence (or vanish for
+    # a constant sigma); a sampled sigma convolves by FFT
+    realized = modulation != "sampled"
+    if not realized:
+        modulation = SampledModulation(AffineModulation(1.0, 0.5).sample(grid).values)
     calls = []
     rows = visco_inverse.volterra._convolve_rows
     monkeypatch.setattr(visco_inverse.volterra, "_convolve_rows",
@@ -215,7 +221,7 @@ def test_constant_sigma_reconstructs_without_an_fft(model, grid, monkeypatch, mo
     kernels = build_reconstruction(model, ZeroKernel(), modulation, grid)
     f = SourceCoefficients.unit(3, 8)
     got = reconstruct(source_trace_prime(kernels.family, f, modulation), kernels, model)
-    assert len(calls) == ffts
+    assert len(calls) == 0 if realized else len(calls) >= 1
     assert abs(got.values[2] - 1.0) < 1e-6
 
 

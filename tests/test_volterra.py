@@ -351,6 +351,105 @@ class TestConvolutionBranches:
         assert not np.isfinite(got).all()
 
 
+@st.composite
+def realized_kernels(draw, form):
+    """A kernel with a realization, on a grid of J below, at or past one leaf:
+    sigma or sigma' of a constant, affine or exponential modulation (rates of
+    both signs), or the closed-form resolvent K = K_0 rho^n with rho near 0
+    (h near 1), near 1 (h near 0) or above 1 (h < 0)."""
+    steps = draw(st.one_of(st.integers(2, 3 * _LEAF_STEPS), LEAF_EDGE_STEPS))
+    grid = TimeGrid(draw(st.floats(0.1, 4.0)), steps)
+    a = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if form == "resolvent":
+        h = draw(st.one_of(st.floats(0.9, 0.999), st.floats(-1e-3, 1e-3), st.floats(-0.02, -1e-3)))
+        mod = AffineModulation(a, 2.0 * h * a / grid.dt)
+        return _resolvent(mod, grid, mod.sample_derivative(grid))
+    if form.startswith("constant"):
+        mod = ConstantModulation(a)
+    elif form.startswith("affine"):
+        mod = AffineModulation(a, draw(st.floats(-2.0, 2.0)))
+    else:
+        mod = ExponentialModulation(draw(st.floats(-3.0, 3.0)))
+    return mod.sample_derivative(grid) if form.endswith("prime") else mod.sample(grid)
+
+
+@st.composite
+def trace_data(draw, grid, shape=None):
+    """A scalar or (J+1, m) signal, real or complex, m = 1..6, or of ``shape``."""
+    if shape is None:
+        m = draw(st.sampled_from([None, 1, 2, 3, 6]))
+        shape = (grid.steps + 1,) if m is None else (grid.steps + 1, m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        values = values + 1j * rng.standard_normal(shape)
+    return ScalarSignal(grid, values) if len(shape) == 1 else TraceSignal(grid, values)
+
+
+REALIZED_FORMS = ["constant", "affine", "affine-prime", "exponential", "exponential-prime",
+                  "resolvent"]
+
+
+class TestRealizedConvolution:
+    """``convolve`` by the leaf-blocked recurrence of a kernel's realization."""
+
+    @pytest.mark.parametrize("form", REALIZED_FORMS)
+    @given(data=st.data())
+    def test_matches_the_trapezoid_sum(self, form, data):
+        rho = data.draw(realized_kernels(form))
+        v = data.draw(trace_data(rho.grid))
+        E, b, c = rho.realization
+        for n in {0, 1, rho.grid.steps}:
+            kn = c @ np.linalg.matrix_power(E, n) @ b
+            assert abs(kn - rho.values[n]) <= 1e-10 * max(abs(kn), np.max(np.abs(rho.values)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(visco_inverse.volterra, "_convolve_rows", None)  # no FFT
+            got = convolve(rho, v).values
+        expected = naive_trapezoid_convolution(rho.values, v.values, rho.grid.dt)
+        assert got.dtype == (np.complex128 if np.iscomplexobj(v.values) else np.float64)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_rows_past_one_chunk(self):
+        # 5120 padded nodes a row in two working arrays, so 6 rows a chunk:
+        # chunks of 6, 6, 6, 6 and 3
+        grid = TimeGrid(2.0, 5000)
+        assert _FFT_ELEMENTS // (2 * 5120) == 6
+        rho = AffineModulation(1.0, -0.7).sample(grid)
+        v = random_signal(np.random.default_rng(8), grid, 27)
+        got = convolve(rho, v).values
+        expected = naive_trapezoid_convolution(rho.values, v.values, grid.dt)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("form", ["affine", "resolvent"])
+    @given(data=st.data())
+    def test_adjoint_identity(self, form, data):
+        # criterion 09's <V u, v> = <u, V* v> with V by the recurrence, V* by FFT
+        rho = data.draw(realized_kernels(form))
+        u = data.draw(trace_data(rho.grid))
+        v = data.draw(trace_data(rho.grid, u.values.shape))
+        gap = l2_inner(convolve(rho, u), v) - l2_inner(u, convolve_adjoint(rho, v))
+        scale = rho.grid.horizon * np.max(np.abs(rho.values)) * l2_norm(u) * l2_norm(v)
+        assert abs(gap) <= 1e-12 * scale
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_data_stay_non_finite(self, bad):
+        grid = TimeGrid(1.0, 600)
+        values = np.ones((601, 1))
+        values[300, 0] = bad
+        got = convolve(AffineModulation(1.0, 0.5).sample(grid), TraceSignal(grid, values)).values
+        assert not np.isfinite(got[300:]).any()
+
+    @pytest.mark.parametrize("E, b", [
+        (np.eye(3), np.ones(3)),
+        ([[1.0, 0.1], [0.0, 0.9]], [0.0, 1.0]),
+    ], ids=["d=3", "not-jordan"])
+    def test_unsupported_realization_rejected(self, E, b):
+        grid = TimeGrid(1.0, 4)
+        with pytest.raises(ValueError, match="realization"):
+            ScalarSignal(grid, np.ones(5), (E, b, np.ones(len(b))))
+
+
 def test_convolutions_commute():
     g = TimeGrid.from_step(1.0, 1e-3)
     m = ScalarSignal.from_function(g, lambda t: np.exp(-t))
@@ -392,6 +491,13 @@ class TestInnerProductsAndNorms:
         g = TimeGrid(1.0, 2)
         with pytest.raises(ValueError):
             differentiate(ScalarSignal(g, np.ones(3)))
+
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_differentiate_is_numpy_gradient_bit_for_bit(self, m):
+        g = TimeGrid(1.3, 97)
+        u = random_signal(np.random.default_rng(12), g, m)
+        expected = np.gradient(u.values, g.dt, axis=0, edge_order=2)
+        assert np.array_equal(differentiate(u).values, expected)
 
     def test_shape_mismatch_rejected(self):
         g = grid_1s(1e-2)
