@@ -33,6 +33,7 @@ from .volterra import (
     TimeGrid,
     TraceSignal,
     _matmul,
+    _real_gram,
     convolve,
     inner_products,
 )
@@ -152,16 +153,16 @@ def gram(family: ModalFamily) -> GramMatrix:
     """Assemble and symmetrize the Gram matrix of the family, with
     <g_i psi_i, g_k psi_k> = <g_i, g_k> (psi_i . conj psi_k).
 
-    Real trajectories take one real product S S^T, S = Z W^(1/2) for the
-    trapezoid weights W, which numpy runs as a symmetric rank-k update."""
+    Real trajectories take their trapezoid Gram from Z in place, one
+    symmetric rank-k update and a rank-2 correction at the ends
+    (``volterra._real_gram``)."""
     if len(family) == 0:
         raise ValueError("cannot form the Gram matrix of an empty family")
     Z = family.scalars
     if np.iscomplexobj(Z):
         traj = inner_products(Z, Z, family.grid)
     else:
-        S = Z * np.sqrt(family.grid.weights)
-        traj = S @ S.T
+        traj = _real_gram(Z, family.grid.dt)
     return _member_gram(traj, family)
 
 

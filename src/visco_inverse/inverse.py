@@ -36,6 +36,7 @@ from itertools import permutations
 import numpy as np
 from numpy.random import PCG64, Generator, default_rng
 
+from .errors import NumericsError
 from .frames import (
     FrameBounds,
     ModalFamily,
@@ -56,6 +57,7 @@ from .volterra import (
     TimeGrid,
     TraceSignal,
     ZeroKernel,
+    _real_gram,
     _slopes,
     convolve,
     h1_norm,
@@ -269,14 +271,13 @@ def stability_gram(
             f"horizon {grid.horizon:g} below the observability threshold {threshold:g}"
         )
     family = y_trace_family(model, kernel, modulation, grid)
-    # one weighted buffer S = Z W^(1/2), then the slopes of Z in its place
-    root = np.sqrt(grid.weights)
-    S = family.scalars * root
-    traj = S @ S.T
-    _slopes(family.scalars.T, grid.dt, S.T)
-    S *= root
-    traj += S @ S.T
-    return _member_gram(traj, family).entries.real
+    Z = family.scalars
+    slopes = np.empty_like(Z)
+    _slopes(Z.T, grid.dt, slopes.T)
+    Q = _member_gram(_real_gram(Z, grid.dt) + _real_gram(slopes, grid.dt), family).entries.real
+    if not np.isfinite(Q).all():
+        raise NumericsError(f"non-finite H1 Gram (size {len(Q)}, horizon {grid.horizon:g})")
+    return Q
 
 
 _MASK32 = 0xFFFFFFFF

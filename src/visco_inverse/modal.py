@@ -22,10 +22,12 @@ M(t) = c^T e^(Rt) b (``MemoryKernel.realization``), the history is a d-vector
 state X, the trapezoid memory sum taken with e^(R(t - s)) b, so each step is
 a fixed real (2+d)x(2+d) map A on (g, g', X) per mode: d = 1 for the zero and
 exponential kernels, d = degree + 1 for a polynomial.  The first rows of
-A^1..A^L over one leaf of L = 256 steps are tabulated once, by doubling;
-each leaf's values are these rows applied to the leaf's start state, which
-A^L then carries to the next leaf.  That is log2(L) + J/L Python iterations
-instead of J, with the discretisation unchanged.  Only sampled kernels step through leaves of the
+A^1..A^L over one leaf of L = 256 steps are tabulated once, by doubling.
+A^L carries the start state of each leaf to the next, and each leaf's
+values are the rows applied to its start state: one batched product over
+all full leaves, written straight into Z, and one for the last.  That is
+log2(L) + J/L small Python iterations instead of J, with the
+discretisation unchanged.  Only sampled kernels step through leaves of the
 blocked causal-history solve in ``volterra``, which adds the history of
 earlier leaves by FFT convolution: O(J log^2 J) per mode instead of O(J^2).
 Modes sharing a grid and kernel are advanced together as a batch.  Only g is
@@ -152,6 +154,21 @@ def _first_overflow(A: np.ndarray) -> int:
     return 0
 
 
+def _first_bad_leaf(rows: np.ndarray, power: np.ndarray, start: np.ndarray, J: int) -> int:
+    """The first step of the first leaf whose values, or the state carried
+    out of it to a later leaf, are non-finite: the step reported when the
+    leaf products overflow."""
+    L = rows.shape[1]
+    state = start[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, J + 1, L):
+            values = rows[:, :J + 1 - n] @ state
+            state = power @ state
+            if not (np.isfinite(values).all() and (n + L > J or np.isfinite(state).all())):
+                return n
+    return 0
+
+
 def _integrate_family(
     mus: np.ndarray,
     z0: np.ndarray,
@@ -181,10 +198,9 @@ def _integrate_family(
                 D = A.shape[1]
                 # rows[:, k - 1] = the first row of A^k over one leaf, filled
                 # by doubling, power = A^m: the first rows of A^(m+1..2m) are
-                # those of A^(1..m) times A^m.  Each leaf's columns of Z are
-                # these rows applied to the leaf's start state, which power
-                # carries to the next leaf: _LEAF_STEPS is a power of two, so
-                # power ends at A^L whenever a second leaf follows
+                # those of A^(1..m) times A^m.  _LEAF_STEPS is a power of two,
+                # so power ends at A^L whenever a second leaf follows; it
+                # carries each leaf's start state to the next
                 L = min(_LEAF_STEPS, J)
                 rows = np.empty((nm, L, D))
                 rows[:, 0] = A[:, 0]
@@ -196,12 +212,22 @@ def _integrate_family(
                 except FloatingPointError:
                     n = _first_overflow(A)
                     raise
-                state = np.zeros((nm, D, 1), dtype=dtype)
-                state[:, 0, 0], state[:, 1, 0] = z0, p0
-                for n in range(1, J + 1, L):
-                    hi = min(n + L, J + 1)
-                    Z[:, n:hi] = (rows[:, :hi - n] @ state)[..., 0]
-                    state = power @ state
+                full, rest = divmod(J, L)
+                starts = np.zeros((nm, full + 1, D), dtype=dtype)
+                starts[:, 0, 0], starts[:, 0, 1] = z0, p0
+                try:
+                    for k in range(1, full + (rest > 0)):
+                        starts[:, k] = (power @ starts[:, k - 1, :, None])[..., 0]
+                    # each leaf's columns of Z are the rows applied to its
+                    # start state: every full leaf in one batched product
+                    # written into Z, the tail leaf in one more
+                    np.matmul(starts[:, :full], rows.transpose(0, 2, 1),
+                              out=Z[:, 1:full * L + 1].reshape(nm, full, L))
+                    tail = starts[:, full, None] @ rows[:, :rest].transpose(0, 2, 1)
+                    Z[:, full * L + 1:] = tail[:, 0]
+                except FloatingPointError:
+                    n = _first_bad_leaf(rows, power, starts[:, 0], J)
+                    raise
                 return Z
 
             mv = kernel.sample(grid)

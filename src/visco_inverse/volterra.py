@@ -17,8 +17,9 @@ Two routes apply the same matrix.  A kernel with a finite realization
 rho_n = c^T E^n b (d <= 2: sigma and sigma' of a constant, affine or
 exponential modulation, and the closed-form resolvent K) convolves by a
 leaf-blocked recurrence: one lower-triangular Toeplitz product per leaf of
-``_LEAF_STEPS`` nodes and a d-state carried across leaves (Lubich & Schaedle,
-SIAM J. Sci. Comput. 24, 2002, for the state-space idea), with no FFT.
+``_REALIZED_LEAF_STEPS`` nodes and a d-state carried across leaves (Lubich
+& Schaedle, SIAM J. Sci. Comput. 24, 2002, for the state-space idea), with
+no FFT.
 Every other kernel (sampled sigma, sampled memory kernels, the blocked
 history and resolvent solves) and every adjoint take the FFT.
 """
@@ -139,11 +140,21 @@ def _check_same_grid(a, b):
         raise ValueError("signals live on different time grids")
 
 
-#: steps per leaf of the blocked causal-history solve, of the modal step-map
-#: tables and of the realized convolution, a power of two; shorter leaves
-#: spend more in per-call FFT overhead than they save, longer ones let the
-#: modal step's in-leaf history sum dominate (timed at J = 16k..32k, N = 16)
+#: steps per leaf of the blocked causal-history solve and of the modal
+#: step-map tables, a power of two; shorter leaves spend more in per-call FFT
+#: overhead than they save, longer ones let the modal step's in-leaf history
+#: sum dominate (timed at J = 16k..32k, N = 16)
 _LEAF_STEPS = 256
+#: nodes per leaf of the realized convolution ``_realized_rows``, which
+#: costs O(J L) per row and a table of L^2.  convolve, ms, best of 9 on
+#: 2 vCPUs (numpy 2.4), at L = 16 / 32 / 64 / 128 / 256:
+#:   exponential sigma, J = 32768, 16 rows   13.2  12.1  12.4  12.3  16.5
+#:   exponential sigma, J = 32768, 1 row     0.60  0.53  0.52  0.62  0.81
+#:   affine sigma, J = 16384, 16 rows         6.6   5.2   5.5   6.1   7.3
+#:   affine sigma, J = 8192, 256 rows        51.2  51.3  50.6  51.6  65.9
+#: 32 and 64 are level within the spread of repeated runs; 64 has the
+#: fewer leaves for the doubling scan
+_REALIZED_LEAF_STEPS = 64
 #: complex elements per row-chunk FFT of ``_convolve_rows``, and values in
 #: the two working arrays of a row chunk of ``_realized_rows``, bounding
 #: their temporaries
@@ -206,20 +217,20 @@ def _realized_rows(x: np.ndarray, rho: ScalarSignal, out: np.ndarray):
     """Write the trapezoid convolution of each row of ``x`` (rows, J+1) with
     the realized kernel ``rho`` to ``out``, leaf by leaf.
 
-    Inside a leaf of L nodes it is one product with the lower-triangular
-    Toeplitz matrix of dt times the samples, halved on the diagonal, with
-    x_0 halved too.  The earlier leaves enter through the d-state at the
-    leaf's start, read out by the first rows of ``_gains``; each leaf adds
-    its own part of the state at the next start, and a doubling scan over
-    leaves (log2 of their count steps, each gain read from the samples)
-    sums them.  No table is a repeated product of E, so the operator stays
+    Inside a leaf of L = ``_REALIZED_LEAF_STEPS`` nodes it is one product
+    with the lower-triangular Toeplitz matrix of dt times the samples,
+    halved on the diagonal, with x_0 halved too.  The earlier leaves enter
+    through the d-state at the leaf's start, read out by the first rows of
+    ``_gains``; each leaf adds its own part of the state at the next start,
+    and a doubling scan over leaves (log2 of their count steps, each gain
+    read from the samples) sums them.  No table is a repeated product of E, so the operator stays
     the Toeplitz matrix of the samples to a few roundoffs.  Rows go in
     chunks whose padded input and product hold ``_FFT_ELEMENTS`` values
     together at most, so many rows cost no more memory than one.
     """
     r, dt, d = rho.values, rho.grid.dt, len(rho.realization[1])
     nodes = len(r)
-    L = min(_LEAF_STEPS, nodes)
+    L = min(_REALIZED_LEAF_STEPS, nodes)
     leaves = -(-nodes // L)
     k = np.arange(L)
     # toeplitz[i, m] = dt r[i - m] for m <= i, the windows of (0, .., 0, r) reversed
@@ -383,6 +394,17 @@ def inner_products(a: np.ndarray, b: np.ndarray, grid: TimeGrid) -> np.ndarray:
     wa = np.conjugate(a, dtype=np.result_type(a, 1.0))
     wa *= grid.weights if a.ndim == 2 else grid.weights[:, None]
     return np.conj(_matmul(wa.reshape(len(a), -1), b.reshape(len(b), -1).T))
+
+
+def _real_gram(x: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid inner products <x_i, x_k> of real rows x (rows, J+1), with
+    no weighted copy of x: dt x x^T, which numpy runs as one symmetric
+    rank-k update, less dt/2 times the products of the end columns."""
+    gram = x @ x.T
+    gram *= dt
+    ends = x[:, [0, -1]]
+    gram -= 0.5 * dt * (ends @ ends.T)
+    return gram
 
 
 def l2_inner(u: Signal, v: Signal) -> complex:

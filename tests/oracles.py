@@ -9,13 +9,16 @@ out pair by pair, the stability oracle takes the H1 norm of every
 trial's synthesized trace instead of a Gram quadratic form, the two
 Volterra oracles solve the resolvent and the generic-kernel modal history by
 O(J^2) forward substitution instead of the blocked FFT solve, and the step
-oracle advances the zero- and exponential-kernel modal equations one step at
-a time instead of by powers of the step map.  The reconstruction oracle
+oracle advances the modal equations of a realized (zero, exponential or
+polynomial) kernel one step at a time instead of by powers of the step map
+and batched leaf products.  The reconstruction oracle
 materialises every family member, dual and reconstruction kernel theta_k as
 a (members, J+1, m) array and recovers through <B u', theta_k>, the route
 the factored family replaces.  The complex w route solves the w family on a
 complex state with its own data (0, lambda_n) and convolves it by complex
-FFTs, the route the real rows with folded factors replace.
+FFTs, the route the real rows with folded factors replace.  The weighted
+stability Gram forms each trapezoid Gram from a weighted copy of the rows,
+the route the in-place rule replaces.
 """
 
 from dataclasses import dataclass
@@ -24,11 +27,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from visco_inverse import (
-    ExponentialKernel,
     ScalarSignal,
     TimeGrid,
     TraceSignal,
-    ZeroKernel,
     convolve,
     convolve_adjoint,
     h1_norm,
@@ -127,6 +128,21 @@ def stability_ratios_per_trial(model, kernel, modulation, grid, trials, seed):
     return ratios
 
 
+def stability_gram_weighted(model, kernel, modulation, grid) -> np.ndarray:
+    """The H1 Gram of ``inverse.stability_gram`` by its weighted-buffer form:
+    S = Y W^(1/2) for the y rows Y and the trapezoid weights W, S S^T, then
+    the same for the slopes of Y (``np.gradient``), and the trace-vector
+    Gram entry by entry."""
+    family = y_trace_family(model, kernel, modulation, grid)
+    root = np.sqrt(grid.weights)
+    S = family.scalars * root
+    traj = S @ S.T
+    S = np.gradient(family.scalars, grid.dt, axis=1, edge_order=2) * root
+    traj += S @ S.T
+    raw = traj * (family.psis @ family.psis.conj().T)
+    return (0.5 * (raw.T + raw.conj())).real
+
+
 def resolvent_kernel_loop(sigma: np.ndarray, sigma_prime: np.ndarray, dt: float) -> np.ndarray:
     """sigma(0) K + V_sigma' K = -sigma' by forward substitution, one node at a time."""
     s0, sp = sigma[0], sigma_prime
@@ -185,42 +201,37 @@ def _modal_history_steps(mus, z0, p0, mv: np.ndarray, dt: float) -> np.ndarray:
 
 
 def modal_step_loop(mus, z0, p0, kernel, grid: TimeGrid) -> np.ndarray:
-    """Z of the implicit-trapezoid modal step under a zero or exponential
-    kernel, one step at a time with the O(1) exponential history recursion."""
+    """Z of the implicit-trapezoid modal step under a kernel with a finite
+    realization M(t) = c^T e^(Rt) b (zero, exponential or polynomial), one
+    step at a time.  The trapezoid history sum is carried as the d-vector S
+    of its e^(R(t_j - s)) b terms, S_(j+1) = E (S_j + dt/2 b z_j) +
+    dt/2 b z_(j+1) with E = e^(R dt), and read out as c^T S.  The loop runs
+    in numpy's long double on the same double inputs (dt, E, b, c), so on
+    x86 its own roundoff stays well below that of the double routes."""
     nm = mus.shape[0]
     J = grid.steps
-    dt = grid.dt
-    Z = np.empty((nm, J + 1), dtype=np.complex128)
+    E, b, c = (np.asarray(a, dtype=np.longdouble) for a in kernel.realization(grid.dt))
+    dt = np.longdouble(grid.dt)
+    mus = np.asarray(mus, dtype=np.longdouble)
+    m0 = c @ b
+    Z = np.empty((nm, J + 1), dtype=np.clongdouble)
     Z[:, 0] = z0
-    p = np.array(p0, dtype=np.complex128)
-
-    zero_memory = isinstance(kernel, ZeroKernel)
-    assert zero_memory or isinstance(kernel, ExponentialKernel)
-    if zero_memory:
-        m0 = 0.0
-    else:
-        m0 = kernel.beta
-        decay = np.exp(-kernel.alpha * dt)
+    p = np.array(p0, dtype=np.clongdouble)
 
     kappa = 0.5 * dt * mus * m0
     denom = 1.0 + 0.25 * dt * dt * (mus + kappa)
-    g = np.zeros(nm, dtype=np.complex128)  # memory forcing -mu * S_j
-    S = np.zeros(nm, dtype=np.complex128)  # trapezoid history sum at t_j
+    g = np.zeros(nm, dtype=np.clongdouble)  # memory forcing -mu * c^T S_j
+    S = np.zeros((nm, len(b)), dtype=np.clongdouble)
     for n in range(1, J + 1):
         zj = Z[:, n - 1]
-        if zero_memory:
-            rhs = zj + dt * p - 0.25 * dt * dt * mus * zj
-            znew = rhs / denom
-            p = p + 0.5 * dt * (-mus * (zj + znew))
-        else:
-            h = decay * (S + 0.5 * dt * m0 * zj)
-            ghat = -mus * h
-            rhs = zj + dt * p + 0.25 * dt * dt * (-mus * zj + g + ghat)
-            znew = rhs / denom
-            gnew = ghat - kappa * znew
-            p = p + 0.5 * dt * (-mus * zj + g - mus * znew + gnew)
-            S = h + 0.5 * dt * m0 * znew
-            g = gnew
+        H = (S + 0.5 * dt * zj[:, None] * b) @ E.T
+        ghat = -mus * (H @ c)
+        rhs = zj + dt * p + 0.25 * dt * dt * (-mus * zj + g + ghat)
+        znew = rhs / denom
+        gnew = ghat - kappa * znew
+        p = p + 0.5 * dt * (-mus * zj + g - mus * znew + gnew)
+        S = H + 0.5 * dt * znew[:, None] * b
+        g = gnew
         Z[:, n] = znew
     return Z
 

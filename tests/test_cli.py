@@ -533,6 +533,25 @@ print(codes, "numpy.ma" in sys.modules)
         assert results["median_ratio"] == np.median(ratios)
 
 
+def test_overflowing_stability_scan_exits_3(tmp_path):
+    # sigma = e^(300 t) overflows on the grid, and the H1 Gram with it: a
+    # numerical failure (exit 3), not a config error from the eigen solve
+    cfg = json.loads((CONFIGS / "reconstruct_memory.json").read_text())
+    cfg.update(study="stability-scan", trials=10, N=4, sigma={"form": "exponential", "a": 300.0})
+    cfg["grid"]["dt"] = cfg["grid"]["T"] / 640
+    out = tmp_path / "scan"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "visco_inverse.cli", "stability-scan",
+                           "--config", str(write_config(tmp_path, cfg)), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "stability-scan.csv").exists()
+    assert "non-finite H1 Gram" in strict_json(out / "stability-scan.json")["diagnostics"]["exit"]
+
+
 def test_csv_rows_keep_the_per_value_repr_bytes(tmp_path):
     # the bytes of the former writer, one repr(float(v)) per value
     def per_value(rows):

@@ -241,6 +241,28 @@ def test_real_gram_matches_the_complex_lapack_route(shift):
     assert gram(z_trace_family(model, kernel, grid)).entries.dtype == np.complex128
 
 
+@pytest.mark.parametrize("steps", [3, _LEAF_STEPS + 1, 2049])
+def test_real_gram_in_place_matches_the_weighted_route(steps):
+    # dt Z Z^T less the halved end products against the weighted conjugate
+    # of inner_products; rows rising to their largest value at t_J lose the
+    # most to the end correction, and the w rows of a growing mode do too
+    grid = TimeGrid(2 * PI + 0.5, steps)
+    t = grid.nodes
+    rng = np.random.default_rng(steps)
+    model = build_spectral_model(OperatorSpec(PI, -3.5), 3)
+    rows = np.concatenate([
+        np.exp(np.outer([0.5, 2.0, 6.0], t)),
+        [t ** 4 + 1e-3 * rng.standard_normal(len(t))],
+        rng.standard_normal((3, len(t))),
+        w_trace_family(model, ExponentialKernel(1.0, 1.0), grid).scalars,
+    ])
+    fam = ModalFamily(grid, range(len(rows)), rows, np.ones((len(rows), 1)))
+    assert rows.argmax(axis=1)[:4].tolist() == [steps] * 4
+    raw = inner_products(rows, rows, grid)
+    expected = 0.5 * (raw + raw.T)
+    assert np.linalg.norm(gram(fam).entries - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
 @pytest.mark.parametrize("kernel", [ExponentialKernel(1.0, 1.0), "sampled"],
                          ids=["step-map", "history-solve"])
 def test_real_family_allocates_no_complex_copy(kernel):
@@ -269,11 +291,11 @@ def test_real_family_allocates_no_complex_copy(kernel):
             del out
     finally:
         tracemalloc.stop()
-    # measured: 1.29 (1.52 with the history solve), 1.06 and 2.63, the last
-    # while the w rows are convolved into the y rows; after that the two
-    # Grams share one weighted buffer (2.03)
+    # measured: 1.29 (1.52 with the history solve), 0.06 and 2.37, the last
+    # while the w rows are convolved into the y rows; the Grams are taken
+    # from the rows in place, and the slopes need one buffer
     assert peaks["w_trace_family"] <= 1.75, peaks
-    assert peaks["gram"] <= 1.5, peaks
+    assert peaks["gram"] <= 0.25, peaks
     assert peaks["stability_gram"] <= 2.75, peaks
 
 

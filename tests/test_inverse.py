@@ -11,6 +11,7 @@ from visco_inverse import (
     ExponentialKernel,
     ExponentialModulation,
     GramMatrix,
+    NumericsError,
     OperatorSpec,
     PolynomialKernel,
     SampledModulation,
@@ -35,10 +36,10 @@ from visco_inverse import (
     stability_ratios,
     stability_scan,
 )
-from oracles import reconstruct_via_thetas, stability_ratios_per_trial
+from oracles import reconstruct_via_thetas, stability_gram_weighted, stability_ratios_per_trial
 import visco_inverse.inverse
 from visco_inverse.inverse import _SCAN_BLOCK, _identity_residuals, _trial_draws
-from visco_inverse.volterra import _LEAF_STEPS
+from visco_inverse.volterra import _LEAF_STEPS, _REALIZED_LEAF_STEPS
 
 PI = math.pi
 
@@ -168,8 +169,11 @@ def reconstruction_cases(draw, kernels, form):
     grows like e^(|sigma'/sigma| t) and every route to f loses digits in
     proportion, so there is nothing to compare to 1e-12.
     """
-    steps = draw(st.sampled_from([_LEAF_STEPS // 2, _LEAF_STEPS - 1, _LEAF_STEPS,
-                                  _LEAF_STEPS + 1, 2 * _LEAF_STEPS + 1]))
+    steps = [_LEAF_STEPS // 2, _LEAF_STEPS - 1, _LEAF_STEPS, _LEAF_STEPS + 1,
+             2 * _LEAF_STEPS + 1]
+    if form != "sampled":  # sigma convolves by leaves of the realized recurrence
+        steps += [k * _REALIZED_LEAF_STEPS + d for k in (1, 3) for d in (-1, 1)]
+    steps = draw(st.sampled_from(steps))
     grid = TimeGrid(2 * PI + 0.5, steps)
     endpoints = draw(st.sampled_from([("left",), ("left", "right")]))
     # q = -1 puts mode 1 on the zero branch, q = -1.5 makes lambda_1 imaginary
@@ -392,6 +396,26 @@ class TestStability:
             expected.append(np.sqrt(f @ q @ f))
         got = stability_ratios(*args, 300, 11, h1_gram=q)
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("kernel, modulation", [
+        (ZeroKernel(), ConstantModulation(1.5)),
+        (ExponentialKernel(1.0, 1.0), AffineModulation(1.0, 0.5)),
+        (PolynomialKernel((1.0, -0.5)), ExponentialModulation(0.8)),
+    ], ids=["zero-constant", "exponential-affine", "polynomial-exponential"])
+    def test_in_place_grams_match_the_weighted_buffer(self, kernel, modulation):
+        # q = -3.5 makes lambda_1 imaginary, so its row grows to t_J
+        model = build_spectral_model(OperatorSpec(PI, -3.5, ("left", "right")), 6)
+        g = TimeGrid(2 * PI + 0.5, 1000)
+        got = stability_gram(model, kernel, modulation, g)
+        expected = stability_gram_weighted(model, kernel, modulation, g)
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gram_is_a_numerical_failure(self, model):
+        # sigma = e^(300 t) overflows on the grid, so the y rows do
+        g = TimeGrid(2 * PI + 0.5, 640)
+        with pytest.raises(NumericsError, match="non-finite H1 Gram"):
+            stability_gram(model, ExponentialKernel(1.0, 1.0), ExponentialModulation(300.0), g)
 
     def test_builds_no_generator_per_trial(self, model, grid, monkeypatch):
         q = stability_gram(model, ZeroKernel(), ConstantModulation(1.0), grid)

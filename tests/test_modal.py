@@ -335,6 +335,30 @@ class TestPropagatedStepProperties:
         assert np.max(np.abs(Z - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
+class TestBatchedLeafProduct:
+    # every full leaf of Z written by one batched product, the tail by one more
+    @pytest.mark.parametrize("steps", [2, _LEAF_STEPS - 1, _LEAF_STEPS, _LEAF_STEPS + 1,
+                                       3 * _LEAF_STEPS + 5, 700])
+    @pytest.mark.parametrize("kernel", [ZeroKernel(), ExponentialKernel(0.7, 1.3),
+                                        PolynomialKernel((1.0, -0.5, 0.2))],
+                             ids=["zero", "exponential", "polynomial"])
+    @pytest.mark.parametrize("family", ["w", "z"])
+    def test_matches_the_step_loop(self, family, kernel, steps):
+        grid = TimeGrid(2.0, steps)
+        mus = np.array([-2.0, 0.5, 3.0, 40.0, 900.0])
+        lams = np.sqrt(np.abs(mus))
+        if family == "w":  # real data (0, |lambda_n|)
+            z0, p0 = np.zeros(5), lams
+        else:
+            z0, p0 = np.ones(5, dtype=complex), 1j * lams
+        Z = _integrate_family(mus, z0, p0, kernel, grid)
+        assert Z.dtype == (np.float64 if family == "w" else np.complex128)
+        assert Z.flags.c_contiguous
+        expected = modal_step_loop(mus, z0, p0, kernel, grid)
+        gap = np.max(np.abs(Z - expected)) / np.max(np.abs(expected))
+        assert gap <= 1e-13, gap
+
+
 class TestOverflow:
     @pytest.mark.parametrize("kernel, mu, grid, step", [
         # A^k overflows while the one-leaf power table is built

@@ -41,7 +41,7 @@ from oracles import (
 )
 import visco_inverse.inverse
 from visco_inverse.inverse import _resolvent
-from visco_inverse.volterra import _FFT_ELEMENTS, _LEAF_STEPS, _fast_len
+from visco_inverse.volterra import _FFT_ELEMENTS, _LEAF_STEPS, _REALIZED_LEAF_STEPS, _fast_len
 
 # (steps, m) of the chunking cases; m None is a ScalarSignal.  5000 x 7 runs
 # several rows per FFT chunk with a partial last chunk, 32768 has an FFT
@@ -351,13 +351,20 @@ class TestConvolutionBranches:
         assert not np.isfinite(got).all()
 
 
+#: step counts at the edges of 1, 2, 3 and 9 leaves of the realized
+#: convolution, and of 4, 8 and 12, which are the edges of 1, 2 and 3
+#: blocked-solve leaves as well
+REALIZED_EDGE_STEPS = st.sampled_from(
+    [k * _REALIZED_LEAF_STEPS + d for k in (1, 2, 3, 4, 8, 9, 12) for d in (-1, 0, 1)])
+
+
 @st.composite
 def realized_kernels(draw, form):
     """A kernel with a realization, on a grid of J below, at or past one leaf:
     sigma or sigma' of a constant, affine or exponential modulation (rates of
     both signs), or the closed-form resolvent K = K_0 rho^n with rho near 0
     (h near 1), near 1 (h near 0) or above 1 (h < 0)."""
-    steps = draw(st.one_of(st.integers(2, 3 * _LEAF_STEPS), LEAF_EDGE_STEPS))
+    steps = draw(st.one_of(st.integers(2, 3 * _LEAF_STEPS), REALIZED_EDGE_STEPS))
     grid = TimeGrid(draw(st.floats(0.1, 4.0)), steps)
     a = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
     if form == "resolvent":
@@ -410,10 +417,11 @@ class TestRealizedConvolution:
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
     def test_rows_past_one_chunk(self):
-        # 5120 padded nodes a row in two working arrays, so 6 rows a chunk:
+        # 5056 padded nodes a row in two working arrays, so 6 rows a chunk:
         # chunks of 6, 6, 6, 6 and 3
         grid = TimeGrid(2.0, 5000)
-        assert _FFT_ELEMENTS // (2 * 5120) == 6
+        assert -(-5001 // _REALIZED_LEAF_STEPS) * _REALIZED_LEAF_STEPS == 5056
+        assert _FFT_ELEMENTS // (2 * 5056) == 6
         rho = AffineModulation(1.0, -0.7).sample(grid)
         v = random_signal(np.random.default_rng(8), grid, 27)
         got = convolve(rho, v).values
