@@ -6,7 +6,11 @@ as the trajectories Z (members, J+1) and trace vectors Psi (members, m).
 For the w and y families Z is real: the real rows of the modal solve, with
 each mode's factor (1, or i for an imaginary lambda_n) folded into Psi, so
 Psi is real, every product that reads Z is a real one and the Gram is real.
-The z family stays complex.
+The z family stays complex.  Under a kernel with a realization the w family
+holds no Z: its trajectories are the step map's ``LeafTables``, from which
+the Gram, the synthesis Z^T (a * Psi) and the inner products with a signal
+are read, O(N d J) in time and O(N d L + N^2) in memory; ``scalars``
+builds Z on request.
 Its Gram matrix under the discrete L2(0,T; G) inner product, the trajectory
 Gram times the trace-vector Gram entry by entry, yields sharp two-sided
 frame constants for the truncated span (extreme eigenvalues).  Its inverse
@@ -25,7 +29,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import NumericsError, SingularGramError
-from .modal import solve_w_many, solve_z_many
+from .modal import LeafTables, _dense, solve_w_many, solve_z_many
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
@@ -49,23 +53,30 @@ class ModalFamily:
 
     grid: TimeGrid
     labels: tuple
-    scalars: np.ndarray  # (members, J+1), the trajectories g_n: real or complex
+    trajectories: np.ndarray | LeafTables  # (members, J+1) g_n, real or complex
     psis: np.ndarray  # (members, m), the complex trace vectors psi_n
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        scalars = np.asarray(self.scalars, dtype=np.complex128
-                             if np.iscomplexobj(self.scalars) else np.float64)
+        rows = self.trajectories
+        if not isinstance(rows, LeafTables):
+            rows = np.asarray(rows, dtype=np.complex128 if np.iscomplexobj(rows) else np.float64)
+            rows.setflags(write=False)
         psis = np.asarray(self.psis, dtype=np.complex128)
-        if scalars.shape != (len(labels), self.grid.steps + 1):
+        if rows.shape != (len(labels), self.grid.steps + 1):
             raise ValueError("family scalars must be (members, nodes) on the grid")
         if psis.ndim != 2 or psis.shape[0] != len(labels) or psis.shape[1] < 1:
             raise ValueError("family trace vectors must be (members, dim)")
-        scalars.setflags(write=False)
         psis.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "scalars", scalars)
+        object.__setattr__(self, "trajectories", rows)
         object.__setattr__(self, "psis", psis)
+
+    @cached_property
+    def scalars(self) -> np.ndarray:
+        """The trajectories g_n as one (members, J+1) array, built from leaf
+        tables on first use."""
+        return _dense(self.trajectories)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -75,20 +86,31 @@ class ModalFamily:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != (len(self),):
             raise ValueError("coefficient vector does not match the family size")
-        return TraceSignal(self.grid, _matmul(self.scalars.T, coeffs[:, None] * self.psis))
+        weighted = coeffs[:, None] * self.psis
+        if not weighted.imag.any():  # real rows then give a real trace
+            weighted = weighted.real
+        Z = self.trajectories
+        return TraceSignal(self.grid, Z.tdot(weighted) if isinstance(Z, LeafTables)
+                           else _matmul(Z.T, weighted))
+
+    def _trajectory_inner(self, x: np.ndarray) -> np.ndarray:
+        """(k, members) matrix of <x_c, g_n> for the columns of x (J+1, k)."""
+        Z = self.trajectories
+        if isinstance(Z, LeafTables):  # real rows
+            return Z.dot(self.grid.weights[:, None] * x).T
+        return inner_products(x.T, Z, self.grid)
 
     def inner_with(self, signal: TraceSignal) -> np.ndarray:
         """Vector of <signal, member_n> = sum_c <signal_c, g_n> conj(psi_n,c)."""
         if signal.grid != self.grid or signal.dim != self.psis.shape[1]:
             raise ValueError("signal does not match the family grid and dimension")
-        per_dim = inner_products(signal.values.T, self.scalars, self.grid)
-        return np.einsum("cn,nc->n", per_dim, self.psis.conj())
+        return np.einsum("cn,nc->n", self._trajectory_inner(signal.values), self.psis.conj())
 
 
 def _trace_family(solution, labels) -> ModalFamily:
     """The members factor_n row_n psi_n, with the factors folded into Psi."""
     psis = solution.factors[:, None] * np.stack([m.psi for m in solution.modes])
-    return ModalFamily(solution.grid, labels, solution.rows, psis)
+    return ModalFamily(solution.grid, labels, solution.trajectories, psis)
 
 
 def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
@@ -155,11 +177,14 @@ def gram(family: ModalFamily) -> GramMatrix:
 
     Real trajectories take their trapezoid Gram from Z in place, one
     symmetric rank-k update and a rank-2 correction at the ends
-    (``volterra._real_gram``)."""
+    (``volterra._real_gram``), or from their leaf tables
+    (``modal.LeafTables.gram``)."""
     if len(family) == 0:
         raise ValueError("cannot form the Gram matrix of an empty family")
-    Z = family.scalars
-    if np.iscomplexobj(Z):
+    Z = family.trajectories
+    if isinstance(Z, LeafTables):
+        traj = Z.gram()
+    elif np.iscomplexobj(Z):
         traj = inner_products(Z, Z, family.grid)
     else:
         traj = _real_gram(Z, family.grid.dt)

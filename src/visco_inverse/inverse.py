@@ -61,7 +61,6 @@ from .volterra import (
     _slopes,
     convolve,
     h1_norm,
-    inner_products,
     resolvent_kernel,
 )
 
@@ -97,8 +96,13 @@ def _resolvent(modulation: SourceModulation, grid: TimeGrid,
     if not abs(h) < 1.0:
         return resolvent_kernel(modulation.sample(grid), sigma_prime)
     log_rho = a * dt + math.log1p(-h) - math.log1p(h)
-    return ScalarSignal(grid, -c / s0 * np.exp(np.arange(grid.steps + 1) * log_rho),
-                        (math.exp(log_rho), 1.0, -c / s0))
+    try:
+        with np.errstate(over="raise"):
+            K = -c / s0 * np.exp(np.arange(grid.steps + 1) * log_rho)
+    except FloatingPointError:
+        raise NumericsError(f"the resolvent of sigma overflows: K = {-c / s0:g} rho^n, "
+                            f"log rho = {log_rho:g}, n <= {grid.steps}") from None
+    return ScalarSignal(grid, K, (math.exp(log_rho), 1.0, -c / s0))
 
 
 def _identity_residuals(
@@ -126,7 +130,7 @@ def _identity_residuals(
     resolvent_residual = float(np.max(np.abs(e)) / scale if scale else 0.0)
     # <p_k, c> = sum_m C[k, m] <w_m, c> psi_m, a vector in G
     with_c = coefficients @ (
-        np.conj(inner_products(c[None], family.scalars, grid)[0])[:, None] * family.psis
+        np.conj(family._trajectory_inner(c[:, None])[0])[:, None] * family.psis
     )
     squares = (abs(d) ** 2 * np.diag(coefficients).real
                + np.sum(np.abs(with_c) ** 2, axis=1) / grid.weights[0])

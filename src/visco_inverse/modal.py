@@ -5,8 +5,8 @@ For each nonzero branch value the scalar unknown g solves
     g''(t) + mu g(t) = -mu * integral of M(t - s) g(s) ds over [0, t]
 
 with mode-specific initial data: (1, i*lambda_n) for the z family and
-(0, lambda_n) for the w family.  Zero-branch modes bypass the solver: their
-trajectories are z(0) + z'(0)*t, with z'(0) = i*sgn(n) for z and 1 for w.
+(0, lambda_n) for the w family.  Zero-branch modes have the closed form
+z(0) + z'(0)*t, with z'(0) = i*sgn(n) for z and 1 for w.
 
 The equation has real coefficients, so the w family is solved on a real
 state: w_n = (lambda_n / |lambda_n|) r_n, with r_n the real solution with
@@ -24,12 +24,16 @@ a fixed real (2+d)x(2+d) map A on (g, g', X) per mode: d = 1 for the zero and
 exponential kernels, d = degree + 1 for a polynomial.  The first rows of
 A^1..A^L over one leaf of L = 256 steps are tabulated once, by doubling.
 A^L carries the start state of each leaf to the next, and each leaf's
-values are the rows applied to its start state: one batched product over
-all full leaves, written straight into Z, and one for the last.  That is
-log2(L) + J/L small Python iterations instead of J, with the
-discretisation unchanged.  Only sampled kernels step through leaves of the
-blocked causal-history solve in ``volterra``, which adds the history of
-earlier leaves by FFT convolution: O(J log^2 J) per mode instead of O(J^2).
+values are the rows applied to its start state.  That is log2(L) + J/L
+small Python iterations instead of J, with the discretisation unchanged.
+The w family keeps these tables (``LeafTables``) in place of its rows: its
+Gram, a synthesis Z^T x and products Z y are sums over time that read them
+in O(N d J), with no (modes, J+1) array.  The rows Z are built on request
+(the ``ModalTrajectory`` views, the y family), one batched product over all
+full leaves written straight into Z and one for the last.  Only sampled
+kernels step through leaves of the blocked causal-history solve in
+``volterra``, which adds the history of earlier leaves by FFT convolution:
+O(J log^2 J) per mode instead of O(J^2).
 Modes sharing a grid and kernel are advanced together as a batch.  Only g is
 stored; g' is recovered on demand.  A state that overflows stops the solve
 with ``NumericsError``.
@@ -38,6 +42,7 @@ with ``NumericsError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +54,7 @@ from .volterra import (
     TimeGrid,
     _LEAF_STEPS,
     _causal_blocks,
+    _matmul,
     inner_products,
 )
 
@@ -85,15 +91,115 @@ class ModalTrajectory:
 
 
 @dataclass(frozen=True, eq=False)
+class LeafTables:
+    """Rows Z (modes, J+1) of a step-map solve, held as the leaf tables they
+    are read from: with L the leaf length,
+
+        Z[:, 0] = starts[:, 0, 0],  Z[:, 1 + kL + l] = starts[:, :, k] . rows[:, :, l].
+
+    ``rows[:, :, l]`` is the first row of A^(l+1), ``starts[:, :, k]`` the
+    state at the start of leaf k.  The sums over time that the w family
+    needs (its Gram, a synthesis Z^T x, products Z y) read the tables in
+    O(N D J) and build no (modes, J+1) array; ``dense`` builds Z.  Modes
+    in ``linear`` have mu = 0, so their rows are z(0) + z'(0) t, which
+    ``dense`` writes in closed form.
+    """
+
+    grid: TimeGrid
+    rows: np.ndarray  # (modes, D, L)
+    starts: np.ndarray  # (modes, D, leaves)
+    linear: np.ndarray  # indices of the modes with mu = 0
+
+    @property
+    def shape(self) -> tuple:
+        return len(self.starts), self.grid.steps + 1
+
+    def _leaves(self) -> tuple:
+        """(L, the number of full leaves, the values (modes, rest) of the tail leaf)."""
+        L = self.rows.shape[2]
+        full, rest = divmod(self.grid.steps, L)
+        return L, full, (self.starts[:, None, :, full] @ self.rows[:, :, :rest])[:, 0]
+
+    def dense(self) -> np.ndarray:
+        """Z, each full leaf written by one batched product."""
+        L, full, tail = self._leaves()
+        Z = np.empty(self.shape, self.starts.dtype)
+        Z[:, 0] = self.starts[:, 0, 0]
+        np.matmul(self.starts[:, :, :full].transpose(0, 2, 1), self.rows,
+                  out=Z[:, 1:full * L + 1].reshape(len(Z), full, L))
+        Z[:, full * L + 1:] = tail
+        z0, p0 = self.starts[self.linear, :2, 0].T
+        Z[self.linear] = z0[:, None] + p0[:, None] * self.grid.nodes
+        return Z
+
+    def gram(self) -> np.ndarray:
+        """Trapezoid inner products <z_m, z_n> of the rows, as in
+        ``volterra._real_gram``: over the full leaves,
+        sum over k, l of Z_m Z_n = sum over a, b of (R_a R_b^T)(S_a S_b^T) entrywise,
+        R_a = rows[:, a] and S_a = starts[:, a, :full], taken pair by pair so
+        that every temporary is (modes, modes); state components that are
+        identically zero (the memory state of the zero kernel) are skipped."""
+        L, full, tail = self._leaves()
+        R, S = self.rows, self.starts[:, :, :full]
+        live = [a for a in range(R.shape[1]) if R[:, a].any() and S[:, a].any()]
+        k, l = divmod(self.grid.steps - 1, L)  # Z[:, J] is in column l of leaf k
+        ends = np.stack([S[:, 0, 0], np.einsum("na,na->n", self.starts[:, :, k], R[:, :, l])], 1)
+        g = tail @ tail.T + np.outer(ends[:, 0], ends[:, 0]) - 0.5 * (ends @ ends.T)
+        for i, a in enumerate(live):
+            for b in live[i:]:
+                pair = R[:, a] @ R[:, b].T
+                pair *= S[:, a] @ S[:, b].T
+                g += pair
+                if b != a:
+                    g += pair.T
+        g *= self.grid.dt
+        return g
+
+    def dot(self, y: np.ndarray) -> np.ndarray:
+        """Z y for y (J+1, k): per leaf, the rows against its part of y in one
+        (N D x L) (L x leaves k) product, then the start states."""
+        L, full, tail = self._leaves()
+        nm, D = self.starts.shape[:2]
+        k = y.shape[1]
+        blocks = y[1:full * L + 1].reshape(full, L, k).transpose(1, 0, 2).reshape(L, full * k)
+        per_leaf = _matmul(self.rows.reshape(nm * D, L), blocks).reshape(nm, D * full, k)
+        starts = self.starts[:, :, :full].reshape(nm, 1, D * full)
+        out = (starts @ per_leaf)[:, 0]
+        out += np.outer(self.starts[:, 0, 0], y[0]) + _matmul(tail, y[full * L + 1:])
+        return out
+
+    def tdot(self, x: np.ndarray) -> np.ndarray:
+        """Z^T x for x (modes, k): the start states times x, then one
+        (leaves k x N D) (N D x L) product with the rows."""
+        L, full, tail = self._leaves()
+        nm, D = self.starts.shape[:2]
+        k = x.shape[1]
+        out = np.empty((self.grid.steps + 1, k), np.result_type(x, 1.0))
+        out[0] = self.starts[:, 0, 0] @ x
+        scaled = np.einsum("nal,nc->lcna", self.starts[:, :, :full], x, order="C")
+        per_leaf = _matmul(scaled.reshape(full * k, nm * D), self.rows.reshape(nm * D, L))
+        leaves = out[1:full * L + 1].reshape(full, L, k)  # a view of out
+        leaves[...] = per_leaf.reshape(full, k, L).transpose(0, 2, 1)
+        out[full * L + 1:] = _matmul(tail.T, x)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class ModalSolution:
     """Trajectories factors[n] * rows[n] of a batch of modes on one grid,
     read one at a time as ``ModalTrajectory`` views of the rows."""
 
     modes: tuple
     grid: TimeGrid
-    rows: np.ndarray  # (modes, J+1): real for the w family, complex for z
+    trajectories: np.ndarray | LeafTables  # the rows, or the w family's leaf tables
     factors: np.ndarray  # (modes,) complex
     p0: np.ndarray  # (modes,) complex z'(0)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(modes, J+1): real for the w family, complex for z; built from
+        leaf tables on first use."""
+        return _dense(self.trajectories)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -102,6 +208,17 @@ class ModalSolution:
         # an index past the end raises IndexError, which ends iteration
         return ModalTrajectory(self.modes[i], self.grid, self.rows[i],
                                complex(self.factors[i]), complex(self.p0[i]))
+
+
+def _dense(trajectories) -> np.ndarray:
+    """The rows of stored trajectories or of leaf tables, read-only."""
+    rows = trajectories.dense() if isinstance(trajectories, LeafTables) else trajectories
+    rows.setflags(write=False)
+    return rows
+
+
+def _overflow(n: int, J: int, exc) -> NumericsError:
+    return NumericsError(f"non-finite modal state at step {n} of {J} ({exc})")
 
 
 def _trapezoid_step(mus, m0: float, dt: float):
@@ -154,19 +271,70 @@ def _first_overflow(A: np.ndarray) -> int:
     return 0
 
 
-def _first_bad_leaf(rows: np.ndarray, power: np.ndarray, start: np.ndarray, J: int) -> int:
-    """The first step of the first leaf whose values, or the state carried
-    out of it to a later leaf, are non-finite: the step reported when the
-    leaf products overflow."""
-    L = rows.shape[1]
-    state = start[..., None]
+def _first_bad_leaf(rows: np.ndarray, starts: np.ndarray, J: int) -> int:
+    """The first step of the first leaf, of those with the given finite
+    start states, whose values are non-finite (0 if none): the step
+    reported when the leaf products overflow."""
+    L = rows.shape[2]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, J + 1, L):
-            values = rows[:, :J + 1 - n] @ state
-            state = power @ state
-            if not (np.isfinite(values).all() and (n + L > J or np.isfinite(state).all())):
-                return n
+        for k in range(starts.shape[2]):
+            if not np.isfinite(starts[:, None, :, k] @ rows[:, :, :J - k * L]).all():
+                return 1 + k * L
     return 0
+
+
+def _leaf_tables(mus: np.ndarray, z0: np.ndarray, p0: np.ndarray,
+                 kernel: MemoryKernel, grid: TimeGrid) -> LeafTables | None:
+    """The step map's ``LeafTables`` of a batch of modal equations, or None
+    for a kernel without a realization.  An overflow in the tables, the
+    leaf start states or the values they give raises ``NumericsError``."""
+    nm, J, dt = len(mus), grid.steps, grid.dt
+    n = 0
+    try:
+        # stop at the first overflow instead of stepping on inf/NaN
+        with np.errstate(over="raise", invalid="raise"):
+            realization = kernel.realization(dt)
+            if realization is None:
+                return None
+            A = _step_map(mus, realization, dt)
+            D = A.shape[1]
+            # rows[:, :, k - 1] = the first row of A^k over one leaf, filled
+            # by doubling, power = A^m: the first rows of A^(m+1..2m) are
+            # those of A^(1..m) times A^m.  _LEAF_STEPS is a power of two,
+            # so power ends at A^L whenever a second leaf follows; it
+            # carries each leaf's start state to the next
+            L = min(_LEAF_STEPS, J)
+            rows = np.empty((nm, D, L))
+            rows[:, :, 0] = A[:, 0]
+            power, m = A, 1
+            try:
+                while m < L:
+                    rows[:, :, m:2 * m] = power.transpose(0, 2, 1) @ rows[:, :, :min(m, L - m)]
+                    power, m = power @ power, 2 * m
+            except FloatingPointError:
+                n = _first_overflow(A)
+                raise
+            full, rest = divmod(J, L)
+            starts = np.zeros((nm, D, full + 1), dtype=np.result_type(z0, p0, 1.0))
+            starts[:, 0, 0], starts[:, 1, 0] = z0, p0
+            try:
+                for k in range(1, full + (rest > 0)):
+                    starts[:, :, k] = (power @ starts[:, :, k - 1, None])[..., 0]
+            except FloatingPointError:
+                # the state carried out of leaf k - 1 overflowed
+                n = _first_bad_leaf(rows, starts[:, :, :k], J) or 1 + (k - 1) * L
+                raise
+            # the values starts . rows can overflow with both tables finite;
+            # where a bound on them does, the leaves are replayed to find out
+            with np.errstate(over="ignore"):
+                bound = (np.abs(starts).max(axis=2) * np.abs(rows).max(axis=2)).sum(axis=1)
+            if not np.isfinite(bound).all():
+                n = _first_bad_leaf(rows, starts, J)
+                if n:
+                    raise FloatingPointError("overflow encountered in the leaf products")
+    except FloatingPointError as exc:
+        raise _overflow(n, J, exc) from None
+    return LeafTables(grid, rows, starts, np.flatnonzero(mus == 0.0))
 
 
 def _integrate_family(
@@ -182,6 +350,9 @@ def _integrate_family(
     state is real for real data and complex otherwise.  Returns Z of shape
     (len(mus), J+1).
     """
+    tables = _leaf_tables(mus, z0, p0, kernel, grid)
+    if tables is not None:
+        return tables.dense()
     nm = mus.shape[0]
     J = grid.steps
     dt = grid.dt
@@ -190,46 +361,7 @@ def _integrate_family(
     Z[:, 0] = z0
     n = 0
     try:
-        # stop at the first overflow instead of stepping on inf/NaN
         with np.errstate(over="raise", invalid="raise"):
-            realization = kernel.realization(dt)
-            if realization is not None:
-                A = _step_map(mus, realization, dt)
-                D = A.shape[1]
-                # rows[:, k - 1] = the first row of A^k over one leaf, filled
-                # by doubling, power = A^m: the first rows of A^(m+1..2m) are
-                # those of A^(1..m) times A^m.  _LEAF_STEPS is a power of two,
-                # so power ends at A^L whenever a second leaf follows; it
-                # carries each leaf's start state to the next
-                L = min(_LEAF_STEPS, J)
-                rows = np.empty((nm, L, D))
-                rows[:, 0] = A[:, 0]
-                power, m = A, 1
-                try:
-                    while m < L:
-                        rows[:, m:2 * m] = rows[:, :min(m, L - m)] @ power
-                        power, m = power @ power, 2 * m
-                except FloatingPointError:
-                    n = _first_overflow(A)
-                    raise
-                full, rest = divmod(J, L)
-                starts = np.zeros((nm, full + 1, D), dtype=dtype)
-                starts[:, 0, 0], starts[:, 0, 1] = z0, p0
-                try:
-                    for k in range(1, full + (rest > 0)):
-                        starts[:, k] = (power @ starts[:, k - 1, :, None])[..., 0]
-                    # each leaf's columns of Z are the rows applied to its
-                    # start state: every full leaf in one batched product
-                    # written into Z, the tail leaf in one more
-                    np.matmul(starts[:, :full], rows.transpose(0, 2, 1),
-                              out=Z[:, 1:full * L + 1].reshape(nm, full, L))
-                    tail = starts[:, full, None] @ rows[:, :rest].transpose(0, 2, 1)
-                    Z[:, full * L + 1:] = tail[:, 0]
-                except FloatingPointError:
-                    n = _first_bad_leaf(rows, power, starts[:, 0], J)
-                    raise
-                return Z
-
             mv = kernel.sample(grid)
             step = _trapezoid_step(mus, float(mv[0]), dt)
             p = np.array(p0, dtype=dtype)
@@ -241,9 +373,7 @@ def _integrate_family(
                     h = dt * (0.5 * mv[n] * Z[:, 0] + Z[:, n] + Z[:, lo:n] @ mv[n - lo:0:-1])
                     Z[:, n], p, g = step(Z[:, n - 1], p, g, h)
     except FloatingPointError as exc:
-        raise NumericsError(
-            f"non-finite modal state at step {n} of {J} ({exc})"
-        ) from None
+        raise _overflow(n, J, exc) from None
     return Z
 
 
@@ -262,15 +392,21 @@ def _solve_many(modes, kernel, grid, family: str) -> ModalSolution:
         # w = (p0 / |p0|) r, r the real solution with data (0, |p0|)
         scale = np.abs(p0)
         factors, data = p0 / scale, (z0.real, scale)
-    solved = [i for i, m in enumerate(modes) if m.branch == "J1"]
-    mus = np.array([modes[i].mu for i in solved], dtype=float)
-    if len(solved) == len(modes):
-        rows = _integrate_family(mus, *data, kernel, grid)
-    else:
-        rows = data[0][:, None] + data[1][:, None] * grid.nodes
-        if solved:
-            rows[solved] = _integrate_family(mus, *(d[solved] for d in data), kernel, grid)
-    rows.setflags(write=False)
+    # zero-branch modes take mu = 0 in the step map, and LeafTables.dense
+    # writes their rows in closed form; the w family keeps its tables
+    rows = _leaf_tables(np.array([m.mu if m.branch == "J1" else 0.0 for m in modes]),
+                        *data, kernel, grid)
+    if rows is None:
+        solved = [i for i, m in enumerate(modes) if m.branch == "J1"]
+        mus = np.array([modes[i].mu for i in solved], dtype=float)
+        if len(solved) == len(modes):
+            rows = _integrate_family(mus, *data, kernel, grid)
+        else:
+            rows = data[0][:, None] + data[1][:, None] * grid.nodes
+            if solved:
+                rows[solved] = _integrate_family(mus, *(d[solved] for d in data), kernel, grid)
+    elif family == "z":
+        rows = rows.dense()
     return ModalSolution(modes, grid, rows, factors, p0)
 
 
@@ -281,7 +417,8 @@ def solve_z_many(modes, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
 
 def solve_w_many(modes, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
     """Trajectories with data (0, lambda_n); these vanish at t = 0.  The
-    rows are real: the solutions with data (0, |lambda_n|)."""
+    rows are real: the solutions with data (0, |lambda_n|), held as
+    ``LeafTables`` for a kernel with a realization."""
     return _solve_many(tuple(modes), kernel, grid, "w")
 
 

@@ -583,6 +583,18 @@ def _geometric(grid: TimeGrid, values, ratio: float, scale: float) -> ScalarSign
     return ScalarSignal(grid, values, (ratio, 1.0, scale))
 
 
+def _exponential(grid: TimeGrid, rate: float, scale: float, name: str) -> ScalarSignal:
+    """``_geometric`` samples scale * e^(rate t); an overflow raises
+    ``NumericsError`` naming the signal instead of sampling inf."""
+    try:
+        with np.errstate(over="raise"):
+            values = scale * np.exp(rate * grid.nodes)
+            return _geometric(grid, values, np.exp(rate * grid.dt), scale)
+    except FloatingPointError:
+        raise NumericsError(f"{name} = {scale:g} e^({rate:g} t) overflows "
+                            f"on [0, {grid.horizon:g}]") from None
+
+
 @dataclass(frozen=True)
 class ConstantModulation(SourceModulation):
     value: float
@@ -607,11 +619,10 @@ class ExponentialModulation(SourceModulation):
     rate: float
 
     def sample(self, grid):
-        return _geometric(grid, np.exp(self.rate * grid.nodes), np.exp(self.rate * grid.dt), 1.0)
+        return _exponential(grid, self.rate, 1.0, "sigma")
 
     def sample_derivative(self, grid):
-        return _geometric(grid, self.rate * np.exp(self.rate * grid.nodes),
-                          np.exp(self.rate * grid.dt), self.rate)
+        return _exponential(grid, self.rate, self.rate, "sigma'")
 
     def at_zero(self):
         return 1.0

@@ -366,6 +366,22 @@ class TestNumericalFailure:
         summary = strict_json(out / f"{study}.json")
         assert "non-finite modal state" in summary["diagnostics"]["exit"]
 
+    @pytest.mark.parametrize("study", ["reconstruct", "simulate"])
+    def test_overflow_in_the_leaf_values_is_a_numerical_failure(self, tmp_path, study):
+        # a growing mode whose step-map tables stay finite while the values
+        # they give overflow (see tests/test_modal.py); the w family then
+        # holds no rows, and the tables fail as the rows did
+        cfg = base_config(operator={"length": PI, "potential_shift": -1.1e6},
+                          grid={"T": 1.0, "dt": 1.0 / 456}, N=1)
+        out = tmp_path / "res"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([study, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert code == 3
+        assert not (out / f"{study}.csv").exists()
+        exit_message = strict_json(out / f"{study}.json")["diagnostics"]["exit"]
+        assert "non-finite modal state at step 257 of 456" in exit_message
+
     def test_failed_run_removes_the_previous_csv(self, tmp_path):
         out = tmp_path / "res"
         for slope, code in ((0.5, 0), (1e300, 3)):
@@ -533,23 +549,48 @@ print(codes, "numpy.ma" in sys.modules)
         assert results["median_ratio"] == np.median(ratios)
 
 
-def test_overflowing_stability_scan_exits_3(tmp_path):
-    # sigma = e^(300 t) overflows on the grid, and the H1 Gram with it: a
-    # numerical failure (exit 3), not a config error from the eigen solve
+def run_overflowing_sigma(tmp_path, study):
+    """The reconstruct_memory config at N = 4 and 640 steps with sigma =
+    e^(300 t), which overflows on the grid, run through ``python -m``."""
     cfg = json.loads((CONFIGS / "reconstruct_memory.json").read_text())
-    cfg.update(study="stability-scan", trials=10, N=4, sigma={"form": "exponential", "a": 300.0})
+    cfg.update(study=study, trials=10, N=4, sigma={"form": "exponential", "a": 300.0})
     cfg["grid"]["dt"] = cfg["grid"]["T"] / 640
-    out = tmp_path / "scan"
+    out = tmp_path / "out"
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "visco_inverse.cli", "stability-scan",
+    proc = subprocess.run([sys.executable, "-m", "visco_inverse.cli", study,
                            "--config", str(write_config(tmp_path, cfg)), "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
+    # a numerical failure (exit 3) with its message alone: no config error,
+    # no traceback, no numpy warning from an inf carried downstream
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert not (out / "stability-scan.csv").exists()
-    assert "non-finite H1 Gram" in strict_json(out / "stability-scan.json")["diagnostics"]["exit"]
+    assert "RuntimeWarning" not in proc.stderr
+    assert not (out / f"{study}.csv").exists()
+    return strict_json(out / f"{study}.json")["diagnostics"]["exit"]
+
+
+def test_overflowing_stability_scan_exits_3(tmp_path):
+    # sigma's samples are checked, so the H1 Gram is never formed from inf
+    assert "sigma = 1 e^(300 t) overflows" in run_overflowing_sigma(tmp_path, "stability-scan")
+
+
+def test_overflowing_sigma_fails_reconstruct_with_exit_3(tmp_path):
+    assert "sigma' = 300 e^(300 t) overflows" in run_overflowing_sigma(tmp_path, "reconstruct")
+
+
+def test_overflowing_resolvent_exits_3(tmp_path):
+    # sigma = 1 - 200 t: K = 200 rho^n with log rho = 0.083 overflows by n = 16384
+    cfg = base_config(sigma={"form": "affine", "a": 1.0, "b": -200.0})
+    cfg["grid"]["dt"] = cfg["grid"]["T"] / 16384
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["reconstruct", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "res")])
+    assert code == 3
+    exit_message = strict_json(tmp_path / "res" / "reconstruct.json")["diagnostics"]["exit"]
+    assert "the resolvent of sigma overflows" in exit_message
 
 
 def test_csv_rows_keep_the_per_value_repr_bytes(tmp_path):

@@ -42,7 +42,8 @@ from visco_inverse import (
     z_trace_family,
 )
 from oracles import complex_w_route, dual_values, family_values, naive_inner_products
-from visco_inverse.volterra import _LEAF_STEPS
+from visco_inverse.modal import _leaf_tables
+from visco_inverse.volterra import _LEAF_STEPS, _real_gram
 
 PI = math.pi
 
@@ -297,6 +298,74 @@ def test_real_family_allocates_no_complex_copy(kernel):
     assert peaks["w_trace_family"] <= 1.75, peaks
     assert peaks["gram"] <= 0.25, peaks
     assert peaks["stability_gram"] <= 2.75, peaks
+
+
+@st.composite
+def leaf_table_cases(draw):
+    """Real modal rows under a zero, exponential or polynomial kernel drawn
+    by its parameters, with mu of both signs (negative: growing rows; 0: a
+    closed-form row), on grids at and beside the leaf edges, and trace
+    vectors of one or two columns."""
+    grid = TimeGrid(draw(st.floats(0.5, 4.0)),
+                    draw(st.sampled_from([255, 256, 257, 4099, 20000])))
+    nm = draw(st.integers(1, 6))
+    mus = draw(hnp.arrays(float, nm, elements=st.one_of(st.floats(-4.0, 400.0), st.just(0.0))))
+    z0 = draw(hnp.arrays(float, nm, elements=st.floats(-1.0, 1.0)))
+    p0 = draw(hnp.arrays(float, nm, elements=st.floats(0.5, 20.0)))
+    variant = draw(st.sampled_from(["zero", "exponential", "polynomial"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if variant == "zero":
+        kernel = ZeroKernel()
+    elif variant == "exponential":
+        kernel = ExponentialKernel(draw(st.floats(-2.0, 3.0)), draw(st.floats(-1.0, 5.0)))
+    else:
+        # coefficients from the drawn seed: hypothesis's own float draws
+        # favour 0 and tiny values
+        degree = draw(st.integers(0, 3))
+        kernel = PolynomialKernel(np.random.default_rng(seed).uniform(-3.0, 3.0, degree + 1))
+    return _leaf_tables(mus, z0, p0, kernel, grid), draw(st.integers(1, 2)), seed
+
+
+class TestLeafTableRoute:
+    # the Gram, synthesis and inner products read from the step map's leaf
+    # tables against the same sums over the stored rows Z
+    @given(leaf_table_cases())
+    def test_matches_the_stored_rows(self, drawn):
+        tables, dim, seed = drawn
+        rng = np.random.default_rng(seed)
+        grid = tables.grid
+        Z = tables.dense()
+        nm = len(Z)
+        labels = tuple(range(nm))
+        psis = rng.standard_normal((nm, dim))
+        leaf, stored = (ModalFamily(grid, labels, rows, psis) for rows in (tables, Z))
+
+        scale = np.sqrt(np.diag(_real_gram(Z, grid.dt)))
+        gap = np.abs(tables.gram() - _real_gram(Z, grid.dt)) / np.outer(scale, scale)
+        assert gap.max() <= 1e-13, gap.max()
+        assert np.abs(gram(leaf).entries - gram(stored).entries).max() <= 1e-13 * np.abs(
+            gram(stored).entries).max()
+
+        def close(got, expected, scale):
+            assert np.linalg.norm(got - expected) <= 1e-13 * scale
+
+        def norm(x):  # the trapezoid norm of a stack of signals, (J+1, ...)
+            return np.sqrt(np.sum(grid.weights @ np.abs(x.reshape(len(x), -1)) ** 2))
+
+        coeffs = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
+        for c in (coeffs, coeffs.real):
+            expected = stored.synthesize(c).values
+            close(leaf.synthesize(c).values, expected, np.linalg.norm(expected))
+        # inner products relative to the product of the operands' norms, the
+        # scale of any summation's roundoff: a random signal against few
+        # rows can cancel to 1e-4 of it
+        signal = TraceSignal(grid, rng.standard_normal((grid.steps + 1, dim))
+                             + 1j * rng.standard_normal((grid.steps + 1, dim)))
+        members = norm(Z.T[:, :, None] * psis[None])
+        close(leaf.inner_with(signal), stored.inner_with(signal), members * norm(signal.values))
+        # the <c, w_m> of the identity residual, c real
+        c = rng.standard_normal((grid.steps + 1, 1))
+        close(leaf._trajectory_inner(c), stored._trajectory_inner(c), norm(Z.T) * norm(c))
 
 
 def materialised_duals(fam):

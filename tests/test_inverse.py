@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +231,33 @@ def test_realized_sigma_reconstructs_without_an_fft(model, grid, monkeypatch, mo
     assert abs(got.values[2] - 1.0) < 1e-6
 
 
+
+def test_reconstruction_holds_no_modal_rows():
+    # peak in units of one real R (N x (J+1) floats): the w family stays in
+    # the step map's leaf tables (N D L floats, 0.19 R here) through its
+    # Gram, the synthesis of B w, the identity check and the recovery.
+    # Measured: 0.41 (the parent, which stored the rows: 1.35)
+    N, J = 64, 4096
+    grid = TimeGrid(2 * PI + 0.5, J)
+    model = build_spectral_model(OperatorSpec(PI, 0.0, ("left", "right")), N)
+    kernel, modulation = ExponentialKernel(1.0, 1.0), AffineModulation(1.0, 0.5)
+    f = SourceCoefficients(np.random.default_rng(0).standard_normal(N))
+
+    def pipeline():
+        kernels = build_reconstruction(model, kernel, modulation, grid)
+        return reconstruct(source_trace_prime(kernels.family, f, modulation), kernels, model)
+
+    pipeline()  # the grid's cached nodes and weights
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = pipeline()
+        peak = (tracemalloc.get_traced_memory()[1] - base) / (N * (J + 1) * 8)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5, peak
+    assert np.max(np.abs(got.values - f.values)) < 1e-6
+
 class TestThetaFreeRouteProperties:
     # the factored route against every theta_k materialised (tests/oracles.py)
     @pytest.mark.parametrize("memory", sorted(KERNELS))
@@ -412,10 +441,20 @@ class TestStability:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gram_is_a_numerical_failure(self, model):
-        # sigma = e^(300 t) overflows on the grid, so the y rows do
+        # sigma's samples are finite, but the squares of the y rows overflow
         g = TimeGrid(2 * PI + 0.5, 640)
+        sigma = SampledModulation(np.full(g.steps + 1, 1e300))
         with pytest.raises(NumericsError, match="non-finite H1 Gram"):
-            stability_gram(model, ExponentialKernel(1.0, 1.0), ExponentialModulation(300.0), g)
+            stability_gram(model, ExponentialKernel(1.0, 1.0), sigma, g)
+
+    def test_overflowing_sigma_is_a_numerical_failure(self, model):
+        # sigma = e^(300 t) overflows on the grid: its samples are checked
+        # before any y row is formed from them
+        g = TimeGrid(2 * PI + 0.5, 640)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match=r"sigma = 1 e\^\(300 t\) overflows"):
+                stability_gram(model, ExponentialKernel(1.0, 1.0), ExponentialModulation(300.0), g)
 
     def test_builds_no_generator_per_trial(self, model, grid, monkeypatch):
         q = stability_gram(model, ZeroKernel(), ConstantModulation(1.0), grid)

@@ -31,7 +31,7 @@ from oracles import (
     modal_step_loop,
 )
 from visco_inverse import modal
-from visco_inverse.modal import _integrate_family
+from visco_inverse.modal import _integrate_family, _leaf_tables
 from visco_inverse.volterra import _LEAF_STEPS
 
 PI = math.pi
@@ -375,3 +375,17 @@ class TestOverflow:
             with pytest.raises(NumericsError,
                                match=f"non-finite modal state at step {step} of {grid.steps} "):
                 _integrate_family(np.array([mu]), ones, ones, kernel, grid)
+
+
+def test_overflow_of_the_leaf_values_alone_is_a_numerical_failure():
+    # mu dt^2 = -(ln 10)^2: the step grows 14x, so A^256 and the start of
+    # the second leaf stay finite (near 1e295) while that leaf's values pass
+    # 1e308 within it; the tables then fail as the stored rows do
+    grid = TimeGrid(1.0, 456)
+    mus = np.array([-(math.log(10.0) / grid.dt) ** 2])
+    message = f"non-finite modal state at step 257 of {grid.steps} "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (_leaf_tables, _integrate_family):
+            with pytest.raises(NumericsError, match=message):
+                solve(mus, np.zeros(1), np.ones(1), ZeroKernel(), grid)
