@@ -67,6 +67,10 @@ MAX_GRID_STEPS = 10**7
 #: trials * N draws of stability-scan as well
 MAX_MODE_NODES = 5 * 10**8
 
+#: values per %-format of the CSV writer: 16,384 rows of stability-scan's two
+#: columns, about 0.5 MB of formatted text
+_CSV_VALUES = 1 << 15
+
 
 def _require(mapping, key, what):
     if key not in mapping:
@@ -461,11 +465,19 @@ STUDIES = tuple(_RUNNERS)
 
 
 def _write_csv(path: Path, header, rows):
+    """The header, then each row's values as their reprs, as csv writes floats.
+
+    The body goes through one %-format of a block's values at a time, with
+    blocks of at most _CSV_VALUES values, so a long table costs no more
+    memory than one block."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
+    step = max(1, _CSV_VALUES // rows.shape[1])
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        # csv writes a Python float as its repr; one row's list at a time
-        writer.writerows(row.tolist() for row in np.atleast_2d(np.asarray(rows, dtype=float)))
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_summary(path: Path, payload: dict):

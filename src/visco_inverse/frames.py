@@ -10,7 +10,9 @@ The z family stays complex.  Under a kernel with a realization the w family
 holds no Z: its trajectories are the step map's ``LeafTables``, from which
 the Gram, the synthesis Z^T (a * Psi) and the inner products with a signal
 are read, O(N d J) in time and O(N d L + N^2) in memory; ``scalars``
-builds Z on request.
+builds Z on request.  The y family's H1 Gram is read from the tables of
+V_sigma Z alike where sigma has a realization (``inverse.stability_gram``);
+``y_trace_family`` stores its rows.
 Its Gram matrix under the discrete L2(0,T; G) inner product, the trajectory
 Gram times the trace-vector Gram entry by entry, yields sharp two-sided
 frame constants for the truncated span (extreme eigenvalues).  Its inverse
@@ -33,6 +35,7 @@ from .modal import LeafTables, _dense, solve_w_many, solve_z_many
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
+    ScalarSignal,
     SourceModulation,
     TimeGrid,
     TraceSignal,
@@ -138,9 +141,13 @@ def y_trace_family(
     """Members (V_sigma w_n) * psi_n, the time-integrated source responses;
     a real sigma keeps the rows real, and a realized one convolves them by
     the leaf-blocked recurrence."""
-    family = w_trace_family(model, kernel, grid)
-    ys = convolve(modulation.sample(grid), TraceSignal(grid, family.scalars.T)).values.T
-    return ModalFamily(grid, family.labels, ys, family.psis)
+    return _convolved_family(w_trace_family(model, kernel, grid), modulation.sample(grid))
+
+
+def _convolved_family(family: ModalFamily, sigma: ScalarSignal) -> ModalFamily:
+    """The members (V_sigma g_n) psi_n of a family with real rows."""
+    ys = convolve(sigma, TraceSignal(family.grid, family.scalars.T)).values.T
+    return ModalFamily(family.grid, family.labels, ys, family.psis)
 
 
 @dataclass(frozen=True, eq=False)

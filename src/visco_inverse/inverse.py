@@ -40,6 +40,7 @@ from .errors import NumericsError
 from .frames import (
     FrameBounds,
     ModalFamily,
+    _convolved_family,
     _member_gram,
     coefficients_via_duals,
     dual_coefficients,
@@ -49,6 +50,7 @@ from .frames import (
     y_trace_family,
 )
 from .forward import SourceCoefficients
+from .modal import LeafTables
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
@@ -268,17 +270,42 @@ def stability_gram(
     eigenvalues are the exact extremes of ||B u||_H1 / ||f||.  Requires the
     horizon to reach the two-way travel time 2L, below which the boundary
     observation cannot control every mode and the ratio is meaningless.
+
+    Where the kernel and sigma both have a realization, both Grams are read
+    from leaf tables (``modal.LeafTables.convolved``), with no (N, J+1)
+    array: the derivative's tables hold the central differences at every
+    node, and nodes 0 and J take ``volterra._slopes``' one-sided stencils
+    in their place.  Otherwise the y rows and their slopes are stored.
     """
     threshold = 2.0 * model.spec.length
     if grid.horizon < threshold * (1.0 - 1e-12):
         raise ValueError(
             f"horizon {grid.horizon:g} below the observability threshold {threshold:g}"
         )
-    family = y_trace_family(model, kernel, modulation, grid)
-    Z = family.scalars
-    slopes = np.empty_like(Z)
-    _slopes(Z.T, grid.dt, slopes.T)
-    Q = _member_gram(_real_gram(Z, grid.dt) + _real_gram(slopes, grid.dt), family).entries.real
+    sigma, dt = modulation.sample(grid), grid.dt
+    family = w_trace_family(model, kernel, grid)
+    tables = isinstance(family.trajectories, LeafTables)
+    # a sigma that is identically 0 has no gains to read (they divide by sigma_0)
+    if tables and sigma.realization is not None and sigma.values.any():
+        Y, central = family.trajectories.convolved(sigma)
+        # the end stencils read the first and last three nodes
+        J = grid.steps
+        ends = np.stack([Y.column(n) for n in sorted({0, 1, 2, J - 2, J - 1, J})])
+        ends = _slopes(ends, dt, np.empty_like(ends))[[0, -1]]
+        c = central.column(J)
+        # where sigma changes sign, y = V_sigma w is far smaller than w, and
+        # y' than sigma(0) w and V_sigma' w: orthonormal rows keep the pair
+        # sums from losing the square of that ratio
+        traj = (Y.gram(orthonormal=True) + central.gram(orthonormal=True)
+                + 0.5 * dt * (ends.T @ ends - np.outer(c, c)))
+    else:
+        # the y family in place of the w family, whose rows go before the slopes come
+        family = _convolved_family(family, sigma)
+        Z = family.scalars
+        slopes = np.empty_like(Z)
+        _slopes(Z.T, dt, slopes.T)
+        traj = _real_gram(Z, dt) + _real_gram(slopes, dt)
+    Q = _member_gram(traj, family).entries.real
     if not np.isfinite(Q).all():
         raise NumericsError(f"non-finite H1 Gram (size {len(Q)}, horizon {grid.horizon:g})")
     return Q
@@ -348,12 +375,15 @@ def _trial_draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     bits = PCG64(0)
     draws = Generator(bits).standard_normal
     rows = np.empty((stop - start, n))
+    # one state dict for the block, its words rewritten per trial
+    words = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
     for row, (s_hi, s_lo, q_hi, q_lo) in zip(rows, _seed_states(seed, start, stop).tolist()):
         # PCG64's seeding: inc = 2 initseq + 1, then two steps around adding initstate
         inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
-        state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
+        words["state"] = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        words["inc"] = inc
+        bits.state = state
         draws(out=row)
     return rows
 

@@ -20,17 +20,20 @@ history; ``_trapezoid_step`` is the one statement of that step.  For the
 zero, exponential and polynomial kernels, which have a finite realization
 M(t) = c^T e^(Rt) b (``MemoryKernel.realization``), the history is a d-vector
 state X, the trapezoid memory sum taken with e^(R(t - s)) b, so each step is
-a fixed real (2+d)x(2+d) map A on (g, g', X) per mode: d = 1 for the zero and
-exponential kernels, d = degree + 1 for a polynomial.  The first rows of
+a fixed real (2+d)x(2+d) map A on (g, g', X) per mode: d = 0 for the zero
+kernel, 1 for the exponential, degree + 1 for a polynomial.  The first rows of
 A^1..A^L over one leaf of L = 256 steps are tabulated once, by doubling.
 A^L carries the start state of each leaf to the next, and each leaf's
 values are the rows applied to its start state.  That is log2(L) + J/L
 small Python iterations instead of J, with the discretisation unchanged.
 The w family keeps these tables (``LeafTables``) in place of its rows: its
 Gram, a synthesis Z^T x and products Z y are sums over time that read them
-in O(N d J), with no (modes, J+1) array.  The rows Z are built on request
-(the ``ModalTrajectory`` views, the y family), one batched product over all
-full leaves written straight into Z and one for the last.  Only sampled
+in O(N d J), with no (modes, J+1) array, and so does the H1 Gram of the y
+family V_sigma Z for a sigma with a realization, from the tables of Y and
+of its central differences on the same leaves (``LeafTables.convolved``).
+The rows Z are built on request (the ``ModalTrajectory`` views, the y
+family of a sampled sigma), one batched product over all full leaves
+written straight into Z and one for the last.  Only sampled
 kernels step through leaves of the blocked causal-history solve in
 ``volterra``, which adds the history of earlier leaves by FFT convolution:
 O(J log^2 J) per mode instead of O(J^2).
@@ -53,8 +56,11 @@ from .volterra import (
     ScalarSignal,
     TimeGrid,
     _LEAF_STEPS,
+    _carry,
     _causal_blocks,
+    _gains,
     _matmul,
+    _toeplitz,
     inner_products,
 )
 
@@ -102,13 +108,16 @@ class LeafTables:
     needs (its Gram, a synthesis Z^T x, products Z y) read the tables in
     O(N D J) and build no (modes, J+1) array; ``dense`` builds Z.  Modes
     in ``linear`` have mu = 0, so their rows are z(0) + z'(0) t, which
-    ``dense`` writes in closed form.
+    ``dense`` writes in closed form.  The same form holds other rows
+    linear in a leaf's start state, such as those of ``convolved``, which
+    reads ``step``, A, of a step-map solve.
     """
 
     grid: TimeGrid
     rows: np.ndarray  # (modes, D, L)
     starts: np.ndarray  # (modes, D, leaves)
     linear: np.ndarray  # indices of the modes with mu = 0
+    step: np.ndarray | None = None  # A (modes, D, D), for a step-map solve
 
     @property
     def shape(self) -> tuple:
@@ -132,21 +141,34 @@ class LeafTables:
         Z[self.linear] = z0[:, None] + p0[:, None] * self.grid.nodes
         return Z
 
-    def gram(self) -> np.ndarray:
+    def column(self, n: int) -> np.ndarray:
+        """Z[:, n], read from the tables."""
+        if n == 0:
+            return self.starts[:, 0, 0]
+        k, l = divmod(n - 1, self.rows.shape[2])
+        return np.einsum("na,na->n", self.starts[:, :, k], self.rows[:, :, l])
+
+    def gram(self, orthonormal: bool = False) -> np.ndarray:
         """Trapezoid inner products <z_m, z_n> of the rows, as in
         ``volterra._real_gram``: over the full leaves,
         sum over k, l of Z_m Z_n = sum over a, b of (R_a R_b^T)(S_a S_b^T) entrywise,
         R_a = rows[:, a] and S_a = starts[:, a, :full], taken pair by pair so
-        that every temporary is (modes, modes); state components that are
-        identically zero (the memory state of the zero kernel) are skipped."""
+        that every temporary is (modes, modes).
+
+        Where the values cancel terms far larger than themselves, the pair
+        sums lose the square of that factor.  ``orthonormal`` first rotates
+        each mode's rows to orthonormal ones, R^T = Q T and S to T S, which
+        leaves no such terms, at the cost of a QR per mode and two more
+        (modes, D, L) arrays a while."""
         L, full, tail = self._leaves()
         R, S = self.rows, self.starts[:, :, :full]
-        live = [a for a in range(R.shape[1]) if R[:, a].any() and S[:, a].any()]
-        k, l = divmod(self.grid.steps - 1, L)  # Z[:, J] is in column l of leaf k
-        ends = np.stack([S[:, 0, 0], np.einsum("na,na->n", self.starts[:, :, k], R[:, :, l])], 1)
+        if orthonormal:
+            q, t = np.linalg.qr(R.transpose(0, 2, 1))
+            R, S = q.transpose(0, 2, 1), t @ S
+        ends = np.stack([self.column(0), self.column(self.grid.steps)], 1)
         g = tail @ tail.T + np.outer(ends[:, 0], ends[:, 0]) - 0.5 * (ends @ ends.T)
-        for i, a in enumerate(live):
-            for b in live[i:]:
+        for a in range(R.shape[1]):
+            for b in range(a, R.shape[1]):
                 pair = R[:, a] @ R[:, b].T
                 pair *= S[:, a] @ S[:, b].T
                 g += pair
@@ -182,6 +204,54 @@ class LeafTables:
         leaves[...] = per_leaf.reshape(full, k, L).transpose(0, 2, 1)
         out[full * L + 1:] = _matmul(tail.T, x)
         return out
+
+    def convolved(self, sigma: ScalarSignal) -> tuple:
+        """The tables of Y = V_sigma Z and of its central differences
+        (Y[:, n + 1] - Y[:, n - 1]) / 2dt at the nodes n >= 1, for rows of a
+        step map that vanish at t = 0 and a sigma with a realization.
+
+        Both take the starts (S_k, h_k), with h_k sigma's d-state at the
+        start of leaf k as in ``volterra._realized_rows``: h_k = dt sum over
+        1 <= i <= kL of sigma_(kL+1-i) z_i, and for d = 2 also dt sum of z_i.
+        Leaf j adds its rows against dt sigma_(L-l) (and dt) to h_(j+1), and
+        ``volterra._carry`` sums those parts.  The rows of Y are the rows
+        times the in-leaf Toeplitz block of dt sigma, halved on the diagonal,
+        beside the first row of the gain at l, which reads h_k out at node
+        kL+1+l.  The rows of the differences take the differences of that
+        block's rows l + 1 and l - 1 from differences of sigma's samples,
+        over the first rows of A^1..A^(L+1) (one product past the table);
+        at l = 0 the state counts z_kL whole, so node kL adds sigma_0 z_kL / 4.
+        Every gain is read from sigma's samples, never from powers of its E:
+        those drift from sigma_n by n roundoffs.
+        """
+        r, dt = sigma.values, self.grid.dt
+        d = len(sigma.realization[1])
+        nm, D, L = self.rows.shape
+        rows = self.rows.reshape(nm * D, L)
+        values = np.empty((nm, D + d, L))
+        values[:, :D] = (rows @ (dt * _toeplitz(np.concatenate([[0.5 * r[0]], r[1:L]]), L)).T
+                         ).reshape(nm, D, L)
+        values[:, D:] = _gains(r, d, np.arange(L))[:, 0].T
+        # sigma_(l+1) - sigma_(l-1), with sigma_-1 = sigma_0^2 / sigma_1 (d = 1)
+        # or 2 sigma_0 - sigma_1 (d = 2), as the gains extend sigma
+        delta = np.empty(L)
+        delta[1:] = r[2:L + 1] - r[:L - 1]
+        delta[0] = (r[1] - r[0]) * ((r[1] + r[0]) / r[1] if d == 1 else 2.0)
+        # block[l, m] = (T[l + 1, m] - T[l - 1, m]) / 2dt = v[l + 1 - m]
+        v = np.concatenate([[0.25 * r[0], 0.5 * r[1], 0.5 * r[2] - 0.25 * r[0]], 0.5 * delta[2:]])
+        central = np.empty((nm, D + d, L))
+        central[:, :D] = (rows @ _toeplitz(v, L + 1)[1:, :L].T).reshape(nm, D, L)
+        last = (self.rows[:, None, :, L - 1] @ self.step)[:, 0]  # the first row of A^(L+1)
+        central[:, :D, L - 1] += 0.25 * r[0] * last
+        central[:, 0, 0] += 0.25 * r[0]
+        central[:, D:] = (delta / r[0] if d == 1 else np.stack([np.zeros(L), delta])) / (2.0 * dt)
+        write = self.rows @ (dt * np.stack([r[L:0:-1], np.ones(L)])[:d].T)
+        h = np.zeros((nm, self.starts.shape[2], d))
+        h[:, 1:] = self.starts[:, :, :-1].transpose(0, 2, 1) @ write
+        _carry(h, r, L)
+        starts = np.concatenate([self.starts, h.transpose(0, 2, 1)], 1)
+        none = self.linear[:0]
+        return LeafTables(self.grid, values, starts, none), LeafTables(self.grid, central, starts, none)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,7 +404,7 @@ def _leaf_tables(mus: np.ndarray, z0: np.ndarray, p0: np.ndarray,
                     raise FloatingPointError("overflow encountered in the leaf products")
     except FloatingPointError as exc:
         raise _overflow(n, J, exc) from None
-    return LeafTables(grid, rows, starts, np.flatnonzero(mus == 0.0))
+    return LeafTables(grid, rows, starts, np.flatnonzero(mus == 0.0), A)
 
 
 def _integrate_family(

@@ -198,6 +198,12 @@ def _convolve_rows(x: np.ndarray, k: np.ndarray, lo: int, out: np.ndarray):
         out[r:r + step] += part[:, lo:lo + count]
 
 
+def _toeplitz(v: np.ndarray, n: int) -> np.ndarray:
+    """The n x n lower-triangular Toeplitz matrix T[i, m] = v[i - m], m <= i,
+    a read-only view of the windows of (0, .., 0, v[:n]) reversed."""
+    return sliding_window_view(np.concatenate([np.zeros(n - 1), v[:n]]), n)[:, ::-1]
+
+
 def _gains(r: np.ndarray, d: int, n: np.ndarray) -> np.ndarray:
     """(len(n), d, d) gains that carry the state of a realized kernel n nodes on.
 
@@ -211,6 +217,16 @@ def _gains(r: np.ndarray, d: int, n: np.ndarray) -> np.ndarray:
     gains[:, 0, 0] = gains[:, 1, 1] = 1.0
     gains[:, 0, 1] = r[n] - r[0]
     return gains
+
+
+def _carry(state: np.ndarray, r: np.ndarray, L: int):
+    """Sum the d-states (..., leaves, d) of a realized kernel r with leaves
+    of L nodes in place: state[..., b, :] holds leaf b - 1's own part of the
+    state at the start of leaf b, and leaves the whole of it.  A doubling
+    scan, log2 of the leaf count steps, each gain read from the samples."""
+    shifts = 1 << np.arange((state.shape[-2] - 1).bit_length())
+    for shift, carry in zip(shifts, _gains(r, state.shape[-1], shifts * L).transpose(0, 2, 1)):
+        state[..., shift:, :] += state[..., :-shift, :] @ carry
 
 
 def _realized_rows(x: np.ndarray, rho: ScalarSignal, out: np.ndarray):
@@ -233,14 +249,11 @@ def _realized_rows(x: np.ndarray, rho: ScalarSignal, out: np.ndarray):
     L = min(_REALIZED_LEAF_STEPS, nodes)
     leaves = -(-nodes // L)
     k = np.arange(L)
-    # toeplitz[i, m] = dt r[i - m] for m <= i, the windows of (0, .., 0, r) reversed
-    toeplitz = dt * sliding_window_view(np.concatenate([np.zeros(L - 1), r[:L]]), L)[:, ::-1]
+    toeplitz = dt * _toeplitz(r, L)
     toeplitz[k, k] *= 0.5
     if leaves > 1:  # then L <= J, so r[L] exists
         read = _gains(r, d, k)[:, 0]
         write = dt * np.stack([r[L - k], np.ones(L)])[:d].T
-        shifts = 1 << np.arange((leaves - 1).bit_length())
-        carries = _gains(r, d, shifts * L).transpose(0, 2, 1)
     step = max(1, _FFT_ELEMENTS // (2 * leaves * L))
     for lo in range(0, x.shape[0], step):
         rows = x[lo:lo + step]
@@ -252,8 +265,7 @@ def _realized_rows(x: np.ndarray, rho: ScalarSignal, out: np.ndarray):
             # state[:, b] = the state at the start of leaf b, from leaves < b
             state = np.zeros((len(rows), leaves, d), out.dtype)
             state[:, 1:] = padded[:, :-1] @ write
-            for shift, carry in zip(shifts, carries):
-                state[:, shift:] += state[:, :-shift] @ carry
+            _carry(state, r, L)
             part += np.matmul(state, read.T, out=padded)  # padded is spent
         out[lo:lo + step] = part.reshape(len(rows), -1)[:, :nodes]
 
@@ -475,7 +487,8 @@ class ZeroKernel(MemoryKernel):
         return 0.0
 
     def realization(self, dt: float):
-        return np.ones((1, 1)), np.zeros(1), np.zeros(1)
+        # d = 0: no memory state
+        return np.ones((0, 0)), np.zeros(0), np.zeros(0)
 
 
 @dataclass(frozen=True)

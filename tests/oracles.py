@@ -18,7 +18,9 @@ the factored family replaces.  The complex w route solves the w family on a
 complex state with its own data (0, lambda_n) and convolves it by complex
 FFTs, the route the real rows with folded factors replace.  The weighted
 stability Gram forms each trapezoid Gram from a weighted copy of the rows,
-the route the in-place rule replaces.
+the route the in-place rule replaces; the long-double stability Gram
+takes the double w rows through every later step in long double, with
+V_sigma a dense matrix, the reference for the y family's leaf tables.
 """
 
 from dataclasses import dataclass
@@ -36,6 +38,7 @@ from visco_inverse import (
     inner_products,
     resolvent_kernel,
     solve_w_many,
+    w_trace_family,
     y_trace_family,
 )
 from visco_inverse.modal import _integrate_family
@@ -141,6 +144,33 @@ def stability_gram_weighted(model, kernel, modulation, grid) -> np.ndarray:
     traj += S @ S.T
     raw = traj * (family.psis @ family.psis.conj().T)
     return (0.5 * (raw.T + raw.conj())).real
+
+
+def stability_gram_longdouble(model, kernel, rate: float, grid) -> np.ndarray:
+    """The H1 Gram of ``inverse.stability_gram`` for sigma = e^(rate t), in
+    numpy's long double from the w rows on: sigma's samples as exponentials
+    of long-double nodes, V_sigma as the dense (J+1) x (J+1) trapezoid
+    matrix, the slopes by np.gradient's stencils and the trapezoid Grams,
+    O(N J^2).  The w rows are the double rows of ``w_trace_family``, so it
+    measures the roundoff of the y family's construction alone."""
+    family = w_trace_family(model, kernel, grid)
+    Z = family.scalars.astype(np.longdouble)
+    J, dt = grid.steps, np.longdouble(grid.dt)
+    lag = np.subtract.outer(np.arange(J + 1), np.arange(J + 1))
+    sigma = np.exp(np.longdouble(rate) * dt * np.arange(J + 1))
+    V = np.where(lag >= 0, dt * sigma[np.maximum(lag, 0)], np.longdouble(0))
+    V[:, 0] *= 0.5
+    V[np.arange(J + 1), np.arange(J + 1)] *= 0.5
+    V[0] = 0.0
+    Y = Z @ V.T
+    S = np.empty_like(Y)
+    S[:, 1:-1] = (Y[:, 2:] - Y[:, :-2]) / (2 * dt)
+    S[:, 0] = (-1.5 * Y[:, 0] + 2 * Y[:, 1] - 0.5 * Y[:, 2]) / dt
+    S[:, -1] = (0.5 * Y[:, -3] - 2 * Y[:, -2] + 1.5 * Y[:, -1]) / dt
+    weights = np.full(J + 1, dt)
+    weights[[0, -1]] = 0.5 * dt
+    psis = family.psis.real.astype(np.longdouble)
+    return ((Y * weights) @ Y.T + (S * weights) @ S.T) * (psis @ psis.T)
 
 
 def resolvent_kernel_loop(sigma: np.ndarray, sigma_prime: np.ndarray, dt: float) -> np.ndarray:

@@ -38,7 +38,12 @@ from visco_inverse import (
     stability_ratios,
     stability_scan,
 )
-from oracles import reconstruct_via_thetas, stability_gram_weighted, stability_ratios_per_trial
+from oracles import (
+    reconstruct_via_thetas,
+    stability_gram_longdouble,
+    stability_gram_weighted,
+    stability_ratios_per_trial,
+)
 import visco_inverse.inverse
 from visco_inverse.inverse import _SCAN_BLOCK, _identity_residuals, _trial_draws
 from visco_inverse.volterra import _LEAF_STEPS, _REALIZED_LEAF_STEPS
@@ -367,6 +372,62 @@ class TestReconstruct:
         sig = TraceSignal(g2, np.zeros((g2.steps + 1, 1)))
         with pytest.raises(ValueError):
             reconstruct(sig, ortho_kernels, model)
+
+
+@st.composite
+def h1_gram_cases(draw):
+    """A model, a kernel and a sigma with realizations, drawn by their
+    parameters, on grids at and beside the leaf edges.  The potential q
+    gives mu_n of both signs, and q = -k^2 a zero-branch mode (L = pi)."""
+    N = draw(st.integers(1, 6))
+    q = draw(st.one_of(st.floats(-6.0, 20.0), st.integers(1, N).map(lambda k: -float(k * k))))
+    endpoints = draw(st.sampled_from([("left",), ("left", "right")]))
+    model = build_spectral_model(OperatorSpec(PI, q, endpoints), N)
+    grid = TimeGrid(2 * PI + draw(st.floats(0.0, 1.0)),
+                    draw(st.sampled_from([255, 256, 257, 258, 511, 513, 4099, 20000])))
+    variant = draw(st.sampled_from(["zero", "exponential", "polynomial"]))
+    if variant == "zero":
+        kernel = ZeroKernel()
+    elif variant == "exponential":
+        kernel = ExponentialKernel(draw(st.floats(-2.0, 3.0)), draw(st.floats(-1.0, 5.0)))
+    else:
+        # coefficients from a drawn seed: hypothesis's own float draws
+        # favour 0 and tiny values
+        seed = draw(st.integers(0, 2**32 - 1))
+        kernel = PolynomialKernel(np.random.default_rng(seed).uniform(
+            -3.0, 3.0, draw(st.integers(1, 4))))
+    a = draw(st.floats(-2.0, 2.0))
+    b = draw(st.floats(0.25, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    form = draw(st.sampled_from(["constant", "affine", "exponential"]))
+    if form == "constant":
+        sigma = ConstantModulation(b)
+    elif form == "affine":
+        sigma = AffineModulation(b, a)
+    else:
+        sigma = ExponentialModulation(a)
+    return model, kernel, sigma, grid
+
+
+class TestTableH1Gram:
+    # where the kernel and sigma have realizations, stability_gram reads the
+    # w family's leaf tables; the oracle convolves the stored w rows
+    @given(h1_gram_cases())
+    def test_matches_the_stored_rows(self, drawn):
+        got = stability_gram(*drawn)
+        expected = stability_gram_weighted(*drawn)
+        scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+        assert np.max(np.abs(got - expected) / scale) <= 1e-13
+
+    def test_matches_a_long_double_reference(self):
+        # sigma's gains are read from its samples (1.4e-15 here): tables
+        # read from powers fl(e^(0.4 dt))^n in place of sigma_n drift to
+        # 1.7e-13 of the reference
+        model = build_spectral_model(OperatorSpec(PI), 16)
+        g = TimeGrid(2 * PI + 0.5, 1025)
+        got = stability_gram(model, ZeroKernel(), ExponentialModulation(0.4), g)
+        expected = stability_gram_longdouble(model, ZeroKernel(), 0.4, g)
+        scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+        assert np.max(np.abs(got - expected) / scale) <= 1e-14
 
 
 class TestStability:

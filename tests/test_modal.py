@@ -141,6 +141,12 @@ class TestStructuralIdentities:
         zm = solve_z(model.mode(-6), kernel, grid)
         assert np.max(np.abs(zm.z.values - np.conj(zp.z.values))) < 1e-14
 
+    def test_zero_kernel_tables_carry_no_memory_state(self, model, grid):
+        # the zero kernel's realization has d = 0, so its step map acts on
+        # (z, z') alone
+        tables = solve_w_many(model.positive_modes, ZeroKernel(), grid).trajectories
+        assert tables.rows.shape[1] == tables.starts.shape[1] == tables.step.shape[1] == 2
+
     def test_w_is_real_for_real_data(self, model, grid):
         w = solve_w(model.mode(3), ExponentialKernel(1.0, 1.0), grid)
         assert np.max(np.abs(w.z.values.imag)) < 1e-10
