@@ -62,9 +62,9 @@ IDENTITY_RESIDUAL_RTOL = 1e-3
 #: larger grids are refused when parsed instead of failing to allocate
 MAX_GRID_STEPS = 10**7
 
-#: most N * (steps + 1), the size of the factored modal family Z, a config may
-#: ask for: 500 modes on 10^6 steps, 8 GB of complex values; it bounds the
-#: trials * N draws of stability-scan as well
+#: most N * (steps + 1) a config may ask for (500 modes on 10^6 steps, 8 GB of
+#: complex rows): realized kernels keep leaf tables, so it guards the rows of
+#: sampled kernels and rows built on request; it bounds trials * N draws too
 MAX_MODE_NODES = 5 * 10**8
 
 #: values per %-format of the CSV writer: 16,384 rows of stability-scan's two

@@ -6,8 +6,8 @@ as the trajectories Z (members, J+1) and trace vectors Psi (members, m).
 For the w and y families Z is real: the real rows of the modal solve, with
 each mode's factor (1, or i for an imaginary lambda_n) folded into Psi, so
 Psi is real, every product that reads Z is a real one and the Gram is real.
-The z family stays complex.  Under a kernel with a realization the w family
-holds no Z: its trajectories are the step map's ``LeafTables``, from which
+The z family's Z is complex.  Under a kernel with a realization no family
+holds Z: its trajectories are the step map's ``LeafTables``, from which
 the Gram, the synthesis Z^T (a * Psi) and the inner products with a signal
 are read, O(N d J) in time and O(N d L + N^2) in memory; ``scalars``
 builds Z on request.  The y family's H1 Gram is read from the tables of
@@ -99,7 +99,7 @@ class ModalFamily:
     def _trajectory_inner(self, x: np.ndarray) -> np.ndarray:
         """(k, members) matrix of <x_c, g_n> for the columns of x (J+1, k)."""
         Z = self.trajectories
-        if isinstance(Z, LeafTables):  # real rows
+        if isinstance(Z, LeafTables):
             return Z.dot(self.grid.weights[:, None] * x).T
         return inner_products(x.T, Z, self.grid)
 
@@ -182,15 +182,16 @@ def gram(family: ModalFamily) -> GramMatrix:
     """Assemble and symmetrize the Gram matrix of the family, with
     <g_i psi_i, g_k psi_k> = <g_i, g_k> (psi_i . conj psi_k).
 
-    Real trajectories take their trapezoid Gram from Z in place, one
+    Stored real trajectories take their trapezoid Gram from Z in place, one
     symmetric rank-k update and a rank-2 correction at the ends
-    (``volterra._real_gram``), or from their leaf tables
-    (``modal.LeafTables.gram``)."""
+    (``volterra._real_gram``); leaf tables give it from their pair sums
+    (``modal.LeafTables.gram``), rotated to orthonormal rows for the z
+    family, whose decaying members cancel terms far larger than themselves."""
     if len(family) == 0:
         raise ValueError("cannot form the Gram matrix of an empty family")
     Z = family.trajectories
     if isinstance(Z, LeafTables):
-        traj = Z.gram()
+        traj = Z.gram(orthonormal=np.iscomplexobj(Z.starts))
     elif np.iscomplexobj(Z):
         traj = inner_products(Z, Z, family.grid)
     else:

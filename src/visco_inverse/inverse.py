@@ -59,6 +59,7 @@ from .volterra import (
     TimeGrid,
     TraceSignal,
     ZeroKernel,
+    _LEAF_STEPS,
     _real_gram,
     _slopes,
     convolve,
@@ -271,11 +272,11 @@ def stability_gram(
     horizon to reach the two-way travel time 2L, below which the boundary
     observation cannot control every mode and the ratio is meaningless.
 
-    Where the kernel and sigma both have a realization, both Grams are read
-    from leaf tables (``modal.LeafTables.convolved``), with no (N, J+1)
-    array: the derivative's tables hold the central differences at every
-    node, and nodes 0 and J take ``volterra._slopes``' one-sided stencils
-    in their place.  Otherwise the y rows and their slopes are stored.
+    Where the kernel and sigma both have a realization, on grids past one
+    leaf, both Grams are read from leaf tables (``LeafTables.convolved``),
+    with no (N, J+1) array: the derivative's tables hold the central
+    differences at every node, and nodes 0 and J take ``volterra._slopes``'
+    one-sided stencils instead.  Otherwise the y rows and slopes are stored.
     """
     threshold = 2.0 * model.spec.length
     if grid.horizon < threshold * (1.0 - 1e-12):
@@ -284,8 +285,10 @@ def stability_gram(
         )
     sigma, dt = modulation.sample(grid), grid.dt
     family = w_trace_family(model, kernel, grid)
-    tables = isinstance(family.trajectories, LeafTables)
-    # a sigma that is identically 0 has no gains to read (they divide by sigma_0)
+    # on one leaf the central difference at node J would reach past the grid,
+    # and the stored rows hold at most N x 257 values; a sigma that is
+    # identically 0 has no gains to read (they divide by sigma_0)
+    tables = isinstance(family.trajectories, LeafTables) and grid.steps > _LEAF_STEPS
     if tables and sigma.realization is not None and sigma.values.any():
         Y, central = family.trajectories.convolved(sigma)
         # the end stencils read the first and last three nodes

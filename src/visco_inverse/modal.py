@@ -26,15 +26,15 @@ A^1..A^L over one leaf of L = 256 steps are tabulated once, by doubling.
 A^L carries the start state of each leaf to the next, and each leaf's
 values are the rows applied to its start state.  That is log2(L) + J/L
 small Python iterations instead of J, with the discretisation unchanged.
-The w family keeps these tables (``LeafTables``) in place of its rows: its
-Gram, a synthesis Z^T x and products Z y are sums over time that read them
-in O(N d J), with no (modes, J+1) array, and so does the H1 Gram of the y
-family V_sigma Z for a sigma with a realization, from the tables of Y and
-of its central differences on the same leaves (``LeafTables.convolved``).
-The rows Z are built on request (the ``ModalTrajectory`` views, the y
-family of a sampled sigma), one batched product over all full leaves
-written straight into Z and one for the last.  Only sampled
-kernels step through leaves of the blocked causal-history solve in
+Both families keep these tables (``LeafTables``) in place of their rows,
+the z family's starts complex: its Gram, a synthesis Z^T x and products
+conj(Z) y are sums over time that read them in O(N d J), with no (modes,
+J+1) array, and so does the H1 Gram of the y family V_sigma Z for a sigma
+with a realization (``LeafTables.convolved``).  The rows Z are built on
+request (``ModalTrajectory`` views, the comparison defects, the y family
+of a sampled sigma), one batched product over all full leaves written
+straight into Z and one for the last.  Only sampled kernels, whose
+families keep stored rows, step through leaves of the blocked solve in
 ``volterra``, which adds the history of earlier leaves by FFT convolution:
 O(J log^2 J) per mode instead of O(J^2).
 Modes sharing a grid and kernel are advanced together as a batch.  Only g is
@@ -104,8 +104,8 @@ class LeafTables:
         Z[:, 0] = starts[:, 0, 0],  Z[:, 1 + kL + l] = starts[:, :, k] . rows[:, :, l].
 
     ``rows[:, :, l]`` is the first row of A^(l+1), ``starts[:, :, k]`` the
-    state at the start of leaf k.  The sums over time that the w family
-    needs (its Gram, a synthesis Z^T x, products Z y) read the tables in
+    state at the start of leaf k, complex for the z family.  The sums over
+    time (a Hermitian Gram, a synthesis Z^T x, products conj(Z) y) read them in
     O(N D J) and build no (modes, J+1) array; ``dense`` builds Z.  Modes
     in ``linear`` have mu = 0, so their rows are z(0) + z'(0) t, which
     ``dense`` writes in closed form.  The same form holds other rows
@@ -150,10 +150,10 @@ class LeafTables:
 
     def gram(self, orthonormal: bool = False) -> np.ndarray:
         """Trapezoid inner products <z_m, z_n> of the rows, as in
-        ``volterra._real_gram``: over the full leaves,
-        sum over k, l of Z_m Z_n = sum over a, b of (R_a R_b^T)(S_a S_b^T) entrywise,
-        R_a = rows[:, a] and S_a = starts[:, a, :full], taken pair by pair so
-        that every temporary is (modes, modes).
+        ``volterra.inner_products``: over the full leaves, sum over k, l of
+        Z_m conj(Z_n) = sum over a, b of (R_a R_b^T)(S_a S_b^H) entrywise,
+        R_a = rows[:, a] and S_a = starts[:, a, :full], pair by pair (every
+        temporary is (modes, modes)); .conj() leaves real tables as they are.
 
         Where the values cancel terms far larger than themselves, the pair
         sums lose the square of that factor.  ``orthonormal`` first rotates
@@ -166,28 +166,29 @@ class LeafTables:
             q, t = np.linalg.qr(R.transpose(0, 2, 1))
             R, S = q.transpose(0, 2, 1), t @ S
         ends = np.stack([self.column(0), self.column(self.grid.steps)], 1)
-        g = tail @ tail.T + np.outer(ends[:, 0], ends[:, 0]) - 0.5 * (ends @ ends.T)
+        g = (tail @ tail.conj().T + np.outer(ends[:, 0], ends[:, 0].conj())
+             - 0.5 * (ends @ ends.conj().T))
         for a in range(R.shape[1]):
             for b in range(a, R.shape[1]):
-                pair = R[:, a] @ R[:, b].T
-                pair *= S[:, a] @ S[:, b].T
+                pair = S[:, a] @ S[:, b].conj().T
+                pair *= R[:, a] @ R[:, b].T
                 g += pair
                 if b != a:
-                    g += pair.T
+                    g += pair.T.conj()
         g *= self.grid.dt
         return g
 
     def dot(self, y: np.ndarray) -> np.ndarray:
-        """Z y for y (J+1, k): per leaf, the rows against its part of y in one
-        (N D x L) (L x leaves k) product, then the start states."""
+        """conj(Z) y for y (J+1, k): per leaf, the rows against its part of y in
+        one (N D x L) (L x leaves k) product, then the conjugate starts."""
         L, full, tail = self._leaves()
         nm, D = self.starts.shape[:2]
         k = y.shape[1]
         blocks = y[1:full * L + 1].reshape(full, L, k).transpose(1, 0, 2).reshape(L, full * k)
         per_leaf = _matmul(self.rows.reshape(nm * D, L), blocks).reshape(nm, D * full, k)
-        starts = self.starts[:, :, :full].reshape(nm, 1, D * full)
+        starts = self.starts[:, :, :full].conj().reshape(nm, 1, D * full)
         out = (starts @ per_leaf)[:, 0]
-        out += np.outer(self.starts[:, 0, 0], y[0]) + _matmul(tail, y[full * L + 1:])
+        out += np.outer(self.starts[:, 0, 0].conj(), y[0]) + _matmul(tail.conj(), y[full * L + 1:])
         return out
 
     def tdot(self, x: np.ndarray) -> np.ndarray:
@@ -196,7 +197,7 @@ class LeafTables:
         L, full, tail = self._leaves()
         nm, D = self.starts.shape[:2]
         k = x.shape[1]
-        out = np.empty((self.grid.steps + 1, k), np.result_type(x, 1.0))
+        out = np.empty((self.grid.steps + 1, k), np.result_type(x, self.starts, 1.0))
         out[0] = self.starts[:, 0, 0] @ x
         scaled = np.einsum("nal,nc->lcna", self.starts[:, :, :full], x, order="C")
         per_leaf = _matmul(scaled.reshape(full * k, nm * D), self.rows.reshape(nm * D, L))
@@ -261,7 +262,7 @@ class ModalSolution:
 
     modes: tuple
     grid: TimeGrid
-    trajectories: np.ndarray | LeafTables  # the rows, or the w family's leaf tables
+    trajectories: np.ndarray | LeafTables  # the rows, or their leaf tables
     factors: np.ndarray  # (modes,) complex
     p0: np.ndarray  # (modes,) complex z'(0)
 
@@ -418,7 +419,7 @@ def _integrate_family(
 
     ``mus`` holds the real stiffness coefficients lambda_n^2 = mu_n; the
     state is real for real data and complex otherwise.  Returns Z of shape
-    (len(mus), J+1).
+    (len(mus), J+1), the rows of mu = 0 in closed form, z(0) + z'(0) t.
     """
     tables = _leaf_tables(mus, z0, p0, kernel, grid)
     if tables is not None:
@@ -444,6 +445,8 @@ def _integrate_family(
                     Z[:, n], p, g = step(Z[:, n - 1], p, g, h)
     except FloatingPointError as exc:
         raise _overflow(n, J, exc) from None
+    linear = mus == 0.0
+    Z[linear] = z0[linear, None] + p0[linear, None] * grid.nodes
     return Z
 
 
@@ -462,26 +465,19 @@ def _solve_many(modes, kernel, grid, family: str) -> ModalSolution:
         # w = (p0 / |p0|) r, r the real solution with data (0, |p0|)
         scale = np.abs(p0)
         factors, data = p0 / scale, (z0.real, scale)
-    # zero-branch modes take mu = 0 in the step map, and LeafTables.dense
-    # writes their rows in closed form; the w family keeps its tables
-    rows = _leaf_tables(np.array([m.mu if m.branch == "J1" else 0.0 for m in modes]),
-                        *data, kernel, grid)
-    if rows is None:
-        solved = [i for i, m in enumerate(modes) if m.branch == "J1"]
-        mus = np.array([modes[i].mu for i in solved], dtype=float)
-        if len(solved) == len(modes):
-            rows = _integrate_family(mus, *data, kernel, grid)
-        else:
-            rows = data[0][:, None] + data[1][:, None] * grid.nodes
-            if solved:
-                rows[solved] = _integrate_family(mus, *(d[solved] for d in data), kernel, grid)
-    elif family == "z":
-        rows = rows.dense()
-    return ModalSolution(modes, grid, rows, factors, p0)
+    # zero-branch modes take mu = 0, which gives their rows in closed form;
+    # a kernel with a realization gives leaf tables, any other stored rows
+    mus = np.array([m.mu if m.branch == "J1" else 0.0 for m in modes])
+    trajectories = _leaf_tables(mus, *data, kernel, grid)
+    if trajectories is None:
+        trajectories = _integrate_family(mus, *data, kernel, grid)
+    return ModalSolution(modes, grid, trajectories, factors, p0)
 
 
 def solve_z_many(modes, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
-    """Trajectories with data (1, i*lambda_n) for several modes at once."""
+    """Trajectories with data (1, i*lambda_n) for several modes at once.  The
+    rows are complex, held as ``LeafTables`` with complex starts over real
+    rows for a kernel with a realization."""
     return _solve_many(tuple(modes), kernel, grid, "z")
 
 
@@ -523,9 +519,7 @@ def _comparison_defects(modes, kernel: MemoryKernel, grid: TimeGrid, chunk: int)
     out = np.empty(len(modes))
     for start in range(0, len(modes), chunk):
         block = modes[start:start + chunk]
-        mus = np.array([m.mu for m in block], dtype=float)
-        z0, p0 = np.array([_initial_data(m, "z") for m in block]).T
-        Z = _integrate_family(mus, z0, p0, kernel, grid)
+        Z = solve_z_many(block, kernel, grid).rows
         for row, m in enumerate(block):
             diff = (Z[row] - comparison_exponential(m, kernel, grid).values)[None]
             out[start + row] = abs(m.lam) ** 2 * inner_products(diff, diff, grid)[0, 0].real

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from visco_inverse import (
     z_trace_family,
 )
 from oracles import complex_w_route, dual_values, family_values, naive_inner_products
-from visco_inverse.modal import _leaf_tables
+from visco_inverse.modal import LeafTables, _leaf_tables
 from visco_inverse.volterra import _LEAF_STEPS, _real_gram
 
 PI = math.pi
@@ -305,6 +306,32 @@ def test_real_family_allocates_no_complex_copy(kernel, h1_bound):
     assert peaks["stability_gram"] <= h1_bound, peaks
 
 
+@pytest.mark.parametrize("kernel, bound", [
+    (ZeroKernel(), 0.75), (ExponentialKernel(1.0, 1.0), 0.75),
+    (PolynomialKernel((1.0, -0.3, 0.05)), 0.75), ("sampled", 2.25),
+], ids=["zero", "exponential", "polynomial", "sampled"])
+def test_z_family_gram_reads_leaf_tables(kernel, bound):
+    # the peak of the z family's solve and Gram in units of R, the bytes of
+    # its complex (2N, J+1) rows.  Measured: 0.27, 0.34 and 0.50 R from the
+    # tables (D = 2, 3 and 5 components of L = 256, the QR's copies a
+    # while), 2.06 R for the stored rows of a sampled kernel and the
+    # weighted conjugate copy that inner_products makes
+    N, J = 64, 4096
+    grid = TimeGrid(2 * PI + 0.5, J)
+    model = build_spectral_model(OperatorSpec(PI, 0.0, ("left", "right")), N)
+    if kernel == "sampled":
+        kernel = SampledKernel(ExponentialKernel(1.0, 1.0).sample(grid), m0=1.0)
+    R = 2 * N * (J + 1) * 16
+    grid.nodes, grid.weights  # cached on the grid before the count starts
+    tracemalloc.start()
+    try:
+        gram(z_trace_family(model, kernel, grid))
+        peak = tracemalloc.get_traced_memory()[1] / R
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
+
+
 @st.composite
 def leaf_table_cases(draw):
     """Real modal rows under a zero, exponential or polynomial kernel drawn
@@ -371,6 +398,74 @@ class TestLeafTableRoute:
         # the <c, w_m> of the identity residual, c real
         c = rng.standard_normal((grid.steps + 1, 1))
         close(leaf._trajectory_inner(c), stored._trajectory_inner(c), norm(Z.T) * norm(c))
+
+
+@st.composite
+def z_table_cases(draw):
+    """A model and a kernel with a realization, drawn by their parameters,
+    on grids at and beside the leaf edges.  The potential q gives lambda_n
+    real and imaginary (a decaying z member beside a growing one), and
+    q = -k^2 a zero-branch mode (L = pi)."""
+    N = draw(st.integers(1, 6))
+    q = draw(st.one_of(st.floats(-6.0, 20.0), st.integers(1, N).map(lambda k: -float(k * k))))
+    endpoints = draw(st.sampled_from([("left",), ("left", "right")]))
+    model = build_spectral_model(OperatorSpec(PI, q, endpoints), N)
+    grid = TimeGrid(2 * PI + draw(st.floats(0.0, 1.0)),
+                    draw(st.sampled_from([255, 256, 257, 511, 513, 4099])))
+    variant = draw(st.sampled_from(["zero", "exponential", "polynomial"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if variant == "zero":
+        kernel = ZeroKernel()
+    elif variant == "exponential":
+        kernel = ExponentialKernel(draw(st.floats(-2.0, 3.0)), draw(st.floats(-1.0, 5.0)))
+    else:
+        # coefficients from the drawn seed: hypothesis's own float draws
+        # favour 0 and tiny values
+        kernel = PolynomialKernel(np.random.default_rng(seed).uniform(
+            -3.0, 3.0, draw(st.integers(1, 4))))
+    return model, kernel, grid, seed
+
+
+class TestZTableRoute:
+    # the z family's leaf tables, complex starts over real rows, against the
+    # complex route through inner_products on the same dense rows
+    @given(z_table_cases())
+    def test_matches_the_dense_rows(self, drawn):
+        model, kernel, grid, seed = drawn
+        family = z_trace_family(model, kernel, grid)
+        tables = family.trajectories
+        assert isinstance(tables, LeafTables) and np.iscomplexobj(tables.starts)
+        rng = np.random.default_rng(seed)
+        # z(0) = 1 for every member; a phase per mode makes node 0 complex too
+        phase = np.exp(2j * PI * rng.uniform(size=len(family)))
+        turned = replace(tables, starts=tables.starts * phase[:, None, None])
+
+        def norm(x):  # the trapezoid norm of a stack of signals, (J+1, ...)
+            return np.sqrt(np.sum(grid.weights @ np.abs(x.reshape(len(x), -1)) ** 2))
+
+        for rows in (tables, turned):
+            leaf = ModalFamily(grid, family.labels, rows, family.psis)
+            Z = rows.dense()
+            stored = ModalFamily(grid, family.labels, Z, family.psis)
+            # c_m, row m's cancellation factor: the size of its table terms
+            # over the size of its values, which a decaying member makes large
+            terms = (np.abs(rows.starts).max(axis=2) * np.abs(rows.rows).max(axis=2)).sum(axis=1)
+            c = terms / np.abs(Z).max(axis=1)
+            expected = gram(stored).entries
+            diag = np.diag(expected).real
+            gap = np.abs(gram(leaf).entries - expected) / (
+                np.sqrt(np.outer(diag, diag)) * np.maximum.outer(c, c))
+            assert gap.max() <= 1e-13, gap.max()
+
+            coeffs = rng.standard_normal(len(leaf)) + 1j * rng.standard_normal(len(leaf))
+            for a in (coeffs, coeffs.real):  # real ones against complex rows too
+                expected = stored.synthesize(a).values
+                assert norm(leaf.synthesize(a).values - expected) <= 1e-13 * norm(expected)
+            signal = TraceSignal(grid, rng.standard_normal((grid.steps + 1, model.dim))
+                                 + 1j * rng.standard_normal((grid.steps + 1, model.dim)))
+            expected = stored.inner_with(signal)
+            gap = np.linalg.norm(leaf.inner_with(signal) - expected) / np.linalg.norm(expected)
+            assert gap <= 1e-13, gap
 
 
 def materialised_duals(fam):

@@ -418,6 +418,24 @@ class TestTableH1Gram:
         scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
         assert np.max(np.abs(got - expected) / scale) <= 1e-13
 
+    @pytest.mark.parametrize("steps", [*range(3, 11), _LEAF_STEPS - 1, _LEAF_STEPS])
+    def test_one_leaf_grids_match_the_weighted_buffer(self, steps):
+        # on one leaf node J lies in the full leaf, where the tables' central
+        # difference reaches past the grid: with q = -4 it dwarfed the
+        # one-sided slope and read 1.0e-12 at J = 7, so such grids keep the
+        # stored rows
+        g = TimeGrid(2 * PI + 0.5, steps)
+        for q in (0.0, -1.0, -4.0):
+            model = build_spectral_model(OperatorSpec(PI, q, ("left", "right")), 4)
+            for kernel in (ZeroKernel(), ExponentialKernel(1.0, 1.0),
+                           PolynomialKernel((1.0, -0.5, 0.2))):
+                for sigma in (AffineModulation(1.0, 0.5), ExponentialModulation(0.8),
+                              ConstantModulation(1.5)):
+                    got = stability_gram(model, kernel, sigma, g)
+                    expected = stability_gram_weighted(model, kernel, sigma, g)
+                    scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+                    assert np.max(np.abs(got - expected) / scale) <= 1e-14, (q, kernel, sigma)
+
     def test_matches_a_long_double_reference(self):
         # sigma's gains are read from its samples (1.4e-15 here): tables
         # read from powers fl(e^(0.4 dt))^n in place of sigma_n drift to
