@@ -10,9 +10,9 @@ The z family's Z is complex.  Under a kernel with a realization no family
 holds Z: its trajectories are the step map's ``LeafTables``, from which
 the Gram, the synthesis Z^T (a * Psi) and the inner products with a signal
 are read, O(N d J) in time and O(N d L + N^2) in memory; ``scalars``
-builds Z on request.  The y family's H1 Gram is read from the tables of
-V_sigma Z alike where sigma has a realization (``inverse.stability_gram``);
-``y_trace_family`` stores its rows.
+builds Z on request.  Stored rows, real or complex, take their Gram from Z
+in place.  The y family's H1 Gram is read from the w tables where sigma has
+a realization (``LeafTables.h1_gram``); ``y_trace_family`` stores its rows.
 Its Gram matrix under the discrete L2(0,T; G) inner product, the trajectory
 Gram times the trace-vector Gram entry by entry, yields sharp two-sided
 frame constants for the truncated span (extreme eigenvalues).  Its inverse
@@ -40,7 +40,7 @@ from .volterra import (
     TimeGrid,
     TraceSignal,
     _matmul,
-    _real_gram,
+    _trapezoid_gram,
     convolve,
     inner_products,
 )
@@ -182,21 +182,19 @@ def gram(family: ModalFamily) -> GramMatrix:
     """Assemble and symmetrize the Gram matrix of the family, with
     <g_i psi_i, g_k psi_k> = <g_i, g_k> (psi_i . conj psi_k).
 
-    Stored real trajectories take their trapezoid Gram from Z in place, one
-    symmetric rank-k update and a rank-2 correction at the ends
-    (``volterra._real_gram``); leaf tables give it from their pair sums
+    Each storage takes its own trajectory Gram: stored rows, real or
+    complex, from Z in place, dt Z Z^H less the end products
+    (``volterra._trapezoid_gram``); leaf tables from their pair sums
     (``modal.LeafTables.gram``), rotated to orthonormal rows for the z
-    family, whose decaying members cancel terms far larger than themselves."""
+    family, whose decaying members cancel terms far larger than themselves.
+    An overflow leaves non-finite entries, which ``frame_bounds`` reports."""
     if len(family) == 0:
         raise ValueError("cannot form the Gram matrix of an empty family")
     Z = family.trajectories
-    if isinstance(Z, LeafTables):
-        traj = Z.gram(orthonormal=np.iscomplexobj(Z.starts))
-    elif np.iscomplexobj(Z):
-        traj = inner_products(Z, Z, family.grid)
-    else:
-        traj = _real_gram(Z, family.grid.dt)
-    return _member_gram(traj, family)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = (Z.gram(orthonormal=np.iscomplexobj(Z.starts)) if isinstance(Z, LeafTables)
+                else _trapezoid_gram(Z, family.grid.dt))
+        return _member_gram(traj, family)
 
 
 def _member_gram(traj: np.ndarray, family: ModalFamily) -> GramMatrix:

@@ -59,9 +59,8 @@ from .volterra import (
     TimeGrid,
     TraceSignal,
     ZeroKernel,
-    _LEAF_STEPS,
-    _real_gram,
     _slopes,
+    _trapezoid_gram,
     convolve,
     h1_norm,
     resolvent_kernel,
@@ -272,11 +271,11 @@ def stability_gram(
     horizon to reach the two-way travel time 2L, below which the boundary
     observation cannot control every mode and the ratio is meaningless.
 
-    Where the kernel and sigma both have a realization, on grids past one
-    leaf, both Grams are read from leaf tables (``LeafTables.convolved``),
-    with no (N, J+1) array: the derivative's tables hold the central
-    differences at every node, and nodes 0 and J take ``volterra._slopes``'
-    one-sided stencils instead.  Otherwise the y rows and slopes are stored.
+    Where the kernel and sigma both have a realization, both Grams are read
+    from the w family's leaf tables (``LeafTables.h1_gram``), with no
+    (N, J+1) array; otherwise the y rows and their slopes are stored, and
+    each takes ``volterra._trapezoid_gram``.  An overflow in the Grams
+    leaves a non-finite Q, which raises ``NumericsError``.
     """
     threshold = 2.0 * model.spec.length
     if grid.horizon < threshold * (1.0 - 1e-12):
@@ -285,30 +284,18 @@ def stability_gram(
         )
     sigma, dt = modulation.sample(grid), grid.dt
     family = w_trace_family(model, kernel, grid)
-    # on one leaf the central difference at node J would reach past the grid,
-    # and the stored rows hold at most N x 257 values; a sigma that is
-    # identically 0 has no gains to read (they divide by sigma_0)
-    tables = isinstance(family.trajectories, LeafTables) and grid.steps > _LEAF_STEPS
-    if tables and sigma.realization is not None and sigma.values.any():
-        Y, central = family.trajectories.convolved(sigma)
-        # the end stencils read the first and last three nodes
-        J = grid.steps
-        ends = np.stack([Y.column(n) for n in sorted({0, 1, 2, J - 2, J - 1, J})])
-        ends = _slopes(ends, dt, np.empty_like(ends))[[0, -1]]
-        c = central.column(J)
-        # where sigma changes sign, y = V_sigma w is far smaller than w, and
-        # y' than sigma(0) w and V_sigma' w: orthonormal rows keep the pair
-        # sums from losing the square of that ratio
-        traj = (Y.gram(orthonormal=True) + central.gram(orthonormal=True)
-                + 0.5 * dt * (ends.T @ ends - np.outer(c, c)))
-    else:
+    # a sigma that is identically 0 has no gains to read (they divide by sigma_0)
+    tables = (isinstance(family.trajectories, LeafTables) and sigma.realization is not None
+              and sigma.values.any())
+    if not tables:
         # the y family in place of the w family, whose rows go before the slopes come
         family = _convolved_family(family, sigma)
         Z = family.scalars
-        slopes = np.empty_like(Z)
-        _slopes(Z.T, dt, slopes.T)
-        traj = _real_gram(Z, dt) + _real_gram(slopes, dt)
-    Q = _member_gram(traj, family).entries.real
+        slopes = _slopes(Z.T, dt, np.empty_like(Z).T).T
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate below reports it
+        traj = (family.trajectories.h1_gram(sigma) if tables
+                else _trapezoid_gram(Z, dt) + _trapezoid_gram(slopes, dt))
+        Q = _member_gram(traj, family).entries.real
     if not np.isfinite(Q).all():
         raise NumericsError(f"non-finite H1 Gram (size {len(Q)}, horizon {grid.horizon:g})")
     return Q

@@ -30,7 +30,7 @@ Both families keep these tables (``LeafTables``) in place of their rows,
 the z family's starts complex: its Gram, a synthesis Z^T x and products
 conj(Z) y are sums over time that read them in O(N d J), with no (modes,
 J+1) array, and so does the H1 Gram of the y family V_sigma Z for a sigma
-with a realization (``LeafTables.convolved``).  The rows Z are built on
+with a realization (``LeafTables.h1_gram``).  The rows Z are built on
 request (``ModalTrajectory`` views, the comparison defects, the y family
 of a sampled sigma), one batched product over all full leaves written
 straight into Z and one for the last.  Only sampled kernels, whose
@@ -60,6 +60,7 @@ from .volterra import (
     _causal_blocks,
     _gains,
     _matmul,
+    _slopes,
     _toeplitz,
     inner_products,
 )
@@ -109,8 +110,8 @@ class LeafTables:
     O(N D J) and build no (modes, J+1) array; ``dense`` builds Z.  Modes
     in ``linear`` have mu = 0, so their rows are z(0) + z'(0) t, which
     ``dense`` writes in closed form.  The same form holds other rows
-    linear in a leaf's start state, such as those of ``convolved``, which
-    reads ``step``, A, of a step-map solve.
+    linear in a leaf's start state, such as V_sigma Z and its differences in
+    ``h1_gram``, which reads ``step``, A, of a step-map solve.
     """
 
     grid: TimeGrid
@@ -206,26 +207,30 @@ class LeafTables:
         out[full * L + 1:] = _matmul(tail.T, x)
         return out
 
-    def convolved(self, sigma: ScalarSignal) -> tuple:
-        """The tables of Y = V_sigma Z and of its central differences
-        (Y[:, n + 1] - Y[:, n - 1]) / 2dt at the nodes n >= 1, for rows of a
-        step map that vanish at t = 0 and a sigma with a realization.
+    def h1_gram(self, sigma: ScalarSignal) -> np.ndarray:
+        """Trapezoid H1 Gram <y_m, y_n> + <y_m', y_n'> of Y = V_sigma Z, for rows
+        of a step map that vanish at t = 0 and a sigma with a realization; y'
+        is ``volterra._slopes``': central differences (Y[:, n + 1] -
+        Y[:, n - 1]) / 2dt inside, one-sided stencils at nodes 0 and J.
 
-        Both take the starts (S_k, h_k), with h_k sigma's d-state at the
-        start of leaf k as in ``volterra._realized_rows``: h_k = dt sum over
-        1 <= i <= kL of sigma_(kL+1-i) z_i, and for d = 2 also dt sum of z_i.
-        Leaf j adds its rows against dt sigma_(L-l) (and dt) to h_(j+1), and
-        ``volterra._carry`` sums those parts.  The rows of Y are the rows
-        times the in-leaf Toeplitz block of dt sigma, halved on the diagonal,
-        beside the first row of the gain at l, which reads h_k out at node
-        kL+1+l.  The rows of the differences take the differences of that
-        block's rows l + 1 and l - 1 from differences of sigma's samples,
-        over the first rows of A^1..A^(L+1) (one product past the table);
-        at l = 0 the state counts z_kL whole, so node kL adds sigma_0 z_kL / 4.
-        Every gain is read from sigma's samples, never from powers of its E:
-        those drift from sigma_n by n roundoffs.
+        Y and its central differences are tables on these leaves, with the
+        starts (S_k, h_k), h_k sigma's d-state at the start of leaf k as in
+        ``volterra._realized_rows``: h_k = dt sum over 1 <= i <= kL of
+        sigma_(kL+1-i) z_i, and for d = 2 also dt sum of z_i.  Leaf j adds its
+        rows against dt sigma_(L-l) (and dt) to h_(j+1); ``volterra._carry``
+        sums those parts.  Y's rows are the rows times the in-leaf Toeplitz
+        block of dt sigma, halved on the diagonal, beside the first row of the
+        gain at l, which reads h_k out at node kL+1+l.  The differences take
+        that block's rows l + 1 and l - 1 from differences of sigma's samples,
+        over the first rows of A^1..A^(L+1); at l = 0 the state counts z_kL
+        whole, so node kL adds sigma_0 z_kL / 4.  Every gain is read from
+        sigma's samples: powers of E drift from sigma_n by n roundoffs.  The
+        difference tables stop at node J - 1, on a grid one step shorter, so
+        nothing past the grid enters the sums.  Both Grams rotate each mode's
+        rows to orthonormal ones: where sigma changes sign, y is far smaller
+        than w, and y' than sigma(0) w and V_sigma' w.
         """
-        r, dt = sigma.values, self.grid.dt
+        r, J, dt = sigma.values, self.grid.steps, self.grid.dt
         d = len(sigma.realization[1])
         nm, D, L = self.rows.shape
         rows = self.rows.reshape(nm * D, L)
@@ -252,7 +257,15 @@ class LeafTables:
         _carry(h, r, L)
         starts = np.concatenate([self.starts, h.transpose(0, 2, 1)], 1)
         none = self.linear[:0]
-        return LeafTables(self.grid, values, starts, none), LeafTables(self.grid, central, starts, none)
+        Y = LeafTables(self.grid, values, starts, none)
+        # the end stencils read the first and last three nodes, and reject J < 3
+        # before the shorter grid would; that grid's trapezoid halves node J - 1
+        ends = np.stack([Y.column(n) for n in sorted({0, 1, 2, J - 2, J - 1, J})])
+        ends = _slopes(ends, dt, np.empty_like(ends))[[0, -1]]
+        slopes = LeafTables(TimeGrid(dt * (J - 1), J - 1), central, starts, none)
+        c = slopes.column(J - 1)
+        return (Y.gram(orthonormal=True) + slopes.gram(orthonormal=True)
+                + 0.5 * dt * (ends.T @ ends + np.outer(c, c)))
 
 
 @dataclass(frozen=True, eq=False)

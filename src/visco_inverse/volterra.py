@@ -408,14 +408,15 @@ def inner_products(a: np.ndarray, b: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.conj(_matmul(wa.reshape(len(a), -1), b.reshape(len(b), -1).T))
 
 
-def _real_gram(x: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid inner products <x_i, x_k> of real rows x (rows, J+1), with
-    no weighted copy of x: dt x x^T, which numpy runs as one symmetric
-    rank-k update, less dt/2 times the products of the end columns."""
-    gram = x @ x.T
+def _trapezoid_gram(x: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid inner products <x_i, x_k> of rows x (rows, J+1), real or
+    complex, with no weighted copy of x: dt x x^H less dt/2 times the
+    products of the end columns.  Real rows take one symmetric rank-k
+    update, as .conj() of a real array is the array itself."""
+    gram = x @ x.conj().T
     gram *= dt
     ends = x[:, [0, -1]]
-    gram -= 0.5 * dt * (ends @ ends.T)
+    gram -= 0.5 * dt * (ends @ ends.conj().T)
     return gram
 
 

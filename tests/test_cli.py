@@ -382,6 +382,21 @@ class TestNumericalFailure:
         exit_message = strict_json(out / f"{study}.json")["diagnostics"]["exit"]
         assert "non-finite modal state at step 257 of 456" in exit_message
 
+    @pytest.mark.parametrize("study", ["reconstruct", "frame-bounds", "stability-scan"])
+    def test_overflowing_gram_is_a_numerical_failure(self, tmp_path, capsys, study):
+        # finite rows whose products pass the float range in the Gram: the
+        # gate after it reports them, with no numpy warning on the way
+        cfg = base_config(operator={"length": PI, "potential_shift": -4.0,
+                                    "observed_endpoints": ["left", "right"]},
+                          sigma={"form": "affine", "a": 1.0, "b": 0.5},
+                          grid={"T": 200.0, "dt": 200.0 / 257}, N=4, trials=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([study, "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(tmp_path / "res")])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_failed_run_removes_the_previous_csv(self, tmp_path):
         out = tmp_path / "res"
         for slope, code in ((0.5, 0), (1e300, 3)):

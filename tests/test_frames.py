@@ -44,7 +44,7 @@ from visco_inverse import (
 )
 from oracles import complex_w_route, dual_values, family_values, naive_inner_products
 from visco_inverse.modal import LeafTables, _leaf_tables
-from visco_inverse.volterra import _LEAF_STEPS, _real_gram
+from visco_inverse.volterra import _LEAF_STEPS, _trapezoid_gram
 
 PI = math.pi
 
@@ -264,6 +264,14 @@ def test_real_gram_in_place_matches_the_weighted_route(steps):
     expected = 0.5 * (raw + raw.T)
     assert np.linalg.norm(gram(fam).entries - expected) <= 1e-14 * np.linalg.norm(expected)
 
+    # complex rows take the same route with the conjugate: the rows above
+    # turned by phases of several frequencies, and the z rows of the growing mode
+    rows = np.concatenate([rows * np.exp(1j * np.outer(np.arange(len(rows)), t)),
+                           z_trace_family(model, ExponentialKernel(1.0, 1.0), grid).scalars])
+    expected = inner_products(rows, rows, grid)
+    got = _trapezoid_gram(rows, grid.dt)
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
 
 @pytest.mark.parametrize("kernel, h1_bound", [(ExponentialKernel(1.0, 1.0), 1.75), ("sampled", 2.75)],
                          ids=["step-map", "history-solve"])
@@ -314,8 +322,8 @@ def test_z_family_gram_reads_leaf_tables(kernel, bound):
     # the peak of the z family's solve and Gram in units of R, the bytes of
     # its complex (2N, J+1) rows.  Measured: 0.27, 0.34 and 0.50 R from the
     # tables (D = 2, 3 and 5 components of L = 256, the QR's copies a
-    # while), 2.06 R for the stored rows of a sampled kernel and the
-    # weighted conjugate copy that inner_products makes
+    # while), 2.03 R for the stored rows of a sampled kernel and the
+    # conjugate copy that the in-place Gram multiplies them by
     N, J = 64, 4096
     grid = TimeGrid(2 * PI + 0.5, J)
     model = build_spectral_model(OperatorSpec(PI, 0.0, ("left", "right")), N)
@@ -372,8 +380,8 @@ class TestLeafTableRoute:
         psis = rng.standard_normal((nm, dim))
         leaf, stored = (ModalFamily(grid, labels, rows, psis) for rows in (tables, Z))
 
-        scale = np.sqrt(np.diag(_real_gram(Z, grid.dt)))
-        gap = np.abs(tables.gram() - _real_gram(Z, grid.dt)) / np.outer(scale, scale)
+        scale = np.sqrt(np.diag(_trapezoid_gram(Z, grid.dt)))
+        gap = np.abs(tables.gram() - _trapezoid_gram(Z, grid.dt)) / np.outer(scale, scale)
         assert gap.max() <= 1e-13, gap.max()
         assert np.abs(gram(leaf).entries - gram(stored).entries).max() <= 1e-13 * np.abs(
             gram(stored).entries).max()

@@ -420,10 +420,10 @@ class TestTableH1Gram:
 
     @pytest.mark.parametrize("steps", [*range(3, 11), _LEAF_STEPS - 1, _LEAF_STEPS])
     def test_one_leaf_grids_match_the_weighted_buffer(self, steps):
-        # on one leaf node J lies in the full leaf, where the tables' central
-        # difference reaches past the grid: with q = -4 it dwarfed the
-        # one-sided slope and read 1.0e-12 at J = 7, so such grids keep the
-        # stored rows
+        # on one leaf node J lies in the full leaf, where a central difference
+        # would reach past the grid: with q = -4 it dwarfed the one-sided
+        # slope and read 1.0e-12 at J = 7 while the tables took it and then
+        # subtracted it; their differences now stop at node J - 1
         g = TimeGrid(2 * PI + 0.5, steps)
         for q in (0.0, -1.0, -4.0):
             model = build_spectral_model(OperatorSpec(PI, q, ("left", "right")), 4)
@@ -435,6 +435,19 @@ class TestTableH1Gram:
                     expected = stability_gram_weighted(model, kernel, sigma, g)
                     scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
                     assert np.max(np.abs(got - expected) / scale) <= 1e-14, (q, kernel, sigma)
+
+    def test_one_leaf_grids_take_the_tables(self, monkeypatch):
+        # under a realized kernel and sigma every grid of three steps or more
+        # reads the tables, one leaf included: none builds the stored y rows
+        def stored(*args):
+            raise AssertionError("the stored y rows were built")
+
+        monkeypatch.setattr(visco_inverse.inverse, "_convolved_family", stored)
+        model = build_spectral_model(OperatorSpec(PI, -4.0, ("left", "right")), 4)
+        for steps in (3, 7, _LEAF_STEPS):
+            Q = stability_gram(model, ExponentialKernel(1.0, 1.0), AffineModulation(1.0, 0.5),
+                               TimeGrid(2 * PI + 0.5, steps))
+            assert np.isfinite(Q).all()
 
     def test_matches_a_long_double_reference(self):
         # sigma's gains are read from its samples (1.4e-15 here): tables
