@@ -35,6 +35,7 @@ from itertools import permutations
 
 import numpy as np
 from numpy.random import PCG64, Generator, default_rng
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import NumericsError
 from .frames import (
@@ -302,11 +303,9 @@ def stability_gram(
 
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-# numpy's SeedSequence hash constants (pool of 4 words) and PCG64's multiplier
+# numpy's SeedSequence hash constants (pool of 4 words)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: trials that stability_ratios hashes and draws at once: its working set is
 #: O(block x N) on top of the O(trials) ratios, whatever the trial count
 _SCAN_BLOCK = 4096
@@ -359,22 +358,24 @@ def _seed_states(seed: int, start: int, stop: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+class _Hashed(ISeedSequence):
+    """A seed sequence whose state is a row of ``_seed_states``, hashed already:
+    the four uint64 words that PCG64 asks of its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _trial_draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """Row i - start is default_rng((seed, i)).standard_normal(n) bit for bit,
-    for start <= i < stop, from one generator."""
-    bits = PCG64(0)
-    draws = Generator(bits).standard_normal
+    for start <= i < stop: each trial's PCG64 is seeded, in C, from its row
+    of ``_seed_states``."""
     rows = np.empty((stop - start, n))
-    # one state dict for the block, its words rewritten per trial
-    words = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-    for row, (s_hi, s_lo, q_hi, q_lo) in zip(rows, _seed_states(seed, start, stop).tolist()):
-        # PCG64's seeding: inc = 2 initseq + 1, then two steps around adding initstate
-        inc = (((q_hi << 64) | q_lo) << 1 | 1) & _MASK128
-        words["state"] = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        words["inc"] = inc
-        bits.state = state
-        draws(out=row)
+    for row, words in zip(rows, _seed_states(seed, start, stop)):
+        Generator(PCG64(_Hashed(words))).standard_normal(out=row)
     return rows
 
 
@@ -391,10 +392,11 @@ def stability_ratios(
 
     Trial i draws f from ``default_rng((seed, i))``, bit for bit, so an
     ensemble at truncation 2N extends the ensemble at truncation N draw by
-    draw.  The seeds of a block of trials are hashed in one vectorised pass
-    and one generator is reseeded per trial.  Each ratio is sqrt(f^T Q f),
-    with Q the ``stability_gram`` of the same arguments; pass it as
-    ``h1_gram`` when it is already built.  Trial indices must fit 32 bits.
+    draw.  The seeds of a block of trials are hashed in one vectorised pass,
+    and numpy seeds each trial's generator from its hashed words.  Each ratio
+    is sqrt(f^T Q f), with Q the ``stability_gram`` of the same arguments;
+    pass it as ``h1_gram`` when it is already built.  Trial indices must fit
+    32 bits.
     """
     if not 1 <= trials <= 1 << 32:
         raise ValueError("trials must lie in 1..2^32")

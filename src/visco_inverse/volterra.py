@@ -32,7 +32,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.polynomial import polyval
 
 from .errors import NumericsError
 
@@ -521,7 +520,11 @@ class PolynomialKernel(MemoryKernel):
             raise ValueError("polynomial kernel needs at least one coefficient")
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
-        return polyval(grid.nodes, self.coefficients)
+        # Horner's rule, bit for bit numpy's polyval, without numpy.polynomial
+        y = np.full_like(grid.nodes, self.coefficients[-1])
+        for c in self.coefficients[-2::-1]:
+            y = y * grid.nodes + c
+        return y
 
     def at_zero(self) -> float:
         return self.coefficients[0]

@@ -10,11 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import visco_inverse.forward
 import visco_inverse.frames
 from visco_inverse import AffineModulation
-from visco_inverse.cli import MAX_MODE_NODES, ExperimentConfig, _write_csv, main, run
+from visco_inverse.cli import (
+    _KERNELS, _SIGMAS, MAX_MODE_NODES, STUDIES, ExperimentConfig, _write_csv, main, run)
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -249,6 +252,112 @@ class TestValidation:
         out = tmp_path / "o"
         code = main(["simulate", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert code == 2
+
+
+@st.composite
+def small_configs(draw):
+    """A valid config of every key, N <= 4 and at most 256 steps."""
+    study = draw(st.sampled_from(STUDIES))
+    n, steps = draw(st.integers(1, 4)), draw(st.integers(2, 256))
+    horizon = TWO_PI + 0.5
+    nodes = np.linspace(0.0, horizon, steps + 1)
+    reals = st.floats(0.25, 2.0)
+    kernel = draw(st.sampled_from(["zero"] if study == "l2-counterexample"
+                                  else ["zero", "exponential", "polynomial", "sampled"]))
+    kernel = {"zero": {"variant": "zero"},
+              "exponential": {"variant": "exponential", "beta": draw(reals), "alpha": draw(reals)},
+              "polynomial": {"variant": "polynomial",
+                             "coefficients": draw(st.lists(reals, min_size=1, max_size=3))},
+              "sampled": {"variant": "sampled", "values": np.exp(-nodes).tolist(), "m0": 1.0},
+              }[kernel]
+    sigma = draw(st.sampled_from([
+        {"form": "constant", "a": draw(reals)}, {"form": "exponential", "a": draw(reals)},
+        {"form": "affine", "a": draw(reals), "b": draw(reals)},
+        {"form": "sampled", "values": (1.0 + 0.5 * nodes).tolist()}]))
+    source = draw(st.sampled_from(
+        ["random", {"unit": n - 1}, {"coefficients": [1.0] * n}, [0.5] * n]))
+    return {
+        "study": study,
+        "operator": {"length": PI, "potential_shift": draw(st.sampled_from([0.0, 1.5])),
+                     "observed_endpoints": draw(st.sampled_from([["left"], ["right"],
+                                                                 ["left", "right"]]))},
+        "kernel": kernel, "sigma": sigma, "grid": {"T": horizon, "dt": horizon / steps},
+        "N": n, "seed": draw(st.integers(0, 100)), "noise_level": draw(st.sampled_from([0.0, 0.01])),
+        "output": "res", "source": source, "measurement": draw(st.sampled_from(["bu_prime", "bu"])),
+        "trials": draw(st.integers(1, 20)),
+    }
+
+
+def _slots(node, path=()):
+    """(path, value) of every value in a config; a list's elements share one
+    slot, whose path ends in None, so long sampled lists do not crowd out keys."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,), value
+            yield from _slots(value, path + (key,))
+    elif isinstance(node, list) and node:
+        yield path + (None,), node[0]
+
+
+# tag values the parser looks up by name; None marks a list's elements
+_TAGS = [("study",), ("kernel", "variant"), ("sigma", "form"), ("measurement",), ("source",),
+         ("operator", "observed_endpoints", None)]
+_KNOWN = {*_KERNELS, *_SIGMAS, *STUDIES, "bu_prime", "bu", "random", "left", "right"}
+
+
+@st.composite
+def mutated_configs(draw):
+    """The study and a small valid config with one key dropped, one value of
+    another type, one number made non-finite or negative, or one unknown tag."""
+    cfg = draw(small_configs())
+    study = cfg["study"]
+    slots = list(_slots(cfg))
+    numbers = [(path, v) for path, v in slots
+               if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    tags = [(path, None) for path in _TAGS if path != ("source",) or cfg["source"] == "random"]
+    kind = draw(st.sampled_from(["drop", "type", "non-finite", "negative", "tag"]))
+    path, old = draw(st.sampled_from({"drop": slots, "type": slots, "non-finite": numbers,
+                                      "negative": numbers, "tag": tags}[kind]))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1] if path[-1] is not None else draw(st.integers(0, len(parent) - 1))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "type":
+        parent[key] = draw(st.one_of(
+            st.none(), st.booleans(), st.integers(-4, 4), st.floats(-4.0, 4.0),
+            st.text(max_size=4), st.lists(st.integers(-4, 4), max_size=3),
+            st.dictionaries(st.text(max_size=4), st.integers(-4, 4), max_size=2),
+        ).filter(lambda v: type(v) is not type(old)))
+    elif kind == "non-finite":
+        parent[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "negative":
+        parent[key] = -abs(parent[key]) or -1
+    else:
+        parent[key] = draw(st.text(max_size=8).filter(lambda v: v not in _KNOWN))
+    return study, cfg
+
+
+def test_mutated_configs_exit_cleanly(tmp_path, capsys, monkeypatch):
+    # a malformed config is exit 2 with an error line and a numerical
+    # breakdown exit 3; an exception (exit 1 from the entry point) leaves
+    # main and fails the example.  A mutation that leaves the config valid
+    # (a dropped optional key, a negative potential shift) runs: exit 0
+    monkeypatch.chdir(tmp_path)
+
+    @given(mutated_configs())
+    def check(study_and_cfg):
+        study, cfg = study_and_cfg
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([study, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (code, err)
+        if code == 2:
+            assert err.startswith("error: "), err
+
+    check()
 
 
 class TestReconstructStudy:
@@ -503,9 +612,10 @@ class TestDeterminism:
 
 
 def test_cli_imports_numpy_submodules_up_front_and_never_scipy(tmp_path):
-    # numpy loads numpy.fft, numpy.random and numpy.polynomial lazily; the
-    # package imports them itself, so their cost falls in the import and not
-    # in the first run.  numpy is the only runtime dependency: no scipy
+    # numpy loads numpy.fft and numpy.random lazily; the package imports
+    # them itself, so their cost falls in the import and not in the first
+    # run.  numpy.polynomial is never needed: the polynomial kernel samples by
+    # its own Horner loop.  numpy is the only runtime dependency: no scipy
     # module may load, at import or during a run of the generic kernel path.
     cfg = base_config(study="reconstruct", N=4, grid={"T": TWO_PI, "dt": TWO_PI / 512},
                       kernel={"variant": "polynomial", "coefficients": [1.0, -0.5]},
@@ -524,9 +634,10 @@ class Spy:
 
 sys.meta_path.insert(0, Spy())
 import visco_inverse.cli
-print([m for m in ("numpy.fft", "numpy.random", "numpy.polynomial") if m not in sys.modules])
+print([m for m in ("numpy.fft", "numpy.random") if m not in sys.modules])
 rc = visco_inverse.cli.main(["reconstruct", "--config", {str(path)!r}, "--out", {str(out)!r}])
-print(rc, sorted({{m for m in seen + list(sys.modules) if m.split(".")[0] == "scipy"}}))
+print(rc, sorted({{m for m in seen + list(sys.modules)
+                  if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")}}))
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)

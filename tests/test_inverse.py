@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, SeedSequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +46,8 @@ from oracles import (
     stability_ratios_per_trial,
 )
 import visco_inverse.inverse
-from visco_inverse.inverse import _SCAN_BLOCK, _identity_residuals, _trial_draws
+from visco_inverse.inverse import (
+    _SCAN_BLOCK, _Hashed, _identity_residuals, _seed_states, _trial_draws)
 from visco_inverse.volterra import _LEAF_STEPS, _REALIZED_LEAF_STEPS
 
 PI = math.pi
@@ -605,6 +607,20 @@ class TestTrialDrawProperties:
             assert np.array_equal(_trial_draws(seed, start, start + 500, 16),
                                   np.array(expected))
 
+
+
+class TestHashedSeeding:
+    # each trial's PCG64 starts in numpy's own state for SeedSequence((seed, i)),
+    # so a seeding fault shows as a state mismatch before any draw is made
+    @pytest.mark.parametrize("width", list(SEED_WIDTHS))
+    def test_state_matches_numpy_seed_sequence(self, width):
+        @given(SEED_WIDTHS[width])
+        def check(seed):
+            for i in (0, _SCAN_BLOCK - 1, _SCAN_BLOCK, 2**32 - 1):
+                row = _seed_states(seed, i, i + 1)[0]
+                assert PCG64(_Hashed(row)).state == PCG64(SeedSequence((seed, i))).state
+
+        check()
 
 class TestCounterexample:
     def test_scaled_norms_near_sqrt6(self, grid):
