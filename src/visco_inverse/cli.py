@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .inverse import (
     stability_ratios,
 )
 from .modal import comparison_defect_scan
+from .record import Record
 from .spectral import OperatorSpec, SpectralModel, build_spectral_model
 from .volterra import (
     AffineModulation,
@@ -97,6 +97,15 @@ def _real(value, what) -> float:
 def _reals(values, what) -> np.ndarray:
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list of numbers, got {values!r}")
+    # one pass over the types and one vectorised check; a list that fails
+    # either takes the loop, which names its first bad value as _real does
+    try:
+        if set(map(type, values)) <= {float, int}:
+            array = np.array(values, dtype=float)
+            if np.isfinite(array).all():
+                return array
+    except OverflowError:  # an integer beyond the float range
+        pass
     return np.array([_real(v, what) for v in values], dtype=float)
 
 
@@ -153,26 +162,34 @@ def _input_dict(obj, tag, table) -> dict:
     for name, (cls, arguments) in table.items():
         if type(obj) is cls:
             # floats, tuples and arrays become JSON numbers and lists; None stays None
-            return {tag: name, **{key: np.asarray(getattr(obj, field.name)).tolist()
-                                  for (key, _), field in zip(arguments, fields(obj))}}
+            return {tag: name, **{key: np.asarray(getattr(obj, field)).tolist()
+                                  for (key, _), field in zip(arguments, obj._fields)}}
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Validated, fully resolved description of one study run."""
 
-    operator: OperatorSpec
-    kernel: MemoryKernel
-    sigma: SourceModulation
-    grid: TimeGrid
-    truncation: int
-    study: str
-    seed: int
-    noise_level: float
-    output: str
-    source: str | int | list  # "random" | unit index | explicit coefficients
-    measurement: str          # "bu_prime" or "bu"
-    trials: int
+    _fields = ("operator", "kernel", "sigma", "grid", "truncation", "study", "seed",
+               "noise_level", "output", "source", "measurement", "trials")
+
+    def __init__(self, operator: OperatorSpec, kernel: MemoryKernel, sigma: SourceModulation,
+                 grid: TimeGrid, truncation: int, study: str, seed: int, noise_level: float,
+                 output: str,
+                 source: str | int | list,  # "random" | unit index | explicit coefficients
+                 measurement: str,  # "bu_prime" or "bu"
+                 trials: int):
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "study", study)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "noise_level", noise_level)
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "measurement", measurement)
+        object.__setattr__(self, "trials", trials)
 
     @classmethod
     def from_mapping(cls, raw: dict, study: str,

@@ -20,11 +20,10 @@ as a whole:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .frames import ModalFamily, w_trace_family, z_trace_family
+from .record import Record
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
@@ -35,16 +34,14 @@ from .volterra import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class InitialData:
+class InitialData(Record):
     """Mode coefficients of the initial displacement and velocity."""
 
-    xi: np.ndarray
-    eta: np.ndarray
+    _fields = ("xi", "eta")
 
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
+    def __init__(self, xi: np.ndarray, eta: np.ndarray):
+        xi = np.asarray(xi, dtype=float)
+        eta = np.asarray(eta, dtype=float)
         if xi.ndim != 1 or xi.shape != eta.shape:
             raise ValueError("xi and eta must be 1-d arrays of equal length")
         xi.setflags(write=False)
@@ -56,14 +53,13 @@ class InitialData:
         return self.xi.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SourceCoefficients:
+class SourceCoefficients(Record):
     """Coefficients <f, phi_n> of the unknown spatial source, n = 1..N."""
 
-    values: np.ndarray
+    _fields = ("values",)
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+    def __init__(self, values: np.ndarray):
+        vals = np.asarray(values, dtype=float)
         if vals.ndim != 1:
             raise ValueError("source coefficients must form a 1-d array")
         vals.setflags(write=False)

@@ -24,7 +24,6 @@ accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +31,7 @@ from numpy.random import default_rng
 
 from .errors import NumericsError, SingularGramError
 from .modal import LeafTables, _dense, solve_w_many, solve_z_many
+from .record import Record, Value
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
@@ -50,27 +50,26 @@ from .volterra import (
 SINGULAR_GRAM_RTOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class ModalFamily:
+class ModalFamily(Record):
     """Members scalars[n] * psis[n] sharing one grid; labels name the modes."""
 
-    grid: TimeGrid
-    labels: tuple
-    trajectories: np.ndarray | LeafTables  # (members, J+1) g_n, real or complex
-    psis: np.ndarray  # (members, m), the complex trace vectors psi_n
+    _fields = ("grid", "labels", "trajectories", "psis")
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        rows = self.trajectories
+    def __init__(self, grid: TimeGrid, labels: tuple,
+                 trajectories: np.ndarray | LeafTables,  # (members, J+1) g_n, real or complex
+                 psis: np.ndarray):  # (members, m), the complex trace vectors psi_n
+        labels = tuple(labels)
+        rows = trajectories
         if not isinstance(rows, LeafTables):
             rows = np.asarray(rows, dtype=np.complex128 if np.iscomplexobj(rows) else np.float64)
             rows.setflags(write=False)
-        psis = np.asarray(self.psis, dtype=np.complex128)
-        if rows.shape != (len(labels), self.grid.steps + 1):
+        psis = np.asarray(psis, dtype=np.complex128)
+        if rows.shape != (len(labels), grid.steps + 1):
             raise ValueError("family scalars must be (members, nodes) on the grid")
         if psis.ndim != 2 or psis.shape[0] != len(labels) or psis.shape[1] < 1:
             raise ValueError("family trace vectors must be (members, dim)")
         psis.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "trajectories", rows)
         object.__setattr__(self, "psis", psis)
@@ -150,23 +149,21 @@ def _convolved_family(family: ModalFamily, sigma: ScalarSignal) -> ModalFamily:
     return ModalFamily(family.grid, family.labels, ys, family.psis)
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
+class GramMatrix(Record):
     """Hermitian Gram of a modal family, entries[k, n] = <member_n, member_k>;
     real for the w and y families, complex for the z family."""
 
-    entries: np.ndarray
-    horizon: float
-    labels: tuple
+    _fields = ("entries", "horizon", "labels")
 
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128
-                         if np.iscomplexobj(self.entries) else np.float64)
+    def __init__(self, entries: np.ndarray, horizon: float, labels: tuple):
+        arr = np.asarray(entries, dtype=np.complex128
+                         if np.iscomplexobj(entries) else np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("Gram matrix must be square")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def size(self) -> int:
@@ -208,14 +205,16 @@ def _member_gram(traj: np.ndarray, family: ModalFamily) -> GramMatrix:
     return GramMatrix(0.5 * (raw.T + raw.conj()), family.grid.horizon, family.labels)
 
 
-@dataclass(frozen=True)
-class FrameBounds:
+class FrameBounds(Value):
     """Sharp two-sided constants of the truncated family."""
 
-    lower: float
-    upper: float
-    size: int
-    horizon: float
+    _fields = ("lower", "upper", "size", "horizon")
+
+    def __init__(self, lower: float, upper: float, size: int, horizon: float):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "horizon", horizon)
 
     @property
     def singular(self) -> bool:

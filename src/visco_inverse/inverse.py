@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -52,6 +51,7 @@ from .frames import (
 )
 from .forward import SourceCoefficients
 from .modal import LeafTables
+from .record import Record
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
@@ -68,17 +68,24 @@ from .volterra import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionKernels:
+class ReconstructionKernels(Record):
     """The w family, its dual coefficients and the resolvent of sigma."""
 
-    family: ModalFamily
-    coefficients: np.ndarray  # p_k = sum_m coefficients[k, m] * w_m psi_m
-    resolvent: ScalarSignal
-    sigma0: float
-    bounds: FrameBounds
-    identity_residual: float  # max_k || (sigma0 + V_sigma'*) theta_k - p_k ||
-    resolvent_residual: float  # max |sigma' + sigma0 K + V_sigma' K| / max |sigma'|
+    _fields = ("family", "coefficients", "resolvent", "sigma0", "bounds",
+               "identity_residual", "resolvent_residual")
+
+    def __init__(self, family: ModalFamily,
+                 coefficients: np.ndarray,  # p_k = sum_m coefficients[k, m] * w_m psi_m
+                 resolvent: ScalarSignal, sigma0: float, bounds: FrameBounds,
+                 identity_residual: float,  # max_k || (sigma0 + V_sigma'*) theta_k - p_k ||
+                 resolvent_residual: float):  # max |sigma' + sigma0 K + V_sigma' K| / max |sigma'|
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "resolvent", resolvent)
+        object.__setattr__(self, "sigma0", sigma0)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "identity_residual", identity_residual)
+        object.__setattr__(self, "resolvent_residual", resolvent_residual)
 
 
 def _resolvent(modulation: SourceModulation, grid: TimeGrid,
@@ -200,17 +207,22 @@ def reconstruct(
     return SourceCoefficients(reconstruct_complex(bu_prime, kernels).real)
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionReport:
+class ReconstructionReport(Record):
     """Outcome of a (possibly noisy) reconstruction run."""
 
-    recovered: SourceCoefficients
-    truth: SourceCoefficients | None
-    per_mode_error: np.ndarray | None
-    relative_l2_error: float | None
-    bounds: FrameBounds
-    noise_level: float
-    imag_residual: float
+    _fields = ("recovered", "truth", "per_mode_error", "relative_l2_error", "bounds",
+               "noise_level", "imag_residual")
+
+    def __init__(self, recovered: SourceCoefficients, truth: SourceCoefficients | None,
+                 per_mode_error: np.ndarray | None, relative_l2_error: float | None,
+                 bounds: FrameBounds, noise_level: float, imag_residual: float):
+        object.__setattr__(self, "recovered", recovered)
+        object.__setattr__(self, "truth", truth)
+        object.__setattr__(self, "per_mode_error", per_mode_error)
+        object.__setattr__(self, "relative_l2_error", relative_l2_error)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "noise_level", noise_level)
+        object.__setattr__(self, "imag_residual", imag_residual)
 
 
 def _report(recovered_c: np.ndarray, truth, bounds, noise_level) -> ReconstructionReport:
@@ -424,14 +436,18 @@ def stability_scan(
     return float(ratios.min()), float(ratios.max())
 
 
-@dataclass(frozen=True, eq=False)
-class CounterexampleTable:
+class CounterexampleTable(Record):
     """Decay data for the time-integrated family (V_sigma w_n) psi_n."""
 
-    indices: np.ndarray
-    lams: np.ndarray
-    scaled_norms: np.ndarray  # |lambda_n| * ||y_n psi_n||
-    min_gram_eigs: np.ndarray  # smallest Gram eigenvalue of the first n members
+    _fields = ("indices", "lams", "scaled_norms", "min_gram_eigs")
+
+    def __init__(self, indices: np.ndarray, lams: np.ndarray,
+                 scaled_norms: np.ndarray,  # |lambda_n| * ||y_n psi_n||
+                 min_gram_eigs: np.ndarray):  # smallest Gram eigenvalue of the first n members
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "lams", lams)
+        object.__setattr__(self, "scaled_norms", scaled_norms)
+        object.__setattr__(self, "min_gram_eigs", min_gram_eigs)
 
 
 def l2_only_counterexample(

@@ -44,12 +44,12 @@ with ``NumericsError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericsError
+from .record import Record
 from .spectral import Mode
 from .volterra import (
     MemoryKernel,
@@ -66,15 +66,18 @@ from .volterra import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ModalTrajectory:
+class ModalTrajectory(Record):
     """Solution z = factor * row of one modal equation, and z'(0)."""
 
-    mode: Mode
-    grid: TimeGrid
-    row: np.ndarray
-    factor: complex
-    p0: complex
+    _fields = ("mode", "grid", "row", "factor", "p0")
+
+    def __init__(self, mode: Mode, grid: TimeGrid, row: np.ndarray, factor: complex,
+                 p0: complex):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "p0", p0)
 
     @property
     def z(self) -> ScalarSignal:
@@ -97,8 +100,7 @@ class ModalTrajectory:
         return ScalarSignal(grid, sign * np.cumsum(q))
 
 
-@dataclass(frozen=True, eq=False)
-class LeafTables:
+class LeafTables(Record):
     """Rows Z (modes, J+1) of a step-map solve, held as the leaf tables they
     are read from: with L the leaf length,
 
@@ -114,11 +116,18 @@ class LeafTables:
     ``h1_gram``, which reads ``step``, A, of a step-map solve.
     """
 
-    grid: TimeGrid
-    rows: np.ndarray  # (modes, D, L)
-    starts: np.ndarray  # (modes, D, leaves)
-    linear: np.ndarray  # indices of the modes with mu = 0
-    step: np.ndarray | None = None  # A (modes, D, D), for a step-map solve
+    _fields = ("grid", "rows", "starts", "linear", "step")
+
+    def __init__(self, grid: TimeGrid,
+                 rows: np.ndarray,  # (modes, D, L)
+                 starts: np.ndarray,  # (modes, D, leaves)
+                 linear: np.ndarray,  # indices of the modes with mu = 0
+                 step: np.ndarray | None = None):  # A (modes, D, D), for a step-map solve
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "step", step)
 
     @property
     def shape(self) -> tuple:
@@ -268,16 +277,21 @@ class LeafTables:
                 + 0.5 * dt * (ends.T @ ends + np.outer(c, c)))
 
 
-@dataclass(frozen=True, eq=False)
-class ModalSolution:
+class ModalSolution(Record):
     """Trajectories factors[n] * rows[n] of a batch of modes on one grid,
     read one at a time as ``ModalTrajectory`` views of the rows."""
 
-    modes: tuple
-    grid: TimeGrid
-    trajectories: np.ndarray | LeafTables  # the rows, or their leaf tables
-    factors: np.ndarray  # (modes,) complex
-    p0: np.ndarray  # (modes,) complex z'(0)
+    _fields = ("modes", "grid", "trajectories", "factors", "p0")
+
+    def __init__(self, modes: tuple, grid: TimeGrid,
+                 trajectories: np.ndarray | LeafTables,  # the rows, or their leaf tables
+                 factors: np.ndarray,  # (modes,) complex
+                 p0: np.ndarray):  # (modes,) complex z'(0)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "trajectories", trajectories)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "p0", p0)
 
     @cached_property
     def rows(self) -> np.ndarray:

@@ -14,9 +14,10 @@ handled by closed forms throughout the package; all others are "J1".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .record import Record, Value
 
 LEFT = "left"
 RIGHT = "right"
@@ -25,18 +26,16 @@ RIGHT = "right"
 ZERO_EIG_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Value):
     """Domain size, constant potential shift and observed endpoints."""
 
-    length: float
-    potential_shift: float = 0.0
-    observed_endpoints: tuple = (LEFT,)
+    _fields = ("length", "potential_shift", "observed_endpoints")
 
-    def __post_init__(self):
-        if not self.length > 0.0:
-            raise ValueError(f"domain length must be positive, got {self.length}")
-        eps = tuple(self.observed_endpoints)
+    def __init__(self, length: float, potential_shift: float = 0.0,
+                 observed_endpoints: tuple = (LEFT,)):
+        if not length > 0.0:
+            raise ValueError(f"domain length must be positive, got {length}")
+        eps = tuple(observed_endpoints)
         if not eps:
             raise ValueError("at least one endpoint must be observed")
         bad = [e for e in eps if e not in (LEFT, RIGHT)]
@@ -46,6 +45,8 @@ class OperatorSpec:
             raise ValueError("duplicate observed endpoints")
         # canonical order: left before right
         ordered = tuple(e for e in (LEFT, RIGHT) if e in eps)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "potential_shift", potential_shift)
         object.__setattr__(self, "observed_endpoints", ordered)
 
     @property
@@ -68,33 +69,35 @@ def eigenfunction(spec: OperatorSpec, n: int, x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / spec.length) * np.sin(n * math.pi * x / spec.length)
 
 
-@dataclass(frozen=True, eq=False)
-class Mode:
+class Mode(Record):
     """One signed mode: eigenvalue, branch value and scaled trace vector."""
 
-    index: int
-    mu: float
-    lam: complex
-    psi: np.ndarray
-    branch: str  # "J0" (lambda = 0) or "J1"
+    _fields = ("index", "mu", "lam", "psi", "branch")
 
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=np.complex128)
+    def __init__(self, index: int, mu: float, lam: complex, psi: np.ndarray,
+                 branch: str):  # branch "J0" (lambda = 0) or "J1"
+        psi = np.asarray(psi, dtype=np.complex128)
         psi.setflags(write=False)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "branch", branch)
 
     @property
     def sign(self) -> int:
         return 1 if self.index > 0 else -1
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralModel:
+class SpectralModel(Record):
     """Modes n in {-N, ..., -1, 1, ..., N} for a concrete operator."""
 
-    spec: OperatorSpec
-    truncation: int
-    modes: tuple
+    _fields = ("spec", "truncation", "modes")
+
+    def __init__(self, spec: OperatorSpec, truncation: int, modes: tuple):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "modes", modes)
 
     def mode(self, n: int) -> Mode:
         if n == 0 or abs(n) > self.truncation:

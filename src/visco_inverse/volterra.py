@@ -26,7 +26,6 @@ history and resolvent solves) and every adjoint take the FFT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -34,20 +33,21 @@ from numpy.fft import fft, ifft, irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError
+from .record import Record, Value
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Value):
     """Uniform grid t_j = j * dt, j = 0..steps, with steps * dt = horizon."""
 
-    horizon: float
-    steps: int
+    _fields = ("horizon", "steps")
 
-    def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.steps < 2:
-            raise ValueError(f"need at least 2 steps, got {self.steps}")
+    def __init__(self, horizon: float, steps: int):
+        if not horizon > 0.0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        if steps < 2:
+            raise ValueError(f"need at least 2 steps, got {steps}")
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
     def from_step(cls, horizon: float, dt: float) -> "TimeGrid":
@@ -77,8 +77,7 @@ def _as_samples(values) -> np.ndarray:
     return np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarSignal:
+class ScalarSignal(Record):
     """A real- or complex-valued time series sampled on a ``TimeGrid``.
 
     A kernel may carry a ``realization`` (E, b, c): values[n] = c^T E^n b
@@ -86,44 +85,43 @@ class ScalarSignal:
     kernel).  ``convolve`` then runs the leaf-blocked recurrence.
     """
 
-    grid: TimeGrid
-    values: np.ndarray
-    realization: tuple | None = None
+    _fields = ("grid", "values", "realization")
 
-    def __post_init__(self):
-        arr = _as_samples(self.values)
-        if arr.shape != (self.grid.steps + 1,):
-            raise ValueError(f"ScalarSignal: expected shape {(self.grid.steps + 1,)}, "
+    def __init__(self, grid: TimeGrid, values: np.ndarray, realization: tuple | None = None):
+        arr = _as_samples(values)
+        if arr.shape != (grid.steps + 1,):
+            raise ValueError(f"ScalarSignal: expected shape {(grid.steps + 1,)}, "
                              f"got {arr.shape}")
         arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        if self.realization is not None:
-            E, b, c = (np.atleast_1d(np.asarray(a, dtype=float)) for a in self.realization)
+        if realization is not None:
+            E, b, c = (np.atleast_1d(np.asarray(a, dtype=float)) for a in realization)
             E = E.reshape(len(b), len(b))
             if len(b) > 2 or len(b) == 2 and not (E[0, 0] == E[1, 1] == 1.0 and E[1, 0] == 0.0):
                 raise ValueError("a realization needs d = 1, or d = 2 with a unit Jordan block")
-            object.__setattr__(self, "realization", (E, b, c))
+            realization = (E, b, c)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "realization", realization)
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn) -> "ScalarSignal":
         return cls(grid, np.asarray(fn(grid.nodes), dtype=np.complex128))
 
 
-@dataclass(frozen=True, eq=False)
-class TraceSignal:
+class TraceSignal(Record):
     """A time series of vectors in the observation space G = R^m, real or
     complex like ``ScalarSignal``."""
 
-    grid: TimeGrid
-    values: np.ndarray
+    _fields = ("grid", "values")
 
-    def __post_init__(self):
-        arr = _as_samples(self.values)
-        if arr.ndim != 2 or arr.shape[0] != self.grid.steps + 1 or arr.shape[1] < 1:
+    def __init__(self, grid: TimeGrid, values: np.ndarray):
+        arr = _as_samples(values)
+        if arr.ndim != 2 or arr.shape[0] != grid.steps + 1 or arr.shape[1] < 1:
             raise ValueError(
-                f"TraceSignal: expected shape ({self.grid.steps + 1}, m>=1), got {arr.shape}"
+                f"TraceSignal: expected shape ({grid.steps + 1}, m>=1), got {arr.shape}"
             )
         arr.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -476,8 +474,7 @@ class MemoryKernel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ZeroKernel(MemoryKernel):
+class ZeroKernel(MemoryKernel, Value):
     """No memory: the system reduces to the plain second-order evolution."""
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
@@ -491,12 +488,14 @@ class ZeroKernel(MemoryKernel):
         return np.ones((0, 0)), np.zeros(0), np.zeros(0)
 
 
-@dataclass(frozen=True)
-class ExponentialKernel(MemoryKernel):
+class ExponentialKernel(MemoryKernel, Value):
     """M(t) = beta * exp(-alpha * t)."""
 
-    beta: float
-    alpha: float
+    _fields = ("beta", "alpha")
+
+    def __init__(self, beta: float, alpha: float):
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha", alpha)
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
         return self.beta * np.exp(-self.alpha * grid.nodes)
@@ -508,16 +507,16 @@ class ExponentialKernel(MemoryKernel):
         return np.full((1, 1), np.exp(-self.alpha * dt)), np.array([self.beta]), np.ones(1)
 
 
-@dataclass(frozen=True)
-class PolynomialKernel(MemoryKernel):
+class PolynomialKernel(MemoryKernel, Value):
     """M(t) = sum_k coefficients[k] * t^k."""
 
-    coefficients: tuple
+    _fields = ("coefficients",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if not self.coefficients:
+    def __init__(self, coefficients: tuple):
+        coefficients = tuple(float(c) for c in coefficients)
+        if not coefficients:
             raise ValueError("polynomial kernel needs at least one coefficient")
+        object.__setattr__(self, "coefficients", coefficients)
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
         # Horner's rule, bit for bit numpy's polyval, without numpy.polynomial
@@ -540,23 +539,22 @@ class PolynomialKernel(MemoryKernel):
         return E, np.eye(len(k))[-1], (np.array(self.coefficients) * factorials)[::-1]
 
 
-@dataclass(frozen=True, eq=False)
-class SampledKernel(MemoryKernel):
+class SampledKernel(MemoryKernel, Record):
     """Kernel given by samples on the grid it will be used with.
 
     ``m0`` must be supplied explicitly when the comparison exponential is
     needed; the sample at t = 0 is not trusted as a stand-in for M(0).
     """
 
-    values: np.ndarray
-    m0: float | None = None
+    _fields = ("values", "m0")
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+    def __init__(self, values: np.ndarray, m0: float | None = None):
+        arr = np.asarray(values, dtype=float)
         if arr.ndim != 1:
             raise ValueError("sampled kernel values must be one-dimensional")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "m0", m0)
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
         if self.values.shape != (grid.steps + 1,):
@@ -612,9 +610,11 @@ def _exponential(grid: TimeGrid, rate: float, scale: float, name: str) -> Scalar
                             f"on [0, {grid.horizon:g}]") from None
 
 
-@dataclass(frozen=True)
-class ConstantModulation(SourceModulation):
-    value: float
+class ConstantModulation(SourceModulation, Value):
+    _fields = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
     def sample(self, grid):
         return _geometric(grid, np.full(grid.steps + 1, self.value), 1.0, self.value)
@@ -629,11 +629,13 @@ class ConstantModulation(SourceModulation):
         return 0.0, 0.0
 
 
-@dataclass(frozen=True)
-class ExponentialModulation(SourceModulation):
+class ExponentialModulation(SourceModulation, Value):
     """sigma(t) = exp(rate * t)."""
 
-    rate: float
+    _fields = ("rate",)
+
+    def __init__(self, rate: float):
+        object.__setattr__(self, "rate", rate)
 
     def sample(self, grid):
         return _exponential(grid, self.rate, 1.0, "sigma")
@@ -648,12 +650,14 @@ class ExponentialModulation(SourceModulation):
         return self.rate, self.rate
 
 
-@dataclass(frozen=True)
-class AffineModulation(SourceModulation):
+class AffineModulation(SourceModulation, Value):
     """sigma(t) = offset + slope * t."""
 
-    offset: float
-    slope: float
+    _fields = ("offset", "slope")
+
+    def __init__(self, offset: float, slope: float):
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "slope", slope)
 
     def sample(self, grid):
         # a unit Jordan block: E^n = [[1, n dt], [0, 1]]
@@ -670,14 +674,13 @@ class AffineModulation(SourceModulation):
         return self.slope, 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class SampledModulation(SourceModulation):
+class SampledModulation(SourceModulation, Record):
     """Modulation given by samples; derivative falls back to finite differences."""
 
-    values: np.ndarray
+    _fields = ("values",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+    def __init__(self, values: np.ndarray):
+        arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size < 4:
             raise ValueError("sampled modulation needs a 1-d array of at least 4 samples")
         arr.setflags(write=False)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -17,7 +16,8 @@ import visco_inverse.forward
 import visco_inverse.frames
 from visco_inverse import AffineModulation
 from visco_inverse.cli import (
-    _KERNELS, _SIGMAS, MAX_MODE_NODES, STUDIES, ExperimentConfig, _write_csv, main, run)
+    _KERNELS, _SIGMAS, MAX_MODE_NODES, STUDIES, ExperimentConfig, _real, _reals, _write_csv,
+    main, run)
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -237,6 +237,27 @@ class TestValidation:
         assert err.startswith(f"error: {key} must be a")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("values, bad", [
+        ([0.5, True, math.nan], True),
+        ([0.5, 10 ** 400, math.nan], 10 ** 400),
+        ([1, -math.inf, math.nan], -math.inf),
+        ([1.0, "2", math.nan], "2"),
+        ([None, 1.0], None),
+    ], ids=["bool", "huge-int", "infinite", "string", "null"])
+    def test_number_list_names_its_first_bad_value(self, values, bad):
+        # the vectorised check of a list falls back to the per-value loop
+        with pytest.raises(ValueError) as listed:
+            _reals(values, "sigma: values")
+        with pytest.raises(ValueError) as single:
+            _real(bad, "sigma: values")
+        assert str(listed.value) == str(single.value)
+
+    def test_number_list_reads_each_value_as_float_does(self):
+        values = [1, -0.0, 2 ** 53 + 1, 10 ** 300, 1e308, 5e-324, -(2 ** 64) + 1]
+        parsed = _reals(values, "values")
+        assert parsed.dtype == float
+        assert parsed.tobytes() == np.array([float(v) for v in values]).tobytes()
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         cfg = base_config(seed=-1)
         assert main(["reconstruct", "--config", str(write_config(tmp_path, cfg))]) == 2
@@ -450,7 +471,9 @@ class TestNumericalFailure:
     def config(self, tmp_path, **overrides):
         raw = base_config(study="reconstruct", sigma={"form": "affine", "a": 1.0, "b": 0.5},
                           output=str(tmp_path / "res"))
-        return dataclasses.replace(ExperimentConfig.from_mapping(raw, "reconstruct"), **overrides)
+        cfg = ExperimentConfig.from_mapping(raw, "reconstruct")
+        return ExperimentConfig(**{**{name: getattr(cfg, name) for name in cfg._fields},
+                                   **overrides})
 
     def test_nan_sigma_fails_the_identity_gate(self, tmp_path):
         cfg = self.config(tmp_path, sigma=AffineModulation(1.0, math.nan))
@@ -644,6 +667,30 @@ print(rc, sorted({{m for m in seen + list(sys.modules)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]" and lines[-1] == "0 []"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the package's records are plain classes on visco_inverse.record: a
+    # dataclass generates and compiles its methods at every start-up
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = """
+import sys
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        seen.append(name)
+
+sys.meta_path.insert(0, Spy())
+import visco_inverse.cli
+print(sorted({m for m in seen + list(sys.modules) if m.split(".")[0] == "dataclasses"}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 def test_stability_scan_takes_its_median_without_numpy_ma(tmp_path):

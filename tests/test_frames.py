@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -446,7 +445,8 @@ class TestZTableRoute:
         rng = np.random.default_rng(seed)
         # z(0) = 1 for every member; a phase per mode makes node 0 complex too
         phase = np.exp(2j * PI * rng.uniform(size=len(family)))
-        turned = replace(tables, starts=tables.starts * phase[:, None, None])
+        turned = LeafTables(tables.grid, tables.rows, tables.starts * phase[:, None, None],
+                            tables.linear, tables.step)
 
         def norm(x):  # the trapezoid norm of a stack of signals, (J+1, ...)
             return np.sqrt(np.sum(grid.weights @ np.abs(x.reshape(len(x), -1)) ** 2))
