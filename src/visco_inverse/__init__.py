@@ -60,6 +60,7 @@ from .modal import (
 )
 from .spectral import (
     Mode,
+    ModeArrays,
     OperatorSpec,
     SpectralModel,
     build_spectral_model,

@@ -14,7 +14,6 @@ an out-of-tolerance resolvent identity, or a non-finite reported number).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -435,21 +434,19 @@ def _study_stability_scan(cfg: ExperimentConfig, model: SpectralModel):
 
 
 def _study_zest_decay(cfg: ExperimentConfig, model: SpectralModel):
-    indices = [m.index for m in model.positive_modes if m.branch == "J1"]
-    if not indices:
+    modes = model.positive_modes
+    modes = modes[~modes.zero]
+    if not len(modes):
         raise ValueError("zest-decay needs at least one nonzero branch value")
+    indices = modes.index.tolist()
     defects = comparison_defect_scan(model, cfg.kernel, cfg.grid, indices)
     header = ["n", "lambda", "defect"]
-    rows = np.column_stack([
-        np.array(indices, dtype=float),
-        np.array([abs(model.mode(n).lam) for n in indices]),
-        defects,
-    ])
+    rows = np.column_stack([np.array(indices, dtype=float), np.abs(modes.lam), defects])
     results = {
         "max_defect": float(defects.max()),
         "min_defect": float(defects.min()),
     }
-    return header, rows, results, {"skipped_zero_branch": model.truncation - len(indices)}, None
+    return header, rows, results, {"skipped_zero_branch": model.truncation - len(modes)}, None
 
 
 def _study_l2_counterexample(cfg: ExperimentConfig, model: SpectralModel):
@@ -565,6 +562,10 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
+    # the parser is the command line's alone: a library import or run() does
+    # not load argparse
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="visco-inverse",
         description="Run a numbered study from a JSON experiment config.",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .frames import ModalFamily, w_trace_family, z_trace_family
 from .record import Record
-from .spectral import SpectralModel
+from .spectral import ModeArrays, SpectralModel
 from .volterra import (
     MemoryKernel,
     SourceModulation,
@@ -77,17 +77,13 @@ class SourceCoefficients(Record):
         return cls(vals)
 
 
-def _signed_coefficients(data: InitialData, modes) -> np.ndarray:
+def _signed_coefficients(data: InitialData, modes: ModeArrays) -> np.ndarray:
     """Coefficients a_n of the signed-mode expansion of the trace."""
-    a = np.empty(len(modes), dtype=np.complex128)
-    for i, mode in enumerate(modes):
-        k = abs(mode.index) - 1
-        if mode.branch == "J1":
-            # sgn(n) * lambda_|n| * xi_|n| collapses to lambda_n * xi_|n|
-            a[i] = mode.lam * data.xi[k] - 1j * data.eta[k]
-        else:
-            a[i] = mode.sign * data.xi[k] - 1j * data.eta[k]
-    return a
+    k = np.abs(modes.index) - 1
+    xi = data.xi[k]
+    # sgn(n) * lambda_|n| * xi_|n| collapses to lambda_n * xi_|n|, and to
+    # sgn(n) * xi_|n| on the zero branch
+    return np.where(modes.zero, np.sign(modes.index) * xi, modes.lam * xi) - 1j * data.eta[k]
 
 
 def boundary_trace_homogeneous(
@@ -104,7 +100,7 @@ def boundary_trace_homogeneous(
     if len(data) != model.truncation:
         raise ValueError("initial data length must equal the model truncation")
     family = z_trace_family(model, kernel, grid)
-    a = _signed_coefficients(data, [model.mode(n) for n in family.labels])
+    a = _signed_coefficients(data, model.select(family.labels))
     return family.synthesize(0.5 * a)
 
 

@@ -111,7 +111,7 @@ class ModalFamily(Record):
 
 def _trace_family(solution, labels) -> ModalFamily:
     """The members factor_n row_n psi_n, with the factors folded into Psi."""
-    psis = solution.factors[:, None] * np.stack([m.psi for m in solution.modes])
+    psis = solution.factors[:, None] * solution.modes.psi
     return ModalFamily(solution.grid, labels, solution.trajectories, psis)
 
 
@@ -122,13 +122,13 @@ def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -
     truncation k, so nested truncation scans reuse one Gram matrix.
     """
     labels = [sign * n for n in range(1, model.truncation + 1) for sign in (1, -1)]
-    return _trace_family(solve_z_many([model.mode(n) for n in labels], kernel, grid), labels)
+    return _trace_family(solve_z_many(model.select(labels), kernel, grid), labels)
 
 
 def w_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
     """Members w_n * psi_n over positive indices 1..N, on real rows."""
     modes = model.positive_modes
-    return _trace_family(solve_w_many(modes, kernel, grid), [m.index for m in modes])
+    return _trace_family(solve_w_many(modes, kernel, grid), modes.index.tolist())
 
 
 def y_trace_family(
@@ -308,10 +308,9 @@ def bessel_ratio(model: SpectralModel, coeffs, eps: float, horizon: float) -> fl
         raise ValueError("all-zero coefficients give a degenerate quotient")
     if not 0.0 < eps <= horizon:
         raise ValueError("eps must lie in (0, horizon]")
-    psis = np.stack([m.psi for m in model.modes])
-    lams = np.array([m.lam for m in model.modes])
-    num = float(np.sum(np.abs(a @ psis) ** 2))
-    den = float(np.sum(np.abs(a) ** 2)) / eps + eps * float(np.sum(np.abs(lams * a) ** 2))
+    modes = model.modes
+    num = float(np.sum(np.abs(a @ modes.psi) ** 2))
+    den = float(np.sum(np.abs(a) ** 2)) / eps + eps * float(np.sum(np.abs(modes.lam * a) ** 2))
     return num / den
 
 

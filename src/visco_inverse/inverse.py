@@ -470,7 +470,7 @@ def l2_only_counterexample(
     sub = ModalFamily(grid, family.labels[:nmax], family.scalars[:nmax], family.psis[:nmax])
     g = gram(sub)
     norms = np.sqrt(np.diag(g.entries).real)
-    lams = np.array([model.mode(n).lam for n in sub.labels])
+    lams = model.select(sub.labels).lam
     scaled = np.abs(lams) * norms
     bounds = leading_frame_bounds(g, range(1, nmax + 1))
     return CounterexampleTable(

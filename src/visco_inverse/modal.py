@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .record import Record
-from .spectral import Mode
+from .spectral import Mode, ModeArrays
 from .volterra import (
     MemoryKernel,
     ScalarSignal,
@@ -279,11 +279,12 @@ class LeafTables(Record):
 
 class ModalSolution(Record):
     """Trajectories factors[n] * rows[n] of a batch of modes on one grid,
-    read one at a time as ``ModalTrajectory`` views of the rows."""
+    read one at a time as ``ModalTrajectory`` views of the rows; the solves
+    give the modes as ``ModeArrays``."""
 
     _fields = ("modes", "grid", "trajectories", "factors", "p0")
 
-    def __init__(self, modes: tuple, grid: TimeGrid,
+    def __init__(self, modes: ModeArrays, grid: TimeGrid,
                  trajectories: np.ndarray | LeafTables,  # the rows, or their leaf tables
                  factors: np.ndarray,  # (modes,) complex
                  p0: np.ndarray):  # (modes,) complex z'(0)
@@ -477,15 +478,16 @@ def _integrate_family(
     return Z
 
 
-def _initial_data(mode: Mode, family: str):
-    """(z(0), z'(0)); the zero branch takes sgn(n) and 1 in place of lambda_n."""
+def _initial_data(modes: ModeArrays, family: str):
+    """(z(0), z'(0)) per mode; the zero branch takes sgn(n) and 1 in place of lambda_n."""
     if family == "z":
-        return 1.0 + 0.0j, 1j * (mode.lam if mode.branch == "J1" else mode.sign)
-    return 0.0 + 0.0j, mode.lam if mode.branch == "J1" else 1.0 + 0.0j
+        return np.ones(len(modes), np.complex128), 1j * np.where(modes.zero, np.sign(modes.index),
+                                                              modes.lam)
+    return np.zeros(len(modes), np.complex128), np.where(modes.zero, 1.0 + 0.0j, modes.lam)
 
 
-def _solve_many(modes, kernel, grid, family: str) -> ModalSolution:
-    z0, p0 = np.array([_initial_data(m, family) for m in modes]).reshape(-1, 2).T
+def _solve_many(modes: ModeArrays, kernel, grid, family: str) -> ModalSolution:
+    z0, p0 = _initial_data(modes, family)
     factors = np.ones(len(modes), dtype=np.complex128)
     data = z0, p0
     if family == "w":
@@ -494,7 +496,7 @@ def _solve_many(modes, kernel, grid, family: str) -> ModalSolution:
         factors, data = p0 / scale, (z0.real, scale)
     # zero-branch modes take mu = 0, which gives their rows in closed form;
     # a kernel with a realization gives leaf tables, any other stored rows
-    mus = np.array([m.mu if m.branch == "J1" else 0.0 for m in modes])
+    mus = np.where(modes.zero, 0.0, modes.mu)
     trajectories = _leaf_tables(mus, *data, kernel, grid)
     if trajectories is None:
         trajectories = _integrate_family(mus, *data, kernel, grid)
@@ -502,17 +504,22 @@ def _solve_many(modes, kernel, grid, family: str) -> ModalSolution:
 
 
 def solve_z_many(modes, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
-    """Trajectories with data (1, i*lambda_n) for several modes at once.  The
+    """Trajectories with data (1, i*lambda_n) for several modes at once.
+
+    ``modes`` are ``ModeArrays``, as a model holds them, or any sequence of
+    ``Mode``, read once into arrays; the solve reads the arrays alone.  The
     rows are complex, held as ``LeafTables`` with complex starts over real
     rows for a kernel with a realization."""
-    return _solve_many(tuple(modes), kernel, grid, "z")
+    return _solve_many(ModeArrays.of(modes), kernel, grid, "z")
 
 
 def solve_w_many(modes, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
-    """Trajectories with data (0, lambda_n); these vanish at t = 0.  The
-    rows are real: the solutions with data (0, |lambda_n|), held as
-    ``LeafTables`` for a kernel with a realization."""
-    return _solve_many(tuple(modes), kernel, grid, "w")
+    """Trajectories with data (0, lambda_n); these vanish at t = 0.
+
+    ``modes`` are taken as by ``solve_z_many``.  The rows are real: the
+    solutions with data (0, |lambda_n|), held as ``LeafTables`` for a kernel
+    with a realization."""
+    return _solve_many(ModeArrays.of(modes), kernel, grid, "w")
 
 
 def solve_z(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> ModalTrajectory:
@@ -529,27 +536,33 @@ def comparison_exponential(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> 
     Zero-branch modes return their z trajectory 1 + i*sgn(n)*t, so the
     difference vanishes identically.
     """
-    z0, p0 = _initial_data(mode, "z")
+    (z0,), (p0,) = _initial_data(ModeArrays.of((mode,)), "z")
     if mode.branch == "J0":
         return ScalarSignal(grid, z0 + p0 * grid.nodes)
-    return ScalarSignal(grid, np.exp((0.5 * kernel.at_zero() + p0) * grid.nodes))
+    return ScalarSignal(grid, _exponential(p0, kernel, grid))
 
 
-def _comparison_defects(modes, kernel: MemoryKernel, grid: TimeGrid, chunk: int) -> np.ndarray:
+def _exponential(p0: complex, kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
+    """exp((M(0)/2 + p0) t) on the grid, the comparison of z'(0) = p0."""
+    return np.exp((0.5 * kernel.at_zero() + p0) * grid.nodes)
+
+
+def _comparison_defects(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid,
+                        chunk: int) -> np.ndarray:
     """|lambda_n|^2 ||z_n - comparison_n||^2 for nonzero-branch modes.
 
     Modes are solved in chunks to bound memory on long grids, and each
     defect is reduced row by row so no (chunk, J+1) comparison array exists.
     """
-    if any(m.branch == "J0" for m in modes):
+    if modes.zero.any():
         raise ValueError("the comparison defect is identically zero on the zero branch")
     out = np.empty(len(modes))
     for start in range(0, len(modes), chunk):
-        block = modes[start:start + chunk]
-        Z = solve_z_many(block, kernel, grid).rows
-        for row, m in enumerate(block):
-            diff = (Z[row] - comparison_exponential(m, kernel, grid).values)[None]
-            out[start + row] = abs(m.lam) ** 2 * inner_products(diff, diff, grid)[0, 0].real
+        solution = solve_z_many(modes[start:start + chunk], kernel, grid)
+        for row, (z, p0) in enumerate(zip(solution.rows, solution.p0)):
+            diff = (z - _exponential(p0, kernel, grid))[None]
+            lam = complex(modes.lam[start + row])
+            out[start + row] = abs(lam) ** 2 * inner_products(diff, diff, grid)[0, 0].real
     return out
 
 
@@ -559,7 +572,7 @@ def comparison_defect(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> float
     The distance decays like 1/|lambda_n|, so this product stays bounded over
     the mode range; it is the quantity scanned for growth trends.
     """
-    return float(_comparison_defects([mode], kernel, grid, 1)[0])
+    return float(_comparison_defects(ModeArrays.of((mode,)), kernel, grid, 1)[0])
 
 
 def comparison_defect_scan(
@@ -570,5 +583,4 @@ def comparison_defect_scan(
     chunk: int = 32,
 ) -> np.ndarray:
     """Vector of comparison defects for the listed positive mode indices."""
-    modes = [model.mode(n) for n in indices]
-    return _comparison_defects(modes, kernel, grid, chunk)
+    return _comparison_defects(model.select(indices), kernel, grid, chunk)

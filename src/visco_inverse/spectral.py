@@ -9,6 +9,11 @@ subset of the two endpoints.  Branch values lambda_n = sgn(n) sqrt(mu_|n|)
 use the principal square root, so negative eigenvalues produce purely
 imaginary lambda.  Modes with lambda_n = 0 form the zero branch "J0" and are
 handled by closed forms throughout the package; all others are "J1".
+
+The 2N signed modes of a model are data indexed by n, held as arrays
+(``ModeArrays``): the indices, mu, lambda, the scaled trace vectors psi_n as
+one (2N, m) array and the zero-branch mask, computed by vectorised numpy.
+A single mode is read as a ``Mode`` view, built on request.
 """
 
 from __future__ import annotations
@@ -70,7 +75,12 @@ def eigenfunction(spec: OperatorSpec, n: int, x: np.ndarray) -> np.ndarray:
 
 
 class Mode(Record):
-    """One signed mode: eigenvalue, branch value and scaled trace vector."""
+    """One signed mode: eigenvalue, branch value and scaled trace vector.
+
+    A ``SpectralModel`` holds its modes as ``ModeArrays``; a ``Mode`` is a
+    view of one of them, built on request, with psi a read-only row of the
+    model's trace vectors.
+    """
 
     _fields = ("index", "mu", "lam", "psi", "branch")
 
@@ -89,25 +99,81 @@ class Mode(Record):
         return 1 if self.index > 0 else -1
 
 
+class ModeArrays(Record):
+    """Signed modes as read-only arrays, one entry per mode: the indices n,
+    mu_|n|, lambda_n, the trace vectors psi_n as rows of one (modes, m)
+    array, and the zero-branch mask.
+
+    It reads as a sequence of ``Mode``: an integer position gives a view of
+    that mode, and a slice or an index array the ``ModeArrays`` of those
+    modes.
+    """
+
+    _fields = ("index", "mu", "lam", "psi", "zero")
+
+    def __init__(self, index: np.ndarray, mu: np.ndarray, lam: np.ndarray,
+                 psi: np.ndarray,  # (modes, m)
+                 zero: np.ndarray):  # True where lambda_n = 0, branch "J0"
+        for name, value, dtype in (("index", index, np.intp), ("mu", mu, np.float64),
+                                   ("lam", lam, np.complex128), ("psi", psi, np.complex128),
+                                   ("zero", zero, np.bool_)):
+            value = np.asarray(value, dtype=dtype)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, modes) -> ModeArrays:
+        """``modes`` as arrays: returned as they are if they are ``ModeArrays``,
+        else read once from a sequence of ``Mode``."""
+        if isinstance(modes, cls):
+            return modes
+        modes = tuple(modes)
+        psi = [m.psi for m in modes]
+        return cls([m.index for m in modes], [m.mu for m in modes], [m.lam for m in modes],
+                   np.stack(psi) if psi else np.empty((0, 1)),
+                   [m.branch == "J0" for m in modes])
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, key):
+        # a position past the end raises IndexError, which ends iteration
+        if isinstance(key, (int, np.integer)):
+            return Mode(int(self.index[key]), float(self.mu[key]), complex(self.lam[key]),
+                        self.psi[key], "J0" if self.zero[key] else "J1")
+        return ModeArrays(self.index[key], self.mu[key], self.lam[key], self.psi[key],
+                          self.zero[key])
+
+
 class SpectralModel(Record):
-    """Modes n in {-N, ..., -1, 1, ..., N} for a concrete operator."""
+    """Modes n in {-N, ..., -1, 1, ..., N} for a concrete operator, held as
+    ``ModeArrays`` in that order; ``modes`` may also be given as a sequence
+    of ``Mode``, read once into arrays."""
 
     _fields = ("spec", "truncation", "modes")
 
-    def __init__(self, spec: OperatorSpec, truncation: int, modes: tuple):
+    def __init__(self, spec: OperatorSpec, truncation: int, modes: ModeArrays):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "modes", ModeArrays.of(modes))
+
+    def select(self, labels) -> ModeArrays:
+        """The modes of the signed indices ``labels``, in their order."""
+        n = np.asarray(labels)
+        if n.size and n.dtype.kind not in "iu":
+            raise TypeError(f"mode indices must be integers, got {labels!r}")
+        n = n.astype(np.intp)
+        bad = n[(n == 0) | (np.abs(n) > self.truncation)]
+        if bad.size:
+            raise ValueError(f"mode index {bad[0]} outside +-1..{self.truncation}")
+        # modes are stored in index order -N..-1, 1..N
+        return self.modes[n + self.truncation - (n > 0)]
 
     def mode(self, n: int) -> Mode:
-        if n == 0 or abs(n) > self.truncation:
-            raise ValueError(f"mode index {n} outside +-1..{self.truncation}")
-        # modes are stored in index order -N..-1, 1..N
-        pos = n + self.truncation if n < 0 else n + self.truncation - 1
-        return self.modes[pos]
+        return self.select((n,))[0]
 
     @property
-    def positive_modes(self) -> tuple:
+    def positive_modes(self) -> ModeArrays:
         return self.modes[self.truncation:]
 
     @property
@@ -117,11 +183,11 @@ class SpectralModel(Record):
     @property
     def semibound_constant(self) -> float:
         """c = max(0, -mu_1); every |Im lambda_n| is bounded by sqrt(c)."""
-        return max(0.0, -self.modes[self.truncation].mu)
+        return max(0.0, -float(self.modes.mu[self.truncation]))
 
     def mus(self) -> np.ndarray:
-        """Eigenvalues mu_1..mu_N."""
-        return np.array([m.mu for m in self.positive_modes])
+        """Eigenvalues mu_1..mu_N, a read-only view."""
+        return self.modes.mu[self.truncation:]
 
 
 def build_spectral_model(spec: OperatorSpec, truncation: int) -> SpectralModel:
@@ -129,24 +195,30 @@ def build_spectral_model(spec: OperatorSpec, truncation: int) -> SpectralModel:
 
     An eigenvalue counts as zero (branch "J0") when |mu_n| falls below
     ``ZERO_EIG_RTOL * max(1, |q|)``, which guards the closed form against
-    float noise when q is chosen to cancel (k pi / L)^2 exactly.
+    float noise when q is chosen to cancel (k pi / L)^2 exactly.  Each array
+    holds the value that ``OperatorSpec.eigenvalue`` and ``trace_vector``
+    give mode by mode, bit for bit.
     """
     if truncation < 1:
         raise ValueError(f"truncation must be at least 1, got {truncation}")
     zero_tol = ZERO_EIG_RTOL * max(1.0, abs(spec.potential_shift))
-    positives = []
-    for n in range(1, truncation + 1):
-        mu = spec.eigenvalue(n)
-        trace = spec.trace_vector(n)
-        if abs(mu) < zero_tol:
-            positives.append(Mode(n, 0.0, 0.0 + 0.0j, trace, "J0"))
-        else:
-            lam = complex(np.sqrt(np.complex128(mu)))
-            positives.append(Mode(n, mu, lam, trace / lam, "J1"))
-    negatives = [
-        Mode(-m.index, m.mu, -m.lam, -m.psi, m.branch) for m in reversed(positives)
-    ]
-    return SpectralModel(spec, truncation, tuple(negatives + positives))
+    n = np.arange(1, truncation + 1)
+    wave = n * math.pi / spec.length
+    # float_power is libm's pow, as Python's ** is; squaring differs in the last bit
+    mu = np.float_power(wave, 2) + spec.potential_shift
+    amp = math.sqrt(2.0 / spec.length) * wave
+    comps = {LEFT: amp, RIGHT: np.where(n % 2, -amp, amp)}
+    trace = np.stack([comps[e] for e in spec.observed_endpoints], axis=1)
+    zero = np.abs(mu) < zero_tol
+    mu[zero] = 0.0
+    lam = np.sqrt(mu.astype(np.complex128))
+    psi = trace.astype(np.complex128)
+    psi[~zero] = trace[~zero] / lam[~zero, None]
+    # the negative modes, -N..-1, mirror the positive ones
+    return SpectralModel(spec, truncation, ModeArrays(
+        np.concatenate([-n[::-1], n]), np.concatenate([mu[::-1], mu]),
+        np.concatenate([-lam[::-1], lam]), np.concatenate([-psi[::-1], psi]),
+        np.concatenate([zero[::-1], zero])))
 
 
 def hilbert_norms(xi, eta, model: SpectralModel) -> tuple:

@@ -21,6 +21,9 @@ stability Gram forms each trapezoid Gram from a weighted copy of the rows,
 the route the in-place rule replaces; the long-double stability Gram
 takes the double w rows through every later step in long double, with
 V_sigma a dense matrix, the reference for the y family's leaf tables.
+The spectral loop builds the signed modes one ``Mode`` at a time from
+``OperatorSpec.eigenvalue`` and ``trace_vector``, the route the model's
+vectorised arrays replace.
 """
 
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from visco_inverse import (
+    Mode,
     ScalarSignal,
     TimeGrid,
     TraceSignal,
@@ -324,3 +328,23 @@ def complex_w_route(model, kernel, modulation, grid) -> tuple:
     sigma = ScalarSignal(grid, modulation.sample(grid).values.astype(complex))
     Y = convolve(sigma, TraceSignal(grid, W.T)).values.T
     return W, Y, np.stack([m.psi for m in modes])
+
+
+def spectral_modes_loop(spec, truncation: int) -> tuple:
+    """The signed modes -N..-1, 1..N of ``build_spectral_model``, mode by mode:
+    mu_n from ``spec.eigenvalue``, lambda_n its principal complex square root
+    and psi_n the trace vector over lambda_n, or lambda_n = 0 and the bare
+    trace vector where |mu_n| < 1e-12 max(1, |q|); each negative mode negates
+    lambda and psi of its positive twin."""
+    zero_tol = 1e-12 * max(1.0, abs(spec.potential_shift))
+    positives = []
+    for n in range(1, truncation + 1):
+        mu = spec.eigenvalue(n)
+        trace = spec.trace_vector(n)
+        if abs(mu) < zero_tol:
+            positives.append(Mode(n, 0.0, 0.0 + 0.0j, trace, "J0"))
+        else:
+            lam = complex(np.sqrt(np.complex128(mu)))
+            positives.append(Mode(n, mu, lam, trace / lam, "J1"))
+    negatives = [Mode(-m.index, m.mu, -m.lam, -m.psi, m.branch) for m in reversed(positives)]
+    return tuple(negatives + positives)

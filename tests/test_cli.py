@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import visco_inverse.forward
 import visco_inverse.frames
-from visco_inverse import AffineModulation
+from visco_inverse import AffineModulation, Mode, build_spectral_model
 from visco_inverse.cli import (
     _KERNELS, _SIGMAS, MAX_MODE_NODES, STUDIES, ExperimentConfig, _real, _reals, _write_csv,
     main, run)
@@ -691,6 +691,62 @@ print(sorted({m for m in seen + list(sys.modules) if m.split(".")[0] == "datacla
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]"]
+
+
+def test_cli_import_and_run_load_no_argparse(tmp_path):
+    # the command-line parser belongs to main alone: importing the package's
+    # CLI module as a library, or running a study through run(), loads no
+    # argparse, about 3-4 ms and 0.25 MiB of a cold import
+    cfg = base_config(study="reconstruct", N=4, grid={"T": TWO_PI, "dt": TWO_PI / 512})
+    out = tmp_path / "res"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"""
+import sys
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        seen.append(name)
+
+sys.meta_path.insert(0, Spy())
+import visco_inverse.cli
+cfg = visco_inverse.cli.ExperimentConfig.from_mapping({cfg!r}, "reconstruct", {str(out)!r})
+rc = visco_inverse.cli.run(cfg)
+print(rc, sorted({{m for m in seen + list(sys.modules) if m.split(".")[0] == "argparse"}}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("study, overrides", [
+    ("reconstruct", {"operator": {"length": PI, "potential_shift": -4.0,
+                                  "observed_endpoints": ["left", "right"]},
+                     "kernel": {"variant": "exponential", "beta": 1.0, "alpha": 1.0},
+                     "sigma": {"form": "affine", "a": 1.0, "b": 0.5}}),
+    ("stability-scan", {"kernel": {"variant": "polynomial", "coefficients": [1.0, -0.5]},
+                        "sigma": {"form": "affine", "a": 1.0, "b": 0.5}, "trials": 20}),
+])
+def test_studies_build_no_mode_objects(tmp_path, monkeypatch, study, overrides):
+    # the spectral model holds its modes as arrays, and every step of these
+    # studies reads them there: no Mode is built, not even as a view
+    calls = []
+    init = Mode.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0] if args else kwargs.get("index"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mode, "__init__", counting)
+    cfg = ExperimentConfig.from_mapping(base_config(study=study, **overrides), study,
+                                        str(tmp_path / "res"))
+    assert run(cfg) == 0
+    assert calls == []
+    build_spectral_model(cfg.operator, 2).mode(-1)  # the spy sees a view
+    assert calls == [-1]
 
 
 def test_stability_scan_takes_its_median_without_numpy_ma(tmp_path):

@@ -22,6 +22,7 @@ from visco_inverse import (
     solve_w,
     solve_w_many,
     solve_z,
+    solve_z_many,
     w_trace_family,
 )
 from oracles import (
@@ -29,6 +30,7 @@ from oracles import (
     modal_history_loop,
     modal_oracle_exponential_kernel,
     modal_step_loop,
+    spectral_modes_loop,
 )
 from visco_inverse import modal
 from visco_inverse.modal import _integrate_family, _leaf_tables
@@ -395,3 +397,28 @@ def test_overflow_of_the_leaf_values_alone_is_a_numerical_failure():
         for solve in (_leaf_tables, _integrate_family):
             with pytest.raises(NumericsError, match=message):
                 solve(mus, np.zeros(1), np.ones(1), ZeroKernel(), grid)
+
+
+@pytest.mark.parametrize("kernel", [ZeroKernel(), ExponentialKernel(0.8, 1.5),
+                                    PolynomialKernel((1.0, -0.5, 0.1))],
+                         ids=["zero", "exponential", "polynomial"])
+@pytest.mark.parametrize("solve", [solve_w_many, solve_z_many], ids=["w", "z"])
+def test_columnar_and_listed_modes_solve_alike(kernel, solve):
+    # q = -(2 pi / L)^2 puts mode 1 below zero (imaginary lambda) and mode 2
+    # on the zero branch; 600 steps span full leaves and a tail
+    length = 1.3
+    spec = OperatorSpec(length, -((2 * PI / length) ** 2), ("left", "right"))
+    model = build_spectral_model(spec, 6)
+    grid = TimeGrid(2.5, 600)
+    columnar = solve(model.modes, kernel, grid)
+    listed = solve(list(spectral_modes_loop(spec, 6)), kernel, grid)
+    for name in ("rows", "starts", "linear", "step"):
+        got, want = getattr(columnar.trajectories, name), getattr(listed.trajectories, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for got, want in ((columnar.factors, listed.factors), (columnar.p0, listed.p0),
+                      (columnar.rows, listed.rows)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert [t.mode.index for t in listed] == [t.mode.index for t in columnar] == [
+        -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6]
+

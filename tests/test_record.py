@@ -19,6 +19,7 @@ from visco_inverse import (
     ModalSolution,
     ModalTrajectory,
     Mode,
+    ModeArrays,
     OperatorSpec,
     PolynomialKernel,
     ReconstructionKernels,
@@ -58,6 +59,7 @@ CASES = {
     SampledModulation: (np.ones(5),),
     OperatorSpec: (math.pi, -1.0, ("right", "left")),
     Mode: (1, 1.0, 1.0 + 0.0j, np.ones(1), "J1"),
+    ModeArrays: (np.ones(1, int), np.ones(1), np.ones(1, complex), np.ones((1, 1)), np.zeros(1, bool)),
     SpectralModel: (SPEC, 1, (MODE,)),
     ModalTrajectory: (MODE, GRID, np.ones(5), 1.0 + 0.0j, 0.0j),
     LeafTables: (GRID, np.ones((1, 2, 4)), np.ones((1, 2, 1)), np.zeros(0, int)),
@@ -97,7 +99,7 @@ def test_cases_cover_every_record_class():
         module = importlib.import_module(f"visco_inverse.{name}")
         defined |= {obj for obj in vars(module).values() if inspect.isclass(obj)
                     and issubclass(obj, Record) and obj.__module__ == module.__name__}
-    assert defined == set(CASES) and len(CASES) == 26
+    assert defined == set(CASES) and len(CASES) == 27
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import spectral_modes_loop
 from visco_inverse import (
+    ModeArrays,
     OperatorSpec,
     build_spectral_model,
     eigenfunction,
@@ -114,3 +118,64 @@ def test_endpoints_are_canonicalized():
     spec = OperatorSpec(1.0, 0.0, ("right", "left"))
     assert spec.observed_endpoints == ("left", "right")
     assert spec.dim == 2
+
+
+ENDPOINTS = st.sampled_from([("left",), ("right",), ("left", "right"), ("right", "left")])
+
+
+@st.composite
+def spectral_cases(draw):
+    """An operator and a truncation; q is drawn continuously, or as a
+    cancellation -(k pi / L)^2, exact or off by a few ulps, that puts mode k
+    on the zero branch with mu_k 0 or a float residue below the threshold."""
+    length = draw(st.one_of(st.sampled_from([PI, 1.0, 1.3]), st.floats(0.05, 20.0)))
+    truncation = draw(st.integers(1, 300))
+    cancel = st.tuples(st.integers(1, truncation + 2), st.integers(-4, 4)).map(
+        lambda k_ulps: -((k_ulps[0] * PI / length) ** 2) + k_ulps[1] * math.ulp(
+            (k_ulps[0] * PI / length) ** 2))
+    q = draw(st.one_of(st.just(0.0), st.floats(-400.0, 400.0), cancel))
+    return OperatorSpec(length, q, draw(ENDPOINTS)), truncation
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+@settings(max_examples=150)
+@given(spectral_cases())
+def test_mode_views_equal_the_per_mode_loop(case):
+    spec, truncation = case
+    model = build_spectral_model(spec, truncation)
+    expected = spectral_modes_loop(spec, truncation)
+    assert isinstance(model.modes, ModeArrays) and len(model.modes) == len(expected)
+    assert model.modes.psi.shape == (2 * truncation, spec.dim)
+    assert not any(getattr(model.modes, name).flags.writeable for name in ModeArrays._fields)
+    for got, want in zip(model.modes, expected):
+        assert type(got.index) is int and got.index == want.index
+        assert type(got.mu) is float and _bits(got.mu) == _bits(want.mu)
+        assert type(got.lam) is complex and _bits(got.lam) == _bits(want.lam)
+        assert got.psi.dtype == want.psi.dtype and got.psi.shape == want.psi.shape
+        assert _bits(got.psi) == _bits(want.psi) and not got.psi.flags.writeable
+        assert got.branch == want.branch
+    for n in (1, -1, truncation, -truncation):
+        got, want = model.mode(n), expected[n + truncation - (n > 0)]
+        assert (got.index, got.branch) == (want.index, want.branch)
+        assert _bits(got.lam) == _bits(want.lam) and _bits(got.psi) == _bits(want.psi)
+    assert [m.index for m in model.positive_modes] == list(range(1, truncation + 1))
+
+
+def test_mode_arrays_and_their_selection():
+    model = build_spectral_model(OperatorSpec(1.3, -((2 * PI / 1.3) ** 2), ("left", "right")), 5)
+    arrays = ModeArrays.of(list(model.modes))
+    assert ModeArrays.of(model.modes) is model.modes
+    for name in ModeArrays._fields:
+        got, want = getattr(arrays, name), getattr(model.modes, name)
+        assert got.dtype == want.dtype and _bits(got) == _bits(want)
+    assert model.select([2, -2]).zero.tolist() == [True, True]
+    assert model.modes[[0, -1]].index.tolist() == [-5, 5]
+    assert len(model.select([])) == 0
+    with pytest.raises(TypeError):
+        model.mode(1.5)
+    with pytest.raises(ValueError, match="mode index 6 outside"):
+        model.select([1, 6, 0])
+
