@@ -409,7 +409,8 @@ def _study_frame_bounds(cfg: ExperimentConfig, model: SpectralModel):
     full = bounds[-1]
     results = {"frame_lower": full.lower, "frame_upper": full.upper,
                "ratio": full.lower / full.upper if full.upper > 0 else float("nan")}
-    diagnostics = {}
+    # the factor by which the tables' rounding exceeds eps |z_m|, at its largest
+    diagnostics = {"max_cancellation": float(family.trajectories.cancellation().max())}
     if full.singular:
         diagnostics["failure"] = "singular Gram"
     return header, rows, results, diagnostics, None
@@ -499,10 +500,17 @@ def _write_summary(path: Path, payload: dict):
 
 
 def _finite_only(value, found: list, key: str = ""):
-    """``value`` with every non-finite float replaced by None; their keys go to ``found``."""
+    """``value`` with every non-finite float replaced by None; their keys go to ``found``.
+    A list takes one vectorised check, such as a sampled input's echo, and
+    the walk over its items only if that fails or does not apply."""
     if isinstance(value, dict):
         return {k: _finite_only(v, found, k) for k, v in value.items()}
     if isinstance(value, list):
+        try:
+            if np.isfinite(value).all():
+                return value
+        except (TypeError, ValueError):  # strings, None, ragged or huge items
+            pass
         return [_finite_only(v, found, key) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         found.append(key)

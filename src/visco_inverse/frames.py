@@ -6,13 +6,13 @@ as the trajectories Z (members, J+1) and trace vectors Psi (members, m).
 For the w and y families Z is real: the real rows of the modal solve, with
 each mode's factor (1, or i for an imaginary lambda_n) folded into Psi, so
 Psi is real, every product that reads Z is a real one and the Gram is real.
-The z family's Z is complex.  Under a kernel with a realization no family
-holds Z: its trajectories are the step map's ``LeafTables``, from which
-the Gram, the synthesis Z^T (a * Psi) and the inner products with a signal
-are read, O(N d J) in time and O(N d L + N^2) in memory; ``scalars``
-builds Z on request.  Stored rows, real or complex, take their Gram from Z
-in place.  The y family's H1 Gram is read from the w tables where sigma has
-a realization (``LeafTables.h1_gram``); ``y_trace_family`` stores its rows.
+The z family's Z is complex.  A family's trajectories are the step map's
+``LeafTables`` under a kernel with a realization and ``StoredRows`` under a
+sampled one, and both answer one interface (``modal``): the Gram, the
+synthesis Z^T (a * Psi), the inner products with a signal and the y rows
+V_sigma Z come from either alike, so this module reads no storage of its
+own.  Tables give them in O(N d J) time and O(N d L + N^2) memory, with no
+(members, J+1) array; ``scalars`` builds Z on request.
 Its Gram matrix under the discrete L2(0,T; G) inner product, the trajectory
 Gram times the trace-vector Gram entry by entry, yields sharp two-sided
 frame constants for the truncated span (extreme eigenvalues).  Its inverse
@@ -30,19 +30,14 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import NumericsError, SingularGramError
-from .modal import LeafTables, _dense, solve_w_many, solve_z_many
+from .modal import LeafTables, StoredRows, solve_w_many, solve_z_many
 from .record import Record, Value
 from .spectral import SpectralModel
 from .volterra import (
     MemoryKernel,
-    ScalarSignal,
     SourceModulation,
     TimeGrid,
     TraceSignal,
-    _matmul,
-    _trapezoid_gram,
-    convolve,
-    inner_products,
 )
 
 #: Gram matrices with min eigenvalue below this times the max eigenvalue are
@@ -56,13 +51,12 @@ class ModalFamily(Record):
     _fields = ("grid", "labels", "trajectories", "psis")
 
     def __init__(self, grid: TimeGrid, labels: tuple,
-                 trajectories: np.ndarray | LeafTables,  # (members, J+1) g_n, real or complex
+                 trajectories: LeafTables | StoredRows | np.ndarray,  # g_n; rows go in StoredRows
                  psis: np.ndarray):  # (members, m), the complex trace vectors psi_n
         labels = tuple(labels)
         rows = trajectories
-        if not isinstance(rows, LeafTables):
-            rows = np.asarray(rows, dtype=np.complex128 if np.iscomplexobj(rows) else np.float64)
-            rows.setflags(write=False)
+        if isinstance(rows, np.ndarray):
+            rows = StoredRows(grid, rows)
         psis = np.asarray(psis, dtype=np.complex128)
         if rows.shape != (len(labels), grid.steps + 1):
             raise ValueError("family scalars must be (members, nodes) on the grid")
@@ -76,9 +70,9 @@ class ModalFamily(Record):
 
     @cached_property
     def scalars(self) -> np.ndarray:
-        """The trajectories g_n as one (members, J+1) array, built from leaf
-        tables on first use."""
-        return _dense(self.trajectories)
+        """The trajectories g_n as one read-only (members, J+1) array, built
+        from leaf tables on first use."""
+        return self.trajectories.dense()
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -91,16 +85,11 @@ class ModalFamily(Record):
         weighted = coeffs[:, None] * self.psis
         if not weighted.imag.any():  # real rows then give a real trace
             weighted = weighted.real
-        Z = self.trajectories
-        return TraceSignal(self.grid, Z.tdot(weighted) if isinstance(Z, LeafTables)
-                           else _matmul(Z.T, weighted))
+        return TraceSignal(self.grid, self.trajectories.tdot(weighted))
 
     def _trajectory_inner(self, x: np.ndarray) -> np.ndarray:
         """(k, members) matrix of <x_c, g_n> for the columns of x (J+1, k)."""
-        Z = self.trajectories
-        if isinstance(Z, LeafTables):
-            return Z.dot(self.grid.weights[:, None] * x).T
-        return inner_products(x.T, Z, self.grid)
+        return self.trajectories.dot(x).T
 
     def inner_with(self, signal: TraceSignal) -> np.ndarray:
         """Vector of <signal, member_n> = sum_c <signal_c, g_n> conj(psi_n,c)."""
@@ -137,16 +126,11 @@ def y_trace_family(
     modulation: SourceModulation,
     grid: TimeGrid,
 ) -> ModalFamily:
-    """Members (V_sigma w_n) * psi_n, the time-integrated source responses;
-    a real sigma keeps the rows real, and a realized one convolves them by
-    the leaf-blocked recurrence."""
-    return _convolved_family(w_trace_family(model, kernel, grid), modulation.sample(grid))
-
-
-def _convolved_family(family: ModalFamily, sigma: ScalarSignal) -> ModalFamily:
-    """The members (V_sigma g_n) psi_n of a family with real rows."""
-    ys = convolve(sigma, TraceSignal(family.grid, family.scalars.T)).values.T
-    return ModalFamily(family.grid, family.labels, ys, family.psis)
+    """Members (V_sigma w_n) * psi_n, the time-integrated source responses,
+    on stored rows; a real sigma keeps the rows real, and a realized one
+    convolves them by the leaf-blocked recurrence."""
+    w = w_trace_family(model, kernel, grid)
+    return ModalFamily(grid, w.labels, w.trajectories.convolved(modulation.sample(grid)), w.psis)
 
 
 class GramMatrix(Record):
@@ -179,19 +163,13 @@ def gram(family: ModalFamily) -> GramMatrix:
     """Assemble and symmetrize the Gram matrix of the family, with
     <g_i psi_i, g_k psi_k> = <g_i, g_k> (psi_i . conj psi_k).
 
-    Each storage takes its own trajectory Gram: stored rows, real or
-    complex, from Z in place, dt Z Z^H less the end products
-    (``volterra._trapezoid_gram``); leaf tables from their pair sums
-    (``modal.LeafTables.gram``), rotated to orthonormal rows for the z
-    family, whose decaying members cancel terms far larger than themselves.
-    An overflow leaves non-finite entries, which ``frame_bounds`` reports."""
+    The trajectory Gram is the ``gram`` of the storage, ``StoredRows`` or
+    ``LeafTables``.  An overflow leaves non-finite entries, which
+    ``frame_bounds`` reports."""
     if len(family) == 0:
         raise ValueError("cannot form the Gram matrix of an empty family")
-    Z = family.trajectories
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = (Z.gram(orthonormal=np.iscomplexobj(Z.starts)) if isinstance(Z, LeafTables)
-                else _trapezoid_gram(Z, family.grid.dt))
-        return _member_gram(traj, family)
+        return _member_gram(family.trajectories.gram(), family)
 
 
 def _member_gram(traj: np.ndarray, family: ModalFamily) -> GramMatrix:

@@ -23,7 +23,9 @@ of the K in hand, V_K sigma' = V_sigma' K, gives c and e; max |e| / max |sigma'|
 is reported, as D's form takes e = 0 for granted.  Adjoint identity and
 biorthogonality are exact by construction; the only systematic residual is
 that O(dt^2) defect, which rescales every recovered coefficient by the same
-factor 1 + d (B w vanishes at t = 0) and vanishes under refinement.
+factor 1 + d (B w vanishes at t = 0) and vanishes under refinement.  Every
+product with the w family, and the stability scan's H1 Gram, goes through its
+trajectories, which ``modal.StoredRows`` and ``modal.LeafTables`` answer alike.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .errors import NumericsError
 from .frames import (
     FrameBounds,
     ModalFamily,
-    _convolved_family,
     _member_gram,
     coefficients_via_duals,
     dual_coefficients,
@@ -50,7 +51,6 @@ from .frames import (
     y_trace_family,
 )
 from .forward import SourceCoefficients
-from .modal import LeafTables
 from .record import Record
 from .spectral import SpectralModel
 from .volterra import (
@@ -60,8 +60,6 @@ from .volterra import (
     TimeGrid,
     TraceSignal,
     ZeroKernel,
-    _slopes,
-    _trapezoid_gram,
     convolve,
     h1_norm,
     resolvent_kernel,
@@ -284,31 +282,20 @@ def stability_gram(
     horizon to reach the two-way travel time 2L, below which the boundary
     observation cannot control every mode and the ratio is meaningless.
 
-    Where the kernel and sigma both have a realization, both Grams are read
-    from the w family's leaf tables (``LeafTables.h1_gram``), with no
-    (N, J+1) array; otherwise the y rows and their slopes are stored, and
-    each takes ``volterra._trapezoid_gram``.  An overflow in the Grams
-    leaves a non-finite Q, which raises ``NumericsError``.
+    Both Grams are the w family's trajectories' ``h1_gram``: ``LeafTables``
+    and ``StoredRows`` answer it alike, the tables with no (N, J+1) array
+    where sigma has a realization.  An overflow in the Grams leaves a
+    non-finite Q, which raises ``NumericsError``.
     """
     threshold = 2.0 * model.spec.length
     if grid.horizon < threshold * (1.0 - 1e-12):
         raise ValueError(
             f"horizon {grid.horizon:g} below the observability threshold {threshold:g}"
         )
-    sigma, dt = modulation.sample(grid), grid.dt
+    sigma = modulation.sample(grid)
     family = w_trace_family(model, kernel, grid)
-    # a sigma that is identically 0 has no gains to read (they divide by sigma_0)
-    tables = (isinstance(family.trajectories, LeafTables) and sigma.realization is not None
-              and sigma.values.any())
-    if not tables:
-        # the y family in place of the w family, whose rows go before the slopes come
-        family = _convolved_family(family, sigma)
-        Z = family.scalars
-        slopes = _slopes(Z.T, dt, np.empty_like(Z).T).T
     with np.errstate(over="ignore", invalid="ignore"):  # the gate below reports it
-        traj = (family.trajectories.h1_gram(sigma) if tables
-                else _trapezoid_gram(Z, dt) + _trapezoid_gram(slopes, dt))
-        Q = _member_gram(traj, family).entries.real
+        Q = _member_gram(family.trajectories.h1_gram(sigma), family).entries.real
     if not np.isfinite(Q).all():
         raise NumericsError(f"non-finite H1 Gram (size {len(Q)}, horizon {grid.horizon:g})")
     return Q

@@ -27,16 +27,16 @@ A^L carries the start state of each leaf to the next, and each leaf's
 values are the rows applied to its start state.  That is log2(L) + J/L
 small Python iterations instead of J, with the discretisation unchanged.
 Both families keep these tables (``LeafTables``) in place of their rows,
-the z family's starts complex: its Gram, a synthesis Z^T x and products
-conj(Z) y are sums over time that read them in O(N d J), with no (modes,
-J+1) array, and so does the H1 Gram of the y family V_sigma Z for a sigma
-with a realization (``LeafTables.h1_gram``).  The rows Z are built on
-request (``ModalTrajectory`` views, the comparison defects, the y family
-of a sampled sigma), one batched product over all full leaves written
-straight into Z and one for the last.  Only sampled kernels, whose
-families keep stored rows, step through leaves of the blocked solve in
+the z family's starts complex.  Only sampled kernels, whose families keep
+stored rows (``StoredRows``), step through leaves of the blocked solve in
 ``volterra``, which adds the history of earlier leaves by FFT convolution:
-O(J log^2 J) per mode instead of O(J^2).
+O(J log^2 J) per mode instead of O(J^2).  Its FFT error grows with the
+largest kernel sample, so the solve checks the discrete Volterra equation by
+direct sums at the last step of every leaf (``HISTORY_RESIDUAL_RTOL``).
+``LeafTables`` and ``StoredRows`` answer one interface (Z on request, its
+Gram, the products conj(Z) y and Z^T x, V_sigma Z and its H1 Gram), the
+tables in O(N d J) with no (modes, J+1) array, the rows from Z in place;
+which of the two a solve returns is decided here alone.
 Modes sharing a grid and kernel are advanced together as a batch.  Only g is
 stored; g' is recovered on demand.  A state that overflows stops the solve
 with ``NumericsError``.
@@ -47,6 +47,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError
 from .record import Record
@@ -55,15 +56,30 @@ from .volterra import (
     MemoryKernel,
     ScalarSignal,
     TimeGrid,
+    TraceSignal,
+    _FFT_ELEMENTS,
     _LEAF_STEPS,
+    _as_samples,
     _carry,
     _causal_blocks,
     _gains,
     _matmul,
     _slopes,
     _toeplitz,
+    _trapezoid_gram,
+    convolve,
     inner_products,
 )
+
+#: residual of the discrete Volterra equation at the last step of a leaf of
+#: the blocked history solve, relative to the same sums over the absolute
+#: values of its terms, past which the solve is a numerical failure.  Exact
+#: history sums leave about 1e-16 of it; the FFT error of sampled polynomial
+#: kernels of degree 12, 16 and 24 (T = 7, J = 3000) left 7e-12, 2e-8 and
+#: 3e-2, and their rows missed the O(J^2) loop by about 1e3 times as much:
+#: 5e-9, 1e-6 and 10 of max |Z|.  This bound passes the first and fails the
+#: others: at that size a solve that passes is within about 1e-6 of max |Z|
+HISTORY_RESIDUAL_RTOL = 1e-9
 
 
 class ModalTrajectory(Record):
@@ -113,7 +129,8 @@ class LeafTables(Record):
     in ``linear`` have mu = 0, so their rows are z(0) + z'(0) t, which
     ``dense`` writes in closed form.  The same form holds other rows
     linear in a leaf's start state, such as V_sigma Z and its differences in
-    ``h1_gram``, which reads ``step``, A, of a step-map solve.
+    ``h1_gram``, which reads ``step``, A, of a step-map solve.  ``StoredRows``
+    answers the same methods from Z itself.
     """
 
     _fields = ("grid", "rows", "starts", "linear", "step")
@@ -140,7 +157,7 @@ class LeafTables(Record):
         return L, full, (self.starts[:, None, :, full] @ self.rows[:, :, :rest])[:, 0]
 
     def dense(self) -> np.ndarray:
-        """Z, each full leaf written by one batched product."""
+        """Z, read-only, each full leaf written by one batched product."""
         L, full, tail = self._leaves()
         Z = np.empty(self.shape, self.starts.dtype)
         Z[:, 0] = self.starts[:, 0, 0]
@@ -149,6 +166,7 @@ class LeafTables(Record):
         Z[:, full * L + 1:] = tail
         z0, p0 = self.starts[self.linear, :2, 0].T
         Z[self.linear] = z0[:, None] + p0[:, None] * self.grid.nodes
+        Z.setflags(write=False)
         return Z
 
     def column(self, n: int) -> np.ndarray:
@@ -169,10 +187,12 @@ class LeafTables(Record):
         sums lose the square of that factor.  ``orthonormal`` first rotates
         each mode's rows to orthonormal ones, R^T = Q T and S to T S, which
         leaves no such terms, at the cost of a QR per mode and two more
-        (modes, D, L) arrays a while."""
+        (modes, D, L) arrays a while.  Complex starts, those of the z family,
+        whose decaying members cancel terms far larger than themselves, are
+        always rotated."""
         L, full, tail = self._leaves()
         R, S = self.rows, self.starts[:, :, :full]
-        if orthonormal:
+        if orthonormal or np.iscomplexobj(S):
             q, t = np.linalg.qr(R.transpose(0, 2, 1))
             R, S = q.transpose(0, 2, 1), t @ S
         ends = np.stack([self.column(0), self.column(self.grid.steps)], 1)
@@ -188,9 +208,24 @@ class LeafTables(Record):
         g *= self.grid.dt
         return g
 
-    def dot(self, y: np.ndarray) -> np.ndarray:
-        """conj(Z) y for y (J+1, k): per leaf, the rows against its part of y in
-        one (N D x L) (L x leaves k) product, then the conjugate starts."""
+    def cancellation(self) -> np.ndarray:
+        """c_m, the size of row m's table terms over the size of its values:
+        ||sum over a of |S_a| |R_a| || / ||z_m|| over the full leaves.  Its
+        values hold about eps c_m of relative accuracy, whatever the route
+        that reads them.  The terms' norm is the diagonal of the pair sums of
+        |R| and |S|; the values' is that of T S, R^T = Q T, as Q has
+        orthonormal columns."""
+        R, S = np.abs(self.rows), self.starts[:, :, :self.grid.steps // self.rows.shape[2]]
+        terms = np.einsum("nab,nab->n", R @ R.transpose(0, 2, 1),
+                          np.abs(S) @ np.abs(S).transpose(0, 2, 1))
+        values = np.linalg.qr(self.rows.transpose(0, 2, 1), mode="r") @ S
+        return np.sqrt(terms / np.einsum("nak,nak->n", values, values.conj()).real)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """<x_c, z_n>, (modes, k), for x (J+1, k): conj(Z) y, y the trapezoid
+        weights times x; per leaf, the rows against its part of y in one
+        (N D x L) (L x leaves k) product, then the conjugate starts."""
+        y = self.grid.weights[:, None] * x
         L, full, tail = self._leaves()
         nm, D = self.starts.shape[:2]
         k = y.shape[1]
@@ -237,8 +272,11 @@ class LeafTables(Record):
         difference tables stop at node J - 1, on a grid one step shorter, so
         nothing past the grid enters the sums.  Both Grams rotate each mode's
         rows to orthonormal ones: where sigma changes sign, y is far smaller
-        than w, and y' than sigma(0) w and V_sigma' w.
+        than w, and y' than sigma(0) w and V_sigma' w.  Any other sigma, or
+        one identically 0 (the gains divide by sigma_0), takes the stored route.
         """
+        if sigma.realization is None or not sigma.values.any():
+            return StoredRows(self.grid, self.dense()).h1_gram(sigma)
         r, J, dt = sigma.values, self.grid.steps, self.grid.dt
         d = len(sigma.realization[1])
         nm, D, L = self.rows.shape
@@ -276,6 +314,60 @@ class LeafTables(Record):
         return (Y.gram(orthonormal=True) + slopes.gram(orthonormal=True)
                 + 0.5 * dt * (ends.T @ ends + np.outer(c, c)))
 
+    def convolved(self, sigma: ScalarSignal) -> StoredRows:
+        return StoredRows(self.grid, self.dense()).convolved(sigma)
+
+
+class StoredRows(Record):
+    """Rows Z (modes, J+1) held as they are, read-only, real or complex: the
+    ``LeafTables`` methods answered from Z in place.  ``gram`` is
+    ``volterra._trapezoid_gram``, with no table terms to rotate away, ``dot``
+    is ``volterra.inner_products`` and ``convolved`` is ``volterra.convolve``
+    of the rows; ``cancellation`` is 1, as the values are the terms."""
+
+    _fields = ("grid", "rows")
+
+    def __init__(self, grid: TimeGrid, rows: np.ndarray):
+        rows = _as_samples(rows)
+        rows.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def shape(self) -> tuple:
+        return self.rows.shape
+
+    def dense(self) -> np.ndarray:
+        return self.rows
+
+    def gram(self) -> np.ndarray:
+        return _trapezoid_gram(self.rows, self.grid.dt)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return inner_products(x.T, self.rows, self.grid).T
+
+    def tdot(self, x: np.ndarray) -> np.ndarray:
+        return _matmul(self.rows.T, x)
+
+    def cancellation(self) -> np.ndarray:
+        return np.ones(len(self.rows))
+
+    def convolved(self, sigma: ScalarSignal) -> StoredRows:
+        return StoredRows(self.grid, convolve(sigma, TraceSignal(self.grid, self.rows.T)).values.T)
+
+    def h1_gram(self, sigma: ScalarSignal) -> np.ndarray:
+        """The Grams of the y rows and of their ``volterra._slopes``.  Z stays
+        held, so the slopes overwrite the y rows, which this call alone
+        holds, one row at a time: no third (modes, J+1) array."""
+        dt = self.grid.dt
+        Y = self.convolved(sigma).rows
+        gram = _trapezoid_gram(Y, dt)
+        Y.setflags(write=True)
+        slope = np.empty(Y.shape[1], Y.dtype)
+        for row in Y:
+            row[...] = _slopes(row, dt, slope)
+        return gram + _trapezoid_gram(Y, dt)
+
 
 class ModalSolution(Record):
     """Trajectories factors[n] * rows[n] of a batch of modes on one grid,
@@ -285,7 +377,7 @@ class ModalSolution(Record):
     _fields = ("modes", "grid", "trajectories", "factors", "p0")
 
     def __init__(self, modes: ModeArrays, grid: TimeGrid,
-                 trajectories: np.ndarray | LeafTables,  # the rows, or their leaf tables
+                 trajectories: LeafTables | StoredRows,
                  factors: np.ndarray,  # (modes,) complex
                  p0: np.ndarray):  # (modes,) complex z'(0)
         object.__setattr__(self, "modes", modes)
@@ -296,9 +388,9 @@ class ModalSolution(Record):
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """(modes, J+1): real for the w family, complex for z; built from
-        leaf tables on first use."""
-        return _dense(self.trajectories)
+        """(modes, J+1), read-only: real for the w family, complex for z;
+        built from leaf tables on first use."""
+        return self.trajectories.dense()
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -307,13 +399,6 @@ class ModalSolution(Record):
         # an index past the end raises IndexError, which ends iteration
         return ModalTrajectory(self.modes[i], self.grid, self.rows[i],
                                complex(self.factors[i]), complex(self.p0[i]))
-
-
-def _dense(trajectories) -> np.ndarray:
-    """The rows of stored trajectories or of leaf tables, read-only."""
-    rows = trajectories.dense() if isinstance(trajectories, LeafTables) else trajectories
-    rows.setflags(write=False)
-    return rows
 
 
 def _overflow(n: int, J: int, exc) -> NumericsError:
@@ -448,6 +533,8 @@ def _integrate_family(
     ``mus`` holds the real stiffness coefficients lambda_n^2 = mu_n; the
     state is real for real data and complex otherwise.  Returns Z of shape
     (len(mus), J+1), the rows of mu = 0 in closed form, z(0) + z'(0) t.
+    A kernel without a realization takes the blocked history solve, whose
+    rows are checked by ``_check_history``.
     """
     tables = _leaf_tables(mus, z0, p0, kernel, grid)
     if tables is not None:
@@ -475,7 +562,62 @@ def _integrate_family(
         raise _overflow(n, J, exc) from None
     linear = mus == 0.0
     Z[linear] = z0[linear, None] + p0[linear, None] * grid.nodes
+    _check_history(Z, mus, mv, dt)
     return Z
+
+
+def _check_history(Z: np.ndarray, mus: np.ndarray, mv: np.ndarray, dt: float):
+    """Raise ``NumericsError`` where the rows Z of a blocked history solve
+    miss the discrete Volterra equation by more than ``HISTORY_RESIDUAL_RTOL``
+    at the last step n of a leaf (or J - 1 for the last leaf).
+
+    Every step satisfies z_(n+1) - z_n = dt/2 (p_n + p_(n+1)) and p_(n+1) -
+    p_n = dt/2 (a_n + a_(n+1)), with a_j = -mu (z_j + S_j) and S_j the
+    trapezoid memory sum dt (M_j z_0 / 2 + sum over 0 < l < j of M_(j-l) z_l +
+    M_0 z_j / 2), S_0 = 0.  So, with c = mu dt^2 / 4, the residual
+
+        z_(n+1) - 2 z_n + z_(n-1) + c (z_(n+1) + 2 z_n + z_(n-1) + S_(n+1) + 2 S_n + S_(n-1))
+
+    vanishes up to roundoff.  The S are summed directly, O(J) per node, for
+    blocks of nodes and of history; the scale takes the same sums over
+    absolute values, plus the least normal float, below which values round
+    in absolute steps.
+    """
+    J = Z.shape[1] - 1
+    nodes = np.unique(np.minimum(np.arange(_LEAF_STEPS, J + _LEAF_STEPS, _LEAF_STEPS), J - 1))
+    nodes = nodes[nodes >= 1]
+    # history columns per block, |block| of at most _FFT_ELEMENTS values for
+    # up to 256 modes, and nodes per group, at most 2^18 weights per block
+    width = min(max(_LEAF_STEPS, _FFT_ELEMENTS // len(Z)), J + 2)
+    group = max(1, (1 << 18) // width)
+    # row J - j + t of the windows holds M_(j-l) at l = t.., 0 past l = j
+    windows = sliding_window_view(np.concatenate([mv[::-1], np.zeros(J + width)]), width)
+    c = 0.25 * dt * dt * mus[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(nodes), group):
+            n = nodes[lo:lo + group]
+            sums = np.zeros((len(Z), len(n)), Z.dtype)
+            sizes = np.zeros((len(Z), len(n)))
+            for t in range(0, n[-1] + 2, width):
+                # weights of S_(n+1) + 2 S_n + S_(n-1) at l = t.., less the halving
+                K = windows[J - n + t - 1] + 2.0 * windows[J - n + t] + windows[J - n + t + 1]
+                block = Z[:, t:t + width]
+                K = K[:, :block.shape[1]]
+                sums += _matmul(block, K.T)
+                sizes += np.abs(block) @ np.abs(K).T
+            z = Z[:, n + 1] + 2.0 * Z[:, n] + Z[:, n - 1]
+            size = np.abs(Z[:, n + 1]) + 2.0 * np.abs(Z[:, n]) + np.abs(Z[:, n - 1])
+            # the halved end terms: l = 0 of every S, and l = j of S_j
+            sums -= 0.5 * (np.outer(Z[:, 0], mv[n + 1] + 2.0 * mv[n] + mv[n - 1]) + mv[0] * z)
+            residual = np.abs(Z[:, n + 1] - 2.0 * Z[:, n] + Z[:, n - 1] + c * (z + dt * sums))
+            ratio = residual / (size + np.abs(c) * (size + dt * sizes) + np.finfo(float).tiny)
+            bad = ~(ratio <= HISTORY_RESIDUAL_RTOL)
+            if bad.any():
+                k = np.flatnonzero(bad.any(axis=0))[0]
+                raise NumericsError(
+                    f"the blocked history solve misses the discrete Volterra equation at "
+                    f"step {n[k]} of {J} by {np.max(ratio[:, k]):.3g} of its terms "
+                    f"(tolerance {HISTORY_RESIDUAL_RTOL:g})")
 
 
 def _initial_data(modes: ModeArrays, family: str):
@@ -499,7 +641,7 @@ def _solve_many(modes: ModeArrays, kernel, grid, family: str) -> ModalSolution:
     mus = np.where(modes.zero, 0.0, modes.mu)
     trajectories = _leaf_tables(mus, *data, kernel, grid)
     if trajectories is None:
-        trajectories = _integrate_family(mus, *data, kernel, grid)
+        trajectories = StoredRows(grid, _integrate_family(mus, *data, kernel, grid))
     return ModalSolution(modes, grid, trajectories, factors, p0)
 
 

@@ -14,7 +14,19 @@ from hypothesis import strategies as st
 
 import visco_inverse.forward
 import visco_inverse.frames
-from visco_inverse import AffineModulation, Mode, build_spectral_model
+from visco_inverse import (
+    AffineModulation,
+    Mode,
+    TraceSignal,
+    biorthogonality_defect,
+    build_reconstruction,
+    build_spectral_model,
+    convolve,
+    convolve_adjoint,
+    gram,
+    l2_inner,
+    l2_norm,
+)
 from visco_inverse.cli import (
     _KERNELS, _SIGMAS, MAX_MODE_NODES, STUDIES, ExperimentConfig, _real, _reals, _write_csv,
     main, run)
@@ -381,6 +393,84 @@ def test_mutated_configs_exit_cleanly(tmp_path, capsys, monkeypatch):
     check()
 
 
+@st.composite
+def valid_configs(draw):
+    """A valid config, N <= 4 and 3 to 256 steps (the slopes need 3), every
+    choice made by a generator seeded from the draw: half are reconstruct,
+    the rest any other study, under every kernel variant and sigma form.
+    Hypothesis's own draws among a handful of choices repeat few distinct
+    cases in 40 examples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    others = [s for s in STUDIES if s != "reconstruct"]
+    study = "reconstruct" if rng.random() < 0.5 else others[rng.integers(len(others))]
+    n, steps = int(rng.integers(1, 5)), int(rng.integers(3, 257))
+    horizon = TWO_PI + 0.5
+    nodes = np.linspace(0.0, horizon, steps + 1)
+
+    def real(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    kernels = {
+        "zero": {"variant": "zero"},
+        "exponential": {"variant": "exponential", "beta": real(0.25, 2.0), "alpha": real(-1.0, 2.0)},
+        "polynomial": {"variant": "polynomial",
+                       "coefficients": rng.uniform(-1.0, 2.0, rng.integers(1, 4)).tolist()},
+        "sampled": {"variant": "sampled", "values": np.exp(-real(0.2, 2.0) * nodes).tolist(),
+                    "m0": 1.0},
+    }
+    variant = "zero" if study == "l2-counterexample" else list(kernels)[rng.integers(4)]
+    sigmas = [{"form": "constant", "a": real(0.25, 2.0)},
+              {"form": "exponential", "a": real(-1.0, 1.0)},
+              {"form": "affine", "a": real(0.25, 2.0), "b": real(-1.0, 1.0)},
+              {"form": "sampled", "values": (1.0 + real(-0.5, 0.5) * nodes).tolist()}]
+    source = ["random", {"unit": int(rng.integers(1, n + 1))},
+              {"coefficients": rng.standard_normal(n).tolist()}][rng.integers(3)]
+    return {
+        "study": study,
+        "operator": {"length": PI, "potential_shift": [0.0, 1.5, -2.0][rng.integers(3)],
+                     "observed_endpoints": [["left"], ["right"], ["left", "right"]][rng.integers(3)]},
+        "kernel": kernels[variant], "sigma": sigmas[rng.integers(4)],
+        "grid": {"T": horizon, "dt": horizon / steps}, "N": n, "seed": int(rng.integers(100)),
+        "noise_level": 0.01 if rng.random() < 0.25 else 0.0, "output": "res", "source": source,
+        "measurement": "bu" if rng.random() < 0.25 else "bu_prime",
+        "trials": int(rng.integers(1, 21)),
+    }
+
+
+def test_valid_configs_exit_cleanly_with_their_invariants(tmp_path, monkeypatch):
+    # every study, kernel variant and sigma form, sampled ones included: exit
+    # 0 or 3 with strict JSON.  On exit 0 of reconstruct, biorthogonality
+    # holds to 1e-8 and the adjoint identity of sigma' and of the resolvent K
+    # to 1e-12; noise-free from B u', the round trip rescales f by the
+    # resolvent-identity defect d = -(dt^2 / 4) (sigma'(0) / sigma(0))^2 alone,
+    # sampled inputs included (measured within 3e-11 d)
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+
+    @given(valid_configs())
+    def check(raw):
+        cfg = ExperimentConfig.from_mapping(raw, raw["study"])
+        code = run(cfg)
+        assert code in (0, 3), raw
+        summary = strict_json(tmp_path / "res" / f"{cfg.study}.json")
+        if code or cfg.study != "reconstruct":
+            return
+        grid = cfg.grid
+        sigma_prime = cfg.sigma.sample_derivative(grid)
+        kernels = build_reconstruction(build_spectral_model(cfg.operator, cfg.truncation),
+                                       cfg.kernel, cfg.sigma, grid)
+        assert biorthogonality_defect(gram(kernels.family), kernels.coefficients) <= 1e-8, raw
+        u, v = (TraceSignal(grid, rng.standard_normal((grid.steps + 1, 2))) for _ in range(2))
+        for rho in (sigma_prime, kernels.resolvent):
+            gap = abs(l2_inner(convolve(rho, u), v) - l2_inner(u, convolve_adjoint(rho, v)))
+            assert gap <= 1e-12 * max(1.0, l2_norm(convolve(rho, u)) * l2_norm(v)), raw
+        if cfg.noise_level == 0.0 and cfg.measurement == "bu_prime":
+            d = 0.25 * grid.dt ** 2 * (sigma_prime.values[0] / cfg.sigma.at_zero()) ** 2
+            assert abs(summary["results"]["relative_l2_error"] - d) <= 1e-3 * d + 1e-10, raw
+
+    check()
+
+
 class TestReconstructStudy:
     def test_unit_mode_recovery(self, tmp_path):
         cfg = base_config(study="reconstruct", source={"unit": 3}, N=8)
@@ -566,6 +656,22 @@ class TestOtherStudies:
         assert "singular Gram" in capsys.readouterr().err
         summary = json.loads((out / "frame-bounds.json").read_text())
         assert summary["diagnostics"]["exit"] == "singular Gram"
+
+    @pytest.mark.parametrize("shift, low, high", [(-36.0, 1e15, math.inf), (0.0, 1.0, 10.0)],
+                             ids=["decaying", "oscillating"])
+    def test_frame_bounds_reports_the_tables_cancellation(self, tmp_path, shift, low, high):
+        # q = -36 gives modes 1..5 an imaginary lambda: their z members decay
+        # beside growing table terms, and the eigenvalues hold about eps c of
+        # relative accuracy.  The factor goes to the summary, not the CSV
+        cfg = base_config(operator={"length": PI, "potential_shift": shift,
+                                    "observed_endpoints": ["left"]},
+                          grid={"T": TWO_PI + 0.5, "dt": (TWO_PI + 0.5) / 257}, N=6)
+        out = tmp_path / "fb"
+        code = main(["frame-bounds", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert low <= strict_json(out / "frame-bounds.json")["diagnostics"]["max_cancellation"] < high
+        if code == 0:
+            assert (out / "frame-bounds.csv").read_text().startswith(
+                "truncation,members,min_eig,max_eig\n")
 
     def test_frame_bounds_healthy_horizon(self, tmp_path):
         cfg = base_config(N=8)

@@ -17,15 +17,18 @@ from visco_inverse import (
     NumericsError,
     OperatorSpec,
     PolynomialKernel,
+    SampledKernel,
     SampledModulation,
     ScalarSignal,
     SourceCoefficients,
     TimeGrid,
+    TraceSignal,
     ZeroKernel,
     boundary_trace_source,
     build_reconstruction,
     build_spectral_model,
     coefficients_via_duals,
+    convolve,
     frame_bounds,
     gram,
     inner_products,
@@ -38,6 +41,7 @@ from visco_inverse import (
     stability_gram,
     stability_ratios,
     stability_scan,
+    w_trace_family,
 )
 from oracles import (
     reconstruct_via_thetas,
@@ -48,7 +52,8 @@ from oracles import (
 import visco_inverse.inverse
 from visco_inverse.inverse import (
     _SCAN_BLOCK, _Hashed, _identity_residuals, _seed_states, _trial_draws)
-from visco_inverse.volterra import _LEAF_STEPS, _REALIZED_LEAF_STEPS
+from visco_inverse.modal import StoredRows
+from visco_inverse.volterra import _LEAF_STEPS, _REALIZED_LEAF_STEPS, _trapezoid_gram
 
 PI = math.pi
 
@@ -410,6 +415,27 @@ def h1_gram_cases(draw):
     return model, kernel, sigma, grid
 
 
+@pytest.mark.parametrize("kernel", [ExponentialKernel(1.0, 1.0), "sampled"],
+                         ids=["tables", "stored-rows"])
+def test_stored_h1_gram_is_that_of_the_y_rows_and_their_slopes(kernel):
+    # a sampled sigma takes the stored route from either storage: the y rows
+    # V_sigma W, whose slopes then overwrite them row by row, give the bits
+    # of the two Grams of two arrays
+    model = build_spectral_model(OperatorSpec(PI, -4.0, ("left", "right")), 6)
+    grid = TimeGrid(2 * PI + 0.5, 300)
+    if kernel == "sampled":
+        kernel = SampledKernel(np.exp(-grid.nodes), m0=1.0)
+    w = w_trace_family(model, kernel, grid)
+    sigma = SampledModulation(1.0 + 0.5 * grid.nodes).sample(grid)
+    Y = convolve(sigma, TraceSignal(grid, w.scalars.T)).values.T
+    slopes = np.gradient(Y, grid.dt, axis=1, edge_order=2)
+    expected = _trapezoid_gram(Y, grid.dt) + _trapezoid_gram(slopes, grid.dt)
+    got = w.trajectories.h1_gram(sigma)
+    assert got.tobytes() == expected.tobytes()
+    assert StoredRows(grid, w.scalars).h1_gram(sigma).tobytes() == expected.tobytes()
+    assert w.trajectories.convolved(sigma).rows.tobytes() == Y.tobytes()
+
+
 class TestTableH1Gram:
     # where the kernel and sigma have realizations, stability_gram reads the
     # w family's leaf tables; the oracle convolves the stored w rows
@@ -444,7 +470,7 @@ class TestTableH1Gram:
         def stored(*args):
             raise AssertionError("the stored y rows were built")
 
-        monkeypatch.setattr(visco_inverse.inverse, "_convolved_family", stored)
+        monkeypatch.setattr(visco_inverse.modal.StoredRows, "convolved", stored)
         model = build_spectral_model(OperatorSpec(PI, -4.0, ("left", "right")), 4)
         for steps in (3, 7, _LEAF_STEPS):
             Q = stability_gram(model, ExponentialKernel(1.0, 1.0), AffineModulation(1.0, 0.5),

@@ -294,6 +294,51 @@ class TestBlockedHistoryProperties:
         assert np.max(np.abs(Z - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+class TestHistoryAccuracyGate:
+    # the blocked history solve's FFT error grows with the largest kernel
+    # sample; random polynomial samples of high degree on T = 7 span many
+    # decades, and the discrete Volterra equation checked at the leaf ends
+    # turns such a solve into a numerical failure
+    grid = TimeGrid(7.0, 3000)
+    mus = np.arange(1.0, 17.0) ** 2
+
+    def solve(self, kernel):
+        return _integrate_family(self.mus, np.zeros(16), np.sqrt(self.mus), kernel, self.grid)
+
+    def polynomial(self, degree):
+        coefficients = np.random.default_rng(degree).uniform(-1.0, 1.0, degree + 1)
+        return SampledKernel(PolynomialKernel(coefficients).sample(self.grid), m0=1.0)
+
+    def test_passes_at_degree_12(self):
+        kernel = self.polynomial(12)
+        Z = self.solve(kernel)
+        expected = modal_history_loop(self.mus, np.zeros(16), np.sqrt(self.mus),
+                                      kernel.values, self.grid.dt)
+        assert np.max(np.abs(Z - expected)) <= 1e-7 * np.max(np.abs(expected))
+
+    def test_raises_at_degree_24(self):
+        with pytest.raises(NumericsError, match="misses the discrete Volterra equation at step"):
+            self.solve(self.polynomial(24))
+
+    def test_fires_on_a_perturbed_history_block(self, monkeypatch):
+        # a mutant blocked solve: the history that the FFT carries into leaf
+        # 2 is off by 1e-4 of itself, which moves Z by 1e-5 of max |Z|; the
+        # residual at step 512 reads z_513.  The same solve unperturbed passes
+        kernel = SampledKernel(np.exp(-self.grid.nodes), m0=1.0)
+        self.solve(kernel)
+        blocks = modal._causal_blocks
+
+        def perturbed(x, c):
+            for k, (lo, hi) in enumerate(blocks(x, c)):
+                if k == 2:
+                    x[..., lo:hi] *= 1.0 + 1e-4
+                yield lo, hi
+
+        monkeypatch.setattr(modal, "_causal_blocks", perturbed)
+        with pytest.raises(NumericsError, match=f"at step {2 * _LEAF_STEPS} of 3000"):
+            self.solve(kernel)
+
+
 @st.composite
 def exponential_families(draw):
     """A batch of modal equations with random mu and data under the zero

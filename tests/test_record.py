@@ -34,7 +34,7 @@ from visco_inverse import (
     ZeroKernel,
 )
 from visco_inverse.cli import ExperimentConfig
-from visco_inverse.modal import LeafTables
+from visco_inverse.modal import LeafTables, StoredRows
 from visco_inverse.record import Record, Value
 
 GRID = TimeGrid(1.0, 4)
@@ -63,7 +63,9 @@ CASES = {
     SpectralModel: (SPEC, 1, (MODE,)),
     ModalTrajectory: (MODE, GRID, np.ones(5), 1.0 + 0.0j, 0.0j),
     LeafTables: (GRID, np.ones((1, 2, 4)), np.ones((1, 2, 1)), np.zeros(0, int)),
-    ModalSolution: ((MODE,), GRID, np.ones((1, 5)), np.ones(1, complex), np.zeros(1, complex)),
+    StoredRows: (GRID, np.ones((1, 5))),
+    ModalSolution: ((MODE,), GRID, StoredRows(GRID, np.ones((1, 5))), np.ones(1, complex),
+                    np.zeros(1, complex)),
     ModalFamily: (GRID, (1,), np.ones((1, 5)), np.ones((1, 1))),
     GramMatrix: (np.eye(1), 1.0, (1,)),
     FrameBounds: (0.5, 2.0, 1, 1.0),
@@ -99,7 +101,7 @@ def test_cases_cover_every_record_class():
         module = importlib.import_module(f"visco_inverse.{name}")
         defined |= {obj for obj in vars(module).values() if inspect.isclass(obj)
                     and issubclass(obj, Record) and obj.__module__ == module.__name__}
-    assert defined == set(CASES) and len(CASES) == 27
+    assert defined == set(CASES) and len(CASES) == 28
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
