@@ -45,17 +45,12 @@ from .inverse import (
     reconstruct_complex,
     stability_gram,
     stability_ratios,
-    stability_scan,
 )
 from .modal import (
     ModalSolution,
     ModalTrajectory,
-    comparison_defect,
     comparison_defect_scan,
-    comparison_exponential,
-    solve_w,
     solve_w_many,
-    solve_z,
     solve_z_many,
 )
 from .spectral import (

@@ -226,8 +226,10 @@ class ExperimentConfig(Record):
                 f"grid: T/dt = {ratio!r} must be an integer within 1e-9"
             )
         steps = int(round(ratio))
-        if steps < 2:
-            raise ValueError("grid: need at least 2 steps")
+        # the time derivative's stencils (volterra._slopes) take 4 nodes; one
+        # floor for every study, so that no run fails after its modal solve
+        if steps < 3:
+            raise ValueError("grid: need at least 3 steps, as the time derivative's stencils do")
         if steps > MAX_GRID_STEPS:
             raise ValueError(f"grid: T/dt = {ratio:g} exceeds the limit of {MAX_GRID_STEPS} steps")
         grid = TimeGrid(horizon, steps)
@@ -418,9 +420,7 @@ def _study_frame_bounds(cfg: ExperimentConfig, model: SpectralModel):
 
 def _study_stability_scan(cfg: ExperimentConfig, model: SpectralModel):
     h1_gram = stability_gram(model, cfg.kernel, cfg.sigma, cfg.grid)
-    ratios = stability_ratios(
-        model, cfg.kernel, cfg.sigma, cfg.grid, cfg.trials, cfg.seed, h1_gram
-    )
+    ratios = stability_ratios(h1_gram, cfg.trials, cfg.seed)
     # sqrt(f^T Q f) over unit f ranges exactly over sqrt(eig(Q))
     exact_min, exact_max = np.sqrt(np.maximum(np.linalg.eigvalsh(h1_gram)[[0, -1]], 0.0))
     header = ["trial", "ratio"]

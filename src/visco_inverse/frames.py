@@ -51,21 +51,20 @@ class ModalFamily(Record):
     _fields = ("grid", "labels", "trajectories", "psis")
 
     def __init__(self, grid: TimeGrid, labels: tuple,
-                 trajectories: LeafTables | StoredRows | np.ndarray,  # g_n; rows go in StoredRows
+                 trajectories: LeafTables | StoredRows,  # g_n
                  psis: np.ndarray):  # (members, m), the complex trace vectors psi_n
         labels = tuple(labels)
-        rows = trajectories
-        if isinstance(rows, np.ndarray):
-            rows = StoredRows(grid, rows)
+        if not isinstance(trajectories, (LeafTables, StoredRows)):
+            raise TypeError("family trajectories must be LeafTables or StoredRows")
         psis = np.asarray(psis, dtype=np.complex128)
-        if rows.shape != (len(labels), grid.steps + 1):
+        if trajectories.shape != (len(labels), grid.steps + 1):
             raise ValueError("family scalars must be (members, nodes) on the grid")
         if psis.ndim != 2 or psis.shape[0] != len(labels) or psis.shape[1] < 1:
             raise ValueError("family trace vectors must be (members, dim)")
         psis.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "trajectories", rows)
+        object.__setattr__(self, "trajectories", trajectories)
         object.__setattr__(self, "psis", psis)
 
     @cached_property
@@ -87,15 +86,11 @@ class ModalFamily(Record):
             weighted = weighted.real
         return TraceSignal(self.grid, self.trajectories.tdot(weighted))
 
-    def _trajectory_inner(self, x: np.ndarray) -> np.ndarray:
-        """(k, members) matrix of <x_c, g_n> for the columns of x (J+1, k)."""
-        return self.trajectories.dot(x).T
-
     def inner_with(self, signal: TraceSignal) -> np.ndarray:
         """Vector of <signal, member_n> = sum_c <signal_c, g_n> conj(psi_n,c)."""
         if signal.grid != self.grid or signal.dim != self.psis.shape[1]:
             raise ValueError("signal does not match the family grid and dimension")
-        return np.einsum("cn,nc->n", self._trajectory_inner(signal.values), self.psis.conj())
+        return np.einsum("cn,nc->n", self.trajectories.dot(signal.values).T, self.psis.conj())
 
 
 def _trace_family(solution, labels) -> ModalFamily:

@@ -138,7 +138,7 @@ def _identity_residuals(
     resolvent_residual = float(np.max(np.abs(e)) / scale if scale else 0.0)
     # <p_k, c> = sum_m C[k, m] <w_m, c> psi_m, a vector in G
     with_c = coefficients @ (
-        np.conj(family._trajectory_inner(c[:, None])[0])[:, None] * family.psis
+        np.conj(family.trajectories.dot(c[:, None])[:, 0])[:, None] * family.psis
     )
     squares = (abs(d) ** 2 * np.diag(coefficients).real
                + np.sum(np.abs(with_c) ** 2, axis=1) / grid.weights[0])
@@ -378,49 +378,25 @@ def _trial_draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     return rows
 
 
-def stability_ratios(
-    model: SpectralModel,
-    kernel: MemoryKernel,
-    modulation: SourceModulation,
-    grid: TimeGrid,
-    trials: int,
-    seed: int,
-    h1_gram: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-trial values of ||B u||_H1 / ||f|| over random unit sources.
+def stability_ratios(h1_gram: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Per-trial values of ||B u||_H1 / ||f|| = sqrt(f^T Q f) over random unit
+    sources f, for Q = ``h1_gram``, the (N, N) ``stability_gram``.
 
     Trial i draws f from ``default_rng((seed, i))``, bit for bit, so an
     ensemble at truncation 2N extends the ensemble at truncation N draw by
     draw.  The seeds of a block of trials are hashed in one vectorised pass,
-    and numpy seeds each trial's generator from its hashed words.  Each ratio
-    is sqrt(f^T Q f), with Q the ``stability_gram`` of the same arguments;
-    pass it as ``h1_gram`` when it is already built.  Trial indices must fit
-    32 bits.
+    and numpy seeds each trial's generator from its hashed words.  Trial
+    indices must fit 32 bits.
     """
     if not 1 <= trials <= 1 << 32:
         raise ValueError("trials must lie in 1..2^32")
-    if h1_gram is None:
-        h1_gram = stability_gram(model, kernel, modulation, grid)
     ratios = np.empty(trials)
     for start in range(0, trials, _SCAN_BLOCK):
         stop = min(start + _SCAN_BLOCK, trials)
-        f = _trial_draws(seed, start, stop, model.truncation)
+        f = _trial_draws(seed, start, stop, len(h1_gram))
         f /= np.linalg.norm(f, axis=1, keepdims=True)
         ratios[start:stop] = np.sqrt(np.einsum("ij,ij->i", f @ h1_gram, f))
     return ratios
-
-
-def stability_scan(
-    model: SpectralModel,
-    kernel: MemoryKernel,
-    modulation: SourceModulation,
-    grid: TimeGrid,
-    trials: int,
-    seed: int,
-) -> tuple:
-    """Extremes of ||B u||_H1 / ||f|| over random unit sources."""
-    ratios = stability_ratios(model, kernel, modulation, grid, trials, seed)
-    return float(ratios.min()), float(ratios.max())
 
 
 class CounterexampleTable(Record):
@@ -454,15 +430,14 @@ def l2_only_counterexample(
     if not 1 <= nmax <= model.truncation:
         raise ValueError(f"nmax must lie in 1..{model.truncation}")
     family = y_trace_family(model, ZeroKernel(), modulation, grid)
-    sub = ModalFamily(grid, family.labels[:nmax], family.scalars[:nmax], family.psis[:nmax])
-    g = gram(sub)
-    norms = np.sqrt(np.diag(g.entries).real)
-    lams = model.select(sub.labels).lam
-    scaled = np.abs(lams) * norms
+    g = gram(family)
+    labels = family.labels[:nmax]
+    norms = np.sqrt(np.diag(g.entries)[:nmax].real)
+    lams = model.select(labels).lam
     bounds = leading_frame_bounds(g, range(1, nmax + 1))
     return CounterexampleTable(
-        np.array(sub.labels),
+        np.array(labels),
         lams,
-        scaled,
+        np.abs(lams) * norms,
         np.array([b.lower for b in bounds]),
     )

@@ -37,9 +37,11 @@ direct sums at the last step of every leaf (``HISTORY_RESIDUAL_RTOL``).
 Gram, the products conj(Z) y and Z^T x, V_sigma Z and its H1 Gram), the
 tables in O(N d J) with no (modes, J+1) array, the rows from Z in place;
 which of the two a solve returns is decided here alone.
-Modes sharing a grid and kernel are advanced together as a batch.  Only g is
-stored; g' is recovered on demand.  A state that overflows stops the solve
-with ``NumericsError``.
+Every entry point is batched: ``solve_z_many`` and ``solve_w_many`` take
+the modes as ``ModeArrays`` and advance them together, and
+``comparison_defect_scan`` takes mode indices; one mode is read from a
+solution as a ``ModalTrajectory`` view.  Only g is stored; g' is recovered
+on demand.  A state that overflows stops the solve with ``NumericsError``.
 """
 
 from __future__ import annotations
@@ -645,43 +647,19 @@ def _solve_many(modes: ModeArrays, kernel, grid, family: str) -> ModalSolution:
     return ModalSolution(modes, grid, trajectories, factors, p0)
 
 
-def solve_z_many(modes, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
-    """Trajectories with data (1, i*lambda_n) for several modes at once.
-
-    ``modes`` are ``ModeArrays``, as a model holds them, or any sequence of
-    ``Mode``, read once into arrays; the solve reads the arrays alone.  The
-    rows are complex, held as ``LeafTables`` with complex starts over real
-    rows for a kernel with a realization."""
-    return _solve_many(ModeArrays.of(modes), kernel, grid, "z")
+def solve_z_many(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
+    """Trajectories with data (1, i*lambda_n) for the given modes at once, as
+    ``model.modes``, ``model.select(labels)`` or ``model.positive_modes``
+    give them.  The rows are complex, held as ``LeafTables`` with complex
+    starts over real rows for a kernel with a realization."""
+    return _solve_many(modes, kernel, grid, "z")
 
 
-def solve_w_many(modes, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
-    """Trajectories with data (0, lambda_n); these vanish at t = 0.
-
-    ``modes`` are taken as by ``solve_z_many``.  The rows are real: the
-    solutions with data (0, |lambda_n|), held as ``LeafTables`` for a kernel
-    with a realization."""
-    return _solve_many(ModeArrays.of(modes), kernel, grid, "w")
-
-
-def solve_z(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> ModalTrajectory:
-    return solve_z_many((mode,), kernel, grid)[0]
-
-
-def solve_w(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> ModalTrajectory:
-    return solve_w_many((mode,), kernel, grid)[0]
-
-
-def comparison_exponential(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> ScalarSignal:
-    """The reference signal exp((M(0)/2 + i*lambda_n) t).
-
-    Zero-branch modes return their z trajectory 1 + i*sgn(n)*t, so the
-    difference vanishes identically.
-    """
-    (z0,), (p0,) = _initial_data(ModeArrays.of((mode,)), "z")
-    if mode.branch == "J0":
-        return ScalarSignal(grid, z0 + p0 * grid.nodes)
-    return ScalarSignal(grid, _exponential(p0, kernel, grid))
+def solve_w_many(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
+    """Trajectories with data (0, lambda_n) for the given modes at once; these
+    vanish at t = 0.  The rows are real: the solutions with data
+    (0, |lambda_n|), held as ``LeafTables`` for a kernel with a realization."""
+    return _solve_many(modes, kernel, grid, "w")
 
 
 def _exponential(p0: complex, kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
@@ -708,21 +686,12 @@ def _comparison_defects(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid,
     return out
 
 
-def comparison_defect(mode: Mode, kernel: MemoryKernel, grid: TimeGrid) -> float:
-    """|lambda_n|^2 times the squared L2 distance of z_n from its comparison.
+def comparison_defect_scan(model, kernel: MemoryKernel, grid: TimeGrid, indices,
+                           chunk: int = 32) -> np.ndarray:
+    """|lambda_n|^2 times the squared L2 distance of z_n from its comparison
+    exp((M(0)/2 + i*lambda_n) t), for the listed positive mode indices.
 
     The distance decays like 1/|lambda_n|, so this product stays bounded over
     the mode range; it is the quantity scanned for growth trends.
     """
-    return float(_comparison_defects(ModeArrays.of((mode,)), kernel, grid, 1)[0])
-
-
-def comparison_defect_scan(
-    model,
-    kernel: MemoryKernel,
-    grid: TimeGrid,
-    indices,
-    chunk: int = 32,
-) -> np.ndarray:
-    """Vector of comparison defects for the listed positive mode indices."""
     return _comparison_defects(model.select(indices), kernel, grid, chunk)

@@ -13,7 +13,9 @@ handled by closed forms throughout the package; all others are "J1".
 The 2N signed modes of a model are data indexed by n, held as arrays
 (``ModeArrays``): the indices, mu, lambda, the scaled trace vectors psi_n as
 one (2N, m) array and the zero-branch mask, computed by vectorised numpy.
-A single mode is read as a ``Mode`` view, built on request.
+The modal solves take modes in that form alone, as a model's ``modes``,
+``select(labels)`` and ``positive_modes`` give them; a single mode is read
+as a ``Mode`` view, built on request.
 """
 
 from __future__ import annotations
@@ -121,18 +123,6 @@ class ModeArrays(Record):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def of(cls, modes) -> ModeArrays:
-        """``modes`` as arrays: returned as they are if they are ``ModeArrays``,
-        else read once from a sequence of ``Mode``."""
-        if isinstance(modes, cls):
-            return modes
-        modes = tuple(modes)
-        psi = [m.psi for m in modes]
-        return cls([m.index for m in modes], [m.mu for m in modes], [m.lam for m in modes],
-                   np.stack(psi) if psi else np.empty((0, 1)),
-                   [m.branch == "J0" for m in modes])
-
     def __len__(self) -> int:
         return len(self.index)
 
@@ -147,15 +137,15 @@ class ModeArrays(Record):
 
 class SpectralModel(Record):
     """Modes n in {-N, ..., -1, 1, ..., N} for a concrete operator, held as
-    ``ModeArrays`` in that order; ``modes`` may also be given as a sequence
-    of ``Mode``, read once into arrays."""
+    one ``ModeArrays`` in that order; ``select``, ``mode`` and
+    ``positive_modes`` read them."""
 
     _fields = ("spec", "truncation", "modes")
 
     def __init__(self, spec: OperatorSpec, truncation: int, modes: ModeArrays):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "modes", ModeArrays.of(modes))
+        object.__setattr__(self, "modes", modes)
 
     def select(self, labels) -> ModeArrays:
         """The modes of the signed indices ``labels``, in their order."""

@@ -675,7 +675,7 @@ class AffineModulation(SourceModulation, Value):
 
 
 class SampledModulation(SourceModulation, Record):
-    """Modulation given by samples; derivative falls back to finite differences."""
+    """Modulation given by samples; its derivative is ``differentiate`` of them."""
 
     _fields = ("values",)
 
@@ -686,20 +686,16 @@ class SampledModulation(SourceModulation, Record):
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    def _check(self, grid):
+    def sample(self, grid):
         if self.values.shape != (grid.steps + 1,):
             raise ValueError(
                 f"sampled modulation has {self.values.shape[0]} samples, grid has {grid.steps + 1} nodes"
             )
-
-    def sample(self, grid):
-        self._check(grid)
         return ScalarSignal(grid, self.values)
 
     def sample_derivative(self, grid):
         # One extra O(dt^2) error relative to the closed-form modulations.
-        self._check(grid)
-        return ScalarSignal(grid, np.gradient(self.values, grid.dt, edge_order=2))
+        return differentiate(self.sample(grid))
 
     def at_zero(self):
         return float(self.values[0])

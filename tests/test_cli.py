@@ -91,6 +91,18 @@ class TestValidation:
         assert peak < 1 << 20
         assert not out.exists()
 
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_two_step_grid_rejected_at_parse_time(self, tmp_path, capsys, study):
+        # every study, including those that would run to exit 0 on 2 steps
+        cfg = base_config(grid={"T": TWO_PI, "dt": PI}, N=2, trials=3)
+        out = tmp_path / "o"
+        assert main([study, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid: need at least 3 steps, as the time derivative's stencils do\n")
+        assert not out.exists()
+        cfg["grid"]["dt"] = TWO_PI / 3
+        assert ExperimentConfig.from_mapping(cfg, study).grid.steps == 3
+
     def test_grid_at_the_step_limit_is_accepted(self):
         cfg = ExperimentConfig.from_mapping(base_config(grid={"T": 1.0, "dt": 1e-7}), "simulate")
         assert cfg.grid.steps == 10**7

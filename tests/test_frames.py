@@ -42,7 +42,7 @@ from visco_inverse import (
     z_trace_family,
 )
 from oracles import complex_w_route, dual_values, family_values, naive_inner_products
-from visco_inverse.modal import LeafTables, _leaf_tables
+from visco_inverse.modal import LeafTables, StoredRows, _leaf_tables
 from visco_inverse.volterra import _LEAF_STEPS, _trapezoid_gram
 
 PI = math.pi
@@ -61,7 +61,8 @@ def model():
 def sine_family(grid, count, scale=None):
     scale = math.sqrt(2 / PI) if scale is None else scale
     vals = np.stack([scale * np.sin(n * grid.nodes) for n in range(1, count + 1)])
-    return ModalFamily(grid, tuple(range(1, count + 1)), vals, np.ones((count, 1)))
+    return ModalFamily(grid, tuple(range(1, count + 1)), StoredRows(grid, vals),
+                       np.ones((count, 1)))
 
 
 class TestGram:
@@ -69,8 +70,13 @@ class TestGram:
         G = gram(sine_family(grid, 6))
         np.testing.assert_allclose(G.entries, 2.0 * np.eye(6), atol=1e-10)
 
+    def test_family_holds_a_storage_not_bare_rows(self, grid):
+        with pytest.raises(TypeError, match="LeafTables or StoredRows"):
+            ModalFamily(grid, (1,), np.zeros((1, grid.steps + 1)), np.ones((1, 1)))
+
     def test_zero_member(self, grid):
-        fam = ModalFamily(grid, (1,), np.zeros((1, grid.steps + 1)), np.ones((1, 1)))
+        fam = ModalFamily(grid, (1,), StoredRows(grid, np.zeros((1, grid.steps + 1))),
+                          np.ones((1, 1)))
         G = gram(fam)
         assert G.entries[0, 0] == 0.0
 
@@ -257,7 +263,7 @@ def test_real_gram_in_place_matches_the_weighted_route(steps):
         rng.standard_normal((3, len(t))),
         w_trace_family(model, ExponentialKernel(1.0, 1.0), grid).scalars,
     ])
-    fam = ModalFamily(grid, range(len(rows)), rows, np.ones((len(rows), 1)))
+    fam = ModalFamily(grid, range(len(rows)), StoredRows(grid, rows), np.ones((len(rows), 1)))
     assert rows.argmax(axis=1)[:4].tolist() == [steps] * 4
     raw = inner_products(rows, rows, grid)
     expected = 0.5 * (raw + raw.T)
@@ -377,7 +383,8 @@ class TestLeafTableRoute:
         nm = len(Z)
         labels = tuple(range(nm))
         psis = rng.standard_normal((nm, dim))
-        leaf, stored = (ModalFamily(grid, labels, rows, psis) for rows in (tables, Z))
+        leaf, stored = (ModalFamily(grid, labels, rows, psis)
+                        for rows in (tables, StoredRows(grid, Z)))
 
         scale = np.sqrt(np.diag(_trapezoid_gram(Z, grid.dt)))
         gap = np.abs(tables.gram() - _trapezoid_gram(Z, grid.dt)) / np.outer(scale, scale)
@@ -404,7 +411,7 @@ class TestLeafTableRoute:
         close(leaf.inner_with(signal), stored.inner_with(signal), members * norm(signal.values))
         # the <c, w_m> of the identity residual, c real
         c = rng.standard_normal((grid.steps + 1, 1))
-        close(leaf._trajectory_inner(c), stored._trajectory_inner(c), norm(Z.T) * norm(c))
+        close(leaf.trajectories.dot(c).T, stored.trajectories.dot(c).T, norm(Z.T) * norm(c))
 
 
 @st.composite
@@ -454,7 +461,7 @@ class TestZTableRoute:
         for rows in (tables, turned):
             leaf = ModalFamily(grid, family.labels, rows, family.psis)
             Z = rows.dense()
-            stored = ModalFamily(grid, family.labels, Z, family.psis)
+            stored = ModalFamily(grid, family.labels, StoredRows(grid, Z), family.psis)
             # c_m, row m's cancellation factor: the size of its table terms
             # over the size of its values, which a decaying member makes large
             terms = (np.abs(rows.starts).max(axis=2) * np.abs(rows.rows).max(axis=2)).sum(axis=1)
@@ -538,8 +545,8 @@ def test_perturbation_bracketing(grid):
     bump = np.stack([
         0.05 * math.sqrt(2 / PI) * np.sin((n + 6) * grid.nodes) for n in range(1, 7)
     ])
-    perturbed = ModalFamily(grid, base.labels, base.scalars + bump, base.psis)
-    diff = ModalFamily(grid, base.labels, bump, base.psis)
+    perturbed = ModalFamily(grid, base.labels, StoredRows(grid, base.scalars + bump), base.psis)
+    diff = ModalFamily(grid, base.labels, StoredRows(grid, bump), base.psis)
     G_base = gram(base)
     G_diff = gram(diff)
     # q^2 = sup ||sum a (e - f)||^2 / ||sum a e||^2, a generalized eigenproblem

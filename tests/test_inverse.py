@@ -40,7 +40,6 @@ from visco_inverse import (
     source_traces,
     stability_gram,
     stability_ratios,
-    stability_scan,
     w_trace_family,
 )
 from oracles import (
@@ -493,28 +492,29 @@ class TestStability:
     def test_spot_check_sqrt8(self, grid):
         model = build_spectral_model(OperatorSpec(PI), 1)
         ratios = stability_ratios(
-            model, ZeroKernel(), ConstantModulation(1.0), grid, 1, 0
+            stability_gram(model, ZeroKernel(), ConstantModulation(1.0), grid), 1, 0
         )
         # with one mode every unit f is +-e1
         assert ratios[0] == pytest.approx(math.sqrt(8.0), abs=1e-3)
 
     def test_scan_returns_positive_window(self, model, grid):
-        lo, hi = stability_scan(model, ZeroKernel(), ConstantModulation(1.0), grid, 10, 3)
+        ratios = stability_ratios(
+            stability_gram(model, ZeroKernel(), ConstantModulation(1.0), grid), 10, 3)
+        lo, hi = ratios.min(), ratios.max()
         assert 0 < lo <= hi < 10
 
     def test_horizon_below_travel_time_rejected(self, model):
         g = TimeGrid.from_step(PI, 1e-3)
         with pytest.raises(ValueError):
-            stability_scan(model, ZeroKernel(), ConstantModulation(1.0), g, 5, 0)
+            stability_gram(model, ZeroKernel(), ConstantModulation(1.0), g)
 
     def test_trials_validated(self, model, grid):
         with pytest.raises(ValueError):
-            stability_scan(model, ZeroKernel(), ConstantModulation(1.0), grid, 0, 0)
+            stability_ratios(np.eye(model.truncation), 0, 0)
 
     def test_coarse_grid_rejected(self, model):
         with pytest.raises(ValueError, match="steps >= 3"):
-            stability_ratios(model, ZeroKernel(), ConstantModulation(1.0),
-                             TimeGrid(2 * PI, 2), 5, 0)
+            stability_gram(model, ZeroKernel(), ConstantModulation(1.0), TimeGrid(2 * PI, 2))
 
     @pytest.mark.parametrize("kernel", [
         ZeroKernel(), ExponentialKernel(1.0, 1.0), PolynomialKernel((1.0, -0.3, 0.05)),
@@ -526,7 +526,7 @@ class TestStability:
     def test_gram_form_matches_per_trial_norms(self, kernel, modulation, endpoints):
         model = build_spectral_model(OperatorSpec(PI, observed_endpoints=endpoints), 5)
         g = TimeGrid(2 * PI + 0.5, 1024)
-        got = stability_ratios(model, kernel, modulation, g, 25, 7)
+        got = stability_ratios(stability_gram(model, kernel, modulation, g), 25, 7)
         expected = stability_ratios_per_trial(model, kernel, modulation, g, 25, 7)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
@@ -543,7 +543,7 @@ class TestStability:
             f = np.random.default_rng((11, i)).standard_normal(12)
             f /= np.linalg.norm(f)
             expected.append(np.sqrt(f @ q @ f))
-        got = stability_ratios(*args, 300, 11, h1_gram=q)
+        got = stability_ratios(q, 300, 11)
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("kernel, modulation", [
@@ -583,22 +583,18 @@ class TestStability:
             raise AssertionError("default_rng called inside stability_ratios")
 
         monkeypatch.setattr(visco_inverse.inverse, "default_rng", refuse)
-        ratios = stability_ratios(model, ZeroKernel(), ConstantModulation(1.0), grid,
-                                  40, 5, h1_gram=q)
+        ratios = stability_ratios(q, 40, 5)
         assert ratios.shape == (40,) and np.all(ratios > 0)
 
     def test_trial_count_and_seed_validated(self, model, grid):
         q = np.eye(model.truncation)
         with pytest.raises(ValueError, match="trials"):
-            stability_ratios(model, ZeroKernel(), ConstantModulation(1.0), grid,
-                             (1 << 32) + 1, 0, h1_gram=q)
+            stability_ratios(q, (1 << 32) + 1, 0)
         with pytest.raises(ValueError, match="seed"):
-            stability_ratios(model, ZeroKernel(), ConstantModulation(1.0), grid,
-                             3, -1, h1_gram=q)
+            stability_ratios(q, 3, -1)
         # a seed must be an integer, as numpy's SeedSequence demands
         with pytest.raises(TypeError):
-            stability_ratios(model, ZeroKernel(), ConstantModulation(1.0), grid,
-                             3, 1.5, h1_gram=q)
+            stability_ratios(q, 3, 1.5)
 
 
 # seeds of 1, 2 and 3 uint32 words, and of 4 or more, whose entropy words

@@ -16,12 +16,8 @@ from visco_inverse import (
     TimeGrid,
     ZeroKernel,
     build_spectral_model,
-    comparison_defect,
     comparison_defect_scan,
-    comparison_exponential,
-    solve_w,
     solve_w_many,
-    solve_z,
     solve_z_many,
     w_trace_family,
 )
@@ -30,10 +26,9 @@ from oracles import (
     modal_history_loop,
     modal_oracle_exponential_kernel,
     modal_step_loop,
-    spectral_modes_loop,
 )
 from visco_inverse import modal
-from visco_inverse.modal import _integrate_family, _leaf_tables
+from visco_inverse.modal import LeafTables, _exponential, _integrate_family, _leaf_tables
 from visco_inverse.volterra import _LEAF_STEPS
 
 PI = math.pi
@@ -51,25 +46,25 @@ def grid():
 
 class TestMemoryless:
     def test_plain_exponential_solution(self, model, grid):
-        traj = solve_z(model.mode(3), ZeroKernel(), grid)
+        traj = solve_z_many(model.select((3,)), ZeroKernel(), grid)[0]
         exact = np.exp(3j * grid.nodes)
         assert np.max(np.abs(traj.z.values - exact)) < 5e-6
         assert np.max(np.abs(np.abs(traj.z.values) - 1.0)) < 1e-10
 
     def test_w_is_plain_sine(self, model, grid):
-        traj = solve_w(model.mode(2), ZeroKernel(), grid)
+        traj = solve_w_many(model.select((2,)), ZeroKernel(), grid)[0]
         assert np.max(np.abs(traj.z.values - np.sin(2 * grid.nodes))) < 5e-6
 
     def test_derivative_is_recovered_from_the_solution(self, model, grid):
-        traj = solve_w(model.mode(2), ZeroKernel(), grid)
+        traj = solve_w_many(model.select((2,)), ZeroKernel(), grid)[0]
         assert np.max(np.abs(traj.z_prime.values - 2 * np.cos(2 * grid.nodes))) < 1e-5
 
     def test_imaginary_branch_grows_like_cosh(self, grid):
         # mu_1 = -1 makes lambda = i; the two signed trajectories are the
         # real exponentials e^(-t) and e^(t)
         model = build_spectral_model(OperatorSpec(PI, -2.0), 1)
-        zp = solve_z(model.mode(1), ZeroKernel(), grid)
-        zm = solve_z(model.mode(-1), ZeroKernel(), grid)
+        zp = solve_z_many(model.select((1,)), ZeroKernel(), grid)[0]
+        zm = solve_z_many(model.select((-1,)), ZeroKernel(), grid)[0]
         assert np.max(np.abs(zp.z.values - np.exp(-grid.nodes))) < 1e-6
         assert np.max(np.abs(zm.z.values - np.exp(grid.nodes))) < 1e-6
 
@@ -82,28 +77,23 @@ def j0_model():
 class TestZeroBranch:
     def test_z_closed_form(self, j0_model, grid):
         for n, sign in ((1, 1.0), (-1, -1.0)):
-            traj = solve_z(j0_model.mode(n), ExponentialKernel(1.0, 1.0), grid)
+            traj = solve_z_many(j0_model.select((n,)), ExponentialKernel(1.0, 1.0), grid)[0]
             np.testing.assert_array_equal(traj.z.values, 1.0 + 1j * sign * grid.nodes)
 
     def test_w_closed_form(self, j0_model, grid):
-        traj = solve_w(j0_model.mode(1), ExponentialKernel(1.0, 1.0), grid)
+        traj = solve_w_many(j0_model.select((1,)), ExponentialKernel(1.0, 1.0), grid)[0]
         np.testing.assert_array_equal(traj.z.values.real, grid.nodes)
-
-    def test_comparison_matches_z_exactly(self, j0_model, grid):
-        cmp_sig = comparison_exponential(j0_model.mode(1), ZeroKernel(), grid)
-        traj = solve_z(j0_model.mode(1), ZeroKernel(), grid)
-        np.testing.assert_array_equal(cmp_sig.values, traj.z.values)
 
     def test_defect_rejected(self, j0_model, grid):
         with pytest.raises(ValueError):
-            comparison_defect(j0_model.mode(1), ZeroKernel(), grid)
+            comparison_defect_scan(j0_model, ZeroKernel(), grid, [1])
 
 
 class TestAgainstAugmentedOracle:
     def test_memory_trajectory(self, model):
         g = TimeGrid.from_step(1.0, 1e-4)
         kernel = ExponentialKernel(0.5, 1.0)
-        traj = solve_z(model.mode(2), kernel, g)
+        traj = solve_z_many(model.select((2,)), kernel, g)[0]
         exact = modal_oracle_exponential_kernel(2.0, 0.5, 1.0, g)
         assert np.max(np.abs(traj.z.values - exact)) < 1e-7
 
@@ -112,7 +102,7 @@ class TestAgainstAugmentedOracle:
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             g = TimeGrid.from_step(1.0, dt)
-            traj = solve_z(model.mode(2), kernel, g)
+            traj = solve_z_many(model.select((2,)), kernel, g)[0]
             exact = modal_oracle_exponential_kernel(2.0, 0.5, 1.0, g)
             errs.append(np.max(np.abs(traj.z.values - exact)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
@@ -120,10 +110,10 @@ class TestAgainstAugmentedOracle:
 
     def test_initial_data(self, model, grid):
         kernel = ExponentialKernel(1.0, 1.0)
-        z = solve_z(model.mode(4), kernel, grid)
+        z = solve_z_many(model.select((4,)), kernel, grid)[0]
         assert z.z.values[0] == 1.0
         assert z.z_prime.values[0] == 4j
-        w = solve_w(model.mode(4), kernel, grid)
+        w = solve_w_many(model.select((4,)), kernel, grid)[0]
         assert w.z.values[0] == 0.0
         assert w.z_prime.values[0] == 4.0
 
@@ -131,16 +121,16 @@ class TestAgainstAugmentedOracle:
 class TestStructuralIdentities:
     def test_w_matches_z_difference_exactly(self, model, grid):
         kernel = ExponentialKernel(1.0, 1.0)
-        zp = solve_z(model.mode(5), kernel, grid)
-        zm = solve_z(model.mode(-5), kernel, grid)
-        w = solve_w(model.mode(5), kernel, grid)
+        zp = solve_z_many(model.select((5,)), kernel, grid)[0]
+        zm = solve_z_many(model.select((-5,)), kernel, grid)[0]
+        w = solve_w_many(model.select((5,)), kernel, grid)[0]
         gap = w.z.values - (zp.z.values - zm.z.values) / 2j
         assert np.max(np.abs(gap)) < 1e-14
 
     def test_conjugation_symmetry(self, model, grid):
         kernel = ExponentialKernel(0.8, 0.5)
-        zp = solve_z(model.mode(6), kernel, grid)
-        zm = solve_z(model.mode(-6), kernel, grid)
+        zp = solve_z_many(model.select((6,)), kernel, grid)[0]
+        zm = solve_z_many(model.select((-6,)), kernel, grid)[0]
         assert np.max(np.abs(zm.z.values - np.conj(zp.z.values))) < 1e-14
 
     def test_zero_kernel_tables_carry_no_memory_state(self, model, grid):
@@ -150,7 +140,7 @@ class TestStructuralIdentities:
         assert tables.rows.shape[1] == tables.starts.shape[1] == tables.step.shape[1] == 2
 
     def test_w_is_real_for_real_data(self, model, grid):
-        w = solve_w(model.mode(3), ExponentialKernel(1.0, 1.0), grid)
+        w = solve_w_many(model.select((3,)), ExponentialKernel(1.0, 1.0), grid)[0]
         assert np.max(np.abs(w.z.values.imag)) < 1e-10
 
     def test_exponential_recursion_equals_stored_history(self, model):
@@ -158,15 +148,15 @@ class TestStructuralIdentities:
         g = TimeGrid.from_step(1.0, 1e-2)
         kernel = ExponentialKernel(0.7, 1.3)
         sampled = SampledKernel(kernel.sample(g), m0=kernel.at_zero())
-        fast = solve_z(model.mode(5), kernel, g)
-        slow = solve_z(model.mode(5), sampled, g)
+        fast = solve_z_many(model.select((5,)), kernel, g)[0]
+        slow = solve_z_many(model.select((5,)), sampled, g)[0]
         assert np.max(np.abs(fast.z.values - slow.z.values)) < 1e-13
 
     def test_polynomial_kernel_matches_the_full_history_sum(self, model):
         g = TimeGrid.from_step(1.0, 1e-2)
         poly = PolynomialKernel((1.0, -0.5))
         mode = model.mode(4)
-        traj = solve_z(mode, poly, g)
+        traj = solve_z_many(model.select((4,)), poly, g)[0]
         expected = modal_history_loop(np.array([mode.mu]), [1.0], [1j * mode.lam],
                                       poly.sample(g), g.dt)[0]
         assert np.max(np.abs(traj.z.values - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -182,9 +172,10 @@ class TestStructuralIdentities:
         g = TimeGrid.from_step(1.0, 1e-2)
         poly = PolynomialKernel((1.0, -0.5))
         for kernel in (poly, ExponentialKernel(0.7, 1.3), ZeroKernel()):
-            solve_z(model.mode(4), kernel, g)
+            solve_z_many(model.select((4,)), kernel, g)[0]
         with pytest.raises(HistorySolve):
-            solve_z(model.mode(4), SampledKernel(poly.sample(g), m0=poly.at_zero()), g)
+            sampled = SampledKernel(poly.sample(g), m0=poly.at_zero())
+            solve_z_many(model.select((4,)), sampled, g)[0]
 
     def test_sampled_kernel_w_family_on_a_real_state(self):
         # past the first leaf, the blocked history solve adds real FFT
@@ -218,28 +209,28 @@ class TestStructuralIdentities:
         poly = PolynomialKernel((1.0,) + (0.0,) * 170 + (1.0,))
         assert poly.realization(g.dt) is None
         sampled = SampledKernel(poly.sample(g), m0=poly.at_zero())
-        np.testing.assert_array_equal(solve_z(model.mode(4), poly, g).z.values,
-                                      solve_z(model.mode(4), sampled, g).z.values)
+        np.testing.assert_array_equal(solve_z_many(model.select((4,)), poly, g)[0].z.values,
+                                      solve_z_many(model.select((4,)), sampled, g)[0].z.values)
 
 
 class TestComparison:
     def test_memoryless_comparison(self, model, grid):
-        cmp_sig = comparison_exponential(model.mode(3), ZeroKernel(), grid)
-        np.testing.assert_allclose(cmp_sig.values, np.exp(3j * grid.nodes), atol=1e-12)
+        cmp_sig = _exponential(1j * model.mode(3).lam, ZeroKernel(), grid)
+        np.testing.assert_allclose(cmp_sig, np.exp(3j * grid.nodes), atol=1e-12)
 
     def test_growth_rate_is_half_m0(self, model, grid):
-        cmp_sig = comparison_exponential(model.mode(2), ExponentialKernel(0.8, 3.0), grid)
+        cmp_sig = _exponential(1j * model.mode(2).lam, ExponentialKernel(0.8, 3.0), grid)
         np.testing.assert_allclose(
-            cmp_sig.values, np.exp((0.4 + 2j) * grid.nodes), atol=1e-12
+            cmp_sig, np.exp((0.4 + 2j) * grid.nodes), atol=1e-12
         )
 
     def test_sampled_kernel_without_m0_rejected(self, model, grid):
         kernel = SampledKernel(np.ones(grid.steps + 1))
         with pytest.raises(ValueError):
-            comparison_exponential(model.mode(2), kernel, grid)
+            comparison_defect_scan(model, kernel, grid, [2])
 
     def test_zero_memory_defect_vanishes(self, model, grid):
-        assert comparison_defect(model.mode(2), ZeroKernel(), grid) < 1e-9
+        assert comparison_defect_scan(model, ZeroKernel(), grid, [2])[0] < 1e-9
 
     def test_defect_bounded_over_modes(self):
         model = build_spectral_model(OperatorSpec(PI), 24)
@@ -252,8 +243,8 @@ class TestComparison:
         g = TimeGrid.from_step(1.0, 1e-3)
         kernel = ExponentialKernel(1.0, 1.0)
         scan = comparison_defect_scan(model, kernel, g, [4, 7])
-        assert scan[0] == pytest.approx(comparison_defect(model.mode(4), kernel, g), rel=1e-12)
-        assert scan[1] == pytest.approx(comparison_defect(model.mode(7), kernel, g), rel=1e-12)
+        assert scan[0] == pytest.approx(comparison_defect_scan(model, kernel, g, [4])[0], rel=1e-12)
+        assert scan[1] == pytest.approx(comparison_defect_scan(model, kernel, g, [7])[0], rel=1e-12)
 
     def test_scan_rejects_zero_branch(self, grid):
         model = build_spectral_model(OperatorSpec(PI, -1.0), 2)
@@ -444,26 +435,38 @@ def test_overflow_of_the_leaf_values_alone_is_a_numerical_failure():
                 solve(mus, np.zeros(1), np.ones(1), ZeroKernel(), grid)
 
 
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kernel", [ZeroKernel(), ExponentialKernel(0.8, 1.5),
-                                    PolynomialKernel((1.0, -0.5, 0.1))],
-                         ids=["zero", "exponential", "polynomial"])
+                                    PolynomialKernel((1.0, -0.5, 0.1)), "sampled"],
+                         ids=["zero", "exponential", "polynomial", "sampled"])
 @pytest.mark.parametrize("solve", [solve_w_many, solve_z_many], ids=["w", "z"])
-def test_columnar_and_listed_modes_solve_alike(kernel, solve):
+def test_a_selected_mode_solves_as_its_member_of_the_full_solve(kernel, solve):
     # q = -(2 pi / L)^2 puts mode 1 below zero (imaginary lambda) and mode 2
     # on the zero branch; 600 steps span full leaves and a tail
     length = 1.3
     spec = OperatorSpec(length, -((2 * PI / length) ** 2), ("left", "right"))
     model = build_spectral_model(spec, 6)
     grid = TimeGrid(2.5, 600)
-    columnar = solve(model.modes, kernel, grid)
-    listed = solve(list(spectral_modes_loop(spec, 6)), kernel, grid)
-    for name in ("rows", "starts", "linear", "step"):
-        got, want = getattr(columnar.trajectories, name), getattr(listed.trajectories, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    for got, want in ((columnar.factors, listed.factors), (columnar.p0, listed.p0),
-                      (columnar.rows, listed.rows)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert [t.mode.index for t in listed] == [t.mode.index for t in columnar] == [
-        -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6]
-
+    if isinstance(kernel, str):
+        kernel = SampledKernel(PolynomialKernel((1.0, -0.5, 0.1)).sample(grid), m0=1.0)
+    full = solve(model.modes, kernel, grid)
+    for i, n in enumerate(model.modes.index.tolist()):
+        one = solve(model.select((n,)), kernel, grid)
+        assert [t.mode.index for t in one] == [n]
+        if isinstance(one.trajectories, LeafTables):
+            for name in ("rows", "starts", "step"):
+                _same_bits(getattr(one.trajectories, name),
+                           getattr(full.trajectories, name)[i:i + 1])
+            assert one.trajectories.linear.tolist() == [0] * (i in full.trajectories.linear)
+        _same_bits(one.factors, full.factors[i:i + 1])
+        _same_bits(one.p0, full.p0[i:i + 1])
+        if isinstance(kernel, SampledKernel) and solve is solve_z_many:
+            # the history's complex-by-real products round by batch size
+            gap = np.max(np.abs(one.rows[0] - full.rows[i])) / np.max(np.abs(full.rows[i]))
+            assert gap <= 1e-14, gap
+        else:
+            _same_bits(one.rows, full.rows[i:i + 1])

@@ -41,7 +41,9 @@ GRID = TimeGrid(1.0, 4)
 SPEC = OperatorSpec(math.pi, -1.0, ("right", "left"))
 MODE = Mode(1, 1.0, 1.0 + 0.0j, np.ones(1), "J1")
 BOUNDS = FrameBounds(0.5, 2.0, 1, 1.0)
-FAMILY = ModalFamily(GRID, (1,), np.ones((1, 5)), np.ones((1, 1)))
+MODES = ModeArrays(np.ones(1, int), np.ones(1), np.ones(1, complex), np.ones((1, 1)),
+                   np.zeros(1, bool))
+FAMILY = ModalFamily(GRID, (1,), StoredRows(GRID, np.ones((1, 5))), np.ones((1, 1)))
 SOURCE = SourceCoefficients(np.ones(2))
 
 #: every record class of the package, with constructor arguments
@@ -60,13 +62,13 @@ CASES = {
     OperatorSpec: (math.pi, -1.0, ("right", "left")),
     Mode: (1, 1.0, 1.0 + 0.0j, np.ones(1), "J1"),
     ModeArrays: (np.ones(1, int), np.ones(1), np.ones(1, complex), np.ones((1, 1)), np.zeros(1, bool)),
-    SpectralModel: (SPEC, 1, (MODE,)),
+    SpectralModel: (SPEC, 1, MODES),
     ModalTrajectory: (MODE, GRID, np.ones(5), 1.0 + 0.0j, 0.0j),
     LeafTables: (GRID, np.ones((1, 2, 4)), np.ones((1, 2, 1)), np.zeros(0, int)),
     StoredRows: (GRID, np.ones((1, 5))),
-    ModalSolution: ((MODE,), GRID, StoredRows(GRID, np.ones((1, 5))), np.ones(1, complex),
+    ModalSolution: (MODES, GRID, StoredRows(GRID, np.ones((1, 5))), np.ones(1, complex),
                     np.zeros(1, complex)),
-    ModalFamily: (GRID, (1,), np.ones((1, 5)), np.ones((1, 1))),
+    ModalFamily: (GRID, (1,), StoredRows(GRID, np.ones((1, 5))), np.ones((1, 1))),
     GramMatrix: (np.eye(1), 1.0, (1,)),
     FrameBounds: (0.5, 2.0, 1, 1.0),
     InitialData: (np.ones(2), np.zeros(2)),

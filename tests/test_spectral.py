@@ -166,11 +166,6 @@ def test_mode_views_equal_the_per_mode_loop(case):
 
 def test_mode_arrays_and_their_selection():
     model = build_spectral_model(OperatorSpec(1.3, -((2 * PI / 1.3) ** 2), ("left", "right")), 5)
-    arrays = ModeArrays.of(list(model.modes))
-    assert ModeArrays.of(model.modes) is model.modes
-    for name in ModeArrays._fields:
-        got, want = getattr(arrays, name), getattr(model.modes, name)
-        assert got.dtype == want.dtype and _bits(got) == _bits(want)
     assert model.select([2, -2]).zero.tolist() == [True, True]
     assert model.modes[[0, -1]].index.tolist() == [-5, 5]
     assert len(model.select([])) == 0

@@ -41,6 +41,7 @@ from oracles import (
 )
 import visco_inverse.inverse
 from visco_inverse.inverse import _resolvent
+from visco_inverse.modal import StoredRows
 from visco_inverse.volterra import _FFT_ELEMENTS, _LEAF_STEPS, _REALIZED_LEAF_STEPS, _fast_len
 
 # (steps, m) of the chunking cases; m None is a ScalarSignal.  5000 x 7 runs
@@ -500,8 +501,18 @@ class TestInnerProductsAndNorms:
         with pytest.raises(ValueError):
             differentiate(ScalarSignal(g, np.ones(3)))
 
-    @pytest.mark.parametrize("m", [None, 3])
+    @pytest.mark.parametrize("m", [None, 3, "sampled sigma"])
     def test_differentiate_is_numpy_gradient_bit_for_bit(self, m):
+        if m == "sampled sigma":
+            # its derivative takes the same stencils: real values of both
+            # signs over ten decades, on grids down to the 3 steps they need
+            for steps in (3, 4, 5, 97, 1001):
+                g = TimeGrid(1.3, steps)
+                rng = np.random.default_rng(steps)
+                values = rng.choice([-1.0, 1.0], steps + 1) * 10.0 ** rng.uniform(-5, 5, steps + 1)
+                got = SampledModulation(values).sample_derivative(g).values
+                assert np.array_equal(got, np.gradient(values, g.dt, edge_order=2))
+            return
         g = TimeGrid(1.3, 97)
         u = random_signal(np.random.default_rng(12), g, m)
         expected = np.gradient(u.values, g.dt, axis=0, edge_order=2)
@@ -562,7 +573,7 @@ class TestInnerProductsProperties:
         # its first node (or 1 for scalar signals)
         a, _, grid = stacks
         scalars, psis = (a, np.ones((len(a), 1))) if a.ndim == 2 else (a[:, :, 0], a[:, 0, :])
-        family = ModalFamily(grid, tuple(range(len(a))), scalars, psis)
+        family = ModalFamily(grid, tuple(range(len(a))), StoredRows(grid, scalars), psis)
         G = gram(family).entries
         np.testing.assert_array_equal(G, G.conj().T)
         members = family_values(family)
