@@ -301,9 +301,9 @@ class TestValidation:
 
 @st.composite
 def small_configs(draw):
-    """A valid config of every key, N <= 4 and at most 256 steps."""
+    """A valid config of every key, N <= 4 and 3 to 256 steps (the floor)."""
     study = draw(st.sampled_from(STUDIES))
-    n, steps = draw(st.integers(1, 4)), draw(st.integers(2, 256))
+    n, steps = draw(st.integers(1, 4)), draw(st.integers(3, 256))
     horizon = TWO_PI + 0.5
     nodes = np.linspace(0.0, horizon, steps + 1)
     reals = st.floats(0.25, 2.0)

@@ -173,8 +173,8 @@ class TestStructuralIdentities:
         poly = PolynomialKernel((1.0, -0.5))
         for kernel in (poly, ExponentialKernel(0.7, 1.3), ZeroKernel()):
             solve_z_many(model.select((4,)), kernel, g)[0]
+        sampled = SampledKernel(poly.sample(g), m0=poly.at_zero())
         with pytest.raises(HistorySolve):
-            sampled = SampledKernel(poly.sample(g), m0=poly.at_zero())
             solve_z_many(model.select((4,)), sampled, g)[0]
 
     def test_sampled_kernel_w_family_on_a_real_state(self):
