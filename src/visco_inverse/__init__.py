@@ -21,7 +21,6 @@ from .forward import (
 from .frames import (
     FrameBounds,
     GramMatrix,
-    ModalFamily,
     bessel_defect,
     bessel_ratio,
     biorthogonality_defect,
@@ -47,7 +46,7 @@ from .inverse import (
     stability_ratios,
 )
 from .modal import (
-    ModalSolution,
+    ModalFamily,
     ModalTrajectory,
     comparison_defect_scan,
     solve_w_many,

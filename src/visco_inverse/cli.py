@@ -282,6 +282,8 @@ class ExperimentConfig(Record):
             raise ValueError("sigma(0) must be nonzero for the reconstruct study")
         if study == "l2-counterexample" and not isinstance(kernel, ZeroKernel):
             raise ValueError("the l2-counterexample study requires the zero kernel")
+        if study == "zest-decay":
+            kernel.at_zero()  # the comparison rate M(0)/2: a sampled kernel must declare m0
 
         return cls(operator, kernel, sigma, grid, truncation, study, seed,
                    noise_level, output, source, measurement, trials)
@@ -439,10 +441,9 @@ def _study_zest_decay(cfg: ExperimentConfig, model: SpectralModel):
     modes = modes[~modes.zero]
     if not len(modes):
         raise ValueError("zest-decay needs at least one nonzero branch value")
-    indices = modes.index.tolist()
-    defects = comparison_defect_scan(model, cfg.kernel, cfg.grid, indices)
+    defects = comparison_defect_scan(modes, cfg.kernel, cfg.grid)
     header = ["n", "lambda", "defect"]
-    rows = np.column_stack([np.array(indices, dtype=float), np.abs(modes.lam), defects])
+    rows = np.column_stack([modes.index.astype(float), np.abs(modes.lam), defects])
     results = {
         "max_defect": float(defects.max()),
         "min_defect": float(defects.min()),
@@ -544,13 +545,12 @@ def run(cfg: ExperimentConfig) -> int:
         if rows is not None and not np.isfinite(rows).all():
             non_finite.append("rows")
         if non_finite:
-            rows = None
             failure = failure or "non-finite " + ", ".join(sorted(set(non_finite)))
-        if rows is not None:
-            _write_csv(csv_path, header, rows)
-        else:
+        if failure:
             # a failed run must not leave an earlier run's rows beside its summary
             csv_path.unlink(missing_ok=True)
+        else:
+            _write_csv(csv_path, header, rows)
         summary["diagnostics"]["timestamp"] = datetime.now(timezone.utc).isoformat()
         summary["diagnostics"]["exit"] = failure if failure else "ok"
         _write_summary(outdir / f"{cfg.study}.json", summary)

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import ModalFamily, w_trace_family, z_trace_family
+from .frames import w_trace_family, z_trace_family
+from .modal import ModalFamily
 from .record import Record
 from .spectral import ModeArrays, SpectralModel
 from .volterra import (
@@ -100,7 +101,7 @@ def boundary_trace_homogeneous(
     if len(data) != model.truncation:
         raise ValueError("initial data length must equal the model truncation")
     family = z_trace_family(model, kernel, grid)
-    a = _signed_coefficients(data, model.select(family.labels))
+    a = _signed_coefficients(data, family.modes)
     return family.synthesize(0.5 * a)
 
 

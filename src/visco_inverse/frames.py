@@ -3,16 +3,19 @@
 A modal family collects the boundary signals g_n(t) * psi_n for a scalar
 trajectory family g (the z, w or convolved-w trajectories), stored factored
 as the trajectories Z (members, J+1) and trace vectors Psi (members, m).
-For the w and y families Z is real: the real rows of the modal solve, with
-each mode's factor (1, or i for an imaginary lambda_n) folded into Psi, so
-Psi is real, every product that reads Z is a real one and the Gram is real.
-The z family's Z is complex.  A family's trajectories are the step map's
-``LeafTables`` under a kernel with a realization and ``StoredRows`` under a
-sampled one, and both answer one interface (``modal``): the Gram, the
-synthesis Z^T (a * Psi), the inner products with a signal and the y rows
-V_sigma Z come from either alike, so this module reads no storage of its
-own.  Tables give them in O(N d J) time and O(N d L + N^2) memory, with no
-(members, J+1) array; ``scalars`` builds Z on request.
+The family record is the modal solve's own ``modal.ModalFamily``: the z and
+w families are the solves themselves, and the y family is the w solve with
+its rows convolved.  For the w and y families Z is real: the real rows of
+the modal solve, with each mode's factor (1, or i for an imaginary
+lambda_n) folded into Psi, so Psi is real, every product that reads Z is a
+real one and the Gram is real.  The z family's Z is complex.  A family's
+trajectories are the step map's ``LeafTables`` under a kernel with a
+realization and ``StoredRows`` under a sampled one, and both answer one
+interface (``modal``): the Gram, the synthesis Z^T (a * Psi), the inner
+products with a signal and the y rows V_sigma Z come from either alike, so
+this module reads no storage of its own.  Tables give them in O(N d J) time
+and O(N d L + N^2) memory, with no (members, J+1) array; ``scalars`` builds
+Z on request.
 Its Gram matrix under the discrete L2(0,T; G) inner product, the trajectory
 Gram times the trace-vector Gram entry by entry, yields sharp two-sided
 frame constants for the truncated span (extreme eigenvalues).  Its inverse
@@ -30,73 +33,14 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import NumericsError, SingularGramError
-from .modal import LeafTables, StoredRows, solve_w_many, solve_z_many
+from .modal import ModalFamily, solve_w_many, solve_z_many
 from .record import Record, Value
 from .spectral import SpectralModel
-from .volterra import (
-    MemoryKernel,
-    SourceModulation,
-    TimeGrid,
-    TraceSignal,
-)
+from .volterra import MemoryKernel, SourceModulation, TimeGrid, TraceSignal
 
 #: Gram matrices with min eigenvalue below this times the max eigenvalue are
 #: treated as singular (frame failure at this truncation/horizon).
 SINGULAR_GRAM_RTOL = 1e-10
-
-
-class ModalFamily(Record):
-    """Members scalars[n] * psis[n] sharing one grid; labels name the modes."""
-
-    _fields = ("grid", "labels", "trajectories", "psis")
-
-    def __init__(self, grid: TimeGrid, labels: tuple,
-                 trajectories: LeafTables | StoredRows,  # g_n
-                 psis: np.ndarray):  # (members, m), the complex trace vectors psi_n
-        labels = tuple(labels)
-        if not isinstance(trajectories, (LeafTables, StoredRows)):
-            raise TypeError("family trajectories must be LeafTables or StoredRows")
-        psis = np.asarray(psis, dtype=np.complex128)
-        if trajectories.shape != (len(labels), grid.steps + 1):
-            raise ValueError("family scalars must be (members, nodes) on the grid")
-        if psis.ndim != 2 or psis.shape[0] != len(labels) or psis.shape[1] < 1:
-            raise ValueError("family trace vectors must be (members, dim)")
-        psis.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "trajectories", trajectories)
-        object.__setattr__(self, "psis", psis)
-
-    @cached_property
-    def scalars(self) -> np.ndarray:
-        """The trajectories g_n as one read-only (members, J+1) array, built
-        from leaf tables on first use."""
-        return self.trajectories.dense()
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def synthesize(self, coeffs) -> TraceSignal:
-        """Linear combination sum_n coeffs[n] * member_n, as Z^T (coeffs * Psi)."""
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (len(self),):
-            raise ValueError("coefficient vector does not match the family size")
-        weighted = coeffs[:, None] * self.psis
-        if not weighted.imag.any():  # real rows then give a real trace
-            weighted = weighted.real
-        return TraceSignal(self.grid, self.trajectories.tdot(weighted))
-
-    def inner_with(self, signal: TraceSignal) -> np.ndarray:
-        """Vector of <signal, member_n> = sum_c <signal_c, g_n> conj(psi_n,c)."""
-        if signal.grid != self.grid or signal.dim != self.psis.shape[1]:
-            raise ValueError("signal does not match the family grid and dimension")
-        return np.einsum("cn,nc->n", self.trajectories.dot(signal.values).T, self.psis.conj())
-
-
-def _trace_family(solution, labels) -> ModalFamily:
-    """The members factor_n row_n psi_n, with the factors folded into Psi."""
-    psis = solution.factors[:, None] * solution.modes.psi
-    return ModalFamily(solution.grid, labels, solution.trajectories, psis)
 
 
 def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
@@ -106,13 +50,12 @@ def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -
     truncation k, so nested truncation scans reuse one Gram matrix.
     """
     labels = [sign * n for n in range(1, model.truncation + 1) for sign in (1, -1)]
-    return _trace_family(solve_z_many(model.select(labels), kernel, grid), labels)
+    return solve_z_many(model.select(labels), kernel, grid)
 
 
 def w_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
     """Members w_n * psi_n over positive indices 1..N, on real rows."""
-    modes = model.positive_modes
-    return _trace_family(solve_w_many(modes, kernel, grid), modes.index.tolist())
+    return solve_w_many(model.positive_modes, kernel, grid)
 
 
 def y_trace_family(
@@ -123,9 +66,11 @@ def y_trace_family(
 ) -> ModalFamily:
     """Members (V_sigma w_n) * psi_n, the time-integrated source responses,
     on stored rows; a real sigma keeps the rows real, and a realized one
-    convolves them by the leaf-blocked recurrence."""
+    convolves them by the leaf-blocked recurrence.  The w family's modes and
+    factors carry over, and y'(0) = sigma(0) w(0) = 0."""
     w = w_trace_family(model, kernel, grid)
-    return ModalFamily(grid, w.labels, w.trajectories.convolved(modulation.sample(grid)), w.psis)
+    return ModalFamily(w.modes, grid, w.trajectories.convolved(modulation.sample(grid)),
+                       w.factors, np.zeros(len(w), np.complex128))
 
 
 class GramMatrix(Record):

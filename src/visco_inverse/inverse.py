@@ -41,7 +41,6 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import NumericsError
 from .frames import (
     FrameBounds,
-    ModalFamily,
     _member_gram,
     coefficients_via_duals,
     dual_coefficients,
@@ -51,6 +50,7 @@ from .frames import (
     y_trace_family,
 )
 from .forward import SourceCoefficients
+from .modal import ModalFamily
 from .record import Record
 from .spectral import SpectralModel
 from .volterra import (
@@ -431,12 +431,11 @@ def l2_only_counterexample(
         raise ValueError(f"nmax must lie in 1..{model.truncation}")
     family = y_trace_family(model, ZeroKernel(), modulation, grid)
     g = gram(family)
-    labels = family.labels[:nmax]
     norms = np.sqrt(np.diag(g.entries)[:nmax].real)
-    lams = model.select(labels).lam
+    lams = family.modes.lam[:nmax]
     bounds = leading_frame_bounds(g, range(1, nmax + 1))
     return CounterexampleTable(
-        np.array(labels),
+        family.modes.index[:nmax],
         lams,
         np.abs(lams) * norms,
         np.array([b.lower for b in bounds]),

@@ -11,8 +11,9 @@ z(0) + z'(0)*t, with z'(0) = i*sgn(n) for z and 1 for w.
 The equation has real coefficients, so the w family is solved on a real
 state: w_n = (lambda_n / |lambda_n|) r_n, with r_n the real solution with
 data (0, |lambda_n|) and a factor that is 1, or i where q makes mu_n
-negative.  A solve returns the rows, real for w and complex for z, with the
-per-mode factors beside them (``ModalSolution``).
+negative.  A solve returns its family (``ModalFamily``), the one record of it
+that frames, forward and inverse read: the rows, real for w and complex for
+z, beside the per-mode factors and z'(0).
 
 Integration is an implicit-trapezoid step in (g, g'), solved in closed form,
 with the memory integral evaluated by the trapezoid rule over the stored
@@ -37,10 +38,10 @@ direct sums at the last step of every leaf (``HISTORY_RESIDUAL_RTOL``).
 Gram, the products conj(Z) y and Z^T x, V_sigma Z and its H1 Gram), the
 tables in O(N d J) with no (modes, J+1) array, the rows from Z in place;
 which of the two a solve returns is decided here alone.
-Every entry point is batched: ``solve_z_many`` and ``solve_w_many`` take
-the modes as ``ModeArrays`` and advance them together, and
-``comparison_defect_scan`` takes mode indices; one mode is read from a
-solution as a ``ModalTrajectory`` view.  Only g is stored; g' is recovered
+Every entry point is batched and takes the modes as ``ModeArrays``:
+``solve_z_many`` and ``solve_w_many`` advance them together, and
+``comparison_defect_scan`` solves them in chunks; one member is read from a
+family as a ``ModalTrajectory`` view.  Only g is stored; g' is recovered
 on demand.  A state that overflows stops the solve with ``NumericsError``.
 """
 
@@ -82,6 +83,9 @@ from .volterra import (
 #: 5e-9, 1e-6 and 10 of max |Z|.  This bound passes the first and fails the
 #: others: at that size a solve that passes is within about 1e-6 of max |Z|
 HISTORY_RESIDUAL_RTOL = 1e-9
+
+#: modes per solve of ``comparison_defect_scan``
+_DEFECT_CHUNK = 32
 
 
 class ModalTrajectory(Record):
@@ -371,27 +375,48 @@ class StoredRows(Record):
         return gram + _trapezoid_gram(Y, dt)
 
 
-class ModalSolution(Record):
-    """Trajectories factors[n] * rows[n] of a batch of modes on one grid,
-    read one at a time as ``ModalTrajectory`` views of the rows; the solves
-    give the modes as ``ModeArrays``."""
+class ModalFamily(Record):
+    """The solved members factors[n] g_n psi_n of a batch of modes on one
+    grid, g_n the rows of ``trajectories``, and their z'(0) = ``p0``.
+    ``psis`` folds the factors into the trace vectors and ``scalars`` builds
+    the rows on request.  ``family[i]`` is member i as a ``ModalTrajectory``;
+    such views describe solved families only, as their z' assumes the
+    trapezoid step, which the y rows (``frames.y_trace_family``) do not take."""
 
     _fields = ("modes", "grid", "trajectories", "factors", "p0")
 
     def __init__(self, modes: ModeArrays, grid: TimeGrid,
-                 trajectories: LeafTables | StoredRows,
-                 factors: np.ndarray,  # (modes,) complex
-                 p0: np.ndarray):  # (modes,) complex z'(0)
+                 trajectories: LeafTables | StoredRows,  # g_n
+                 factors: np.ndarray,  # (members,) complex
+                 p0: np.ndarray):  # (members,) complex z'(0)
+        if not isinstance(trajectories, (LeafTables, StoredRows)):
+            raise TypeError("family trajectories must be LeafTables or StoredRows")
+        if trajectories.shape != (len(modes), grid.steps + 1):
+            raise ValueError("family scalars must be (members, nodes) on the grid")
+        if modes.psi.ndim != 2 or modes.psi.shape[0] != len(modes) or modes.psi.shape[1] < 1:
+            raise ValueError("family trace vectors must be (members, dim)")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "trajectories", trajectories)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "p0", p0)
 
+    @property
+    def labels(self) -> tuple:
+        return tuple(self.modes.index.tolist())
+
     @cached_property
-    def rows(self) -> np.ndarray:
-        """(modes, J+1), read-only: real for the w family, complex for z;
-        built from leaf tables on first use."""
+    def psis(self) -> np.ndarray:
+        """(members, m), read-only: the trace vectors times the factors."""
+        psis = self.factors[:, None] * self.modes.psi
+        psis.setflags(write=False)
+        return psis
+
+    @cached_property
+    def scalars(self) -> np.ndarray:
+        """The trajectories g_n as one read-only (members, J+1) array, real
+        for the w and y families, complex for z; built from leaf tables on
+        first use."""
         return self.trajectories.dense()
 
     def __len__(self) -> int:
@@ -399,8 +424,24 @@ class ModalSolution(Record):
 
     def __getitem__(self, i: int) -> ModalTrajectory:
         # an index past the end raises IndexError, which ends iteration
-        return ModalTrajectory(self.modes[i], self.grid, self.rows[i],
+        return ModalTrajectory(self.modes[i], self.grid, self.scalars[i],
                                complex(self.factors[i]), complex(self.p0[i]))
+
+    def synthesize(self, coeffs) -> TraceSignal:
+        """Linear combination sum_n coeffs[n] * member_n, as Z^T (coeffs * Psi)."""
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if coeffs.shape != (len(self),):
+            raise ValueError("coefficient vector does not match the family size")
+        weighted = coeffs[:, None] * self.psis
+        if not weighted.imag.any():  # real rows then give a real trace
+            weighted = weighted.real
+        return TraceSignal(self.grid, self.trajectories.tdot(weighted))
+
+    def inner_with(self, signal: TraceSignal) -> np.ndarray:
+        """Vector of <signal, member_n> = sum_c <signal_c, g_n> conj(psi_n,c)."""
+        if signal.grid != self.grid or signal.dim != self.psis.shape[1]:
+            raise ValueError("signal does not match the family grid and dimension")
+        return np.einsum("cn,nc->n", self.trajectories.dot(signal.values).T, self.psis.conj())
 
 
 def _overflow(n: int, J: int, exc) -> NumericsError:
@@ -630,7 +671,7 @@ def _initial_data(modes: ModeArrays, family: str):
     return np.zeros(len(modes), np.complex128), np.where(modes.zero, 1.0 + 0.0j, modes.lam)
 
 
-def _solve_many(modes: ModeArrays, kernel, grid, family: str) -> ModalSolution:
+def _solve_many(modes: ModeArrays, kernel, grid, family: str) -> ModalFamily:
     z0, p0 = _initial_data(modes, family)
     factors = np.ones(len(modes), dtype=np.complex128)
     data = z0, p0
@@ -644,10 +685,10 @@ def _solve_many(modes: ModeArrays, kernel, grid, family: str) -> ModalSolution:
     trajectories = _leaf_tables(mus, *data, kernel, grid)
     if trajectories is None:
         trajectories = StoredRows(grid, _integrate_family(mus, *data, kernel, grid))
-    return ModalSolution(modes, grid, trajectories, factors, p0)
+    return ModalFamily(modes, grid, trajectories, factors, p0)
 
 
-def solve_z_many(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
+def solve_z_many(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
     """Trajectories with data (1, i*lambda_n) for the given modes at once, as
     ``model.modes``, ``model.select(labels)`` or ``model.positive_modes``
     give them.  The rows are complex, held as ``LeafTables`` with complex
@@ -655,7 +696,7 @@ def solve_z_many(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid) -> Mod
     return _solve_many(modes, kernel, grid, "z")
 
 
-def solve_w_many(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid) -> ModalSolution:
+def solve_w_many(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
     """Trajectories with data (0, lambda_n) for the given modes at once; these
     vanish at t = 0.  The rows are real: the solutions with data
     (0, |lambda_n|), held as ``LeafTables`` for a kernel with a realization."""
@@ -667,31 +708,23 @@ def _exponential(p0: complex, kernel: MemoryKernel, grid: TimeGrid) -> np.ndarra
     return np.exp((0.5 * kernel.at_zero() + p0) * grid.nodes)
 
 
-def _comparison_defects(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid,
-                        chunk: int) -> np.ndarray:
-    """|lambda_n|^2 ||z_n - comparison_n||^2 for nonzero-branch modes.
+def comparison_defect_scan(modes: ModeArrays, kernel: MemoryKernel,
+                           grid: TimeGrid) -> np.ndarray:
+    """|lambda_n|^2 times the squared L2 distance of z_n from its comparison
+    exp((M(0)/2 + i*lambda_n) t), for the given nonzero-branch modes.
 
-    Modes are solved in chunks to bound memory on long grids, and each
+    The distance decays like 1/|lambda_n|, so this product stays bounded over
+    the mode range; it is the quantity scanned for growth trends.  Modes are
+    solved ``_DEFECT_CHUNK`` at a time to bound memory on long grids, and each
     defect is reduced row by row so no (chunk, J+1) comparison array exists.
     """
     if modes.zero.any():
         raise ValueError("the comparison defect is identically zero on the zero branch")
     out = np.empty(len(modes))
-    for start in range(0, len(modes), chunk):
-        solution = solve_z_many(modes[start:start + chunk], kernel, grid)
-        for row, (z, p0) in enumerate(zip(solution.rows, solution.p0)):
+    for start in range(0, len(modes), _DEFECT_CHUNK):
+        family = solve_z_many(modes[start:start + _DEFECT_CHUNK], kernel, grid)
+        for row, (z, p0) in enumerate(zip(family.scalars, family.p0)):
             diff = (z - _exponential(p0, kernel, grid))[None]
             lam = complex(modes.lam[start + row])
             out[start + row] = abs(lam) ** 2 * inner_products(diff, diff, grid)[0, 0].real
     return out
-
-
-def comparison_defect_scan(model, kernel: MemoryKernel, grid: TimeGrid, indices,
-                           chunk: int = 32) -> np.ndarray:
-    """|lambda_n|^2 times the squared L2 distance of z_n from its comparison
-    exp((M(0)/2 + i*lambda_n) t), for the listed positive mode indices.
-
-    The distance decays like 1/|lambda_n|, so this product stays bounded over
-    the mode range; it is the quantity scanned for growth trends.
-    """
-    return _comparison_defects(model.select(indices), kernel, grid, chunk)

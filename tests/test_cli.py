@@ -200,6 +200,18 @@ class TestValidation:
         cfg = base_config(kernel={"variant": "exponential", "beta": 1.0, "alpha": 1.0})
         assert main(["l2-counterexample", "--config", str(write_config(tmp_path, cfg))]) == 2
 
+    def test_zest_decay_sampled_kernel_needs_m0_at_parse_time(self, tmp_path, capsys):
+        # the comparison rate M(0)/2 reads m0, so the run is refused before its solve
+        cfg = base_config(kernel={"variant": "sampled", "values": [1.0] * 257},
+                          grid={"T": TWO_PI, "dt": TWO_PI / 256})
+        out = tmp_path / "o"
+        assert main(["zest-decay", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sampled kernel used without a declared M(0)\n"
+        assert not out.exists()
+        cfg["kernel"]["m0"] = 1.0
+        assert ExperimentConfig.from_mapping(cfg, "zest-decay").kernel.at_zero() == 1.0
+
     def test_negative_noise(self, tmp_path):
         cfg = base_config(noise_level=-0.5)
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 2
@@ -663,11 +675,15 @@ class TestOtherStudies:
         cfg = base_config(grid={"T": PI, "dt": PI / 4096}, N=32,
                           kernel={"variant": "exponential", "beta": 1.0, "alpha": 1.0})
         out = tmp_path / "fb"
+        # rows left by an earlier run go, and the failed sweep writes none
+        out.mkdir()
+        (out / "frame-bounds.csv").write_text("truncation,members,min_eig,max_eig\n")
         code = main(["frame-bounds", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert code == 3
         assert "singular Gram" in capsys.readouterr().err
         summary = json.loads((out / "frame-bounds.json").read_text())
         assert summary["diagnostics"]["exit"] == "singular Gram"
+        assert not (out / "frame-bounds.csv").exists()
 
     @pytest.mark.parametrize("shift, low, high", [(-36.0, 1e15, math.inf), (0.0, 1.0, 10.0)],
                              ids=["decaying", "oscillating"])

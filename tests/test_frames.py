@@ -16,6 +16,7 @@ from visco_inverse import (
     FrameBounds,
     GramMatrix,
     ModalFamily,
+    ModalTrajectory,
     OperatorSpec,
     PolynomialKernel,
     SampledKernel,
@@ -41,6 +42,7 @@ from visco_inverse import (
     y_trace_family,
     z_trace_family,
 )
+from families import synthetic_family
 from oracles import complex_w_route, dual_values, family_values, naive_inner_products
 from visco_inverse.modal import LeafTables, StoredRows, _leaf_tables
 from visco_inverse.volterra import _LEAF_STEPS, _trapezoid_gram
@@ -61,8 +63,7 @@ def model():
 def sine_family(grid, count, scale=None):
     scale = math.sqrt(2 / PI) if scale is None else scale
     vals = np.stack([scale * np.sin(n * grid.nodes) for n in range(1, count + 1)])
-    return ModalFamily(grid, tuple(range(1, count + 1)), StoredRows(grid, vals),
-                       np.ones((count, 1)))
+    return synthetic_family(grid, StoredRows(grid, vals), np.ones((count, 1)))
 
 
 class TestGram:
@@ -72,11 +73,11 @@ class TestGram:
 
     def test_family_holds_a_storage_not_bare_rows(self, grid):
         with pytest.raises(TypeError, match="LeafTables or StoredRows"):
-            ModalFamily(grid, (1,), np.zeros((1, grid.steps + 1)), np.ones((1, 1)))
+            synthetic_family(grid, np.zeros((1, grid.steps + 1)), np.ones((1, 1)))
 
     def test_zero_member(self, grid):
-        fam = ModalFamily(grid, (1,), StoredRows(grid, np.zeros((1, grid.steps + 1))),
-                          np.ones((1, 1)))
+        fam = synthetic_family(grid, StoredRows(grid, np.zeros((1, grid.steps + 1))),
+                               np.ones((1, 1)))
         G = gram(fam)
         assert G.entries[0, 0] == 0.0
 
@@ -146,6 +147,26 @@ class TestFrameBounds:
             leading_frame_bounds(G, [0])
         with pytest.raises(ValueError):
             leading_frame_bounds(G, [5])
+
+
+@pytest.mark.parametrize("build", ["z", "w", "y"])
+def test_a_family_is_one_record_of_its_modes(build):
+    # q = -1.5 gives mode 1 an imaginary lambda, so a w factor of i
+    model = build_spectral_model(OperatorSpec(PI, -1.5, ("left", "right")), 4)
+    grid = TimeGrid(2 * PI + 0.5, 600)
+    kernel = ExponentialKernel(1.0, 1.0)
+    family = {"z": lambda: z_trace_family(model, kernel, grid),
+              "w": lambda: w_trace_family(model, kernel, grid),
+              "y": lambda: y_trace_family(model, kernel, AffineModulation(1.0, 0.5), grid)}[build]()
+    assert family.labels == tuple(family.modes.index)
+    expected = family.factors[:, None] * family.modes.psi
+    assert family.psis.tobytes() == expected.tobytes() and not family.psis.flags.writeable
+    if build == "y":
+        assert family.p0.tobytes() == np.zeros(len(family), complex).tobytes()
+    else:  # a solve, read as one ModalTrajectory view per member
+        members = list(family)
+        assert all(isinstance(m, ModalTrajectory) for m in members)
+        assert [m.mode.index for m in members] == list(family.labels)
 
 
 def test_batched_y_family_matches_per_member_convolution(grid, model):
@@ -263,7 +284,7 @@ def test_real_gram_in_place_matches_the_weighted_route(steps):
         rng.standard_normal((3, len(t))),
         w_trace_family(model, ExponentialKernel(1.0, 1.0), grid).scalars,
     ])
-    fam = ModalFamily(grid, range(len(rows)), StoredRows(grid, rows), np.ones((len(rows), 1)))
+    fam = synthetic_family(grid, StoredRows(grid, rows), np.ones((len(rows), 1)))
     assert rows.argmax(axis=1)[:4].tolist() == [steps] * 4
     raw = inner_products(rows, rows, grid)
     expected = 0.5 * (raw + raw.T)
@@ -381,9 +402,8 @@ class TestLeafTableRoute:
         grid = tables.grid
         Z = tables.dense()
         nm = len(Z)
-        labels = tuple(range(nm))
         psis = rng.standard_normal((nm, dim))
-        leaf, stored = (ModalFamily(grid, labels, rows, psis)
+        leaf, stored = (synthetic_family(grid, rows, psis)
                         for rows in (tables, StoredRows(grid, Z)))
 
         scale = np.sqrt(np.diag(_trapezoid_gram(Z, grid.dt)))
@@ -459,9 +479,10 @@ class TestZTableRoute:
             return np.sqrt(np.sum(grid.weights @ np.abs(x.reshape(len(x), -1)) ** 2))
 
         for rows in (tables, turned):
-            leaf = ModalFamily(grid, family.labels, rows, family.psis)
+            leaf = ModalFamily(family.modes, grid, rows, family.factors, family.p0)
             Z = rows.dense()
-            stored = ModalFamily(grid, family.labels, StoredRows(grid, Z), family.psis)
+            stored = ModalFamily(family.modes, grid, StoredRows(grid, Z), family.factors,
+                                 family.p0)
             # c_m, row m's cancellation factor: the size of its table terms
             # over the size of its values, which a decaying member makes large
             terms = (np.abs(rows.starts).max(axis=2) * np.abs(rows.rows).max(axis=2)).sum(axis=1)
@@ -545,8 +566,8 @@ def test_perturbation_bracketing(grid):
     bump = np.stack([
         0.05 * math.sqrt(2 / PI) * np.sin((n + 6) * grid.nodes) for n in range(1, 7)
     ])
-    perturbed = ModalFamily(grid, base.labels, StoredRows(grid, base.scalars + bump), base.psis)
-    diff = ModalFamily(grid, base.labels, StoredRows(grid, bump), base.psis)
+    perturbed = synthetic_family(grid, StoredRows(grid, base.scalars + bump), base.psis)
+    diff = synthetic_family(grid, StoredRows(grid, bump), base.psis)
     G_base = gram(base)
     G_diff = gram(diff)
     # q^2 = sup ||sum a (e - f)||^2 / ||sum a e||^2, a generalized eigenproblem

@@ -86,7 +86,7 @@ class TestZeroBranch:
 
     def test_defect_rejected(self, j0_model, grid):
         with pytest.raises(ValueError):
-            comparison_defect_scan(j0_model, ZeroKernel(), grid, [1])
+            comparison_defect_scan(j0_model.select([1]), ZeroKernel(), grid)
 
 
 class TestAgainstAugmentedOracle:
@@ -197,9 +197,9 @@ class TestStructuralIdentities:
         g = TimeGrid.from_step(1.0, 1e-2)
         model = build_spectral_model(OperatorSpec(PI, -4.0), 3)  # mu = -3, 0, 5
         solution = solve_w_many(model.positive_modes, ExponentialKernel(1.0, 1.0), g)
-        assert solution.rows.dtype == np.float64
+        assert solution.scalars.dtype == np.float64
         np.testing.assert_array_equal(solution.factors, [1j, 1.0, 1.0])
-        np.testing.assert_array_equal(solution.rows[1], g.nodes)
+        np.testing.assert_array_equal(solution.scalars[1], g.nodes)
         for traj, mode in zip(solution, model.positive_modes):
             assert traj.z_prime.values[0] == (mode.lam if mode.branch == "J1" else 1.0)
 
@@ -227,29 +227,33 @@ class TestComparison:
     def test_sampled_kernel_without_m0_rejected(self, model, grid):
         kernel = SampledKernel(np.ones(grid.steps + 1))
         with pytest.raises(ValueError):
-            comparison_defect_scan(model, kernel, grid, [2])
+            comparison_defect_scan(model.select([2]), kernel, grid)
 
     def test_zero_memory_defect_vanishes(self, model, grid):
-        assert comparison_defect_scan(model, ZeroKernel(), grid, [2])[0] < 1e-9
+        assert comparison_defect_scan(model.select([2]), ZeroKernel(), grid)[0] < 1e-9
 
-    def test_defect_bounded_over_modes(self):
+    def test_defect_bounded_over_modes(self, monkeypatch):
+        # chunks of 8 over 17 modes cover a chunk edge and a short last chunk
+        monkeypatch.setattr(modal, "_DEFECT_CHUNK", 8)
         model = build_spectral_model(OperatorSpec(PI), 24)
         g = TimeGrid.from_step(2 * PI + 0.5, 2e-4)
-        defects = comparison_defect_scan(model, ExponentialKernel(1.0, 1.0), g, range(8, 25), chunk=8)
+        defects = comparison_defect_scan(model.select(range(8, 25)), ExponentialKernel(1.0, 1.0), g)
         # no growth trend: later values stay within a factor two of n = 8
         assert defects[1:].max() <= 2.0 * defects[0]
 
     def test_scan_matches_single_mode(self, model):
         g = TimeGrid.from_step(1.0, 1e-3)
         kernel = ExponentialKernel(1.0, 1.0)
-        scan = comparison_defect_scan(model, kernel, g, [4, 7])
-        assert scan[0] == pytest.approx(comparison_defect_scan(model, kernel, g, [4])[0], rel=1e-12)
-        assert scan[1] == pytest.approx(comparison_defect_scan(model, kernel, g, [7])[0], rel=1e-12)
+        scan = comparison_defect_scan(model.select([4, 7]), kernel, g)
+        assert scan[0] == pytest.approx(comparison_defect_scan(model.select([4]), kernel, g)[0],
+                                        rel=1e-12)
+        assert scan[1] == pytest.approx(comparison_defect_scan(model.select([7]), kernel, g)[0],
+                                        rel=1e-12)
 
     def test_scan_rejects_zero_branch(self, grid):
         model = build_spectral_model(OperatorSpec(PI, -1.0), 2)
         with pytest.raises(ValueError):
-            comparison_defect_scan(model, ZeroKernel(), grid, [1, 2])
+            comparison_defect_scan(model.select([1, 2]), ZeroKernel(), grid)
 
 
 #: step counts at the edges of one, two and three leaves, and others
@@ -466,7 +470,8 @@ def test_a_selected_mode_solves_as_its_member_of_the_full_solve(kernel, solve):
         _same_bits(one.p0, full.p0[i:i + 1])
         if isinstance(kernel, SampledKernel) and solve is solve_z_many:
             # the history's complex-by-real products round by batch size
-            gap = np.max(np.abs(one.rows[0] - full.rows[i])) / np.max(np.abs(full.rows[i]))
+            row = full.scalars[i]
+            gap = np.max(np.abs(one.scalars[0] - row)) / np.max(np.abs(row))
             assert gap <= 1e-14, gap
         else:
-            _same_bits(one.rows, full.rows[i:i + 1])
+            _same_bits(one.scalars, full.scalars[i:i + 1])

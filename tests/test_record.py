@@ -16,7 +16,6 @@ from visco_inverse import (
     GramMatrix,
     InitialData,
     ModalFamily,
-    ModalSolution,
     ModalTrajectory,
     Mode,
     ModeArrays,
@@ -43,7 +42,8 @@ MODE = Mode(1, 1.0, 1.0 + 0.0j, np.ones(1), "J1")
 BOUNDS = FrameBounds(0.5, 2.0, 1, 1.0)
 MODES = ModeArrays(np.ones(1, int), np.ones(1), np.ones(1, complex), np.ones((1, 1)),
                    np.zeros(1, bool))
-FAMILY = ModalFamily(GRID, (1,), StoredRows(GRID, np.ones((1, 5))), np.ones((1, 1)))
+FAMILY = ModalFamily(MODES, GRID, StoredRows(GRID, np.ones((1, 5))), np.ones(1, complex),
+                     np.zeros(1, complex))
 SOURCE = SourceCoefficients(np.ones(2))
 
 #: every record class of the package, with constructor arguments
@@ -66,9 +66,8 @@ CASES = {
     ModalTrajectory: (MODE, GRID, np.ones(5), 1.0 + 0.0j, 0.0j),
     LeafTables: (GRID, np.ones((1, 2, 4)), np.ones((1, 2, 1)), np.zeros(0, int)),
     StoredRows: (GRID, np.ones((1, 5))),
-    ModalSolution: (MODES, GRID, StoredRows(GRID, np.ones((1, 5))), np.ones(1, complex),
-                    np.zeros(1, complex)),
-    ModalFamily: (GRID, (1,), StoredRows(GRID, np.ones((1, 5))), np.ones((1, 1))),
+    ModalFamily: (MODES, GRID, StoredRows(GRID, np.ones((1, 5))), np.ones(1, complex),
+                  np.zeros(1, complex)),
     GramMatrix: (np.eye(1), 1.0, (1,)),
     FrameBounds: (0.5, 2.0, 1, 1.0),
     InitialData: (np.ones(2), np.zeros(2)),
@@ -86,7 +85,7 @@ VALUES = {TimeGrid, OperatorSpec, FrameBounds, ZeroKernel, ExponentialKernel, Po
           ConstantModulation, ExponentialModulation, AffineModulation}
 
 #: the cached_property members, which write the instance __dict__ directly
-CACHED = {TimeGrid: {"nodes", "weights"}, ModalSolution: {"rows"}, ModalFamily: {"scalars"},
+CACHED = {TimeGrid: {"nodes", "weights"}, ModalFamily: {"psis", "scalars"},
           GramMatrix: {"bounds"}}
 
 REPRS = {
@@ -103,7 +102,7 @@ def test_cases_cover_every_record_class():
         module = importlib.import_module(f"visco_inverse.{name}")
         defined |= {obj for obj in vars(module).values() if inspect.isclass(obj)
                     and issubclass(obj, Record) and obj.__module__ == module.__name__}
-    assert defined == set(CASES) and len(CASES) == 28
+    assert defined == set(CASES) and len(CASES) == 27
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)

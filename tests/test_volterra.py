@@ -11,7 +11,6 @@ from visco_inverse import (
     ConstantModulation,
     ExponentialKernel,
     ExponentialModulation,
-    ModalFamily,
     NumericsError,
     OperatorSpec,
     PolynomialKernel,
@@ -33,6 +32,7 @@ from visco_inverse import (
     l2_norm,
     resolvent_kernel,
 )
+from families import synthetic_family
 from oracles import (
     family_values,
     naive_inner_products,
@@ -573,7 +573,7 @@ class TestInnerProductsProperties:
         # its first node (or 1 for scalar signals)
         a, _, grid = stacks
         scalars, psis = (a, np.ones((len(a), 1))) if a.ndim == 2 else (a[:, :, 0], a[:, 0, :])
-        family = ModalFamily(grid, tuple(range(len(a))), StoredRows(grid, scalars), psis)
+        family = synthetic_family(grid, StoredRows(grid, scalars), psis)
         G = gram(family).entries
         np.testing.assert_array_equal(G, G.conj().T)
         members = family_values(family)
