@@ -497,7 +497,13 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_summary(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    """The summary indented, but its config echo, which may hold a sampled
+    input's values, on one line: json's C encoder writes it, where ``indent``
+    takes the pure-Python one."""
+    text = json.dumps({**payload, "config": 0}, indent=2, sort_keys=True, allow_nan=False)
+    echo = json.dumps(payload["config"], sort_keys=True, allow_nan=False)
+    # the top-level key alone has an indent of two: nested keys sit deeper
+    path.write_text(text.replace('\n  "config": 0', '\n  "config": ' + echo, 1) + "\n")
 
 
 def _finite_only(value, found: list, key: str = ""):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -368,13 +369,145 @@ class _Hashed(ISeedSequence):
         return self.words
 
 
+#: PCG64's multiplier: numpy's PCG XSL-RR 128/64 steps s -> s M + inc mod 2^128
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M_HI, _M_LO = map(np.uint64, divmod(_PCG_MULT, 1 << 64))
+_M_LO_HALVES = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_LOW32, _32 = np.uint64(_MASK32), np.uint64(32)
+#: numpy's draws of each forced trial of ``_forced_trials``: the first reads a
+#: ziggurat width, and all of them check the fast path
+_CHECK_DRAWS = 8
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> tuple:
+    """s M + inc mod 2^128 for 128-bit s and inc held as (hi, lo) uint64 arrays,
+    whose arithmetic wraps; the high word of lo M_lo comes from 32-bit halves."""
+    a0, a1 = lo & _LOW32, lo >> _32
+    b0, b1 = _M_LO_HALVES
+    mid = a1 * b0 + (a0 * b0 >> _32)
+    cross = a0 * b1 + (mid & _LOW32)
+    hi = hi * _M_LO + lo * _M_HI + a1 * b1 + (mid >> _32) + (cross >> _32) + inc_hi
+    lo = lo * _M_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _ziggurat_fast(raw: np.ndarray, wi: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """numpy's standard normals from raw outputs on its ziggurat's fast path,
+    written to ``out``, and where each draw keeps to that path.
+
+    Bits 0-7 pick the layer, bit 8 the sign and bits 9-60 the magnitude
+    rabs.  Indexed by the low 9 bits, wi holds the signed widths and k the
+    lower bounds on numpy's ki: the draw is rabs wi, which numpy returns when
+    rabs is below ki.
+    """
+    low = (raw & np.uint64(0x1FF)).view(np.int64)
+    rabs = raw >> np.uint64(9) & np.uint64((1 << 52) - 1)
+    # 2^52 + rabs is exact as a double, and so is its difference with 2^52
+    np.subtract((rabs | np.uint64(0x433 << 52)).view(np.float64), 2.0**52, out=out)
+    out *= wi.take(low)
+    return rabs < k.take(low)
+
+
+def _fast_draws(words: np.ndarray, wi: np.ndarray, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row i of ``rows`` gets the fast path's draws for the PCG64 seeded from
+    words[i]; returns where each draw keeps to that path.
+
+    Every PCG64 runs at once, one draw per column.  numpy seeds from
+    (initstate_hi, initstate_lo, initseq_hi, initseq_lo): inc = 2 initseq + 1,
+    then state inc + initstate and one step.  Each raw output is a step, then
+    hi ^ lo rotated right by the top 6 bits of hi.
+    """
+    initstate_hi, initstate_lo, initseq_hi, initseq_lo = words.T
+    one = np.uint64(1)
+    inc_hi = initseq_hi << one | initseq_lo >> np.uint64(63)
+    inc_lo = initseq_lo << one | one
+    lo = inc_lo + initstate_lo
+    hi, lo = _pcg_step(inc_hi + initstate_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    fast = np.empty(rows.shape, bool)
+    for column, keeps in zip(rows.T, fast.T):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        value, rot = hi ^ lo, hi >> np.uint64(58)
+        # a left shift by 64 - 0 would be a shift by the full width
+        raw = value >> rot | value << (np.uint64(64) - rot & np.uint64(63))
+        keeps[...] = _ziggurat_fast(raw, wi, k, column)
+    return fast
+
+
+def _numpy_draws(words: np.ndarray, rows: np.ndarray):
+    """Row i of ``rows`` gets numpy's standard normals from the PCG64 seeded
+    from words[i]."""
+    for w, row in zip(words, rows):
+        Generator(PCG64(_Hashed(w))).standard_normal(out=row)
+
+
+def _forced_trials() -> tuple:
+    """Words of 256 trials whose first raw output has rabs = 1 at each layer,
+    and numpy's first ``_CHECK_DRAWS`` draws of each, so column 0 holds the
+    layer widths wi.
+
+    With inc = 1 (initseq 0) the state one step before u, of high word 0, is
+    p = (u - 1) M^-1 and outputs u itself, and seeding reaches p from
+    initstate (p - 1) M^-1 - 1.  Layer 1 takes numpy's slow path even at
+    rabs = 1, which accepts its draw of 5e-17 for all but the largest
+    uniforms.
+    """
+    inverse, words = pow(_PCG_MULT, -1, 1 << 128), np.zeros((256, 4), np.uint64)
+    for layer, w in enumerate(words):
+        initstate = ((((1 << 9 | layer) - 1) * inverse - 1) * inverse - 1) % (1 << 128)
+        w[:2] = divmod(initstate, 1 << 64)
+    draws = np.empty((256, _CHECK_DRAWS))
+    _numpy_draws(words, draws)
+    return words, draws
+
+
+def _tables(wi: np.ndarray, words: np.ndarray, draws: np.ndarray) -> tuple:
+    """The signed widths and the bounds of ``_ziggurat_fast`` from numpy's
+    widths wi, checked on the trials of ``_forced_trials``.
+
+    The lower bounds k on numpy's ki come from the layer edges x = 2^52 wi:
+    ki[i] is 2^52 x[i-1] / x[i] for i >= 2 and 2^52 x[255] / x[0] at the base
+    layer 0, and layer 1 never takes the fast path.  The fast path must give
+    numpy's draws up to each trial's first draw that leaves it, or every
+    bound is 0: a change in numpy then costs speed and never a draw.
+    """
+    x = np.ldexp(wi, 52)
+    k = np.zeros(256, np.uint64)
+    k[2:] = np.ldexp(x[1:-1] / x[2:], 52)
+    k[0] = np.ldexp(x[255] / x[0], 52)
+    wi, k = np.concatenate((wi, -wi)), np.tile(k, 2)
+    values = np.empty_like(draws)
+    checked = np.logical_and.accumulate(_fast_draws(words, wi, k, values), axis=1)
+    if not np.array_equal(values[checked].view(np.uint64), draws[checked].view(np.uint64)):
+        k[:] = 0
+    return wi, k
+
+
+@lru_cache
+def _ziggurat() -> tuple:
+    """The tables of ``_ziggurat_fast``, built at the first scan of a process
+    and shared by every later one, so read-only."""
+    words, draws = _forced_trials()
+    tables = _tables(draws[:, 0].copy(), words, draws)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _trial_draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """Row i - start is default_rng((seed, i)).standard_normal(n) bit for bit,
-    for start <= i < stop: each trial's PCG64 is seeded, in C, from its row
-    of ``_seed_states``."""
+    for start <= i < stop.
+
+    Every trial runs at once from its row of ``_seed_states``, through the
+    ziggurat's fast path.  A trial with a draw off that path, about a fifth
+    of them at n = 16, is drawn again by numpy from its words, so numpy's
+    slow path, with its exp and log1p, is never reimplemented.
+    """
+    words = _seed_states(seed, start, stop)
     rows = np.empty((stop - start, n))
-    for row, words in zip(rows, _seed_states(seed, start, stop)):
-        Generator(PCG64(_Hashed(words))).standard_normal(out=row)
+    slow = np.flatnonzero(~_fast_draws(words, *_ziggurat(), rows).all(axis=1))
+    redo = rows[slow]
+    _numpy_draws(words[slow], redo)
+    rows[slow] = redo
     return rows
 
 
@@ -385,8 +518,9 @@ def stability_ratios(h1_gram: np.ndarray, trials: int, seed: int) -> np.ndarray:
     Trial i draws f from ``default_rng((seed, i))``, bit for bit, so an
     ensemble at truncation 2N extends the ensemble at truncation N draw by
     draw.  The seeds of a block of trials are hashed in one vectorised pass,
-    and numpy seeds each trial's generator from its hashed words.  Trial
-    indices must fit 32 bits.
+    and the block's generators run at once as array arithmetic; numpy draws
+    only the trials that leave its ziggurat's fast path.  Trial indices must
+    fit 32 bits.
     """
     if not 1 <= trials <= 1 << 32:
         raise ValueError("trials must lie in 1..2^32")

@@ -27,6 +27,7 @@ from visco_inverse import (
     l2_inner,
     l2_norm,
 )
+import visco_inverse.cli as cli
 from visco_inverse.cli import (
     _KERNELS, _SIGMAS, MAX_MODE_NODES, STUDIES, ExperimentConfig, _real, _reals, _write_csv,
     main, run)
@@ -1010,6 +1011,27 @@ class TestConfigObject:
         effective = ExperimentConfig.from_mapping(raw, raw["study"]).effective()
         assert effective["kernel"] == raw["kernel"]
         assert effective["sigma"] == raw["sigma"]
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_summary_reads_as_one_indented_throughout(self, path, tmp_path, monkeypatch):
+        payloads = []
+        write = cli._write_summary
+
+        def keeping(target, payload):
+            payloads.append(payload)
+            write(target, payload)
+
+        monkeypatch.setattr(cli, "_write_summary", keeping)
+        raw = json.loads(path.read_text())
+        cfg = ExperimentConfig.from_mapping({**raw, "output": str(tmp_path)}, raw["study"])
+        assert run(cfg) == 0
+        text = (tmp_path / f"{cfg.study}.json").read_text()
+        indented = json.dumps(payloads[0], indent=2, sort_keys=True, allow_nan=False)
+        assert json.loads(text) == json.loads(indented)
+        # the echo alone is compact: one line, and every other line as indent=2 writes it
+        echo = [line for line in text.splitlines() if line.startswith('  "config": ')]
+        assert len(echo) == 1
+        assert set(text.splitlines()) - set(echo) <= set(indented.splitlines())
 
     def test_run_requires_writable_output(self, tmp_path):
         blocker = tmp_path / "file"

@@ -50,7 +50,8 @@ from oracles import (
 )
 import visco_inverse.inverse
 from visco_inverse.inverse import (
-    _SCAN_BLOCK, _Hashed, _identity_residuals, _seed_states, _trial_draws)
+    _PCG_MULT, _SCAN_BLOCK, _Hashed, _forced_trials, _identity_residuals, _seed_states, _tables,
+    _trial_draws, _ziggurat)
 from visco_inverse.modal import StoredRows
 from visco_inverse.volterra import _LEAF_STEPS, _REALIZED_LEAF_STEPS, _trapezoid_gram
 
@@ -643,6 +644,74 @@ class TestHashedSeeding:
                 assert PCG64(_Hashed(row)).state == PCG64(SeedSequence((seed, i))).state
 
         check()
+
+
+def forced_normal(raw: int) -> tuple:
+    """numpy's standard_normal() when PCG64's next raw output is ``raw``, and
+    whether it took that one output alone."""
+    # with inc = 1 and a high word of 0, the state one step before u outputs u
+    state = (raw - 1) * pow(_PCG_MULT, -1, 1 << 128) % (1 << 128)
+    bits = PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": 1},
+                  "has_uint32": 0, "uinteger": 0}
+    value = np.random.Generator(bits).standard_normal()
+    return value, bits.state["state"]["state"] == raw
+
+
+def counting_replays(monkeypatch) -> list:
+    """The words of every trial that ``_trial_draws`` hands to numpy from now on."""
+    replays = []
+
+    class Counted(_Hashed):
+        def __init__(self, words):
+            replays.append(words)
+            super().__init__(words)
+
+    monkeypatch.setattr(visco_inverse.inverse, "_Hashed", Counted)
+    return replays
+
+
+class TestZigguratTables:
+    # forced raw outputs: layer in bits 0-7, sign in bit 8, magnitude rabs above;
+    # the tables are indexed by the low 9 bits
+    def test_widths_are_numpy_draws_at_unit_magnitude(self):
+        wi, _ = _ziggurat()
+        for layer in set(range(256)) - {1}:
+            value, one_step = forced_normal(1 << 9 | layer)
+            assert one_step and value == wi[layer]
+            value, one_step = forced_normal(1 << 9 | 1 << 8 | layer)
+            assert one_step and value == wi[256 + layer] == -wi[layer]
+
+    def test_numpy_takes_one_step_just_below_each_bound(self):
+        wi, k = _ziggurat()
+        # every layer but the top one, which numpy never accepts at once
+        assert k[1] == 0 and np.count_nonzero(k[:256]) == 255
+        assert np.array_equal(k[256:], k[:256])
+        for layer in np.flatnonzero(k[:256]):
+            rabs = int(k[layer]) - 1
+            value, one_step = forced_normal(rabs << 9 | int(layer))
+            assert one_step and value == rabs * wi[layer]
+
+    def test_about_a_fifth_of_the_trials_replay(self, monkeypatch):
+        _ziggurat()  # built first: its check draws through numpy too
+        replays = counting_replays(monkeypatch)
+        _trial_draws(11, 0, 4000, 16)
+        assert 0.1 * 4000 < len(replays) < 0.35 * 4000
+
+    @pytest.mark.parametrize("layer", [0, 2, 128, 255])
+    def test_a_wrong_width_sends_every_trial_to_numpy(self, layer, monkeypatch):
+        words, draws = _forced_trials()
+        wi = draws[:, 0].copy()
+        wi[layer] = np.nextafter(wi[layer], np.inf)
+        tables = _tables(wi, words, draws)
+        assert not tables[1].any()
+        monkeypatch.setattr(visco_inverse.inverse, "_ziggurat", lambda: tables)
+        replays = counting_replays(monkeypatch)
+        rows = _trial_draws(11, 0, 300, 16)
+        assert len(replays) == 300
+        expected = [np.random.default_rng((11, i)).standard_normal(16) for i in range(300)]
+        assert np.array_equal(rows, np.array(expected))
+
 
 class TestCounterexample:
     def test_scaled_norms_near_sqrt6(self, grid):
