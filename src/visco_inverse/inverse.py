@@ -460,20 +460,48 @@ def _forced_trials() -> tuple:
     return words, draws
 
 
-def _tables(wi: np.ndarray, words: np.ndarray, draws: np.ndarray) -> tuple:
-    """The signed widths and the bounds of ``_ziggurat_fast`` from numpy's
-    widths wi, checked on the trials of ``_forced_trials``.
-
-    The lower bounds k on numpy's ki come from the layer edges x = 2^52 wi:
-    ki[i] is 2^52 x[i-1] / x[i] for i >= 2 and 2^52 x[255] / x[0] at the base
-    layer 0, and layer 1 never takes the fast path.  The fast path must give
-    numpy's draws up to each trial's first draw that leaves it, or every
-    bound is 0: a change in numpy then costs speed and never a draw.
-    """
+def _bounds(wi: np.ndarray) -> np.ndarray:
+    """Lower bounds k on numpy's ki from its widths wi, by the layer edges
+    x = 2^52 wi: ki[i] is 2^52 x[i-1] / x[i] for i >= 2 and 2^52 x[255] / x[0]
+    at the base layer 0, and layer 1 never takes the fast path."""
     x = np.ldexp(wi, 52)
     k = np.zeros(256, np.uint64)
     k[2:] = np.ldexp(x[1:-1] / x[2:], 52)
     k[0] = np.ldexp(x[255] / x[0], 52)
+    return k
+
+
+def _next_output(state: int) -> int:
+    """PCG64's raw output one step on from the 128-bit ``state`` at inc = 1."""
+    hi, lo = divmod((state * _PCG_MULT + 1) % (1 << 128), 1 << 64)
+    value, rot = hi ^ lo, hi >> 58
+    return (value >> rot | value << 64 - rot) % (1 << 64)
+
+
+def _tables(wi: np.ndarray, k: np.ndarray, words: np.ndarray, draws: np.ndarray) -> tuple:
+    """The signed widths and the bounds of ``_ziggurat_fast`` from numpy's
+    widths wi and the bounds k of ``_bounds``, checked against numpy.
+
+    Every bound must be at most numpy's own: numpy takes rabs = k - 1 at each
+    layer in one step, to (k - 1) wi.  And on the trials of
+    ``_forced_trials`` the fast path must give numpy's draws up to each
+    trial's first draw that leaves it.  Else every bound is 0, and every trial
+    is drawn by numpy.
+    """
+    # numpy's state is set to p = (u - 1) M^-1 at inc = 1, which outputs u and
+    # is left at u; one step from there outputs the next raw value
+    inverse, widths, bits = pow(_PCG_MULT, -1, 1 << 128), wi.tolist(), PCG64(0)
+    normal, state = Generator(bits).standard_normal, bits.state
+    state["state"]["inc"] = 1
+    for layer, bound in enumerate(k.tolist()):
+        if not bound:
+            continue
+        u = bound - 1 << 9 | layer
+        state["state"]["state"] = (u - 1) * inverse % (1 << 128)
+        bits.state = state
+        if normal() != (bound - 1) * widths[layer] or bits.random_raw() != _next_output(u):
+            k = np.zeros_like(k)
+            break
     wi, k = np.concatenate((wi, -wi)), np.tile(k, 2)
     values = np.empty_like(draws)
     checked = np.logical_and.accumulate(_fast_draws(words, wi, k, values), axis=1)
@@ -485,29 +513,44 @@ def _tables(wi: np.ndarray, words: np.ndarray, draws: np.ndarray) -> tuple:
 @lru_cache
 def _ziggurat() -> tuple:
     """The tables of ``_ziggurat_fast``, built at the first scan of a process
-    and shared by every later one, so read-only."""
+    that runs the fast path and shared by every later one, so read-only."""
     words, draws = _forced_trials()
-    tables = _tables(draws[:, 0].copy(), words, draws)
+    wi = draws[:, 0].copy()
+    tables = _tables(wi, _bounds(wi), words, draws)
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _block_draws(words: np.ndarray, rows: np.ndarray):
+    """Row i of ``rows`` gets numpy's standard normals from the PCG64 seeded
+    from words[i]: every trial runs at once through the ziggurat's fast path,
+    and a trial with a draw off that path is drawn again by numpy."""
+    slow = np.flatnonzero(~_fast_draws(words, *_ziggurat(), rows).all(axis=1))
+    redo = rows[slow]
+    _numpy_draws(words[slow], redo)
+    rows[slow] = redo
 
 
 def _trial_draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """Row i - start is default_rng((seed, i)).standard_normal(n) bit for bit,
     for start <= i < stop.
 
-    Every trial runs at once from its row of ``_seed_states``, through the
-    ziggurat's fast path.  A trial with a draw off that path, about a fifth
-    of them at n = 16, is drawn again by numpy from its words, so numpy's
-    slow path, with its exp and log1p, is never reimplemented.
+    A block of at least 128 n trials, for n <= 32, runs at once from its rows
+    of ``_seed_states`` through ``_block_draws``: about a fifth of its trials
+    take numpy at n = 16, so numpy's slow path, with its exp and log1p, is
+    never reimplemented.  Other blocks are drawn by numpy trial by trial:
+    the block arithmetic costs a fixed time per draw column, and the share of
+    trials it hands to numpy grows with n, so it is slower past n of about 40
+    at 4096 trials and below about 24 n trials at n = 16; the margin covers
+    the tables' one-off build too.
     """
     words = _seed_states(seed, start, stop)
     rows = np.empty((stop - start, n))
-    slow = np.flatnonzero(~_fast_draws(words, *_ziggurat(), rows).all(axis=1))
-    redo = rows[slow]
-    _numpy_draws(words[slow], redo)
-    rows[slow] = redo
+    if n <= 32 and stop - start >= 128 * n:
+        _block_draws(words, rows)
+    else:
+        _numpy_draws(words, rows)
     return rows
 
 
@@ -518,9 +561,9 @@ def stability_ratios(h1_gram: np.ndarray, trials: int, seed: int) -> np.ndarray:
     Trial i draws f from ``default_rng((seed, i))``, bit for bit, so an
     ensemble at truncation 2N extends the ensemble at truncation N draw by
     draw.  The seeds of a block of trials are hashed in one vectorised pass,
-    and the block's generators run at once as array arithmetic; numpy draws
-    only the trials that leave its ziggurat's fast path.  Trial indices must
-    fit 32 bits.
+    and a large block's generators run at once as array arithmetic; numpy
+    draws only the trials that leave its ziggurat's fast path.  Trial
+    indices must fit 32 bits.
     """
     if not 1 <= trials <= 1 << 32:
         raise ValueError("trials must lie in 1..2^32")

@@ -50,8 +50,8 @@ from oracles import (
 )
 import visco_inverse.inverse
 from visco_inverse.inverse import (
-    _PCG_MULT, _SCAN_BLOCK, _Hashed, _forced_trials, _identity_residuals, _seed_states, _tables,
-    _trial_draws, _ziggurat)
+    _PCG_MULT, _SCAN_BLOCK, _Hashed, _block_draws, _bounds, _forced_trials, _identity_residuals,
+    _seed_states, _tables, _trial_draws, _ziggurat)
 from visco_inverse.modal import StoredRows
 from visco_inverse.volterra import _LEAF_STEPS, _REALIZED_LEAF_STEPS, _trapezoid_gram
 
@@ -621,6 +621,20 @@ class TestTrialDrawProperties:
 
         check()
 
+    @pytest.mark.parametrize("width", list(SEED_WIDTHS))
+    def test_block_arithmetic_gives_numpy_draws_at_any_size(self, width):
+        # _trial_draws runs it only on large blocks at n <= 32
+        @given(SEED_WIDTHS[width], st.integers(0, 2**32 - 300), st.integers(1, 300),
+               st.integers(1, 64))
+        def check(seed, start, trials, n):
+            expected = [np.random.default_rng((seed, i)).standard_normal(n)
+                        for i in range(start, start + trials)]
+            rows = np.empty((trials, n))
+            _block_draws(_seed_states(seed, start, start + trials), rows)
+            assert np.array_equal(rows, np.array(expected))
+
+        check()
+
     @pytest.mark.parametrize("seed", [0, 1, 11, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
     def test_fixed_seeds(self, seed):
         # the first trials, and the last whose index fits one uint32 word
@@ -698,19 +712,44 @@ class TestZigguratTables:
         _trial_draws(11, 0, 4000, 16)
         assert 0.1 * 4000 < len(replays) < 0.35 * 4000
 
+    def test_only_large_blocks_at_small_n_take_the_block_arithmetic(self, monkeypatch):
+        _ziggurat()
+        replays = counting_replays(monkeypatch)
+        for trials, n in ((2047, 16), (4096, 33)):
+            _trial_draws(11, 0, trials, n)
+            assert len(replays) == trials
+            replays.clear()
+        seed, start = 2**64 + 3, 2**32 - 2048
+        rows = _trial_draws(seed, start, start + 2048, 16)
+        assert len(replays) < 0.35 * 2048
+        expected = [np.random.default_rng((seed, i)).standard_normal(16)
+                    for i in range(start, start + 2048)]
+        assert np.array_equal(rows, np.array(expected))
+
     @pytest.mark.parametrize("layer", [0, 2, 128, 255])
     def test_a_wrong_width_sends_every_trial_to_numpy(self, layer, monkeypatch):
         words, draws = _forced_trials()
         wi = draws[:, 0].copy()
         wi[layer] = np.nextafter(wi[layer], np.inf)
-        tables = _tables(wi, words, draws)
+        tables = _tables(wi, _bounds(wi), words, draws)
         assert not tables[1].any()
         monkeypatch.setattr(visco_inverse.inverse, "_ziggurat", lambda: tables)
         replays = counting_replays(monkeypatch)
-        rows = _trial_draws(11, 0, 300, 16)
+        rows = np.empty((300, 16))
+        _block_draws(_seed_states(11, 0, 300), rows)
         assert len(replays) == 300
         expected = [np.random.default_rng((11, i)).standard_normal(16) for i in range(300)]
         assert np.array_equal(rows, np.array(expected))
+
+    @pytest.mark.parametrize("layer", [0, 2, 128, 255])
+    def test_a_bound_above_numpys_sends_every_trial_to_numpy(self, layer):
+        # numpy's bound is k or k + 1, so k + 2 leaves its fast path at k + 1
+        words, draws = _forced_trials()
+        wi = draws[:, 0].copy()
+        k = _bounds(wi)
+        assert _tables(wi, k, words, draws)[1].any()
+        k[layer] += 2
+        assert not _tables(wi, k, words, draws)[1].any()
 
 
 class TestCounterexample:
