@@ -9,20 +9,15 @@ from one measured trace via biorthogonal reconstruction kernels.
 
 from .errors import NumericsError, SingularGramError
 from .forward import (
-    InitialData,
     SourceCoefficients,
-    boundary_trace_homogeneous,
     boundary_trace_source,
     source_trace,
     source_trace_prime,
     source_traces,
-    verify_convolution_relation,
 )
 from .frames import (
     FrameBounds,
     GramMatrix,
-    bessel_defect,
-    bessel_ratio,
     biorthogonality_defect,
     coefficients_via_duals,
     dual_coefficients,
@@ -58,8 +53,6 @@ from .spectral import (
     OperatorSpec,
     SpectralModel,
     build_spectral_model,
-    eigenfunction,
-    hilbert_norms,
 )
 from .volterra import (
     AffineModulation,

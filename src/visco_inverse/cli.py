@@ -531,6 +531,10 @@ def run(cfg: ExperimentConfig) -> int:
         outdir = Path(cfg.output)
         outdir.mkdir(parents=True, exist_ok=True)
         csv_path = outdir / f"{cfg.study}.csv"
+        summary_path = outdir / f"{cfg.study}.json"
+        # an earlier run's outputs go first, so that no exit leaves them as this run's
+        for path in (csv_path, summary_path):
+            path.unlink(missing_ok=True)
         model = build_spectral_model(cfg.operator, cfg.truncation)
         failure = None
         try:
@@ -552,14 +556,11 @@ def run(cfg: ExperimentConfig) -> int:
             non_finite.append("rows")
         if non_finite:
             failure = failure or "non-finite " + ", ".join(sorted(set(non_finite)))
-        if failure:
-            # a failed run must not leave an earlier run's rows beside its summary
-            csv_path.unlink(missing_ok=True)
-        else:
+        if not failure:
             _write_csv(csv_path, header, rows)
         summary["diagnostics"]["timestamp"] = datetime.now(timezone.utc).isoformat()
         summary["diagnostics"]["exit"] = failure if failure else "ok"
-        _write_summary(outdir / f"{cfg.study}.json", summary)
+        _write_summary(summary_path, summary)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2

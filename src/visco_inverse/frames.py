@@ -30,7 +30,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import NumericsError, SingularGramError
 from .modal import ModalFamily, solve_w_many, solve_z_many
@@ -205,56 +204,3 @@ def coefficients_via_duals(
     if coefficients.shape != (len(family), len(family)):
         raise ValueError("dual coefficients do not match the family size")
     return np.conj(coefficients) @ family.inner_with(signal)
-
-
-# ---------------------------------------------------------------------------
-# Trace-vector almost-orthogonality check
-
-
-def bessel_ratio(model: SpectralModel, coeffs, eps: float, horizon: float) -> float:
-    """Ratio ||sum a_n psi_n||^2 / (eps^-1 sum |a_n|^2 + eps sum |lam_n a_n|^2).
-
-    ``coeffs`` runs over the signed modes of the model in storage order.
-    Boundedness of this ratio over eps in (0, T] expresses the partial
-    orthogonality that the scaled trace vectors inherit from the upper frame
-    inequality of the exponential family.
-    """
-    a = np.asarray(coeffs, dtype=np.complex128)
-    if a.shape != (2 * model.truncation,):
-        raise ValueError("coefficient vector must cover all signed modes")
-    if not np.any(a):
-        raise ValueError("all-zero coefficients give a degenerate quotient")
-    if not 0.0 < eps <= horizon:
-        raise ValueError("eps must lie in (0, horizon]")
-    modes = model.modes
-    num = float(np.sum(np.abs(a @ modes.psi) ** 2))
-    den = float(np.sum(np.abs(a) ** 2)) / eps + eps * float(np.sum(np.abs(modes.lam * a) ** 2))
-    return num / den
-
-
-def bessel_defect(
-    model: SpectralModel,
-    horizon: float,
-    trials: int,
-    seed: int,
-    eps_count: int = 12,
-) -> float:
-    """Monte-Carlo supremum of ``bessel_ratio`` over random coefficients.
-
-    Coefficients are drawn uniformly from the complex unit disc with a seeded
-    generator; eps scans a geometric grid up to the horizon.  The returned
-    maximum should stay of one size as the truncation grows.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = default_rng(seed)
-    eps_grid = np.geomspace(1e-3 * horizon, horizon, eps_count)
-    worst = 0.0
-    K = 2 * model.truncation
-    for _ in range(trials):
-        r = np.sqrt(rng.uniform(size=K))
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=K)
-        a = r * np.exp(1j * phase)
-        for eps in eps_grid:
-            worst = max(worst, bessel_ratio(model, a, float(eps), horizon))
-    return worst

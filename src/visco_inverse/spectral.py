@@ -71,11 +71,6 @@ class OperatorSpec(Value):
         return np.array([comps[e] for e in self.observed_endpoints])
 
 
-def eigenfunction(spec: OperatorSpec, n: int, x: np.ndarray) -> np.ndarray:
-    """Normalized Dirichlet eigenfunction sqrt(2/L) sin(n pi x / L)."""
-    return np.sqrt(2.0 / spec.length) * np.sin(n * math.pi * x / spec.length)
-
-
 class Mode(Record):
     """One signed mode: eigenvalue, branch value and scaled trace vector.
 
@@ -170,15 +165,6 @@ class SpectralModel(Record):
     def dim(self) -> int:
         return self.spec.dim
 
-    @property
-    def semibound_constant(self) -> float:
-        """c = max(0, -mu_1); every |Im lambda_n| is bounded by sqrt(c)."""
-        return max(0.0, -float(self.modes.mu[self.truncation]))
-
-    def mus(self) -> np.ndarray:
-        """Eigenvalues mu_1..mu_N, a read-only view."""
-        return self.modes.mu[self.truncation:]
-
 
 def build_spectral_model(spec: OperatorSpec, truncation: int) -> SpectralModel:
     """Assemble the first ``truncation`` signed mode pairs of the operator.
@@ -209,21 +195,3 @@ def build_spectral_model(spec: OperatorSpec, truncation: int) -> SpectralModel:
         np.concatenate([-n[::-1], n]), np.concatenate([mu[::-1], mu]),
         np.concatenate([-lam[::-1], lam]), np.concatenate([-psi[::-1], psi]),
         np.concatenate([zero[::-1], zero])))
-
-
-def hilbert_norms(xi, eta, model: SpectralModel) -> tuple:
-    """Norms (||w0||_1, ||w1||) of initial data given by mode coefficients.
-
-    The graph norm uses 1 + |mu_n| weights, matching the completion of the
-    operator domain under ||x||^2 + || |A|^(1/2) x ||^2.
-    """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if xi.shape != (model.truncation,) or eta.shape != (model.truncation,):
-        raise ValueError(
-            f"coefficient length must equal the truncation {model.truncation}"
-        )
-    mus = model.mus()
-    n0 = math.sqrt(float(np.sum((1.0 + np.abs(mus)) * xi**2)))
-    n1 = math.sqrt(float(np.sum(eta**2)))
-    return n0, n1

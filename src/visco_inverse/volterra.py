@@ -103,10 +103,6 @@ class ScalarSignal(Record):
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "realization", realization)
 
-    @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "ScalarSignal":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=np.complex128))
-
 
 class TraceSignal(Record):
     """A time series of vectors in the observation space G = R^m, real or

@@ -24,8 +24,22 @@ V_sigma a dense matrix, the reference for the y family's leaf tables.
 The spectral loop builds the signed modes one ``Mode`` at a time from
 ``OperatorSpec.eigenvalue`` and ``trace_vector``, the route the model's
 vectorised arrays replace.
+
+The last group states intermediate results of the paper that no study
+reports.  The homogeneous trace B w, from initial data given by mode
+coefficients (xi, eta), is synthesized from the z family through the
+signed-mode expansion
+
+    B w = (1/2) * sum over nonzero n of a_n z_n(t) psi_n,
+
+whose coefficients a_n mix the initial data across the two branches.  The
+convolution-relation gap compares V_sigma of that trace, started from rest
+with velocity f, against the source trace of the w family.  Beside them
+stand the norms of the initial data and the Bessel-type ratio of the trace
+vectors with its Monte-Carlo supremum.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +50,7 @@ from visco_inverse import (
     ScalarSignal,
     TimeGrid,
     TraceSignal,
+    boundary_trace_source,
     convolve,
     convolve_adjoint,
     h1_norm,
@@ -44,6 +59,7 @@ from visco_inverse import (
     solve_w_many,
     w_trace_family,
     y_trace_family,
+    z_trace_family,
 )
 from visco_inverse.modal import _integrate_family
 
@@ -348,3 +364,99 @@ def spectral_modes_loop(spec, truncation: int) -> tuple:
             positives.append(Mode(n, mu, lam, trace / lam, "J1"))
     negatives = [Mode(-m.index, m.mu, -m.lam, -m.psi, m.branch) for m in reversed(positives)]
     return tuple(negatives + positives)
+
+
+def boundary_trace_homogeneous(xi, eta, model, kernel, grid) -> TraceSignal:
+    """Boundary trace of the homogeneous evolution from the mode coefficients
+    (xi, eta) of the initial displacement and velocity.
+
+    Real initial data and a real kernel produce a trace whose imaginary part
+    is at roundoff level; it is kept so that checks can see it.
+    """
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    if xi.shape != (model.truncation,) or eta.shape != (model.truncation,):
+        raise ValueError("initial data length must equal the model truncation")
+    family = z_trace_family(model, kernel, grid)
+    modes = family.modes
+    k = np.abs(modes.index) - 1
+    # sgn(n) * lambda_|n| * xi_|n| collapses to lambda_n * xi_|n|, and to
+    # sgn(n) * xi_|n| on the zero branch
+    a = np.where(modes.zero, np.sign(modes.index) * xi[k], modes.lam * xi[k]) - 1j * eta[k]
+    return family.synthesize(0.5 * a)
+
+
+def verify_convolution_relation(coeffs, modulation, model, kernel, grid) -> float:
+    """Max-norm gap between the two routes to the source trace.
+
+    Route one convolves the trace synthesized from the w family; route two
+    applies V_sigma to the homogeneous trace, built from the z family,
+    started from rest with velocity f.  The two coincide in exact
+    arithmetic, so the value returned is pure discretization and roundoff
+    error.
+    """
+    bu, _ = boundary_trace_source(coeffs, modulation, model, kernel, grid)
+    bw = boundary_trace_homogeneous(np.zeros(len(coeffs)), coeffs.values, model, kernel, grid)
+    via_w = convolve(modulation.sample(grid), bw)
+    return float(np.max(np.abs(bu.values - via_w.values)))
+
+
+def hilbert_norms(xi, eta, model) -> tuple:
+    """Norms (||w0||_1, ||w1||) of initial data given by mode coefficients.
+
+    The graph norm uses 1 + |mu_n| weights, matching the completion of the
+    operator domain under ||x||^2 + || |A|^(1/2) x ||^2.
+    """
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    if xi.shape != (model.truncation,) or eta.shape != (model.truncation,):
+        raise ValueError(
+            f"coefficient length must equal the truncation {model.truncation}"
+        )
+    mus = model.modes.mu[model.truncation:]
+    n0 = math.sqrt(float(np.sum((1.0 + np.abs(mus)) * xi**2)))
+    n1 = math.sqrt(float(np.sum(eta**2)))
+    return n0, n1
+
+
+def bessel_ratio(model, coeffs, eps: float, horizon: float) -> float:
+    """Ratio ||sum a_n psi_n||^2 / (eps^-1 sum |a_n|^2 + eps sum |lam_n a_n|^2).
+
+    ``coeffs`` runs over the signed modes of the model in storage order.
+    Boundedness of this ratio over eps in (0, T] expresses the partial
+    orthogonality that the scaled trace vectors inherit from the upper frame
+    inequality of the exponential family.
+    """
+    a = np.asarray(coeffs, dtype=np.complex128)
+    if a.shape != (2 * model.truncation,):
+        raise ValueError("coefficient vector must cover all signed modes")
+    if not np.any(a):
+        raise ValueError("all-zero coefficients give a degenerate quotient")
+    if not 0.0 < eps <= horizon:
+        raise ValueError("eps must lie in (0, horizon]")
+    modes = model.modes
+    num = float(np.sum(np.abs(a @ modes.psi) ** 2))
+    den = float(np.sum(np.abs(a) ** 2)) / eps + eps * float(np.sum(np.abs(modes.lam * a) ** 2))
+    return num / den
+
+
+def bessel_defect(model, horizon: float, trials: int, seed: int, eps_count: int = 12) -> float:
+    """Monte-Carlo supremum of ``bessel_ratio`` over random coefficients.
+
+    Coefficients are drawn uniformly from the complex unit disc with a seeded
+    generator; eps scans a geometric grid up to the horizon.  The returned
+    maximum should stay of one size as the truncation grows.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    rng = np.random.default_rng(seed)
+    eps_grid = np.geomspace(1e-3 * horizon, horizon, eps_count)
+    worst = 0.0
+    K = 2 * model.truncation
+    for _ in range(trials):
+        r = np.sqrt(rng.uniform(size=K))
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=K)
+        a = r * np.exp(1j * phase)
+        for eps in eps_grid:
+            worst = max(worst, bessel_ratio(model, a, float(eps), horizon))
+    return worst

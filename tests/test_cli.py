@@ -686,6 +686,29 @@ class TestOtherStudies:
         assert summary["diagnostics"]["exit"] == "singular Gram"
         assert not (out / "frame-bounds.csv").exists()
 
+    @pytest.mark.parametrize("study, overrides, message", [
+        ("stability-scan", {"N": 4, "grid": {"T": 3.0, "dt": 3.0 / 512}, "trials": 5},
+         "horizon 3 below the observability threshold"),
+        ("simulate", {"source": [1.0, 2.0]}, "source coefficients must have length N = 8"),
+        ("zest-decay", {"N": 1, "operator": {"length": PI, "potential_shift": -1.0,
+                                             "observed_endpoints": ["left"]}},
+         "zest-decay needs at least one nonzero branch value"),
+    ], ids=["short-horizon", "source-length", "zero-branch"])
+    def test_rejected_study_leaves_no_earlier_outputs(self, tmp_path, capsys, study, overrides,
+                                                      message):
+        # a config the study itself rejects is exit 2, and an earlier run's
+        # outputs, whose summary would read "ok", go with it
+        cfg = base_config(study=study, **overrides)
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in (f"{study}.csv", f"{study}.json"):
+            (out / name).write_text("earlier run\n")
+        code = main([study, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / f"{study}.csv").exists()
+        assert not (out / f"{study}.json").exists()
+
     @pytest.mark.parametrize("shift, low, high", [(-36.0, 1e15, math.inf), (0.0, 1.0, 10.0)],
                              ids=["decaying", "oscillating"])
     def test_frame_bounds_reports_the_tables_cancellation(self, tmp_path, shift, low, high):

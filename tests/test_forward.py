@@ -7,21 +7,26 @@ from visco_inverse import (
     AffineModulation,
     ConstantModulation,
     ExponentialKernel,
-    InitialData,
+    ExponentialModulation,
     OperatorSpec,
+    PolynomialKernel,
+    SampledKernel,
+    SampledModulation,
     SourceCoefficients,
     TimeGrid,
     ZeroKernel,
-    boundary_trace_homogeneous,
     boundary_trace_source,
     build_spectral_model,
     differentiate,
     h1_norm,
-    hilbert_norms,
     l2_norm,
+)
+from oracles import (
+    boundary_trace_homogeneous,
+    hilbert_norms,
+    source_traces_per_mode,
     verify_convolution_relation,
 )
-from oracles import source_traces_per_mode
 
 PI = math.pi
 ROOT2PI = math.sqrt(2 / PI)
@@ -41,47 +46,47 @@ def unit_data(k, n, which):
     xi = np.zeros(n)
     eta = np.zeros(n)
     (xi if which == "xi" else eta)[k - 1] = 1.0
-    return InitialData(xi, eta)
+    return xi, eta
 
 
 class TestHomogeneousTrace:
     def test_velocity_mode_gives_sine(self, model, grid):
-        bw = boundary_trace_homogeneous(unit_data(1, 8, "eta"), model, ZeroKernel(), grid)
+        bw = boundary_trace_homogeneous(*unit_data(1, 8, "eta"), model, ZeroKernel(), grid)
         np.testing.assert_allclose(
             bw.values[:, 0].real, ROOT2PI * np.sin(grid.nodes), atol=1e-5
         )
         assert np.max(np.abs(bw.values.imag)) < 1e-9
 
     def test_displacement_mode_gives_cosine(self, model, grid):
-        bw = boundary_trace_homogeneous(unit_data(1, 8, "xi"), model, ZeroKernel(), grid)
+        bw = boundary_trace_homogeneous(*unit_data(1, 8, "xi"), model, ZeroKernel(), grid)
         np.testing.assert_allclose(
             bw.values[:, 0].real, ROOT2PI * np.cos(grid.nodes), atol=1e-5
         )
 
     def test_zero_data_gives_zero_trace(self, model, grid):
         bw = boundary_trace_homogeneous(
-            InitialData(np.zeros(8), np.zeros(8)), model, ExponentialKernel(1, 1), grid
+            np.zeros(8), np.zeros(8), model, ExponentialKernel(1, 1), grid
         )
         assert np.max(np.abs(bw.values)) == 0.0
 
     def test_real_for_real_inputs_with_memory(self, model, grid):
         rng = np.random.default_rng(2)
-        data = InitialData(rng.standard_normal(8), rng.standard_normal(8))
-        bw = boundary_trace_homogeneous(data, model, ExponentialKernel(1.0, 1.0), grid)
+        data = (rng.standard_normal(8), rng.standard_normal(8))
+        bw = boundary_trace_homogeneous(*data, model, ExponentialKernel(1.0, 1.0), grid)
         assert np.max(np.abs(bw.values.imag)) < 1e-9
 
     def test_real_with_negative_eigenvalue_branch(self, grid):
         model = build_spectral_model(OperatorSpec(PI, -2.0), 4)
-        data = InitialData(np.array([0.3, 0.0, 0.1, 0.0]), np.array([0.0, 1.0, 0.0, -0.2]))
-        bw = boundary_trace_homogeneous(data, model, ZeroKernel(), grid)
+        data = (np.array([0.3, 0.0, 0.1, 0.0]), np.array([0.0, 1.0, 0.0, -0.2]))
+        bw = boundary_trace_homogeneous(*data, model, ZeroKernel(), grid)
         rel = np.max(np.abs(bw.values.imag)) / np.max(np.abs(bw.values.real))
         assert rel < 1e-9
 
     def test_zero_branch_mode_trace(self, grid):
         # mu_1 = 0: the modal motion is xi + eta t, observed through B phi_1
         model = build_spectral_model(OperatorSpec(PI, -1.0), 2)
-        data = InitialData(np.array([0.5, 0.0]), np.array([0.25, 0.0]))
-        bw = boundary_trace_homogeneous(data, model, ExponentialKernel(1, 1), grid)
+        data = (np.array([0.5, 0.0]), np.array([0.25, 0.0]))
+        bw = boundary_trace_homogeneous(*data, model, ExponentialKernel(1, 1), grid)
         bphi = math.sqrt(2 / PI)  # slope of the first eigenfunction at x = 0
         np.testing.assert_allclose(
             bw.values[:, 0].real, bphi * (0.5 + 0.25 * grid.nodes), atol=1e-12
@@ -90,19 +95,19 @@ class TestHomogeneousTrace:
     def test_linearity(self, model, grid):
         kernel = ExponentialKernel(1.0, 1.0)
         rng = np.random.default_rng(5)
-        d1 = InitialData(rng.standard_normal(8), rng.standard_normal(8))
-        d2 = InitialData(rng.standard_normal(8), rng.standard_normal(8))
-        combo = InitialData(2.0 * d1.xi - 3.0 * d2.xi, 2.0 * d1.eta - 3.0 * d2.eta)
-        lhs = boundary_trace_homogeneous(combo, model, kernel, grid).values
+        d1 = (rng.standard_normal(8), rng.standard_normal(8))
+        d2 = (rng.standard_normal(8), rng.standard_normal(8))
+        combo = (2.0 * d1[0] - 3.0 * d2[0], 2.0 * d1[1] - 3.0 * d2[1])
+        lhs = boundary_trace_homogeneous(*combo, model, kernel, grid).values
         rhs = (
-            2.0 * boundary_trace_homogeneous(d1, model, kernel, grid).values
-            - 3.0 * boundary_trace_homogeneous(d2, model, kernel, grid).values
+            2.0 * boundary_trace_homogeneous(*d1, model, kernel, grid).values
+            - 3.0 * boundary_trace_homogeneous(*d2, model, kernel, grid).values
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_length_mismatch(self, model, grid):
         with pytest.raises(ValueError):
-            boundary_trace_homogeneous(unit_data(1, 5, "xi"), model, ZeroKernel(), grid)
+            boundary_trace_homogeneous(*unit_data(1, 5, "xi"), model, ZeroKernel(), grid)
 
 
 class TestSourceTrace:
@@ -171,12 +176,21 @@ class TestConvolutionRelation:
         )
         assert gap < 1e-8
 
-    def test_memory_random_source(self, model, grid):
+    # the step map and sigma's realization; the blocked history solve on
+    # stored rows; the FFT convolution of a sampled sigma; the polynomial
+    # kernel's step map under an exponential sigma
+    @pytest.mark.parametrize("pair", [
+        lambda g: (ExponentialKernel(1.0, 1.0), AffineModulation(1.0, 1.0)),
+        lambda g: (SampledKernel(np.exp(-g.nodes)), AffineModulation(1.0, 1.0)),
+        lambda g: (ExponentialKernel(1.0, 1.0), SampledModulation(1.0 + g.nodes)),
+        lambda g: (PolynomialKernel((1.0, -0.5, 0.1)), ExponentialModulation(0.3)),
+    ], ids=["exponential-affine", "sampled-affine", "exponential-sampled",
+            "polynomial-exponential"])
+    def test_memory_random_source(self, model, grid, pair):
+        kernel, modulation = pair(grid)
         rng = np.random.default_rng(3)
         f = SourceCoefficients(rng.standard_normal(8))
-        gap = verify_convolution_relation(
-            f, AffineModulation(1.0, 1.0), model, ExponentialKernel(1.0, 1.0), grid
-        )
+        gap = verify_convolution_relation(f, modulation, model, kernel, grid)
         assert gap < 1e-10  # both routes share the discrete operators
 
     def test_zero_source(self, model, grid):
@@ -200,7 +214,7 @@ def test_observability_ratio_window(grid):
             eta = rng.standard_normal(N)
             n0, n1 = hilbert_norms(xi, eta, model)
             size = math.hypot(n0, n1)
-            bw = boundary_trace_homogeneous(InitialData(xi, eta), model, kernel, grid)
+            bw = boundary_trace_homogeneous(xi, eta, model, kernel, grid)
             vals.append(l2_norm(bw) / size)
         ratios[N] = (min(vals), max(vals))
     assert ratios[8][0] > 0.1

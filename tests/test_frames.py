@@ -26,8 +26,6 @@ from visco_inverse import (
     TimeGrid,
     TraceSignal,
     ZeroKernel,
-    bessel_defect,
-    bessel_ratio,
     biorthogonality_defect,
     build_spectral_model,
     coefficients_via_duals,
@@ -43,7 +41,14 @@ from visco_inverse import (
     z_trace_family,
 )
 from families import synthetic_family
-from oracles import complex_w_route, dual_values, family_values, naive_inner_products
+from oracles import (
+    bessel_defect,
+    bessel_ratio,
+    complex_w_route,
+    dual_values,
+    family_values,
+    naive_inner_products,
+)
 from visco_inverse.modal import LeafTables, StoredRows, _leaf_tables
 from visco_inverse.volterra import _LEAF_STEPS, _trapezoid_gram
 

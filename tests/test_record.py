@@ -14,7 +14,6 @@ from visco_inverse import (
     ExponentialModulation,
     FrameBounds,
     GramMatrix,
-    InitialData,
     ModalFamily,
     ModalTrajectory,
     Mode,
@@ -70,7 +69,6 @@ CASES = {
                   np.zeros(1, complex)),
     GramMatrix: (np.eye(1), 1.0, (1,)),
     FrameBounds: (0.5, 2.0, 1, 1.0),
-    InitialData: (np.ones(2), np.zeros(2)),
     SourceCoefficients: (np.ones(2),),
     ReconstructionKernels: (FAMILY, np.eye(1), ScalarSignal(GRID, np.ones(5)), 1.0, BOUNDS,
                             0.0, 0.0),
@@ -102,7 +100,7 @@ def test_cases_cover_every_record_class():
         module = importlib.import_module(f"visco_inverse.{name}")
         defined |= {obj for obj in vars(module).values() if inspect.isclass(obj)
                     and issubclass(obj, Record) and obj.__module__ == module.__name__}
-    assert defined == set(CASES) and len(CASES) == 27
+    assert defined == set(CASES) and len(CASES) == 26
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)

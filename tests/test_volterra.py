@@ -126,7 +126,7 @@ class TestConvolve:
 
     def test_exponential_kernel_closed_form(self):
         g = grid_1s()
-        rho = ScalarSignal.from_function(g, lambda t: np.exp(-t))
+        rho = ScalarSignal(g, np.asarray(np.exp(-g.nodes), dtype=np.complex128))
         out = convolve(rho, ones(g))
         assert out.values[-1].real == pytest.approx(1 - math.exp(-1), abs=1e-6)
 
@@ -185,8 +185,8 @@ class TestResolvent:
     def test_exponential_sigma_gives_constant(self):
         a = 0.7
         g = TimeGrid.from_step(1.0, 1e-4)
-        sigma = ScalarSignal.from_function(g, lambda t: np.exp(a * t))
-        sigma_p = ScalarSignal.from_function(g, lambda t: a * np.exp(a * t))
+        sigma = ScalarSignal(g, np.asarray(np.exp(a * g.nodes), dtype=np.complex128))
+        sigma_p = ScalarSignal(g, np.asarray(a * np.exp(a * g.nodes), dtype=np.complex128))
         K = resolvent_kernel(sigma, sigma_p)
         np.testing.assert_allclose(K.values.real, -a, atol=1e-8)
         np.testing.assert_allclose(K.values.imag, 0.0, atol=1e-12)
@@ -210,7 +210,7 @@ class TestResolvent:
             sigma = ScalarSignal(g, 1.0 + g.nodes)
             sigma_p = ones(g)
             K = resolvent_kernel(sigma, sigma_p)
-            test = ScalarSignal.from_function(g, lambda t: np.cos(3 * t))
+            test = ScalarSignal(g, np.asarray(np.cos(3 * g.nodes), dtype=np.complex128))
             inner = ScalarSignal(g, test.values + convolve(sigma_p, test).values)
             back = inner.values + convolve(K, inner).values
             errs.append(np.max(np.abs(back - test.values)))
@@ -461,9 +461,9 @@ class TestRealizedConvolution:
 
 def test_convolutions_commute():
     g = TimeGrid.from_step(1.0, 1e-3)
-    m = ScalarSignal.from_function(g, lambda t: np.exp(-t))
+    m = ScalarSignal(g, np.asarray(np.exp(-g.nodes), dtype=np.complex128))
     s = ScalarSignal(g, 1.0 + 0.5 * g.nodes)
-    v = ScalarSignal.from_function(g, lambda t: np.sin(2 * t))
+    v = ScalarSignal(g, np.asarray(np.sin(2 * g.nodes), dtype=np.complex128))
     ab = convolve(m, convolve(s, v))
     ba = convolve(s, convolve(m, v))
     assert np.max(np.abs(ab.values - ba.values)) < 1e-7
