@@ -529,7 +529,6 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute the configured study, write its outputs, return an exit code."""
     try:
         outdir = Path(cfg.output)
-        outdir.mkdir(parents=True, exist_ok=True)
         csv_path = outdir / f"{cfg.study}.csv"
         summary_path = outdir / f"{cfg.study}.json"
         # an earlier run's outputs go first, so that no exit leaves them as this run's
@@ -543,6 +542,8 @@ def run(cfg: ExperimentConfig) -> int:
             failure = str(exc)
             header = rows = None
             results, diagnostics, source_values = {}, {}, None
+        # made only now, so that a config the study rejects leaves no directory
+        outdir.mkdir(parents=True, exist_ok=True)
         if failure is None:
             failure = diagnostics.pop("failure", None)
         non_finite = []

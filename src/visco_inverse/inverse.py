@@ -26,13 +26,14 @@ that O(dt^2) defect, which rescales every recovered coefficient by the same
 factor 1 + d (B w vanishes at t = 0) and vanishes under refinement.  Every
 product with the w family, and the stability scan's H1 Gram, goes through its
 trajectories, which ``modal.StoredRows`` and ``modal.LeafTables`` answer alike.
+The scan's random sources are numpy's own draws, its PCG64 reseeded in place.
 """
 
 from __future__ import annotations
 
 import math
+from ctypes import c_uint64, c_void_p
 import operator
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -302,7 +303,7 @@ def stability_gram(
     return Q
 
 
-_MASK32 = 0xFFFFFFFF
+_MASK32, _MASK64 = 0xFFFFFFFF, (1 << 64) - 1
 # numpy's SeedSequence hash constants (pool of 4 words)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -374,9 +375,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M_HI, _M_LO = map(np.uint64, divmod(_PCG_MULT, 1 << 64))
 _M_LO_HALVES = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
 _LOW32, _32 = np.uint64(_MASK32), np.uint64(32)
-#: numpy's draws of each forced trial of ``_forced_trials``: the first reads a
-#: ziggurat width, and all of them check the fast path
-_CHECK_DRAWS = 8
 
 
 def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> tuple:
@@ -391,166 +389,65 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     return hi + (lo < inc_lo), lo
 
 
-def _ziggurat_fast(raw: np.ndarray, wi: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """numpy's standard normals from raw outputs on its ziggurat's fast path,
-    written to ``out``, and where each draw keeps to that path.
-
-    Bits 0-7 pick the layer, bit 8 the sign and bits 9-60 the magnitude
-    rabs.  Indexed by the low 9 bits, wi holds the signed widths and k the
-    lower bounds on numpy's ki: the draw is rabs wi, which numpy returns when
-    rabs is below ki.
-    """
-    low = (raw & np.uint64(0x1FF)).view(np.int64)
-    rabs = raw >> np.uint64(9) & np.uint64((1 << 52) - 1)
-    # 2^52 + rabs is exact as a double, and so is its difference with 2^52
-    np.subtract((rabs | np.uint64(0x433 << 52)).view(np.float64), 2.0**52, out=out)
-    out *= wi.take(low)
-    return rabs < k.take(low)
-
-
-def _fast_draws(words: np.ndarray, wi: np.ndarray, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row i of ``rows`` gets the fast path's draws for the PCG64 seeded from
-    words[i]; returns where each draw keeps to that path.
-
-    Every PCG64 runs at once, one draw per column.  numpy seeds from
-    (initstate_hi, initstate_lo, initseq_hi, initseq_lo): inc = 2 initseq + 1,
-    then state inc + initstate and one step.  Each raw output is a step, then
-    hi ^ lo rotated right by the top 6 bits of hi.
-    """
+def _seeded(words: np.ndarray) -> np.ndarray:
+    """Row i is (state_lo, state_hi, inc_lo, inc_hi) of the PCG64 seeded from
+    words[i] = (initstate_hi, initstate_lo, initseq_hi, initseq_lo): numpy sets
+    inc = 2 initseq + 1, then state inc + initstate, and steps once."""
     initstate_hi, initstate_lo, initseq_hi, initseq_lo = words.T
     one = np.uint64(1)
     inc_hi = initseq_hi << one | initseq_lo >> np.uint64(63)
     inc_lo = initseq_lo << one | one
     lo = inc_lo + initstate_lo
     hi, lo = _pcg_step(inc_hi + initstate_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    fast = np.empty(rows.shape, bool)
-    for column, keeps in zip(rows.T, fast.T):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        value, rot = hi ^ lo, hi >> np.uint64(58)
-        # a left shift by 64 - 0 would be a shift by the full width
-        raw = value >> rot | value << (np.uint64(64) - rot & np.uint64(63))
-        keeps[...] = _ziggurat_fast(raw, wi, k, column)
-    return fast
+    return np.stack((lo, hi, inc_lo, inc_hi), axis=1)
 
 
-def _numpy_draws(words: np.ndarray, rows: np.ndarray):
-    """Row i of ``rows`` gets numpy's standard normals from the PCG64 seeded
-    from words[i]."""
-    for w, row in zip(words, rows):
-        Generator(PCG64(_Hashed(w))).standard_normal(out=row)
-
-
-def _forced_trials() -> tuple:
-    """Words of 256 trials whose first raw output has rabs = 1 at each layer,
-    and numpy's first ``_CHECK_DRAWS`` draws of each, so column 0 holds the
-    layer widths wi.
-
-    With inc = 1 (initseq 0) the state one step before u, of high word 0, is
-    p = (u - 1) M^-1 and outputs u itself, and seeding reaches p from
-    initstate (p - 1) M^-1 - 1.  Layer 1 takes numpy's slow path even at
-    rabs = 1, which accepts its draw of 5e-17 for all but the largest
-    uniforms.
+def _state_view(bits) -> tuple | None:
+    """``standard_normal`` of a Generator on the bit generator ``bits`` and a
+    writable uint64 view, valid while that Generator lives, of its state in
+    the words of ``_seeded``; or None.  Nothing is written before the first
+    two of three checks pass: the pointer to the PCG64 state lies inside the
+    object, the four words there read as the ``state`` getter's, and after
+    two trials' states are written numpy draws what a PCG64 seeded alike draws.
     """
-    inverse, words = pow(_PCG_MULT, -1, 1 << 128), np.zeros((256, 4), np.uint64)
-    for layer, w in enumerate(words):
-        initstate = ((((1 << 9 | layer) - 1) * inverse - 1) * inverse - 1) % (1 << 128)
-        w[:2] = divmod(initstate, 1 << 64)
-    draws = np.empty((256, _CHECK_DRAWS))
-    _numpy_draws(words, draws)
-    return words, draws
-
-
-def _bounds(wi: np.ndarray) -> np.ndarray:
-    """Lower bounds k on numpy's ki from its widths wi, by the layer edges
-    x = 2^52 wi: ki[i] is 2^52 x[i-1] / x[i] for i >= 2 and 2^52 x[255] / x[0]
-    at the base layer 0, and layer 1 never takes the fast path."""
-    x = np.ldexp(wi, 52)
-    k = np.zeros(256, np.uint64)
-    k[2:] = np.ldexp(x[1:-1] / x[2:], 52)
-    k[0] = np.ldexp(x[255] / x[0], 52)
-    return k
-
-
-def _next_output(state: int) -> int:
-    """PCG64's raw output one step on from the 128-bit ``state`` at inc = 1."""
-    hi, lo = divmod((state * _PCG_MULT + 1) % (1 << 128), 1 << 64)
-    value, rot = hi ^ lo, hi >> 58
-    return (value >> rot | value << 64 - rot) % (1 << 64)
-
-
-def _tables(wi: np.ndarray, k: np.ndarray, words: np.ndarray, draws: np.ndarray) -> tuple:
-    """The signed widths and the bounds of ``_ziggurat_fast`` from numpy's
-    widths wi and the bounds k of ``_bounds``, checked against numpy.
-
-    Every bound must be at most numpy's own: numpy takes rabs = k - 1 at each
-    layer in one step, to (k - 1) wi.  And on the trials of
-    ``_forced_trials`` the fast path must give numpy's draws up to each
-    trial's first draw that leaves it.  Else every bound is 0, and every trial
-    is drawn by numpy.
-    """
-    # numpy's state is set to p = (u - 1) M^-1 at inc = 1, which outputs u and
-    # is left at u; one step from there outputs the next raw value
-    inverse, widths, bits = pow(_PCG_MULT, -1, 1 << 128), wi.tolist(), PCG64(0)
-    normal, state = Generator(bits).standard_normal, bits.state
-    state["state"]["inc"] = 1
-    for layer, bound in enumerate(k.tolist()):
-        if not bound:
-            continue
-        u = bound - 1 << 9 | layer
-        state["state"]["state"] = (u - 1) * inverse % (1 << 128)
-        bits.state = state
-        if normal() != (bound - 1) * widths[layer] or bits.random_raw() != _next_output(u):
-            k = np.zeros_like(k)
-            break
-    wi, k = np.concatenate((wi, -wi)), np.tile(k, 2)
-    values = np.empty_like(draws)
-    checked = np.logical_and.accumulate(_fast_draws(words, wi, k, values), axis=1)
-    if not np.array_equal(values[checked].view(np.uint64), draws[checked].view(np.uint64)):
-        k[:] = 0
-    return wi, k
-
-
-@lru_cache
-def _ziggurat() -> tuple:
-    """The tables of ``_ziggurat_fast``, built at the first scan of a process
-    that runs the fast path and shared by every later one, so read-only."""
-    words, draws = _forced_trials()
-    wi = draws[:, 0].copy()
-    tables = _tables(wi, _bounds(wi), words, draws)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _block_draws(words: np.ndarray, rows: np.ndarray):
-    """Row i of ``rows`` gets numpy's standard normals from the PCG64 seeded
-    from words[i]: every trial runs at once through the ziggurat's fast path,
-    and a trial with a draw off that path is drawn again by numpy."""
-    slow = np.flatnonzero(~_fast_draws(words, *_ziggurat(), rows).all(axis=1))
-    redo = rows[slow]
-    _numpy_draws(words[slow], redo)
-    rows[slow] = redo
+    low = id(bits)
+    pointer = c_void_p.from_address(bits.ctypes.state_address).value or 0
+    if not low <= pointer <= low + type(bits).__basicsize__ - 32:
+        return None
+    view = np.frombuffer((c_uint64 * 4).from_address(pointer), np.uint64)
+    state, inc = (bits.state["state"].get(key) for key in ("state", "inc"))
+    if not (type(state) is type(inc) is int
+            and view.tolist() == [state & _MASK64, state >> 64, inc & _MASK64, inc >> 64]):
+        return None
+    normal = Generator(bits).standard_normal
+    words = _seed_states(0, 0, 2)
+    for w, seeded in zip(words, _seeded(words)):
+        view[:] = seeded
+        if normal(8).tobytes() != Generator(PCG64(_Hashed(w))).standard_normal(8).tobytes():
+            return None
+    return normal, view
 
 
 def _trial_draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """Row i - start is default_rng((seed, i)).standard_normal(n) bit for bit,
     for start <= i < stop.
 
-    A block of at least 128 n trials, for n <= 32, runs at once from its rows
-    of ``_seed_states`` through ``_block_draws``: about a fifth of its trials
-    take numpy at n = 16, so numpy's slow path, with its exp and log1p, is
-    never reimplemented.  Other blocks are drawn by numpy trial by trial:
-    the block arithmetic costs a fixed time per draw column, and the share of
-    trials it hands to numpy grows with n, so it is slower past n of about 40
-    at 4096 trials and below about 24 n trials at n = 16; the margin covers
-    the tables' one-off build too.
+    numpy draws every row from one PCG64 whose state is written in place with
+    the trial's seeded state before each draw, which costs a third of building
+    a PCG64 per trial.  Where ``_state_view`` refuses the write, each trial
+    gets its own PCG64, built from its row of ``_seed_states``.
     """
     words = _seed_states(seed, start, stop)
     rows = np.empty((stop - start, n))
-    if n <= 32 and stop - start >= 128 * n:
-        _block_draws(words, rows)
-    else:
-        _numpy_draws(words, rows)
+    found = _state_view(PCG64(_Hashed(words[0])))
+    if found is None:
+        for w, row in zip(words, rows):
+            Generator(PCG64(_Hashed(w))).standard_normal(out=row)
+        return rows
+    normal, view = found
+    for state, row in zip(_seeded(words), rows):
+        view[:] = state
+        normal(out=row)
     return rows
 
 
@@ -560,9 +457,9 @@ def stability_ratios(h1_gram: np.ndarray, trials: int, seed: int) -> np.ndarray:
 
     Trial i draws f from ``default_rng((seed, i))``, bit for bit, so an
     ensemble at truncation 2N extends the ensemble at truncation N draw by
-    draw.  The seeds of a block of trials are hashed in one vectorised pass,
-    and a large block's generators run at once as array arithmetic; numpy
-    draws only the trials that leave its ziggurat's fast path.  Trial
+    draw.  A block's seeds are hashed in one vectorised pass, and numpy draws
+    its rows from one PCG64 reseeded in place (``_trial_draws``), built and
+    checked afresh for each block, so calls may run in threads.  Trial
     indices must fit 32 bits.
     """
     if not 1 <= trials <= 1 << 32:

@@ -708,6 +708,11 @@ class TestOtherStudies:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / f"{study}.csv").exists()
         assert not (out / f"{study}.json").exists()
+        # nor does it make the output directory
+        missing = tmp_path / "missing" / "o"
+        assert main([study, "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(missing)]) == 2
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("shift, low, high", [(-36.0, 1e15, math.inf), (0.0, 1.0, 10.0)],
                              ids=["decaying", "oscillating"])

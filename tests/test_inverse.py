@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.random import PCG64, SeedSequence
+from numpy.random import MT19937, PCG64, PCG64DXSM, SFC64, Philox, SeedSequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,8 +51,7 @@ from oracles import (
 )
 import visco_inverse.inverse
 from visco_inverse.inverse import (
-    _PCG_MULT, _SCAN_BLOCK, _Hashed, _block_draws, _bounds, _forced_trials, _identity_residuals,
-    _seed_states, _tables, _trial_draws, _ziggurat)
+    _SCAN_BLOCK, _Hashed, _identity_residuals, _seed_states, _seeded, _state_view, _trial_draws)
 from visco_inverse.modal import StoredRows
 from visco_inverse.volterra import _LEAF_STEPS, _REALIZED_LEAF_STEPS, _trapezoid_gram
 
@@ -586,6 +586,20 @@ class TestStability:
         monkeypatch.setattr(visco_inverse.inverse, "default_rng", refuse)
         ratios = stability_ratios(q, 40, 5)
         assert ratios.shape == (40,) and np.all(ratios > 0)
+        # one block's PCG64s are as many at 400 trials as at 4000
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return PCG64(*args)
+
+        monkeypatch.setattr(visco_inverse.inverse, "PCG64", counted)
+        counts = []
+        for trials in (400, 4000):
+            built.clear()
+            stability_ratios(np.eye(16), trials, 5)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     def test_trial_count_and_seed_validated(self, model, grid):
         q = np.eye(model.truncation)
@@ -612,26 +626,12 @@ class TestTrialDrawProperties:
     @pytest.mark.parametrize("width", list(SEED_WIDTHS))
     def test_rows_are_numpy_default_rng_draws(self, width):
         @given(SEED_WIDTHS[width], st.integers(0, 2**32 - 300), st.integers(1, 300),
-               st.integers(1, 40))
+               st.integers(1, 64))
         def check(seed, start, trials, n):
             stop = start + trials
             expected = [np.random.default_rng((seed, i)).standard_normal(n)
                         for i in range(start, stop)]
             assert np.array_equal(_trial_draws(seed, start, stop, n), np.array(expected))
-
-        check()
-
-    @pytest.mark.parametrize("width", list(SEED_WIDTHS))
-    def test_block_arithmetic_gives_numpy_draws_at_any_size(self, width):
-        # _trial_draws runs it only on large blocks at n <= 32
-        @given(SEED_WIDTHS[width], st.integers(0, 2**32 - 300), st.integers(1, 300),
-               st.integers(1, 64))
-        def check(seed, start, trials, n):
-            expected = [np.random.default_rng((seed, i)).standard_normal(n)
-                        for i in range(start, start + trials)]
-            rows = np.empty((trials, n))
-            _block_draws(_seed_states(seed, start, start + trials), rows)
-            assert np.array_equal(rows, np.array(expected))
 
         check()
 
@@ -660,96 +660,48 @@ class TestHashedSeeding:
         check()
 
 
-def forced_normal(raw: int) -> tuple:
-    """numpy's standard_normal() when PCG64's next raw output is ``raw``, and
-    whether it took that one output alone."""
-    # with inc = 1 and a high word of 0, the state one step before u outputs u
-    state = (raw - 1) * pow(_PCG_MULT, -1, 1 << 128) % (1 << 128)
-    bits = PCG64(0)
-    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": 1},
-                  "has_uint32": 0, "uinteger": 0}
-    value = np.random.Generator(bits).standard_normal()
-    return value, bits.state["state"]["state"] == raw
+def default_rng_rows(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    return np.array([np.random.default_rng((seed, i)).standard_normal(n)
+                     for i in range(start, stop)])
 
 
-def counting_replays(monkeypatch) -> list:
-    """The words of every trial that ``_trial_draws`` hands to numpy from now on."""
-    replays = []
+class TestStateView:
+    # numpy's own bit generators, each refused by one of the three checks: the
+    # pointer to the C state lies outside the object (SFC64 and MT19937 hold
+    # their state inline), its words are not the state getter's (Philox), or
+    # the draws after a write are not the seeded PCG64's (PCG64DXSM's output)
+    @pytest.mark.parametrize("bit_generator, refused_by", [
+        (PCG64, None), (PCG64DXSM, 3), (Philox, 2), (SFC64, 1), (MT19937, 1),
+    ], ids=["PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"])
+    def test_only_pcg64_is_reseeded_in_place(self, bit_generator, refused_by):
+        bits = bit_generator(3)
+        found = _state_view(bits)
+        if refused_by is None:
+            normal, view = found
+            view[:] = _seeded(_seed_states(11, 7, 8))[0]
+            assert bits.state == PCG64(SeedSequence((11, 7))).state
+            assert normal(16).tobytes() == default_rng_rows(11, 7, 8, 16)[0].tobytes()
+            return
+        assert found is None
+        if refused_by < 3:
+            # nothing is written before the first two checks pass
+            assert np.array_equal(bits.random_raw(4), bit_generator(3).random_raw(4))
 
-    class Counted(_Hashed):
-        def __init__(self, words):
-            replays.append(words)
-            super().__init__(words)
+    def test_a_refused_view_draws_each_trial_from_its_own_generator(self, monkeypatch):
+        monkeypatch.setattr(visco_inverse.inverse, "_state_view", lambda bits: None)
+        for seed, start, stop, n in ((5, 0, 300, 16), (2**70 + 3, 2**32 - 40, 2**32, 64)):
+            assert np.array_equal(_trial_draws(seed, start, stop, n),
+                                  default_rng_rows(seed, start, stop, n))
 
-    monkeypatch.setattr(visco_inverse.inverse, "_Hashed", Counted)
-    return replays
-
-
-class TestZigguratTables:
-    # forced raw outputs: layer in bits 0-7, sign in bit 8, magnitude rabs above;
-    # the tables are indexed by the low 9 bits
-    def test_widths_are_numpy_draws_at_unit_magnitude(self):
-        wi, _ = _ziggurat()
-        for layer in set(range(256)) - {1}:
-            value, one_step = forced_normal(1 << 9 | layer)
-            assert one_step and value == wi[layer]
-            value, one_step = forced_normal(1 << 9 | 1 << 8 | layer)
-            assert one_step and value == wi[256 + layer] == -wi[layer]
-
-    def test_numpy_takes_one_step_just_below_each_bound(self):
-        wi, k = _ziggurat()
-        # every layer but the top one, which numpy never accepts at once
-        assert k[1] == 0 and np.count_nonzero(k[:256]) == 255
-        assert np.array_equal(k[256:], k[:256])
-        for layer in np.flatnonzero(k[:256]):
-            rabs = int(k[layer]) - 1
-            value, one_step = forced_normal(rabs << 9 | int(layer))
-            assert one_step and value == rabs * wi[layer]
-
-    def test_about_a_fifth_of_the_trials_replay(self, monkeypatch):
-        _ziggurat()  # built first: its check draws through numpy too
-        replays = counting_replays(monkeypatch)
-        _trial_draws(11, 0, 4000, 16)
-        assert 0.1 * 4000 < len(replays) < 0.35 * 4000
-
-    def test_only_large_blocks_at_small_n_take_the_block_arithmetic(self, monkeypatch):
-        _ziggurat()
-        replays = counting_replays(monkeypatch)
-        for trials, n in ((2047, 16), (4096, 33)):
-            _trial_draws(11, 0, trials, n)
-            assert len(replays) == trials
-            replays.clear()
-        seed, start = 2**64 + 3, 2**32 - 2048
-        rows = _trial_draws(seed, start, start + 2048, 16)
-        assert len(replays) < 0.35 * 2048
-        expected = [np.random.default_rng((seed, i)).standard_normal(16)
-                    for i in range(start, start + 2048)]
-        assert np.array_equal(rows, np.array(expected))
-
-    @pytest.mark.parametrize("layer", [0, 2, 128, 255])
-    def test_a_wrong_width_sends_every_trial_to_numpy(self, layer, monkeypatch):
-        words, draws = _forced_trials()
-        wi = draws[:, 0].copy()
-        wi[layer] = np.nextafter(wi[layer], np.inf)
-        tables = _tables(wi, _bounds(wi), words, draws)
-        assert not tables[1].any()
-        monkeypatch.setattr(visco_inverse.inverse, "_ziggurat", lambda: tables)
-        replays = counting_replays(monkeypatch)
-        rows = np.empty((300, 16))
-        _block_draws(_seed_states(11, 0, 300), rows)
-        assert len(replays) == 300
-        expected = [np.random.default_rng((11, i)).standard_normal(16) for i in range(300)]
-        assert np.array_equal(rows, np.array(expected))
-
-    @pytest.mark.parametrize("layer", [0, 2, 128, 255])
-    def test_a_bound_above_numpys_sends_every_trial_to_numpy(self, layer):
-        # numpy's bound is k or k + 1, so k + 2 leaves its fast path at k + 1
-        words, draws = _forced_trials()
-        wi = draws[:, 0].copy()
-        k = _bounds(wi)
-        assert _tables(wi, k, words, draws)[1].any()
-        k[layer] += 2
-        assert not _tables(wi, k, words, draws)[1].any()
+    def test_threads_draw_what_a_sequential_run_draws(self):
+        seeds = (3, 4)
+        expected = [_trial_draws(seed, 0, _SCAN_BLOCK, 16) for seed in seeds]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                got = list(pool.map(lambda seed: _trial_draws(seed, 0, _SCAN_BLOCK, 16), seeds))
+                for rows, want in zip(got, expected):
+                    assert np.array_equal(rows, want)
+        assert np.array_equal(expected[0][:50], default_rng_rows(3, 0, 50, 16))
 
 
 class TestCounterexample:
