@@ -168,27 +168,13 @@ def _input_dict(obj, tag, table) -> dict:
 class ExperimentConfig(Record):
     """Validated, fully resolved description of one study run."""
 
-    _fields = ("operator", "kernel", "sigma", "grid", "truncation", "study", "seed",
-               "noise_level", "output", "source", "measurement", "trials")
-
     def __init__(self, operator: OperatorSpec, kernel: MemoryKernel, sigma: SourceModulation,
                  grid: TimeGrid, truncation: int, study: str, seed: int, noise_level: float,
                  output: str,
                  source: str | int | list,  # "random" | unit index | explicit coefficients
                  measurement: str,  # "bu_prime" or "bu"
                  trials: int):
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "study", study)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "noise_level", noise_level)
-        object.__setattr__(self, "output", output)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "measurement", measurement)
-        object.__setattr__(self, "trials", trials)
+        self._set(locals())
 
     @classmethod
     def from_mapping(cls, raw: dict, study: str,

@@ -31,14 +31,12 @@ from .volterra import (
 class SourceCoefficients(Record):
     """Coefficients <f, phi_n> of the unknown spatial source, n = 1..N."""
 
-    _fields = ("values",)
-
     def __init__(self, values: np.ndarray):
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
             raise ValueError("source coefficients must form a 1-d array")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        values.setflags(write=False)
+        self._set(locals())
 
     def __len__(self) -> int:
         return self.values.shape[0]

@@ -76,17 +76,14 @@ class GramMatrix(Record):
     """Hermitian Gram of a modal family, entries[k, n] = <member_n, member_k>;
     real for the w and y families, complex for the z family."""
 
-    _fields = ("entries", "horizon", "labels")
-
     def __init__(self, entries: np.ndarray, horizon: float, labels: tuple):
-        arr = np.asarray(entries, dtype=np.complex128
-                         if np.iscomplexobj(entries) else np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        entries = np.asarray(entries, dtype=np.complex128
+                             if np.iscomplexobj(entries) else np.float64)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("Gram matrix must be square")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "labels", tuple(labels))
+        entries.setflags(write=False)
+        labels = tuple(labels)
+        self._set(locals())
 
     @property
     def size(self) -> int:
@@ -125,13 +122,8 @@ def _member_gram(traj: np.ndarray, family: ModalFamily) -> GramMatrix:
 class FrameBounds(Value):
     """Sharp two-sided constants of the truncated family."""
 
-    _fields = ("lower", "upper", "size", "horizon")
-
     def __init__(self, lower: float, upper: float, size: int, horizon: float):
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "horizon", horizon)
+        self._set(locals())
 
     @property
     def singular(self) -> bool:
@@ -185,7 +177,7 @@ def dual_coefficients(g: GramMatrix) -> np.ndarray:
             f"{bounds.lower:.3e} vs max {bounds.upper:.3e} "
             f"(size {g.size}, horizon {g.horizon:g})"
         )
-    return np.conj(np.linalg.solve(g.entries, np.eye(g.size)))
+    return np.linalg.solve(g.entries, np.eye(g.size)).conj()
 
 
 def biorthogonality_defect(g: GramMatrix, coefficients: np.ndarray) -> float:
@@ -193,7 +185,7 @@ def biorthogonality_defect(g: GramMatrix, coefficients: np.ndarray) -> float:
 
     <member_n, p_k> = sum_m conj(C[k, m]) G[m, n], from the Gram alone.
     """
-    inner = np.conj(coefficients) @ g.entries
+    inner = coefficients.conj() @ g.entries
     return float(np.max(np.abs(inner - np.eye(g.size))))
 
 
@@ -203,4 +195,4 @@ def coefficients_via_duals(
     """Recover expansion coefficients a_k = <signal, p_k> = conj(C) <signal, member>."""
     if coefficients.shape != (len(family), len(family)):
         raise ValueError("dual coefficients do not match the family size")
-    return np.conj(coefficients) @ family.inner_with(signal)
+    return coefficients.conj() @ family.inner_with(signal)

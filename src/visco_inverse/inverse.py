@@ -71,21 +71,12 @@ from .volterra import (
 class ReconstructionKernels(Record):
     """The w family, its dual coefficients and the resolvent of sigma."""
 
-    _fields = ("family", "coefficients", "resolvent", "sigma0", "bounds",
-               "identity_residual", "resolvent_residual")
-
     def __init__(self, family: ModalFamily,
                  coefficients: np.ndarray,  # p_k = sum_m coefficients[k, m] * w_m psi_m
                  resolvent: ScalarSignal, sigma0: float, bounds: FrameBounds,
                  identity_residual: float,  # max_k || (sigma0 + V_sigma'*) theta_k - p_k ||
                  resolvent_residual: float):  # max |sigma' + sigma0 K + V_sigma' K| / max |sigma'|
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "resolvent", resolvent)
-        object.__setattr__(self, "sigma0", sigma0)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "identity_residual", identity_residual)
-        object.__setattr__(self, "resolvent_residual", resolvent_residual)
+        self._set(locals())
 
 
 def _resolvent(modulation: SourceModulation, grid: TimeGrid,
@@ -210,19 +201,10 @@ def reconstruct(
 class ReconstructionReport(Record):
     """Outcome of a (possibly noisy) reconstruction run."""
 
-    _fields = ("recovered", "truth", "per_mode_error", "relative_l2_error", "bounds",
-               "noise_level", "imag_residual")
-
     def __init__(self, recovered: SourceCoefficients, truth: SourceCoefficients | None,
                  per_mode_error: np.ndarray | None, relative_l2_error: float | None,
                  bounds: FrameBounds, noise_level: float, imag_residual: float):
-        object.__setattr__(self, "recovered", recovered)
-        object.__setattr__(self, "truth", truth)
-        object.__setattr__(self, "per_mode_error", per_mode_error)
-        object.__setattr__(self, "relative_l2_error", relative_l2_error)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "noise_level", noise_level)
-        object.__setattr__(self, "imag_residual", imag_residual)
+        self._set(locals())
 
 
 def _report(recovered_c: np.ndarray, truth, bounds, noise_level) -> ReconstructionReport:
@@ -402,14 +384,18 @@ def _seeded(words: np.ndarray) -> np.ndarray:
     return np.stack((lo, hi, inc_lo, inc_hi), axis=1)
 
 
-def _state_view(bits) -> tuple | None:
+def _state_view(bits, words: np.ndarray, states: np.ndarray) -> tuple | None:
     """``standard_normal`` of a Generator on the bit generator ``bits`` and a
     writable uint64 view, valid while that Generator lives, of its state in
     the words of ``_seeded``; or None.  Nothing is written before the first
     two of three checks pass: the pointer to the PCG64 state lies inside the
     object, the four words there read as the ``state`` getter's, and after
-    two trials' states are written numpy draws what a PCG64 seeded alike draws.
+    the first two trials' ``_seeded`` ``states`` are written numpy draws what
+    a PCG64 seeded from their ``_seed_states`` ``words`` draws.  With fewer
+    than two trials to check, None.
     """
+    if len(words) < 2:
+        return None
     low = id(bits)
     pointer = c_void_p.from_address(bits.ctypes.state_address).value or 0
     if not low <= pointer <= low + type(bits).__basicsize__ - 32:
@@ -420,8 +406,7 @@ def _state_view(bits) -> tuple | None:
             and view.tolist() == [state & _MASK64, state >> 64, inc & _MASK64, inc >> 64]):
         return None
     normal = Generator(bits).standard_normal
-    words = _seed_states(0, 0, 2)
-    for w, seeded in zip(words, _seeded(words)):
+    for w, seeded in zip(words[:2], states[:2]):
         view[:] = seeded
         if normal(8).tobytes() != Generator(PCG64(_Hashed(w))).standard_normal(8).tobytes():
             return None
@@ -435,17 +420,20 @@ def _trial_draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     numpy draws every row from one PCG64 whose state is written in place with
     the trial's seeded state before each draw, which costs a third of building
     a PCG64 per trial.  Where ``_state_view`` refuses the write, each trial
-    gets its own PCG64, built from its row of ``_seed_states``.
+    gets its own PCG64, built from its row of ``_seed_states``; so does the
+    trial of a one-trial block, as the view is checked with the block's first
+    two trials.
     """
     words = _seed_states(seed, start, stop)
+    states = _seeded(words)
     rows = np.empty((stop - start, n))
-    found = _state_view(PCG64(_Hashed(words[0])))
+    found = _state_view(PCG64(_Hashed(words[0])), words, states)
     if found is None:
         for w, row in zip(words, rows):
             Generator(PCG64(_Hashed(w))).standard_normal(out=row)
         return rows
     normal, view = found
-    for state, row in zip(_seeded(words), rows):
+    for state, row in zip(states, rows):
         view[:] = state
         normal(out=row)
     return rows
@@ -476,15 +464,10 @@ def stability_ratios(h1_gram: np.ndarray, trials: int, seed: int) -> np.ndarray:
 class CounterexampleTable(Record):
     """Decay data for the time-integrated family (V_sigma w_n) psi_n."""
 
-    _fields = ("indices", "lams", "scaled_norms", "min_gram_eigs")
-
     def __init__(self, indices: np.ndarray, lams: np.ndarray,
                  scaled_norms: np.ndarray,  # |lambda_n| * ||y_n psi_n||
                  min_gram_eigs: np.ndarray):  # smallest Gram eigenvalue of the first n members
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "lams", lams)
-        object.__setattr__(self, "scaled_norms", scaled_norms)
-        object.__setattr__(self, "min_gram_eigs", min_gram_eigs)
+        self._set(locals())
 
 
 def l2_only_counterexample(

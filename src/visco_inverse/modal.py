@@ -91,15 +91,9 @@ _DEFECT_CHUNK = 32
 class ModalTrajectory(Record):
     """Solution z = factor * row of one modal equation, and z'(0)."""
 
-    _fields = ("mode", "grid", "row", "factor", "p0")
-
     def __init__(self, mode: Mode, grid: TimeGrid, row: np.ndarray, factor: complex,
                  p0: complex):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "p0", p0)
+        self._set(locals())
 
     @property
     def z(self) -> ScalarSignal:
@@ -139,18 +133,12 @@ class LeafTables(Record):
     answers the same methods from Z itself.
     """
 
-    _fields = ("grid", "rows", "starts", "linear", "step")
-
     def __init__(self, grid: TimeGrid,
                  rows: np.ndarray,  # (modes, D, L)
                  starts: np.ndarray,  # (modes, D, leaves)
                  linear: np.ndarray,  # indices of the modes with mu = 0
                  step: np.ndarray | None = None):  # A (modes, D, D), for a step-map solve
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "step", step)
+        self._set(locals())
 
     @property
     def shape(self) -> tuple:
@@ -331,13 +319,10 @@ class StoredRows(Record):
     is ``volterra.inner_products`` and ``convolved`` is ``volterra.convolve``
     of the rows; ``cancellation`` is 1, as the values are the terms."""
 
-    _fields = ("grid", "rows")
-
     def __init__(self, grid: TimeGrid, rows: np.ndarray):
         rows = _as_samples(rows)
         rows.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "rows", rows)
+        self._set(locals())
 
     @property
     def shape(self) -> tuple:
@@ -383,8 +368,6 @@ class ModalFamily(Record):
     such views describe solved families only, as their z' assumes the
     trapezoid step, which the y rows (``frames.y_trace_family``) do not take."""
 
-    _fields = ("modes", "grid", "trajectories", "factors", "p0")
-
     def __init__(self, modes: ModeArrays, grid: TimeGrid,
                  trajectories: LeafTables | StoredRows,  # g_n
                  factors: np.ndarray,  # (members,) complex
@@ -395,11 +378,7 @@ class ModalFamily(Record):
             raise ValueError("family scalars must be (members, nodes) on the grid")
         if modes.psi.ndim != 2 or modes.psi.shape[0] != len(modes) or modes.psi.shape[1] < 1:
             raise ValueError("family trace vectors must be (members, dim)")
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "trajectories", trajectories)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "p0", p0)
+        self._set(locals())
 
     @property
     def labels(self) -> tuple:

@@ -36,8 +36,6 @@ ZERO_EIG_RTOL = 1e-12
 class OperatorSpec(Value):
     """Domain size, constant potential shift and observed endpoints."""
 
-    _fields = ("length", "potential_shift", "observed_endpoints")
-
     def __init__(self, length: float, potential_shift: float = 0.0,
                  observed_endpoints: tuple = (LEFT,)):
         if not length > 0.0:
@@ -51,10 +49,8 @@ class OperatorSpec(Value):
         if len(set(eps)) != len(eps):
             raise ValueError("duplicate observed endpoints")
         # canonical order: left before right
-        ordered = tuple(e for e in (LEFT, RIGHT) if e in eps)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "potential_shift", potential_shift)
-        object.__setattr__(self, "observed_endpoints", ordered)
+        observed_endpoints = tuple(e for e in (LEFT, RIGHT) if e in eps)
+        self._set(locals())
 
     @property
     def dim(self) -> int:
@@ -79,17 +75,11 @@ class Mode(Record):
     model's trace vectors.
     """
 
-    _fields = ("index", "mu", "lam", "psi", "branch")
-
     def __init__(self, index: int, mu: float, lam: complex, psi: np.ndarray,
                  branch: str):  # branch "J0" (lambda = 0) or "J1"
         psi = np.asarray(psi, dtype=np.complex128)
         psi.setflags(write=False)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "branch", branch)
+        self._set(locals())
 
     @property
     def sign(self) -> int:
@@ -106,17 +96,15 @@ class ModeArrays(Record):
     modes.
     """
 
-    _fields = ("index", "mu", "lam", "psi", "zero")
-
     def __init__(self, index: np.ndarray, mu: np.ndarray, lam: np.ndarray,
                  psi: np.ndarray,  # (modes, m)
                  zero: np.ndarray):  # True where lambda_n = 0, branch "J0"
-        for name, value, dtype in (("index", index, np.intp), ("mu", mu, np.float64),
-                                   ("lam", lam, np.complex128), ("psi", psi, np.complex128),
-                                   ("zero", zero, np.bool_)):
-            value = np.asarray(value, dtype=dtype)
+        dtypes = (np.intp, np.float64, np.complex128, np.complex128, np.bool_)
+        index, mu, lam, psi, zero = (np.asarray(value, dtype=dtype) for value, dtype
+                                     in zip((index, mu, lam, psi, zero), dtypes))
+        for value in (index, mu, lam, psi, zero):
             value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        self._set(locals())
 
     def __len__(self) -> int:
         return len(self.index)
@@ -135,12 +123,8 @@ class SpectralModel(Record):
     one ``ModeArrays`` in that order; ``select``, ``mode`` and
     ``positive_modes`` read them."""
 
-    _fields = ("spec", "truncation", "modes")
-
     def __init__(self, spec: OperatorSpec, truncation: int, modes: ModeArrays):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "modes", modes)
+        self._set(locals())
 
     def select(self, labels) -> ModeArrays:
         """The modes of the signed indices ``labels``, in their order."""

@@ -39,15 +39,12 @@ from .record import Record, Value
 class TimeGrid(Value):
     """Uniform grid t_j = j * dt, j = 0..steps, with steps * dt = horizon."""
 
-    _fields = ("horizon", "steps")
-
     def __init__(self, horizon: float, steps: int):
         if not horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         if steps < 2:
             raise ValueError(f"need at least 2 steps, got {steps}")
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "steps", steps)
+        self._set(locals())
 
     @classmethod
     def from_step(cls, horizon: float, dt: float) -> "TimeGrid":
@@ -85,40 +82,33 @@ class ScalarSignal(Record):
     kernel).  ``convolve`` then runs the leaf-blocked recurrence.
     """
 
-    _fields = ("grid", "values", "realization")
-
     def __init__(self, grid: TimeGrid, values: np.ndarray, realization: tuple | None = None):
-        arr = _as_samples(values)
-        if arr.shape != (grid.steps + 1,):
+        values = _as_samples(values)
+        if values.shape != (grid.steps + 1,):
             raise ValueError(f"ScalarSignal: expected shape {(grid.steps + 1,)}, "
-                             f"got {arr.shape}")
-        arr.setflags(write=False)
+                             f"got {values.shape}")
+        values.setflags(write=False)
         if realization is not None:
             E, b, c = (np.atleast_1d(np.asarray(a, dtype=float)) for a in realization)
             E = E.reshape(len(b), len(b))
             if len(b) > 2 or len(b) == 2 and not (E[0, 0] == E[1, 1] == 1.0 and E[1, 0] == 0.0):
                 raise ValueError("a realization needs d = 1, or d = 2 with a unit Jordan block")
             realization = (E, b, c)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "realization", realization)
+        self._set(locals())
 
 
 class TraceSignal(Record):
     """A time series of vectors in the observation space G = R^m, real or
     complex like ``ScalarSignal``."""
 
-    _fields = ("grid", "values")
-
     def __init__(self, grid: TimeGrid, values: np.ndarray):
-        arr = _as_samples(values)
-        if arr.ndim != 2 or arr.shape[0] != grid.steps + 1 or arr.shape[1] < 1:
+        values = _as_samples(values)
+        if values.ndim != 2 or values.shape[0] != grid.steps + 1 or values.shape[1] < 1:
             raise ValueError(
-                f"TraceSignal: expected shape ({grid.steps + 1}, m>=1), got {arr.shape}"
+                f"TraceSignal: expected shape ({grid.steps + 1}, m>=1), got {values.shape}"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", arr)
+        values.setflags(write=False)
+        self._set(locals())
 
     @property
     def dim(self) -> int:
@@ -487,11 +477,8 @@ class ZeroKernel(MemoryKernel, Value):
 class ExponentialKernel(MemoryKernel, Value):
     """M(t) = beta * exp(-alpha * t)."""
 
-    _fields = ("beta", "alpha")
-
     def __init__(self, beta: float, alpha: float):
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", alpha)
+        self._set(locals())
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
         return self.beta * np.exp(-self.alpha * grid.nodes)
@@ -506,13 +493,11 @@ class ExponentialKernel(MemoryKernel, Value):
 class PolynomialKernel(MemoryKernel, Value):
     """M(t) = sum_k coefficients[k] * t^k."""
 
-    _fields = ("coefficients",)
-
     def __init__(self, coefficients: tuple):
         coefficients = tuple(float(c) for c in coefficients)
         if not coefficients:
             raise ValueError("polynomial kernel needs at least one coefficient")
-        object.__setattr__(self, "coefficients", coefficients)
+        self._set(locals())
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
         # Horner's rule, bit for bit numpy's polyval, without numpy.polynomial
@@ -542,15 +527,12 @@ class SampledKernel(MemoryKernel, Record):
     needed; the sample at t = 0 is not trusted as a stand-in for M(0).
     """
 
-    _fields = ("values", "m0")
-
     def __init__(self, values: np.ndarray, m0: float | None = None):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
             raise ValueError("sampled kernel values must be one-dimensional")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "m0", m0)
+        values.setflags(write=False)
+        self._set(locals())
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
         if self.values.shape != (grid.steps + 1,):
@@ -607,10 +589,8 @@ def _exponential(grid: TimeGrid, rate: float, scale: float, name: str) -> Scalar
 
 
 class ConstantModulation(SourceModulation, Value):
-    _fields = ("value",)
-
     def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
+        self._set(locals())
 
     def sample(self, grid):
         return _geometric(grid, np.full(grid.steps + 1, self.value), 1.0, self.value)
@@ -628,10 +608,8 @@ class ConstantModulation(SourceModulation, Value):
 class ExponentialModulation(SourceModulation, Value):
     """sigma(t) = exp(rate * t)."""
 
-    _fields = ("rate",)
-
     def __init__(self, rate: float):
-        object.__setattr__(self, "rate", rate)
+        self._set(locals())
 
     def sample(self, grid):
         return _exponential(grid, self.rate, 1.0, "sigma")
@@ -649,11 +627,8 @@ class ExponentialModulation(SourceModulation, Value):
 class AffineModulation(SourceModulation, Value):
     """sigma(t) = offset + slope * t."""
 
-    _fields = ("offset", "slope")
-
     def __init__(self, offset: float, slope: float):
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "slope", slope)
+        self._set(locals())
 
     def sample(self, grid):
         # a unit Jordan block: E^n = [[1, n dt], [0, 1]]
@@ -673,14 +648,12 @@ class AffineModulation(SourceModulation, Value):
 class SampledModulation(SourceModulation, Record):
     """Modulation given by samples; its derivative is ``differentiate`` of them."""
 
-    _fields = ("values",)
-
     def __init__(self, values: np.ndarray):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or arr.size < 4:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or values.size < 4:
             raise ValueError("sampled modulation needs a 1-d array of at least 4 samples")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        values.setflags(write=False)
+        self._set(locals())
 
     def sample(self, grid):
         if self.values.shape != (grid.steps + 1,):

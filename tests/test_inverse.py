@@ -675,7 +675,8 @@ class TestStateView:
     ], ids=["PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"])
     def test_only_pcg64_is_reseeded_in_place(self, bit_generator, refused_by):
         bits = bit_generator(3)
-        found = _state_view(bits)
+        words = _seed_states(0, 0, 2)
+        found = _state_view(bits, words, _seeded(words))
         if refused_by is None:
             normal, view = found
             view[:] = _seeded(_seed_states(11, 7, 8))[0]
@@ -688,10 +689,27 @@ class TestStateView:
             assert np.array_equal(bits.random_raw(4), bit_generator(3).random_raw(4))
 
     def test_a_refused_view_draws_each_trial_from_its_own_generator(self, monkeypatch):
-        monkeypatch.setattr(visco_inverse.inverse, "_state_view", lambda bits: None)
+        monkeypatch.setattr(visco_inverse.inverse, "_state_view", lambda *args: None)
         for seed, start, stop, n in ((5, 0, 300, 16), (2**70 + 3, 2**32 - 40, 2**32, 64)):
             assert np.array_equal(_trial_draws(seed, start, stop, n),
                                   default_rng_rows(seed, start, stop, n))
+
+    def test_a_block_is_hashed_and_seeded_once(self, monkeypatch):
+        # the view is checked with the block's own first two trials
+        calls = {"_seed_states": 0, "_seeded": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(visco_inverse.inverse, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(visco_inverse.inverse, name, counted)
+        for start, stop in ((0, 300), (9, 10)):
+            assert np.array_equal(_trial_draws(5, start, stop, 16),
+                                  default_rng_rows(5, start, stop, 16))
+        assert calls == {"_seed_states": 2, "_seeded": 2}
+
+    def test_a_one_trial_block_is_refused_the_view(self):
+        words = _seed_states(5, 9, 10)
+        assert _state_view(PCG64(_Hashed(words[0])), words, _seeded(words)) is None
 
     def test_threads_draw_what_a_sequential_run_draws(self):
         seeds = (3, 4)

@@ -1,6 +1,8 @@
 import importlib
 import inspect
 import math
+import pathlib
+import re
 from functools import cached_property
 
 import numpy as np
@@ -138,3 +140,53 @@ def test_value_records_of_different_classes_do_not_compare():
     assert ConstantModulation(1.0) != ConstantModulation(2.0)
     assert TimeGrid(1.0, 4) != TimeGrid(1.0, 5) and TimeGrid(1.0, 4) != (1.0, 4)
 
+
+
+class Scaled(Record):
+    """A validating constructor that rebinds its converted parameter."""
+
+    def __init__(self, values: np.ndarray, scale: float = 2.0):
+        values = np.asarray(values, dtype=float) * scale
+        if values.ndim != 1:
+            raise ValueError("values must be one-dimensional")
+        values.setflags(write=False)
+        unused = values.sum()  # a local that is not a field
+        self._set(locals())
+
+
+class ScaledTwice(Scaled):
+    """Inherits its parent's constructor, and so its fields."""
+
+    def doubled(self) -> np.ndarray:
+        return 2.0 * self.values
+
+
+class Pair(Value):
+    def __init__(self, first, second=None):
+        self._set(locals())
+
+
+def test_fields_are_the_constructor_parameters():
+    assert Scaled._fields == ScaledTwice._fields == ("values", "scale")
+    assert Pair._fields == ("first", "second")
+    for cls in (Scaled, ScaledTwice):
+        a = cls([1, 2], 3.0)
+        assert a.values.tolist() == [3.0, 6.0] and not a.values.flags.writeable
+        assert a.scale == 3.0 and vars(a).keys() == {"values", "scale"}
+        assert repr(a) == f"{cls.__name__}(values=array([3., 6.]), scale=3.0)"
+        with pytest.raises(AttributeError):
+            a.values = None
+    assert Scaled([1]).scale == 2.0 and ScaledTwice([1]).doubled().tolist() == [4.0]
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Scaled([[1.0]])
+    assert Pair(1) == Pair(1, None) != Pair(1, 2) and repr(Pair(1)) == "Pair(first=1, second=None)"
+    assert hash(Pair((1, 2))) == hash(Pair((1, 2), None))
+
+
+def test_only_record_py_stores_fields():
+    # every other module states its fields once, as constructor parameters
+    root = pathlib.Path(importlib.import_module("visco_inverse").__file__).parent
+    for path in root.glob("*.py"):
+        if path.name != "record.py":
+            source = path.read_text()
+            assert not re.search(r"\b_fields\s*=|object\.__setattr__", source), path.name
