@@ -23,6 +23,12 @@ gives the biorthogonal dual family within that span, held as coefficients
 alone.  Because the inner product is a fixed discrete bilinear form,
 biorthogonality holds to linear solver precision rather than quadrature
 accuracy.
+With both ends observed, the string's reflection mirrors each trace vector,
+psi_right = (-1)^n psi_left, so members of opposite signs are orthogonal and
+the family is the direct sum of its two ``reflection_classes``: each class's
+Gram comes from its own trajectories, with exact zeros between classes, the
+frame bounds are the min and max over the classes, and the duals are found
+class by class.  Any other family is one class.
 """
 
 from __future__ import annotations
@@ -72,17 +78,32 @@ def y_trace_family(
                        w.factors, np.zeros(len(w), np.complex128))
 
 
+def reflection_classes(psis: np.ndarray) -> tuple:
+    """Index arrays of the members whose trace vectors (members, m) have
+    psi[1] == psi[0] (a zero psi among them) and psi[1] == -psi[0], compared
+    exactly, when every member is in one of two non-empty groups; else one
+    class of every member."""
+    if psis.shape[1] == 2:
+        even = psis[:, 1] == psis[:, 0]
+        if (even | (psis[:, 1] == -psis[:, 0])).all() and 0 < even.sum() < len(psis):
+            return np.flatnonzero(even), np.flatnonzero(~even)
+    return (np.arange(len(psis)),)
+
+
 class GramMatrix(Record):
     """Hermitian Gram of a modal family, entries[k, n] = <member_n, member_k>;
-    real for the w and y families, complex for the z family."""
+    real for the w and y families, complex for the z family.  ``classes``
+    (one by default) index the members of blocks with exact zeros between."""
 
-    def __init__(self, entries: np.ndarray, horizon: float, labels: tuple):
+    def __init__(self, entries: np.ndarray, horizon: float, labels: tuple,
+                 classes: tuple = ()):
         entries = np.asarray(entries, dtype=np.complex128
                              if np.iscomplexobj(entries) else np.float64)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("Gram matrix must be square")
         entries.setflags(write=False)
         labels = tuple(labels)
+        classes = tuple(classes) or (np.arange(len(entries)),)
         self._set(locals())
 
     @property
@@ -100,23 +121,31 @@ def gram(family: ModalFamily) -> GramMatrix:
     <g_i psi_i, g_k psi_k> = <g_i, g_k> (psi_i . conj psi_k).
 
     The trajectory Gram is the ``gram`` of the storage, ``StoredRows`` or
-    ``LeafTables``.  An overflow leaves non-finite entries, which
-    ``frame_bounds`` reports."""
+    ``LeafTables``, over the family's ``reflection_classes``.  An overflow
+    leaves non-finite entries, which ``frame_bounds`` reports."""
     if len(family) == 0:
         raise ValueError("cannot form the Gram matrix of an empty family")
+    classes = reflection_classes(family.psis)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _member_gram(family.trajectories.gram(), family)
+        return _member_gram(family.trajectories.gram(classes=classes), family, classes)
 
 
-def _member_gram(traj: np.ndarray, family: ModalFamily) -> GramMatrix:
+def _member_gram(traj: np.ndarray, family: ModalFamily, classes: tuple = ()) -> GramMatrix:
     """The Gram of the members g_n psi_n from the Gram <g_n, g_k> of their
     trajectories, symmetrized; real when both are, as for the w and y
-    families, whose Psi is real once the factors are folded in."""
+    families, whose Psi is real once the factors are folded in.  With more
+    than one class, only the class blocks of ``traj`` are read."""
     psis = family.psis
     if not psis.imag.any():
         psis = psis.real
-    raw = traj * (psis @ psis.conj().T)
-    return GramMatrix(0.5 * (raw.T + raw.conj()), family.grid.horizon, family.labels)
+    if len(classes) < 2:
+        raw = traj * (psis @ psis.conj().T)
+    else:
+        raw = np.zeros(traj.shape, np.result_type(traj, psis))
+        for c in classes:
+            block = np.ix_(c, c)
+            raw[block] = traj[block] * (psis[c] @ psis[c].conj().T)
+    return GramMatrix(0.5 * (raw.T + raw.conj()), family.grid.horizon, family.labels, classes)
 
 
 class FrameBounds(Value):
@@ -136,8 +165,9 @@ def frame_bounds(g: GramMatrix) -> FrameBounds:
 
     These are the best constants c, C with
     c * sum |a|^2 <= ||sum a_n member_n||^2 <= C * sum |a|^2
-    over the truncated family.  A non-finite entry, the mark of an
-    overflowing modal solve, raises ``NumericsError``.
+    over the truncated family: over a direct sum, the min and max over its
+    classes.  A non-finite entry, the mark of an overflowing modal solve,
+    raises ``NumericsError``.
     """
     entries = g.entries
     if not np.isfinite(entries).all():
@@ -146,8 +176,10 @@ def frame_bounds(g: GramMatrix) -> FrameBounds:
     scale = max(1.0, float(np.max(np.abs(entries))))
     if hermitian_defect > 1e-8 * scale:
         raise ValueError("Gram matrix is not Hermitian within tolerance")
-    eigs = np.linalg.eigvalsh(entries)
-    return FrameBounds(float(eigs[0]), float(eigs[-1]), g.size, g.horizon)
+    eigs = [np.linalg.eigvalsh(entries[np.ix_(c, c)] if len(g.classes) > 1 else entries)
+            for c in g.classes]
+    return FrameBounds(float(min(e[0] for e in eigs)), float(max(e[-1] for e in eigs)),
+                       g.size, g.horizon)
 
 
 def leading_frame_bounds(g: GramMatrix, sizes) -> list:
@@ -156,7 +188,8 @@ def leading_frame_bounds(g: GramMatrix, sizes) -> list:
     for k in sizes:
         if not 1 <= k <= g.size:
             raise ValueError(f"sub-family size {k} outside 1..{g.size}")
-        sub = GramMatrix(g.entries[:k, :k], g.horizon, g.labels[:k])
+        classes = [c[c < k] for c in g.classes if c[0] < k]
+        sub = GramMatrix(g.entries[:k, :k], g.horizon, g.labels[:k], classes)
         out.append(frame_bounds(sub))
     return out
 
@@ -168,7 +201,8 @@ def dual_coefficients(g: GramMatrix) -> np.ndarray:
     <member_n, p_k> = (G^-1 G)[k, n] = delta_nk.  Raises
     ``SingularGramError`` when the bounds are ``FrameBounds.singular``, i.e.
     when the family has numerically lost its lower frame bound at this
-    truncation and horizon.
+    truncation and horizon.  The inverse of a direct sum is that of each
+    class, with zeros between them.
     """
     bounds = g.bounds
     if bounds.singular:
@@ -177,7 +211,12 @@ def dual_coefficients(g: GramMatrix) -> np.ndarray:
             f"{bounds.lower:.3e} vs max {bounds.upper:.3e} "
             f"(size {g.size}, horizon {g.horizon:g})"
         )
-    return np.linalg.solve(g.entries, np.eye(g.size)).conj()
+    if len(g.classes) == 1:
+        return np.linalg.inv(g.entries).conj()
+    inverse = np.zeros_like(g.entries)
+    for c in g.classes:
+        inverse[np.ix_(c, c)] = np.linalg.inv(g.entries[np.ix_(c, c)])
+    return inverse.conj()
 
 
 def biorthogonality_defect(g: GramMatrix, coefficients: np.ndarray) -> float:

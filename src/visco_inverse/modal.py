@@ -170,7 +170,7 @@ class LeafTables(Record):
         k, l = divmod(n - 1, self.rows.shape[2])
         return np.einsum("na,na->n", self.starts[:, :, k], self.rows[:, :, l])
 
-    def gram(self, orthonormal: bool = False) -> np.ndarray:
+    def gram(self, orthonormal: bool = False, classes: tuple = ()) -> np.ndarray:
         """Trapezoid inner products <z_m, z_n> of the rows, as in
         ``volterra.inner_products``: over the full leaves, sum over k, l of
         Z_m conj(Z_n) = sum over a, b of (R_a R_b^T)(S_a S_b^H) entrywise,
@@ -183,7 +183,16 @@ class LeafTables(Record):
         leaves no such terms, at the cost of a QR per mode and two more
         (modes, D, L) arrays a while.  Complex starts, those of the z family,
         whose decaying members cancel terms far larger than themselves, are
-        always rotated."""
+        always rotated.  With more than one class of modes (``frames``), each
+        class's Gram comes from its own tables, with zeros between them."""
+        if len(classes) > 1:
+            g = np.zeros((len(self.starts),) * 2, self.starts.dtype)
+            for c in classes:
+                tables = LeafTables(self.grid, self.rows[c], self.starts[c],
+                                    np.flatnonzero(np.isin(c, self.linear)),
+                                    None if self.step is None else self.step[c])
+                g[np.ix_(c, c)] = tables.gram(orthonormal)
+            return g
         L, full, tail = self._leaves()
         R, S = self.rows, self.starts[:, :, :full]
         if orthonormal or np.iscomplexobj(S):
@@ -331,7 +340,8 @@ class StoredRows(Record):
     def dense(self) -> np.ndarray:
         return self.rows
 
-    def gram(self) -> np.ndarray:
+    def gram(self, classes: tuple = ()) -> np.ndarray:
+        """The whole Gram, whatever the classes: no class's rows are copied."""
         return _trapezoid_gram(self.rows, self.grid.dt)
 
     def dot(self, x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,10 @@ takes the double w rows through every later step in long double, with
 V_sigma a dense matrix, the reference for the y family's leaf tables.
 The spectral loop builds the signed modes one ``Mode`` at a time from
 ``OperatorSpec.eigenvalue`` and ``trace_vector``, the route the model's
-vectorised arrays replace.
+vectorised arrays replace.  The full-Gram route forms the Gram of every
+member at once, takes its extreme eigenvalues from one ``eigvalsh`` of the
+whole matrix and its duals from ``solve(G, I)``, the route that the
+reflection classes of a family observed at both ends replace.
 
 The last group states intermediate results of the paper that no study
 reports.  The homogeneous trace B w, from initial data given by mode
@@ -294,6 +297,17 @@ def family_values(family) -> np.ndarray:
 def dual_values(family, coefficients) -> np.ndarray:
     """(members, J+1, m) array of the duals p_k = sum_m C[k, m] member_m."""
     return np.tensordot(coefficients, family_values(family), axes=1)
+
+
+def full_gram_route(family) -> tuple:
+    """(G, lower, upper, C) of the whole family, with no reflection classes:
+    the storage's trajectory Gram of all its rows times psi_n . conj psi_k,
+    symmetrized, the first and last eigenvalue of G, and C = conj(G^-1)."""
+    psis = family.psis
+    raw = family.trajectories.gram() * (psis @ psis.conj().T)
+    G = 0.5 * (raw.T + raw.conj())
+    eigs = np.linalg.eigvalsh(G)
+    return G, eigs[0], eigs[-1], np.linalg.solve(G, np.eye(len(G))).conj()
 
 
 @dataclass

@@ -47,8 +47,10 @@ from oracles import (
     complex_w_route,
     dual_values,
     family_values,
+    full_gram_route,
     naive_inner_products,
 )
+from visco_inverse.frames import SINGULAR_GRAM_RTOL, reflection_classes
 from visco_inverse.modal import LeafTables, StoredRows, _leaf_tables
 from visco_inverse.volterra import _LEAF_STEPS, _trapezoid_gram
 
@@ -507,6 +509,117 @@ class TestZTableRoute:
             expected = stored.inner_with(signal)
             gap = np.linalg.norm(leaf.inner_with(signal) - expected) / np.linalg.norm(expected)
             assert gap <= 1e-13, gap
+
+
+class TestReflectionClasses:
+    # the classes are read from the trace vectors alone, compared exactly
+    def test_mirrored_trace_vectors_give_two_classes(self):
+        psis = np.array([[0.0, 0.0], [1.5, -1.5], [2j, 2j], [-1.0, 1.0]])
+        plus, minus = reflection_classes(psis)  # a zero psi goes in the first
+        assert plus.tolist() == [0, 2] and minus.tolist() == [1, 3]
+
+    @pytest.mark.parametrize("psis", [
+        [[1.0, 1.0], [2.0, 2.0]],  # every row (1, 1): the other group is empty
+        [[1.0, -1.0], [-3.0, 3.0]],
+        [[1.0, 1.0], [1.0, -1.0], [1.0, 2.0]],  # one member in neither group
+        [[1.0, 1.0], [1.0, -1.0 + 1e-16]],  # mirrored only to roundoff
+        [[1.0], [-1.0], [2.0]],  # one end observed
+    ], ids=["all-plus", "all-minus", "one-outside", "inexact", "one-end"])
+    def test_any_other_family_is_one_class(self, psis):
+        classes = reflection_classes(np.array(psis))
+        assert len(classes) == 1 and classes[0].tolist() == list(range(len(psis)))
+
+    def test_signed_z_labels_group_by_their_absolute_value(self):
+        model = build_spectral_model(OperatorSpec(PI, -2.0, ("left", "right")), 5)
+        family = z_trace_family(model, ZeroKernel(), TimeGrid(2 * PI, 512))
+        labels = np.array(family.labels)
+        classes = gram(family).classes
+        assert [sorted(np.abs(labels[c]).tolist()) for c in classes] == [
+            [2, 2, 4, 4], [1, 1, 3, 3, 5, 5]]
+
+    @pytest.mark.parametrize("build", [z_trace_family, w_trace_family])
+    def test_one_end_is_one_class_with_the_full_inverse(self, build, grid):
+        # one class takes the whole matrix, LAPACK's solve of G X = I bit for bit
+        model = build_spectral_model(OperatorSpec(PI, 0.0, ("right",)), 6)
+        g = gram(build(model, ExponentialKernel(1.0, 1.0), grid))
+        assert len(g.classes) == 1 and g.classes[0].tolist() == list(range(g.size))
+        assert np.array_equal(dual_coefficients(g),
+                              np.linalg.solve(g.entries, np.eye(g.size)).conj())
+        assert len(GramMatrix(g.entries, g.horizon, g.labels).classes) == 1
+
+
+@st.composite
+def both_end_cases(draw):
+    """A model observed at both ends over L, q and N: q = s (pi / L)^2 gives
+    lambda_n real and imaginary, and s = -k^2 a zero-branch mode at n = k; a
+    kernel with a realization (leaf tables) or sampled (stored rows); the z
+    or the w family, on grids at and beside the leaf edges."""
+    length = draw(st.floats(1.5, 4.0))
+    N = draw(st.integers(1, 8))
+    s = draw(st.one_of(st.floats(-3.0, 20.0), st.integers(1, min(N, 2)).map(lambda k: -k * k)))
+    spec = OperatorSpec(length, s * (PI / length) ** 2, ("left", "right"))
+    model = build_spectral_model(spec, N)
+    grid = TimeGrid(2 * length + draw(st.floats(0.2, 1.0)),
+                    draw(st.sampled_from([255, 256, 257, 1023, 2049])))
+    variant = draw(st.sampled_from(["zero", "exponential", "polynomial", "sampled"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if variant == "zero":
+        kernel = ZeroKernel()
+    elif variant == "polynomial":
+        # coefficients from the drawn seed: hypothesis's own float draws
+        # favour 0 and tiny values
+        kernel = PolynomialKernel(np.random.default_rng(seed).uniform(
+            -3.0, 3.0, draw(st.integers(1, 4))))
+    else:
+        kernel = ExponentialKernel(draw(st.floats(-2.0, 3.0)), draw(st.floats(-1.0, 5.0)))
+        if variant == "sampled":
+            kernel = SampledKernel(kernel.sample(grid), m0=kernel.at_zero())
+    build = draw(st.sampled_from([z_trace_family, w_trace_family]))
+    return build(model, kernel, grid)
+
+
+class TestReflectionClassProperties:
+    # the Gram, bounds and duals found class by class against the whole
+    # family at once (``oracles.full_gram_route``)
+    @given(both_end_cases())
+    def test_matches_the_full_gram(self, family):
+        G, lower, upper, C = full_gram_route(family)
+        g = gram(family)
+        labels = np.abs(family.labels)
+        assert len(g.classes) == 1 + (labels.max() > 1)  # |n| odd and even
+        between = np.ones(G.shape, bool)
+        for c in g.classes:
+            assert len(set(labels[c] % 2)) == 1
+            between[np.ix_(c, c)] = False
+        scale = np.abs(G).max()
+        # what the classes leave out is roundoff in the full Gram, and zero here
+        assert np.abs(G[between]).max(initial=0.0) <= 1e-14 * scale
+        assert not g.entries[between].any()
+        assert np.abs(g.entries - G).max() <= 1e-13 * scale
+        # Weyl: each eigenvalue moves by at most the norm of the difference
+        bounds = g.bounds
+        assert abs(bounds.lower - lower) <= 1e-12 * upper, (bounds.lower, lower, upper)
+        assert abs(bounds.upper - upper) <= 1e-12 * upper, (bounds.upper, upper)
+        steps = range(1, g.size + 1)
+        for k, sub in zip(steps, leading_frame_bounds(g, steps)):
+            eigs = np.linalg.eigvalsh(G[:k, :k])
+            assert abs(sub.lower - eigs[0]) <= 1e-12 * upper
+            assert abs(sub.upper - eigs[-1]) <= 1e-12 * upper
+        # the duals, away from the singular-Gram threshold where the two
+        # routes may decide differently.  The defect is held to the existing
+        # 1e-8, or, where the family's conditioning takes the full route's own
+        # defect near or past that (3e-5 was drawn), to 10 times the full
+        # route's: 400 random draws measured at most 4.2 times
+        if lower > 2 * SINGULAR_GRAM_RTOL * upper:
+            coefficients = dual_coefficients(g)
+            assert not coefficients[between].any()
+            for entries in (g.entries, G):
+                full = GramMatrix(entries, g.horizon, g.labels)
+                defect = biorthogonality_defect(full, coefficients)
+                assert defect <= max(1e-8, 10 * biorthogonality_defect(full, C)), defect
+        elif lower < 0.5 * SINGULAR_GRAM_RTOL * upper:
+            with pytest.raises(SingularGramError):
+                dual_coefficients(g)
 
 
 def materialised_duals(fam):
