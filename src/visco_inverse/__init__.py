@@ -25,7 +25,6 @@ from .frames import (
     gram,
     leading_frame_bounds,
     w_trace_family,
-    y_trace_family,
     z_trace_family,
 )
 from .inverse import (

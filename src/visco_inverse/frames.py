@@ -1,19 +1,19 @@
 """Frame analysis of modal trace families and their biorthogonal duals.
 
 A modal family collects the boundary signals g_n(t) * psi_n for a scalar
-trajectory family g (the z, w or convolved-w trajectories), stored factored
-as the trajectories Z (members, J+1) and trace vectors Psi (members, m).
-The family record is the modal solve's own ``modal.ModalFamily``: the z and
-w families are the solves themselves, and the y family is the w solve with
-its rows convolved.  For the w and y families Z is real: the real rows of
-the modal solve, with each mode's factor (1, or i for an imaginary
-lambda_n) folded into Psi, so Psi is real, every product that reads Z is a
-real one and the Gram is real.  The z family's Z is complex.  A family's
-trajectories are the step map's ``LeafTables`` under a kernel with a
-realization and ``StoredRows`` under a sampled one, and both answer one
-interface (``modal``): the Gram, the synthesis Z^T (a * Psi), the inner
-products with a signal and the y rows V_sigma Z come from either alike, so
-this module reads no storage of its own.  Tables give them in O(N d J) time
+trajectory family g (the z or w trajectories), stored factored as the
+trajectories Z (members, J+1) and trace vectors Psi (members, m).  The
+family record is the modal solve's own ``modal.ModalFamily``.  For the w
+family Z is real: the real rows of the modal solve, with each mode's factor
+(1, or i for an imaginary lambda_n) folded into Psi, so Psi is real, every
+product that reads Z is a real one and the Gram is real.  The z family's Z
+is complex.  The y family (V_sigma w_n) psi_n has no record of its own: it
+shares the w family's Psi, and its L2 and H1 trajectory Grams are the w
+trajectories' ``h1_gram``.  A family's trajectories are the step map's
+``LeafTables`` under a kernel with a realization and ``StoredRows`` under a
+sampled one, and both answer one interface (``modal``): the Gram, the
+synthesis Z^T (a * Psi), the inner products with a signal and the Grams of
+V_sigma Z come from either alike, so this module reads no storage of its own.  Tables give them in O(N d J) time
 and O(N d L + N^2) memory, with no (members, J+1) array; ``scalars`` builds
 Z on request.
 Its Gram matrix under the discrete L2(0,T; G) inner product, the trajectory
@@ -41,7 +41,7 @@ from .errors import NumericsError, SingularGramError
 from .modal import ModalFamily, solve_w_many, solve_z_many
 from .record import Record, Value
 from .spectral import SpectralModel
-from .volterra import MemoryKernel, SourceModulation, TimeGrid, TraceSignal
+from .volterra import MemoryKernel, TimeGrid, TraceSignal
 
 #: Gram matrices with min eigenvalue below this times the max eigenvalue are
 #: treated as singular (frame failure at this truncation/horizon).
@@ -61,21 +61,6 @@ def z_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -
 def w_trace_family(model: SpectralModel, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
     """Members w_n * psi_n over positive indices 1..N, on real rows."""
     return solve_w_many(model.positive_modes, kernel, grid)
-
-
-def y_trace_family(
-    model: SpectralModel,
-    kernel: MemoryKernel,
-    modulation: SourceModulation,
-    grid: TimeGrid,
-) -> ModalFamily:
-    """Members (V_sigma w_n) * psi_n, the time-integrated source responses,
-    on stored rows; a real sigma keeps the rows real, and a realized one
-    convolves them by the leaf-blocked recurrence.  The w family's modes and
-    factors carry over, and y'(0) = sigma(0) w(0) = 0."""
-    w = w_trace_family(model, kernel, grid)
-    return ModalFamily(w.modes, grid, w.trajectories.convolved(modulation.sample(grid)),
-                       w.factors, np.zeros(len(w), np.complex128))
 
 
 def reflection_classes(psis: np.ndarray) -> tuple:

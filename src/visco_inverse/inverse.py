@@ -24,8 +24,10 @@ is reported, as D's form takes e = 0 for granted.  Adjoint identity and
 biorthogonality are exact by construction; the only systematic residual is
 that O(dt^2) defect, which rescales every recovered coefficient by the same
 factor 1 + d (B w vanishes at t = 0) and vanishes under refinement.  Every
-product with the w family, and the stability scan's H1 Gram, goes through its
-trajectories, which ``modal.StoredRows`` and ``modal.LeafTables`` answer alike.
+product with the w family goes through its trajectories, which
+``modal.StoredRows`` and ``modal.LeafTables`` answer alike, and so do the
+y family's Grams: one ``h1_gram`` gives the stability scan its H1 Gram and
+the L2 counterexample its L2 Gram.
 The scan's random sources are numpy's own draws, its PCG64 reseeded in place.
 """
 
@@ -48,8 +50,8 @@ from .frames import (
     dual_coefficients,
     gram,
     leading_frame_bounds,
+    reflection_classes,
     w_trace_family,
-    y_trace_family,
 )
 from .forward import SourceCoefficients
 from .modal import ModalFamily
@@ -266,7 +268,7 @@ def stability_gram(
     horizon to reach the two-way travel time 2L, below which the boundary
     observation cannot control every mode and the ratio is meaningless.
 
-    Both Grams are the w family's trajectories' ``h1_gram``: ``LeafTables``
+    Q is the H1 half of the w family's trajectories' ``h1_gram``: ``LeafTables``
     and ``StoredRows`` answer it alike, the tables with no (N, J+1) array
     where sigma has a realization.  An overflow in the Grams leaves a
     non-finite Q, which raises ``NumericsError``.
@@ -279,7 +281,7 @@ def stability_gram(
     sigma = modulation.sample(grid)
     family = w_trace_family(model, kernel, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # the gate below reports it
-        Q = _member_gram(family.trajectories.h1_gram(sigma), family).entries.real
+        Q = _member_gram(family.trajectories.h1_gram(sigma)[1], family).entries.real
     if not np.isfinite(Q).all():
         raise NumericsError(f"non-finite H1 Gram (size {len(Q)}, horizon {grid.horizon:g})")
     return Q
@@ -482,12 +484,17 @@ def l2_only_counterexample(
     stay bounded (the members themselves decay like 1/|lambda_n|), while the
     minimal Gram eigenvalue of the truncated family drains to zero, so no
     uniform lower frame bound survives.  Nested truncations reuse a single
-    Gram matrix.
+    Gram matrix: the L2 half of the w trajectories' ``h1_gram`` (so the grid
+    needs 3 steps, as its slopes do), over the w family's reflection classes,
+    as the y members share w's trace vectors.  An overflow leaves non-finite
+    entries, which ``frame_bounds`` reports.
     """
     if not 1 <= nmax <= model.truncation:
         raise ValueError(f"nmax must lie in 1..{model.truncation}")
-    family = y_trace_family(model, ZeroKernel(), modulation, grid)
-    g = gram(family)
+    family = w_trace_family(model, ZeroKernel(), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        l2 = family.trajectories.h1_gram(modulation.sample(grid))[0]
+    g = _member_gram(l2, family, reflection_classes(family.psis))
     norms = np.sqrt(np.diag(g.entries)[:nmax].real)
     lams = family.modes.lam[:nmax]
     bounds = leading_frame_bounds(g, range(1, nmax + 1))

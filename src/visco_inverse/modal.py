@@ -35,7 +35,7 @@ O(J log^2 J) per mode instead of O(J^2).  Its FFT error grows with the
 largest kernel sample, so the solve checks the discrete Volterra equation by
 direct sums at the last step of every leaf (``HISTORY_RESIDUAL_RTOL``).
 ``LeafTables`` and ``StoredRows`` answer one interface (Z on request, its
-Gram, the products conj(Z) y and Z^T x, V_sigma Z and its H1 Gram), the
+Gram, the products conj(Z) y and Z^T x, the L2 and H1 Grams of V_sigma Z), the
 tables in O(N d J) with no (modes, J+1) array, the rows from Z in place;
 which of the two a solve returns is decided here alone.
 Every entry point is batched and takes the modes as ``ModeArrays``:
@@ -189,8 +189,7 @@ class LeafTables(Record):
             g = np.zeros((len(self.starts),) * 2, self.starts.dtype)
             for c in classes:
                 tables = LeafTables(self.grid, self.rows[c], self.starts[c],
-                                    np.flatnonzero(np.isin(c, self.linear)),
-                                    None if self.step is None else self.step[c])
+                                    np.flatnonzero(np.isin(c, self.linear)))
                 g[np.ix_(c, c)] = tables.gram(orthonormal)
             return g
         L, full, tail = self._leaves()
@@ -254,11 +253,12 @@ class LeafTables(Record):
         out[full * L + 1:] = _matmul(tail.T, x)
         return out
 
-    def h1_gram(self, sigma: ScalarSignal) -> np.ndarray:
-        """Trapezoid H1 Gram <y_m, y_n> + <y_m', y_n'> of Y = V_sigma Z, for rows
-        of a step map that vanish at t = 0 and a sigma with a realization; y'
-        is ``volterra._slopes``': central differences (Y[:, n + 1] -
-        Y[:, n - 1]) / 2dt inside, one-sided stencils at nodes 0 and J.
+    def h1_gram(self, sigma: ScalarSignal) -> tuple:
+        """Trapezoid Grams <y_m, y_n> (L2) and <y_m, y_n> + <y_m', y_n'> (H1) of
+        Y = V_sigma Z, for rows of a step map that vanish at t = 0 and a sigma
+        with a realization; y' is ``volterra._slopes``': central differences
+        (Y[:, n + 1] - Y[:, n - 1]) / 2dt inside, one-sided stencils at nodes
+        0 and J.
 
         Y and its central differences are tables on these leaves, with the
         starts (S_k, h_k), h_k sigma's d-state at the start of leaf k as in
@@ -314,18 +314,15 @@ class LeafTables(Record):
         ends = _slopes(ends, dt, np.empty_like(ends))[[0, -1]]
         slopes = LeafTables(TimeGrid(dt * (J - 1), J - 1), central, starts, none)
         c = slopes.column(J - 1)
-        return (Y.gram(orthonormal=True) + slopes.gram(orthonormal=True)
-                + 0.5 * dt * (ends.T @ ends + np.outer(c, c)))
-
-    def convolved(self, sigma: ScalarSignal) -> StoredRows:
-        return StoredRows(self.grid, self.dense()).convolved(sigma)
+        l2 = Y.gram(orthonormal=True)
+        return l2, l2 + slopes.gram(orthonormal=True) + 0.5 * dt * (ends.T @ ends + np.outer(c, c))
 
 
 class StoredRows(Record):
     """Rows Z (modes, J+1) held as they are, read-only, real or complex: the
     ``LeafTables`` methods answered from Z in place.  ``gram`` is
     ``volterra._trapezoid_gram``, with no table terms to rotate away, ``dot``
-    is ``volterra.inner_products`` and ``convolved`` is ``volterra.convolve``
+    is ``volterra.inner_products`` and ``h1_gram`` reads ``volterra.convolve``
     of the rows; ``cancellation`` is 1, as the values are the terms."""
 
     def __init__(self, grid: TimeGrid, rows: np.ndarray):
@@ -353,30 +350,26 @@ class StoredRows(Record):
     def cancellation(self) -> np.ndarray:
         return np.ones(len(self.rows))
 
-    def convolved(self, sigma: ScalarSignal) -> StoredRows:
-        return StoredRows(self.grid, convolve(sigma, TraceSignal(self.grid, self.rows.T)).values.T)
-
-    def h1_gram(self, sigma: ScalarSignal) -> np.ndarray:
-        """The Grams of the y rows and of their ``volterra._slopes``.  Z stays
-        held, so the slopes overwrite the y rows, which this call alone
-        holds, one row at a time: no third (modes, J+1) array."""
+    def h1_gram(self, sigma: ScalarSignal) -> tuple:
+        """The L2 Gram of the y rows, and that plus the Gram of their
+        ``volterra._slopes``.  Z stays held, so the slopes overwrite the y
+        rows, which this call alone holds, one row at a time: no third
+        (modes, J+1) array."""
         dt = self.grid.dt
-        Y = self.convolved(sigma).rows
+        Y = convolve(sigma, TraceSignal(self.grid, self.rows.T)).values.T
         gram = _trapezoid_gram(Y, dt)
         Y.setflags(write=True)
         slope = np.empty(Y.shape[1], Y.dtype)
         for row in Y:
             row[...] = _slopes(row, dt, slope)
-        return gram + _trapezoid_gram(Y, dt)
+        return gram, gram + _trapezoid_gram(Y, dt)
 
 
 class ModalFamily(Record):
     """The solved members factors[n] g_n psi_n of a batch of modes on one
     grid, g_n the rows of ``trajectories``, and their z'(0) = ``p0``.
     ``psis`` folds the factors into the trace vectors and ``scalars`` builds
-    the rows on request.  ``family[i]`` is member i as a ``ModalTrajectory``;
-    such views describe solved families only, as their z' assumes the
-    trapezoid step, which the y rows (``frames.y_trace_family``) do not take."""
+    the rows on request.  ``family[i]`` is member i as a ``ModalTrajectory``."""
 
     def __init__(self, modes: ModeArrays, grid: TimeGrid,
                  trajectories: LeafTables | StoredRows,  # g_n
@@ -404,8 +397,7 @@ class ModalFamily(Record):
     @cached_property
     def scalars(self) -> np.ndarray:
         """The trajectories g_n as one read-only (members, J+1) array, real
-        for the w and y families, complex for z; built from leaf tables on
-        first use."""
+        for the w family, complex for z; built from leaf tables on first use."""
         return self.trajectories.dense()
 
     def __len__(self) -> int:

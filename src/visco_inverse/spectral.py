@@ -81,10 +81,6 @@ class Mode(Record):
         psi.setflags(write=False)
         self._set(locals())
 
-    @property
-    def sign(self) -> int:
-        return 1 if self.index > 0 else -1
-
 
 class ModeArrays(Record):
     """Signed modes as read-only arrays, one entry per mode: the indices n,

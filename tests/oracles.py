@@ -16,9 +16,13 @@ materialises every family member, dual and reconstruction kernel theta_k as
 a (members, J+1, m) array and recovers through <B u', theta_k>, the route
 the factored family replaces.  The complex w route solves the w family on a
 complex state with its own data (0, lambda_n) and convolves it by complex
-FFTs, the route the real rows with folded factors replace.  The weighted
-stability Gram forms each trapezoid Gram from a weighted copy of the rows,
-the route the in-place rule replaces; the long-double stability Gram
+FFTs, the route the real rows with folded factors replace.  The y family
+is the w family's stored rows convolved as one array, the dense route that
+``h1_gram`` of the w trajectories replaces.  The weighted stability and L2
+Grams form each trapezoid Gram of the y rows from a weighted copy of them,
+the route the in-place rule replaces, and the dense L2 counterexample takes
+one eigenvalue decomposition of every leading block of that L2 Gram, with
+no reflection classes; the long-double stability Gram
 takes the double w rows through every later step in long double, with
 V_sigma a dense matrix, the reference for the y family's leaf tables.
 The spectral loop builds the signed modes one ``Mode`` at a time from
@@ -49,10 +53,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from visco_inverse import (
+    ModalFamily,
     Mode,
     ScalarSignal,
     TimeGrid,
     TraceSignal,
+    ZeroKernel,
     boundary_trace_source,
     convolve,
     convolve_adjoint,
@@ -61,10 +67,9 @@ from visco_inverse import (
     resolvent_kernel,
     solve_w_many,
     w_trace_family,
-    y_trace_family,
     z_trace_family,
 )
-from visco_inverse.modal import _integrate_family
+from visco_inverse.modal import StoredRows, _integrate_family
 
 
 def modal_oracle_exponential_kernel(
@@ -143,6 +148,17 @@ def naive_inner_products(a, b, dt: float) -> np.ndarray:
     return out
 
 
+def y_trace_family(model, kernel, modulation, grid) -> ModalFamily:
+    """Members (V_sigma w_n) psi_n on stored rows: the w rows convolved as
+    one (members, J+1) array by ``volterra.convolve``, the dense route that
+    ``h1_gram`` of the w family's trajectories replaces.  The w family's modes
+    and factors carry over, and y'(0) = sigma(0) w(0) = 0."""
+    w = w_trace_family(model, kernel, grid)
+    Y = convolve(modulation.sample(grid), TraceSignal(grid, w.scalars.T)).values.T
+    return ModalFamily(w.modes, grid, StoredRows(grid, Y), w.factors,
+                       np.zeros(len(w), np.complex128))
+
+
 def stability_ratios_per_trial(model, kernel, modulation, grid, trials, seed):
     """||B u||_H1 / ||f|| by synthesizing and differentiating every trial's trace."""
     family = y_trace_family(model, kernel, modulation, grid)
@@ -165,8 +181,33 @@ def stability_gram_weighted(model, kernel, modulation, grid) -> np.ndarray:
     traj = S @ S.T
     S = np.gradient(family.scalars, grid.dt, axis=1, edge_order=2) * root
     traj += S @ S.T
+    return _real_member_gram(traj, family)
+
+
+def l2_gram_weighted(model, kernel, modulation, grid) -> np.ndarray:
+    """The L2 Gram of the y family by the weighted-buffer form, S S^T for
+    S = Y W^(1/2), and the trace-vector Gram entry by entry: the L2 half of
+    the w trajectories' ``h1_gram`` as a member Gram."""
+    family = y_trace_family(model, kernel, modulation, grid)
+    S = family.scalars * np.sqrt(grid.weights)
+    return _real_member_gram(S @ S.T, family)
+
+
+def _real_member_gram(traj, family) -> np.ndarray:
     raw = traj * (family.psis @ family.psis.conj().T)
     return (0.5 * (raw.T + raw.conj())).real
+
+
+def l2_counterexample_dense(model, modulation, grid, nmax: int) -> tuple:
+    """(G, scaled norms, min Gram eigenvalues) of
+    ``inverse.l2_only_counterexample`` by the dense route: G the
+    ``l2_gram_weighted`` of the zero kernel's y rows, |lambda_n| sqrt(G_nn)
+    and the least eigenvalue of each leading k x k block of the whole G, with
+    no reflection classes."""
+    G = l2_gram_weighted(model, ZeroKernel(), modulation, grid)
+    lams = model.positive_modes.lam[:nmax]
+    return (G, np.abs(lams) * np.sqrt(np.diag(G)[:nmax]),
+            np.array([np.linalg.eigvalsh(G[:k, :k])[0] for k in range(1, nmax + 1)]))
 
 
 def stability_gram_longdouble(model, kernel, rate: float, grid) -> np.ndarray:

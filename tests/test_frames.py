@@ -21,7 +21,6 @@ from visco_inverse import (
     PolynomialKernel,
     SampledKernel,
     SampledModulation,
-    ScalarSignal,
     SingularGramError,
     TimeGrid,
     TraceSignal,
@@ -29,7 +28,6 @@ from visco_inverse import (
     biorthogonality_defect,
     build_spectral_model,
     coefficients_via_duals,
-    convolve,
     dual_coefficients,
     inner_products,
     frame_bounds,
@@ -37,7 +35,6 @@ from visco_inverse import (
     leading_frame_bounds,
     stability_gram,
     w_trace_family,
-    y_trace_family,
     z_trace_family,
 )
 from families import synthetic_family
@@ -50,7 +47,7 @@ from oracles import (
     full_gram_route,
     naive_inner_products,
 )
-from visco_inverse.frames import SINGULAR_GRAM_RTOL, reflection_classes
+from visco_inverse.frames import SINGULAR_GRAM_RTOL, _member_gram, reflection_classes
 from visco_inverse.modal import LeafTables, StoredRows, _leaf_tables
 from visco_inverse.volterra import _LEAF_STEPS, _trapezoid_gram
 
@@ -136,8 +133,8 @@ class TestFrameBounds:
     def test_integrated_family_loses_lower_bound(self, grid):
         # min eigenvalue drains toward zero: the hallmark of frame failure
         model = build_spectral_model(OperatorSpec(PI), 32)
-        fam = y_trace_family(model, ZeroKernel(), ConstantModulation(1.0), grid)
-        G = gram(fam)
+        fam = w_trace_family(model, ZeroKernel(), grid)
+        G = _member_gram(fam.trajectories.h1_gram(ConstantModulation(1.0).sample(grid))[0], fam)
         b4, b32 = leading_frame_bounds(G, [4, 32])
         assert b32.lower < 0.05 * b4.lower
 
@@ -156,36 +153,21 @@ class TestFrameBounds:
             leading_frame_bounds(G, [5])
 
 
-@pytest.mark.parametrize("build", ["z", "w", "y"])
+@pytest.mark.parametrize("build", ["z", "w"])
 def test_a_family_is_one_record_of_its_modes(build):
     # q = -1.5 gives mode 1 an imaginary lambda, so a w factor of i
     model = build_spectral_model(OperatorSpec(PI, -1.5, ("left", "right")), 4)
     grid = TimeGrid(2 * PI + 0.5, 600)
     kernel = ExponentialKernel(1.0, 1.0)
     family = {"z": lambda: z_trace_family(model, kernel, grid),
-              "w": lambda: w_trace_family(model, kernel, grid),
-              "y": lambda: y_trace_family(model, kernel, AffineModulation(1.0, 0.5), grid)}[build]()
+              "w": lambda: w_trace_family(model, kernel, grid)}[build]()
     assert family.labels == tuple(family.modes.index)
     expected = family.factors[:, None] * family.modes.psi
     assert family.psis.tobytes() == expected.tobytes() and not family.psis.flags.writeable
-    if build == "y":
-        assert family.p0.tobytes() == np.zeros(len(family), complex).tobytes()
-    else:  # a solve, read as one ModalTrajectory view per member
-        members = list(family)
-        assert all(isinstance(m, ModalTrajectory) for m in members)
-        assert [m.mode.index for m in members] == list(family.labels)
-
-
-def test_batched_y_family_matches_per_member_convolution(grid, model):
-    # 8 members over an FFT of about 12.6k run as a chunk of 5 rows and one of 3
-    kernel, modulation = ExponentialKernel(1.0, 1.0), AffineModulation(1.0, 0.5)
-    fam = y_trace_family(model, kernel, modulation, grid)
-    w = w_trace_family(model, kernel, grid)
-    sigma = modulation.sample(grid)
-    per_member = np.stack([convolve(sigma, ScalarSignal(grid, z)).values for z in w.scalars])
-    assert fam.labels == w.labels
-    np.testing.assert_array_equal(fam.psis, w.psis)
-    assert np.linalg.norm(fam.scalars - per_member) <= 1e-15 * np.linalg.norm(per_member)
+    # a solve, read as one ModalTrajectory view per member
+    members = list(family)
+    assert all(isinstance(m, ModalTrajectory) for m in members)
+    assert [m.mode.index for m in members] == list(family.labels)
 
 
 MEMORY = {
@@ -252,9 +234,11 @@ class TestRealRouteProperties:
         assert_close(fam.inner_with(signal),
                      naive_inner_products(signal.values[None], members, grid.dt)[0])
 
-        ys = y_trace_family(model, kernel, modulation, grid)
-        assert ys.scalars.dtype == np.float64
-        assert_close(family_values(ys), Y[:, :, None] * psis[:, None, :])
+        # the y family's L2 Gram, the L2 half of the w trajectories' h1_gram
+        l2 = fam.trajectories.h1_gram(modulation.sample(grid))[0]
+        assert l2.dtype == np.float64
+        ys = Y[:, :, None] * psis[:, None, :]
+        assert_close(_member_gram(l2, fam).entries, naive_inner_products(ys, ys, grid.dt).T)
 
 
 @pytest.mark.parametrize("shift", [0.0, -3.5], ids=["q=0", "q=-3.5"])
@@ -265,9 +249,9 @@ def test_real_gram_matches_the_complex_lapack_route(shift):
     grid = TimeGrid(2 * PI + 0.5, 2048)
     model = build_spectral_model(OperatorSpec(PI, shift, ("left", "right")), 16)
     kernel = ExponentialKernel(1.0, 1.0)
-    for fam in (w_trace_family(model, kernel, grid),
-                y_trace_family(model, kernel, AffineModulation(1.0, 0.5), grid)):
-        g = gram(fam)
+    w = w_trace_family(model, kernel, grid)
+    l2 = w.trajectories.h1_gram(AffineModulation(1.0, 0.5).sample(grid))[0]
+    for g in (gram(w), _member_gram(l2, w)):
         assert g.entries.dtype == np.float64
         complex_g = GramMatrix(g.entries.astype(complex), g.horizon, g.labels)
         assert_close(np.array([g.bounds.lower, g.bounds.upper]),

@@ -44,12 +44,15 @@ from visco_inverse import (
     w_trace_family,
 )
 from oracles import (
+    l2_counterexample_dense,
+    l2_gram_weighted,
     reconstruct_via_thetas,
     stability_gram_longdouble,
     stability_gram_weighted,
     stability_ratios_per_trial,
 )
 import visco_inverse.inverse
+from visco_inverse.frames import _member_gram
 from visco_inverse.inverse import (
     _SCAN_BLOCK, _Hashed, _identity_residuals, _seed_states, _seeded, _state_view, _trial_draws)
 from visco_inverse.modal import StoredRows
@@ -429,22 +432,26 @@ def test_stored_h1_gram_is_that_of_the_y_rows_and_their_slopes(kernel):
     sigma = SampledModulation(1.0 + 0.5 * grid.nodes).sample(grid)
     Y = convolve(sigma, TraceSignal(grid, w.scalars.T)).values.T
     slopes = np.gradient(Y, grid.dt, axis=1, edge_order=2)
-    expected = _trapezoid_gram(Y, grid.dt) + _trapezoid_gram(slopes, grid.dt)
-    got = w.trajectories.h1_gram(sigma)
-    assert got.tobytes() == expected.tobytes()
-    assert StoredRows(grid, w.scalars).h1_gram(sigma).tobytes() == expected.tobytes()
-    assert w.trajectories.convolved(sigma).rows.tobytes() == Y.tobytes()
+    l2 = _trapezoid_gram(Y, grid.dt)
+    expected = l2 + _trapezoid_gram(slopes, grid.dt)
+    for got in (w.trajectories.h1_gram(sigma), StoredRows(grid, w.scalars).h1_gram(sigma)):
+        assert got[0].tobytes() == l2.tobytes()
+        assert got[1].tobytes() == expected.tobytes()
 
 
 class TestTableH1Gram:
-    # where the kernel and sigma have realizations, stability_gram reads the
-    # w family's leaf tables; the oracle convolves the stored w rows
+    # where the kernel and sigma have realizations, stability_gram and the
+    # L2 half of h1_gram read the w family's leaf tables; the oracles
+    # convolve the stored w rows
     @given(h1_gram_cases())
     def test_matches_the_stored_rows(self, drawn):
-        got = stability_gram(*drawn)
-        expected = stability_gram_weighted(*drawn)
-        scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
-        assert np.max(np.abs(got - expected) / scale) <= 1e-13
+        model, kernel, sigma, grid = drawn
+        family = w_trace_family(model, kernel, grid)
+        l2 = _member_gram(family.trajectories.h1_gram(sigma.sample(grid))[0], family)
+        for got, expected in [(stability_gram(*drawn), stability_gram_weighted(*drawn)),
+                              (l2.entries, l2_gram_weighted(*drawn))]:
+            scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+            assert np.max(np.abs(got - expected) / scale) <= 1e-13
 
     @pytest.mark.parametrize("steps", [*range(3, 11), _LEAF_STEPS - 1, _LEAF_STEPS])
     def test_one_leaf_grids_match_the_weighted_buffer(self, steps):
@@ -470,12 +477,13 @@ class TestTableH1Gram:
         def stored(*args):
             raise AssertionError("the stored y rows were built")
 
-        monkeypatch.setattr(visco_inverse.modal.StoredRows, "convolved", stored)
+        monkeypatch.setattr(visco_inverse.modal.StoredRows, "h1_gram", stored)
         model = build_spectral_model(OperatorSpec(PI, -4.0, ("left", "right")), 4)
+        sigma = AffineModulation(1.0, 0.5)
         for steps in (3, 7, _LEAF_STEPS):
-            Q = stability_gram(model, ExponentialKernel(1.0, 1.0), AffineModulation(1.0, 0.5),
-                               TimeGrid(2 * PI + 0.5, steps))
-            assert np.isfinite(Q).all()
+            grid = TimeGrid(2 * PI + 0.5, steps)
+            assert np.isfinite(stability_gram(model, ExponentialKernel(1.0, 1.0), sigma, grid)).all()
+            assert np.isfinite(l2_only_counterexample(model, sigma, grid, 4).min_gram_eigs).all()
 
     def test_matches_a_long_double_reference(self):
         # sigma's gains are read from its samples (1.4e-15 here): tables
@@ -738,6 +746,29 @@ class TestCounterexample:
     def test_nmax_validated(self, model, grid):
         with pytest.raises(ValueError):
             l2_only_counterexample(model, ConstantModulation(1.0), grid, 9)
+
+    @pytest.mark.parametrize("endpoints", [("left",), ("left", "right")], ids=["one-end", "both-ends"])
+    @pytest.mark.parametrize("modulation, steps", [
+        (AffineModulation(1.0, 0.5), _LEAF_STEPS - 1),
+        (AffineModulation(1.0, 0.5), _LEAF_STEPS),
+        (AffineModulation(1.0, 0.5), _LEAF_STEPS + 1),
+        (AffineModulation(0.0, 1.0), 2 * _LEAF_STEPS + 1),
+        (ExponentialModulation(-0.7), 4099),
+        (SampledModulation(1.0 + 0.5 * TimeGrid(2 * PI + 0.5, 1000).nodes), 1000),
+    ], ids=["affine-255", "affine-256", "affine-257", "sigma0=0-513", "exponential-4099",
+            "sampled-1000"])
+    def test_matches_the_dense_route(self, endpoints, modulation, steps):
+        # the L2 half of the w tables' h1_gram (the stored rows' for a sampled
+        # sigma) against the Gram of the stored y rows, with the bounds of
+        # each leading block of the whole Gram in place of the classes'
+        model = build_spectral_model(OperatorSpec(PI, 0.0, endpoints), 12)
+        grid = TimeGrid(2 * PI + 0.5, steps)
+        table = l2_only_counterexample(model, modulation, grid, 12)
+        G, norms, eigs = l2_counterexample_dense(model, modulation, grid, 12)
+        assert table.indices.tolist() == list(range(1, 13))
+        assert table.lams.tobytes() == model.positive_modes.lam.tobytes()
+        assert np.max(np.abs(table.scaled_norms - norms) / norms) <= 1e-13
+        assert np.max(np.abs(table.min_gram_eigs - eigs)) <= 1e-13 * np.linalg.eigvalsh(G)[-1]
 
 
 class TestNoisyReconstruction:
