@@ -25,10 +25,10 @@ biorthogonality holds to linear solver precision rather than quadrature
 accuracy.
 With both ends observed, the string's reflection mirrors each trace vector,
 psi_right = (-1)^n psi_left, so members of opposite signs are orthogonal and
-the family is the direct sum of its two ``reflection_classes``: each class's
-Gram comes from its own trajectories, with exact zeros between classes, the
-frame bounds are the min and max over the classes, and the duals are found
-class by class.  Any other family is one class.
+the family is the direct sum of its two ``reflection_classes`` (any other
+family is one class): its Gram, like the y family's in ``inverse``, is
+assembled class by class with exact zeros between, the frame bounds are the
+min and max over the classes, and the duals are found class by class.
 """
 
 from __future__ import annotations
@@ -112,24 +112,22 @@ def gram(family: ModalFamily) -> GramMatrix:
         raise ValueError("cannot form the Gram matrix of an empty family")
     classes = reflection_classes(family.psis)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _member_gram(family.trajectories.gram(classes=classes), family, classes)
+        return _member_gram(family.trajectories.gram(classes=classes), family)
 
 
-def _member_gram(traj: np.ndarray, family: ModalFamily, classes: tuple = ()) -> GramMatrix:
+def _member_gram(traj: np.ndarray, family: ModalFamily) -> GramMatrix:
     """The Gram of the members g_n psi_n from the Gram <g_n, g_k> of their
-    trajectories, symmetrized; real when both are, as for the w and y
-    families, whose Psi is real once the factors are folded in.  With more
-    than one class, only the class blocks of ``traj`` are read."""
+    trajectories, symmetrized, built per ``reflection_classes`` from their
+    blocks of ``traj`` alone, with zeros between; real when both are, as for
+    the w and y families, whose Psi is real once the factors are folded in."""
     psis = family.psis
     if not psis.imag.any():
         psis = psis.real
-    if len(classes) < 2:
-        raw = traj * (psis @ psis.conj().T)
-    else:
-        raw = np.zeros(traj.shape, np.result_type(traj, psis))
-        for c in classes:
-            block = np.ix_(c, c)
-            raw[block] = traj[block] * (psis[c] @ psis[c].conj().T)
+    classes = reflection_classes(psis)
+    raw = np.zeros(traj.shape, np.result_type(traj, psis))
+    for c in classes:
+        block = np.ix_(c, c)
+        raw[block] = traj[block] * (psis[c] @ psis[c].conj().T)
     return GramMatrix(0.5 * (raw.T + raw.conj()), family.grid.horizon, family.labels, classes)
 
 
@@ -161,8 +159,7 @@ def frame_bounds(g: GramMatrix) -> FrameBounds:
     scale = max(1.0, float(np.max(np.abs(entries))))
     if hermitian_defect > 1e-8 * scale:
         raise ValueError("Gram matrix is not Hermitian within tolerance")
-    eigs = [np.linalg.eigvalsh(entries[np.ix_(c, c)] if len(g.classes) > 1 else entries)
-            for c in g.classes]
+    eigs = [np.linalg.eigvalsh(entries[np.ix_(c, c)]) for c in g.classes]
     return FrameBounds(float(min(e[0] for e in eigs)), float(max(e[-1] for e in eigs)),
                        g.size, g.horizon)
 
@@ -196,8 +193,6 @@ def dual_coefficients(g: GramMatrix) -> np.ndarray:
             f"{bounds.lower:.3e} vs max {bounds.upper:.3e} "
             f"(size {g.size}, horizon {g.horizon:g})"
         )
-    if len(g.classes) == 1:
-        return np.linalg.inv(g.entries).conj()
     inverse = np.zeros_like(g.entries)
     for c in g.classes:
         inverse[np.ix_(c, c)] = np.linalg.inv(g.entries[np.ix_(c, c)])

@@ -27,7 +27,7 @@ factor 1 + d (B w vanishes at t = 0) and vanishes under refinement.  Every
 product with the w family goes through its trajectories, which
 ``modal.StoredRows`` and ``modal.LeafTables`` answer alike, and so do the
 y family's Grams: one ``h1_gram`` gives the stability scan its H1 Gram and
-the L2 counterexample its L2 Gram.
+the L2 counterexample its L2 Gram, both found per reflection class.
 The scan's random sources are numpy's own draws, its PCG64 reseeded in place.
 """
 
@@ -50,7 +50,6 @@ from .frames import (
     dual_coefficients,
     gram,
     leading_frame_bounds,
-    reflection_classes,
     w_trace_family,
 )
 from .forward import SourceCoefficients
@@ -270,8 +269,8 @@ def stability_gram(
 
     Q is the H1 half of the w family's trajectories' ``h1_gram``: ``LeafTables``
     and ``StoredRows`` answer it alike, the tables with no (N, J+1) array
-    where sigma has a realization.  An overflow in the Grams leaves a
-    non-finite Q, which raises ``NumericsError``.
+    where sigma has a realization.  Q is 0 between reflection classes.  An
+    overflow in the Grams leaves a non-finite Q, which raises ``NumericsError``.
     """
     threshold = 2.0 * model.spec.length
     if grid.horizon < threshold * (1.0 - 1e-12):
@@ -485,16 +484,16 @@ def l2_only_counterexample(
     minimal Gram eigenvalue of the truncated family drains to zero, so no
     uniform lower frame bound survives.  Nested truncations reuse a single
     Gram matrix: the L2 half of the w trajectories' ``h1_gram`` (so the grid
-    needs 3 steps, as its slopes do), over the w family's reflection classes,
-    as the y members share w's trace vectors.  An overflow leaves non-finite
-    entries, which ``frame_bounds`` reports.
+    needs 3 steps, as its slopes do); the y members share w's trace vectors,
+    so ``_member_gram`` finds its reflection classes.  An overflow leaves
+    non-finite entries, which ``frame_bounds`` reports.
     """
     if not 1 <= nmax <= model.truncation:
         raise ValueError(f"nmax must lie in 1..{model.truncation}")
     family = w_trace_family(model, ZeroKernel(), grid)
     with np.errstate(over="ignore", invalid="ignore"):
         l2 = family.trajectories.h1_gram(modulation.sample(grid))[0]
-    g = _member_gram(l2, family, reflection_classes(family.psis))
+    g = _member_gram(l2, family)
     norms = np.sqrt(np.diag(g.entries)[:nmax].real)
     lams = family.modes.lam[:nmax]
     bounds = leading_frame_bounds(g, range(1, nmax + 1))

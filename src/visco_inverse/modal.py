@@ -188,8 +188,7 @@ class LeafTables(Record):
         if len(classes) > 1:
             g = np.zeros((len(self.starts),) * 2, self.starts.dtype)
             for c in classes:
-                tables = LeafTables(self.grid, self.rows[c], self.starts[c],
-                                    np.flatnonzero(np.isin(c, self.linear)))
+                tables = LeafTables(self.grid, self.rows[c], self.starts[c], self.linear[:0])
                 g[np.ix_(c, c)] = tables.gram(orthonormal)
             return g
         L, full, tail = self._leaves()

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from numpy.random import MT19937, PCG64, PCG64DXSM, SFC64, Philox, SeedSequence
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from visco_inverse import (
@@ -52,7 +52,7 @@ from oracles import (
     stability_ratios_per_trial,
 )
 import visco_inverse.inverse
-from visco_inverse.frames import _member_gram
+from visco_inverse.frames import _member_gram, reflection_classes
 from visco_inverse.inverse import (
     _SCAN_BLOCK, _Hashed, _identity_residuals, _seed_states, _seeded, _state_view, _trial_draws)
 from visco_inverse.modal import StoredRows
@@ -442,16 +442,27 @@ def test_stored_h1_gram_is_that_of_the_y_rows_and_their_slopes(kernel):
 class TestTableH1Gram:
     # where the kernel and sigma have realizations, stability_gram and the
     # L2 half of h1_gram read the w family's leaf tables; the oracles
-    # convolve the stored w rows
+    # convolve the stored w rows.  The example is past the strategy's q: with
+    # sigma = 0.25 - 0.68t changing sign, the H1 Gram reads 4.0e-15 here and
+    # 2.6e-13 with the slope tables' Gram taken unrotated
     @given(h1_gram_cases())
+    @example((build_spectral_model(OperatorSpec(PI, -25.0, ("left",)), 4), ZeroKernel(),
+              AffineModulation(0.25, -0.68), TimeGrid(2 * PI + 0.5, 20000)))
     def test_matches_the_stored_rows(self, drawn):
         model, kernel, sigma, grid = drawn
         family = w_trace_family(model, kernel, grid)
         l2 = _member_gram(family.trajectories.h1_gram(sigma.sample(grid))[0], family)
-        for got, expected in [(stability_gram(*drawn), stability_gram_weighted(*drawn)),
+        Q = stability_gram(*drawn)
+        for got, expected in [(Q, stability_gram_weighted(*drawn)),
                               (l2.entries, l2_gram_weighted(*drawn))]:
             scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
             assert np.max(np.abs(got - expected) / scale) <= 1e-13
+        # with both ends observed Q is exactly 0 between the reflection
+        # classes, whose blocks alone are assembled
+        label = np.empty(len(Q), int)
+        for k, c in enumerate(reflection_classes(family.psis)):
+            label[c] = k
+        assert not Q[label[:, None] != label].any()
 
     @pytest.mark.parametrize("steps", [*range(3, 11), _LEAF_STEPS - 1, _LEAF_STEPS])
     def test_one_leaf_grids_match_the_weighted_buffer(self, steps):

@@ -428,15 +428,18 @@ class TestOverflow:
 def test_overflow_of_the_leaf_values_alone_is_a_numerical_failure():
     # mu dt^2 = -(ln 10)^2: the step grows 14x, so A^256 and the start of
     # the second leaf stay finite (near 1e295) while that leaf's values pass
-    # 1e308 within it; the tables then fail as the stored rows do
+    # 1e308 within it; the tables then fail at that leaf's first step, and
+    # the blocked history solve of a zero sampled kernel at the step whose
+    # state overflows
     grid = TimeGrid(1.0, 456)
     mus = np.array([-(math.log(10.0) / grid.dt) ** 2])
-    message = f"non-finite modal state at step 257 of {grid.steps} "
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for solve in (_leaf_tables, _integrate_family):
+        for solve, kernel, step in [(_leaf_tables, ZeroKernel(), 257),
+                                    (_integrate_family, SampledKernel(np.zeros(457), m0=0.0), 266)]:
+            message = f"non-finite modal state at step {step} of {grid.steps} "
             with pytest.raises(NumericsError, match=message):
-                solve(mus, np.zeros(1), np.ones(1), ZeroKernel(), grid)
+                solve(mus, np.zeros(1), np.ones(1), kernel, grid)
 
 
 def _same_bits(got, want):
