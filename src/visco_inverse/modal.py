@@ -23,10 +23,10 @@ M(t) = c^T e^(Rt) b (``MemoryKernel.realization``), the history is a d-vector
 state X, the trapezoid memory sum taken with e^(R(t - s)) b, so each step is
 a fixed real (2+d)x(2+d) map A on (g, g', X) per mode: d = 0 for the zero
 kernel, 1 for the exponential, degree + 1 for a polynomial.  The first rows of
-A^1..A^L over one leaf of L = 256 steps are tabulated once, by doubling.
-A^L carries the start state of each leaf to the next, and each leaf's
-values are the rows applied to its start state.  That is log2(L) + J/L
-small Python iterations instead of J, with the discretisation unchanged.
+A^1..A^L over one leaf of L = 256 steps are tabulated once, by doubling,
+as are the leaf start states A^(kL) (z(0), z'(0), 0), and each leaf's
+values are the rows applied to its start: log2(L) + log2(J/L) batched
+products instead of J steps, with the discretisation unchanged.
 Both families keep these tables (``LeafTables``) in place of their rows,
 the z family's starts complex.  Only sampled kernels, whose families keep
 stored rows (``StoredRows``), step through leaves of the blocked solve in
@@ -479,9 +479,9 @@ def _first_overflow(A: np.ndarray) -> int:
 
 
 def _first_bad_leaf(rows: np.ndarray, starts: np.ndarray, J: int) -> int:
-    """The first step of the first leaf, of those with the given finite
-    start states, whose values are non-finite (0 if none): the step
-    reported when the leaf products overflow."""
+    """The first step of the first leaf whose values, its start state times
+    the rows, are non-finite (0 if none): the step reported when the carry
+    of the start states or the leaf products overflow."""
     L = rows.shape[2]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(starts.shape[2]):
@@ -507,9 +507,9 @@ def _leaf_tables(mus: np.ndarray, z0: np.ndarray, p0: np.ndarray,
             D = A.shape[1]
             # rows[:, :, k - 1] = the first row of A^k over one leaf, filled
             # by doubling, power = A^m: the first rows of A^(m+1..2m) are
-            # those of A^(1..m) times A^m.  _LEAF_STEPS is a power of two,
-            # so power ends at A^L whenever a second leaf follows; it
-            # carries each leaf's start state to the next
+            # those of A^(1..m) times A^m.  A power is squared only while
+            # A^2m stays inside the grid; _LEAF_STEPS is a power of two, so
+            # power ends at A^L whenever a second leaf follows
             L = min(_LEAF_STEPS, J)
             rows = np.empty((nm, D, L))
             rows[:, :, 0] = A[:, 0]
@@ -517,23 +517,23 @@ def _leaf_tables(mus: np.ndarray, z0: np.ndarray, p0: np.ndarray,
             try:
                 while m < L:
                     rows[:, :, m:2 * m] = power.transpose(0, 2, 1) @ rows[:, :, :min(m, L - m)]
-                    power, m = power @ power, 2 * m
+                    power, m = power @ power if 2 * m < J else power, 2 * m
             except FloatingPointError:
                 n = _first_overflow(A)
                 raise
-            full, rest = divmod(J, L)
-            starts = np.zeros((nm, D, full + 1), dtype=np.result_type(z0, p0, 1.0))
+            leaves = -(-J // L)
+            starts = np.zeros((nm, D, J // L + 1), dtype=np.result_type(z0, p0, 1.0))
             starts[:, 0, 0], starts[:, 1, 0] = z0, p0
-            try:
-                for k in range(1, full + (rest > 0)):
-                    starts[:, :, k] = (power @ starts[:, :, k - 1, None])[..., 0]
-            except FloatingPointError:
-                # the state carried out of leaf k - 1 overflowed
-                n = _first_bad_leaf(rows, starts[:, :, :k], J) or 1 + (k - 1) * L
-                raise
-            # the values starts . rows can overflow with both tables finite;
-            # where a bound on them does, the leaves are replayed to find out
-            with np.errstate(over="ignore"):
+            # the starts by the same doubling, power = A^(mL): those of
+            # leaves m..2m-1 are A^(mL) times those of leaves 0..m-1.  An
+            # overflow there leaves inf or NaN, and the values starts . rows
+            # can overflow with both tables finite; where a bound on them is
+            # not finite, the leaves are replayed to find the first bad one
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = 1
+                while m < leaves:
+                    starts[:, :, m:min(2 * m, leaves)] = power @ starts[:, :, :min(m, leaves - m)]
+                    power, m = power @ power if 2 * m < leaves else power, 2 * m
                 bound = (np.abs(starts).max(axis=2) * np.abs(rows).max(axis=2)).sum(axis=1)
             if not np.isfinite(bound).all():
                 n = _first_bad_leaf(rows, starts, J)

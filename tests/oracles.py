@@ -11,7 +11,9 @@ Volterra oracles solve the resolvent and the generic-kernel modal history by
 O(J^2) forward substitution instead of the blocked FFT solve, and the step
 oracle advances the modal equations of a realized (zero, exponential or
 polynomial) kernel one step at a time instead of by powers of the step map
-and batched leaf products.  The reconstruction oracle
+and batched leaf products; the carry oracle takes leaf tables' start states
+one leaf at a time, each A^L times the last, the route the doubled carry
+replaces.  The reconstruction oracle
 materialises every family member, dual and reconstruction kernel theta_k as
 a (members, J+1, m) array and recovers through <B u', theta_k>, the route
 the factored family replaces.  The complex w route solves the w family on a
@@ -328,6 +330,19 @@ def modal_step_loop(mus, z0, p0, kernel, grid: TimeGrid) -> np.ndarray:
         g = gnew
         Z[:, n] = znew
     return Z
+
+
+def leaf_starts_loop(tables) -> np.ndarray:
+    """The start states of ``LeafTables`` carried one leaf at a time: the
+    state at the start of leaf k is A^L, by squaring, times that of leaf
+    k - 1.  The slot past the last leaf stays 0, as in the tables."""
+    L = tables.rows.shape[2]
+    power = np.linalg.matrix_power(tables.step, L)
+    starts = np.zeros_like(tables.starts)
+    starts[:, :, 0] = tables.starts[:, :, 0]
+    for k in range(1, -(-tables.grid.steps // L)):
+        starts[:, :, k] = (power @ starts[:, :, k - 1, None])[..., 0]
+    return starts
 
 
 def family_values(family) -> np.ndarray:

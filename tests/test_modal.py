@@ -23,6 +23,7 @@ from visco_inverse import (
 )
 from oracles import (
     family_values,
+    leaf_starts_loop,
     modal_history_loop,
     modal_oracle_exponential_kernel,
     modal_step_loop,
@@ -406,6 +407,36 @@ class TestBatchedLeafProduct:
         gap = np.max(np.abs(Z - expected)) / np.max(np.abs(expected))
         assert gap <= 1e-13, gap
 
+    # 10 and 17 leaves: the last doubling block of the carry is partial, and
+    # at 17 L no tail leaf follows, so the slot past the last leaf stays 0
+    @pytest.mark.parametrize("steps", [9 * _LEAF_STEPS + 7, 17 * _LEAF_STEPS])
+    @pytest.mark.parametrize("kernel", [ZeroKernel(), ExponentialKernel(0.7, 1.3),
+                                        PolynomialKernel((1.0, -0.5, 0.2))],
+                             ids=["zero", "exponential", "polynomial"])
+    @pytest.mark.parametrize("family", ["w", "z"])
+    def test_doubled_starts_match_the_sequential_carry(self, family, kernel, steps):
+        mus = np.array([-2.0, 0.5, 3.0, 40.0, 900.0])
+        lams = np.sqrt(np.abs(mus))
+        if family == "w":
+            z0, p0 = np.zeros(5), lams
+        else:
+            z0, p0 = np.ones(5, dtype=complex), 1j * lams
+        tables = _leaf_tables(mus, z0, p0, kernel, TimeGrid(2.0, steps))
+        expected = leaf_starts_loop(tables)
+        # measured at most 7.4e-16 over these twelve cases
+        gap = np.max(np.abs(tables.starts - expected)) / np.max(np.abs(expected))
+        assert gap <= 5e-15, gap
+
+    def test_one_leaf_grid_forms_no_power_past_it(self):
+        # J = 100 < L: the doubling's last block ends at A^100, and A^128,
+        # past the grid, overflows; no table reads it, so the rows stay finite
+        grid = TimeGrid(1.0, 100)
+        mus = np.array([-(1.99 / grid.dt) ** 2])
+        Z = _integrate_family(mus, np.zeros(1), np.ones(1), ZeroKernel(), grid)
+        expected = modal_step_loop(mus, np.zeros(1), np.ones(1), ZeroKernel(), grid)
+        gap = np.max(np.abs(Z - expected)) / np.max(np.abs(expected))
+        assert gap <= 1e-13, gap
+
 
 class TestOverflow:
     @pytest.mark.parametrize("kernel, mu, grid, step", [
@@ -415,6 +446,11 @@ class TestOverflow:
         (ZeroKernel(), -1e6, TimeGrid(1.0, 1000), 513),
         # a cubic memory: A^193 overflows while the power table is built
         (PolynomialKernel((0.0, 0.0, 0.0, -1e12)), 100.0, TimeGrid(10.0, 1000), 193),
+        # the tables are finite; the carry overflows the start of leaf 5 (its
+        # p, with z still 4e306), in the doubling block of leaves 4..7, and
+        # the step loop's values pass the double range at step 1287, in that
+        # leaf
+        (ZeroKernel(), -1.16e6, TimeGrid(1.0, 2000), 1281),
     ])
     def test_overflow_is_a_numerical_failure(self, kernel, mu, grid, step):
         ones = np.ones(1, dtype=complex)
