@@ -42,7 +42,9 @@ Every entry point is batched and takes the modes as ``ModeArrays``:
 ``solve_z_many`` and ``solve_w_many`` advance them together, and
 ``comparison_defect_scan`` solves them in chunks; one member is read from a
 family as a ``ModalTrajectory`` view.  Only g is stored; g' is recovered
-on demand.  A state that overflows stops the solve with ``NumericsError``.
+on demand.  An overflow stops the solve with ``NumericsError``: the tables
+report the first step whose value is non-finite, the blocked history solve
+the step whose state overflows.
 """
 
 from __future__ import annotations
@@ -466,81 +468,63 @@ def _step_map(mus: np.ndarray, realization, dt: float) -> np.ndarray:
     return np.concatenate([znew[:, None], pnew[:, None], Xnew], axis=1)
 
 
-def _first_overflow(A: np.ndarray) -> int:
-    """The least k <= _LEAF_STEPS with a non-finite entry in A^k (0 if none),
-    the step reported when the doubling that fills a leaf table overflows."""
-    power = A
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, _LEAF_STEPS + 1):
-            power = power @ A
-            if not np.isfinite(power).all():
-                return k
-    return 0
-
-
-def _first_bad_leaf(rows: np.ndarray, starts: np.ndarray, J: int) -> int:
-    """The first step of the first leaf whose values, its start state times
-    the rows, are non-finite (0 if none): the step reported when the carry
-    of the start states or the leaf products overflow."""
+def _first_bad_step(rows: np.ndarray, starts: np.ndarray, J: int) -> int:
+    """The first step whose value, its leaf's start state times the rows, is
+    non-finite (0 if none): the step reported when the doublings that fill
+    the tables or the leaf products overflow."""
     L = rows.shape[2]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(starts.shape[2]):
-            if not np.isfinite(starts[:, None, :, k] @ rows[:, :, :J - k * L]).all():
-                return 1 + k * L
+            bad = ~np.isfinite(starts[:, None, :, k] @ rows[:, :, :J - k * L]).all(axis=(0, 1))
+            if bad.any():
+                return 1 + k * L + int(np.argmax(bad))
     return 0
 
 
 def _leaf_tables(mus: np.ndarray, z0: np.ndarray, p0: np.ndarray,
                  kernel: MemoryKernel, grid: TimeGrid) -> LeafTables | None:
     """The step map's ``LeafTables`` of a batch of modal equations, or None
-    for a kernel without a realization.  An overflow in the tables, the
-    leaf start states or the values they give raises ``NumericsError``."""
+    for a kernel without a realization.  An overflow in the step map raises
+    ``NumericsError`` at step 0, one in the tables or the values they give at
+    the first step whose value is non-finite."""
     nm, J, dt = len(mus), grid.steps, grid.dt
-    n = 0
     try:
-        # stop at the first overflow instead of stepping on inf/NaN
         with np.errstate(over="raise", invalid="raise"):
             realization = kernel.realization(dt)
             if realization is None:
                 return None
             A = _step_map(mus, realization, dt)
-            D = A.shape[1]
-            # rows[:, :, k - 1] = the first row of A^k over one leaf, filled
-            # by doubling, power = A^m: the first rows of A^(m+1..2m) are
-            # those of A^(1..m) times A^m.  A power is squared only while
-            # A^2m stays inside the grid; _LEAF_STEPS is a power of two, so
-            # power ends at A^L whenever a second leaf follows
-            L = min(_LEAF_STEPS, J)
-            rows = np.empty((nm, D, L))
-            rows[:, :, 0] = A[:, 0]
-            power, m = A, 1
-            try:
-                while m < L:
-                    rows[:, :, m:2 * m] = power.transpose(0, 2, 1) @ rows[:, :, :min(m, L - m)]
-                    power, m = power @ power if 2 * m < J else power, 2 * m
-            except FloatingPointError:
-                n = _first_overflow(A)
-                raise
-            leaves = -(-J // L)
-            starts = np.zeros((nm, D, J // L + 1), dtype=np.result_type(z0, p0, 1.0))
-            starts[:, 0, 0], starts[:, 1, 0] = z0, p0
-            # the starts by the same doubling, power = A^(mL): those of
-            # leaves m..2m-1 are A^(mL) times those of leaves 0..m-1.  An
-            # overflow there leaves inf or NaN, and the values starts . rows
-            # can overflow with both tables finite; where a bound on them is
-            # not finite, the leaves are replayed to find the first bad one
-            with np.errstate(over="ignore", invalid="ignore"):
-                m = 1
-                while m < leaves:
-                    starts[:, :, m:min(2 * m, leaves)] = power @ starts[:, :, :min(m, leaves - m)]
-                    power, m = power @ power if 2 * m < leaves else power, 2 * m
-                bound = (np.abs(starts).max(axis=2) * np.abs(rows).max(axis=2)).sum(axis=1)
-            if not np.isfinite(bound).all():
-                n = _first_bad_leaf(rows, starts, J)
-                if n:
-                    raise FloatingPointError("overflow encountered in the leaf products")
     except FloatingPointError as exc:
-        raise _overflow(n, J, exc) from None
+        raise _overflow(0, J, exc) from None
+    D = A.shape[1]
+    L = min(_LEAF_STEPS, J)
+    leaves = -(-J // L)
+    rows = np.empty((nm, D, L))
+    rows[:, :, 0] = A[:, 0]
+    starts = np.zeros((nm, D, J // L + 1), dtype=np.result_type(z0, p0, 1.0))
+    starts[:, 0, 0], starts[:, 1, 0] = z0, p0
+    # rows[:, :, k - 1] = the first row of A^k over one leaf, filled by
+    # doubling, power = A^m: the first rows of A^(m+1..2m) are those of
+    # A^(1..m) times A^m.  A power is squared only while A^2m stays inside
+    # the grid; _LEAF_STEPS is a power of two, so power ends at A^L whenever
+    # a second leaf follows.  The starts take the same doubling, power =
+    # A^(mL): those of leaves m..2m-1 are A^(mL) times those of leaves
+    # 0..m-1.  An overflow in either leaves inf or NaN, and the values
+    # starts . rows can overflow with both tables finite; where a bound on
+    # them is not finite, the leaves are replayed to find the first bad step
+    with np.errstate(over="ignore", invalid="ignore"):
+        power, m = A, 1
+        while m < L:
+            rows[:, :, m:2 * m] = power.transpose(0, 2, 1) @ rows[:, :, :min(m, L - m)]
+            power, m = power @ power if 2 * m < J else power, 2 * m
+        m = 1
+        while m < leaves:
+            starts[:, :, m:min(2 * m, leaves)] = power @ starts[:, :, :min(m, leaves - m)]
+            power, m = power @ power if 2 * m < leaves else power, 2 * m
+        bound = (np.abs(starts).max(axis=2) * np.abs(rows).max(axis=2)).sum(axis=1)
+    n = 0 if np.isfinite(bound).all() else _first_bad_step(rows, starts, J)
+    if n:
+        raise _overflow(n, J, "overflow encountered in the leaf tables")
     return LeafTables(grid, rows, starts, np.flatnonzero(mus == 0.0), A)
 
 
@@ -643,44 +627,37 @@ def _check_history(Z: np.ndarray, mus: np.ndarray, mv: np.ndarray, dt: float):
                     f"(tolerance {HISTORY_RESIDUAL_RTOL:g})")
 
 
-def _initial_data(modes: ModeArrays, family: str):
-    """(z(0), z'(0)) per mode; the zero branch takes sgn(n) and 1 in place of lambda_n."""
-    if family == "z":
-        return np.ones(len(modes), np.complex128), 1j * np.where(modes.zero, np.sign(modes.index),
-                                                              modes.lam)
-    return np.zeros(len(modes), np.complex128), np.where(modes.zero, 1.0 + 0.0j, modes.lam)
-
-
-def _solve_many(modes: ModeArrays, kernel, grid, family: str) -> ModalFamily:
-    z0, p0 = _initial_data(modes, family)
-    factors = np.ones(len(modes), dtype=np.complex128)
-    data = z0, p0
-    if family == "w":
-        # w = (p0 / |p0|) r, r the real solution with data (0, |p0|)
-        scale = np.abs(p0)
-        factors, data = p0 / scale, (z0.real, scale)
+def _solve(modes: ModeArrays, kernel, grid, z0, p0, factors, slopes) -> ModalFamily:
+    """The family of members factors * g_n with z'(0) = p0, g_n solved from
+    the data (z0, slopes)."""
     # zero-branch modes take mu = 0, which gives their rows in closed form;
     # a kernel with a realization gives leaf tables, any other stored rows
     mus = np.where(modes.zero, 0.0, modes.mu)
-    trajectories = _leaf_tables(mus, *data, kernel, grid)
+    trajectories = _leaf_tables(mus, z0, slopes, kernel, grid)
     if trajectories is None:
-        trajectories = StoredRows(grid, _integrate_family(mus, *data, kernel, grid))
+        trajectories = StoredRows(grid, _integrate_family(mus, z0, slopes, kernel, grid))
     return ModalFamily(modes, grid, trajectories, factors, p0)
 
 
 def solve_z_many(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
     """Trajectories with data (1, i*lambda_n) for the given modes at once, as
     ``model.modes``, ``model.select(labels)`` or ``model.positive_modes``
-    give them.  The rows are complex, held as ``LeafTables`` with complex
-    starts over real rows for a kernel with a realization."""
-    return _solve_many(modes, kernel, grid, "z")
+    give them; the zero branch takes sgn(n) in place of lambda_n.  The rows
+    are complex, held as ``LeafTables`` with complex starts over real rows
+    for a kernel with a realization."""
+    ones = np.ones(len(modes), np.complex128)
+    p0 = 1j * np.where(modes.zero, np.sign(modes.index), modes.lam)
+    return _solve(modes, kernel, grid, ones, p0, ones, p0)
 
 
 def solve_w_many(modes: ModeArrays, kernel: MemoryKernel, grid: TimeGrid) -> ModalFamily:
     """Trajectories with data (0, lambda_n) for the given modes at once; these
-    vanish at t = 0.  The rows are real: the solutions with data
-    (0, |lambda_n|), held as ``LeafTables`` for a kernel with a realization."""
-    return _solve_many(modes, kernel, grid, "w")
+    vanish at t = 0, and the zero branch takes 1 in place of lambda_n.  The
+    rows are real: the solutions r with data (0, |lambda_n|), w = (lambda_n /
+    |lambda_n|) r, held as ``LeafTables`` for a kernel with a realization."""
+    p0 = np.where(modes.zero, 1.0 + 0.0j, modes.lam)
+    scale = np.abs(p0)
+    return _solve(modes, kernel, grid, np.zeros(len(modes)), p0, p0 / scale, scale)
 
 
 def _exponential(p0: complex, kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:

@@ -607,7 +607,7 @@ class TestNumericalFailure:
             warnings.simplefilter("always")
             code = main([study, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert code == 3
-        # the solve stops at its first overflow instead of stepping on inf/NaN
+        # the tables' overflow is found and reported with no numpy warning
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / f"{study}.csv").exists()
         summary = strict_json(out / f"{study}.json")
@@ -617,7 +617,8 @@ class TestNumericalFailure:
     def test_overflow_in_the_leaf_values_is_a_numerical_failure(self, tmp_path, study):
         # a growing mode whose step-map tables stay finite while the values
         # they give overflow (see tests/test_modal.py); the w family then
-        # holds no rows, and the tables fail as the rows did
+        # holds no rows, and the tables fail at the first step whose value
+        # passes the double range, where the long-double step loop's does
         cfg = base_config(operator={"length": PI, "potential_shift": -1.1e6},
                           grid={"T": 1.0, "dt": 1.0 / 456}, N=1)
         out = tmp_path / "res"
@@ -627,7 +628,7 @@ class TestNumericalFailure:
         assert code == 3
         assert not (out / f"{study}.csv").exists()
         exit_message = strict_json(out / f"{study}.json")["diagnostics"]["exit"]
-        assert "non-finite modal state at step 257 of 456" in exit_message
+        assert "non-finite modal state at step 267 of 456" in exit_message
 
     @pytest.mark.parametrize("study", ["reconstruct", "frame-bounds", "stability-scan"])
     def test_overflowing_gram_is_a_numerical_failure(self, tmp_path, capsys, study):

@@ -438,44 +438,61 @@ class TestBatchedLeafProduct:
         assert gap <= 1e-13, gap
 
 
+def _assert_reported_by_the_step_loop(step, exact, mus, z0, p0, kernel, grid):
+    """The tables report the first step at which ``modal_step_loop``, in long
+    double, passes the double range where the tables and the start states
+    up to that step are finite; where a doubling overflows first, a step of
+    the same leaf, not after it."""
+    past = np.abs(modal_step_loop(mus, z0, p0, kernel, grid)) > np.finfo(float).max
+    loop = int(np.argmax(past.any(axis=0)))
+    L = min(_LEAF_STEPS, grid.steps)
+    assert loop > 0
+    assert step == loop if exact else (step - 1) // L == (loop - 1) // L and step <= loop
+
+
 class TestOverflow:
-    @pytest.mark.parametrize("kernel, mu, grid, step", [
-        # A^k overflows while the one-leaf power table is built
-        (ExponentialKernel(1.0, -500.0), 4.0, TimeGrid(4.0, 400), 142),
-        # the table is finite; the third leaf overflows, reported at its first step
-        (ZeroKernel(), -1e6, TimeGrid(1.0, 1000), 513),
-        # a cubic memory: A^193 overflows while the power table is built
-        (PolynomialKernel((0.0, 0.0, 0.0, -1e12)), 100.0, TimeGrid(10.0, 1000), 193),
+    @pytest.mark.parametrize("kernel, mu, grid, step, exact", [
+        # the first row of A^144 overflows while the one-leaf rows are
+        # doubled; the step loop passes the double range at step 145
+        (ExponentialKernel(1.0, -500.0), 4.0, TimeGrid(4.0, 400), 144, False),
+        # the rows are finite and the carry overflows only the start of
+        # leaf 3; the third leaf's values pass 1e308 at the step loop's step
+        (ZeroKernel(), -1e6, TimeGrid(1.0, 1000), 647, True),
+        # a cubic memory: the first row of A^194 overflows while the rows
+        # are doubled; the step loop passes the double range at step 200
+        (PolynomialKernel((0.0, 0.0, 0.0, -1e12)), 100.0, TimeGrid(10.0, 1000), 194, False),
         # the tables are finite; the carry overflows the start of leaf 5 (its
         # p, with z still 4e306), in the doubling block of leaves 4..7, and
         # the step loop's values pass the double range at step 1287, in that
         # leaf
-        (ZeroKernel(), -1.16e6, TimeGrid(1.0, 2000), 1281),
+        (ZeroKernel(), -1.16e6, TimeGrid(1.0, 2000), 1281, False),
     ])
-    def test_overflow_is_a_numerical_failure(self, kernel, mu, grid, step):
-        ones = np.ones(1, dtype=complex)
+    def test_overflow_is_a_numerical_failure(self, kernel, mu, grid, step, exact):
+        mus, ones = np.array([mu]), np.ones(1, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericsError,
                                match=f"non-finite modal state at step {step} of {grid.steps} "):
-                _integrate_family(np.array([mu]), ones, ones, kernel, grid)
+                _integrate_family(mus, ones, ones, kernel, grid)
+        _assert_reported_by_the_step_loop(step, exact, mus, ones, ones, kernel, grid)
 
 
 def test_overflow_of_the_leaf_values_alone_is_a_numerical_failure():
     # mu dt^2 = -(ln 10)^2: the step grows 14x, so A^256 and the start of
     # the second leaf stay finite (near 1e295) while that leaf's values pass
-    # 1e308 within it; the tables then fail at that leaf's first step, and
-    # the blocked history solve of a zero sampled kernel at the step whose
-    # state overflows
+    # 1e308 within it; the tables then fail at the step loop's first step
+    # past the double range, and the blocked history solve of a zero sampled
+    # kernel at the step whose state overflows
     grid = TimeGrid(1.0, 456)
     mus = np.array([-(math.log(10.0) / grid.dt) ** 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for solve, kernel, step in [(_leaf_tables, ZeroKernel(), 257),
+        for solve, kernel, step in [(_leaf_tables, ZeroKernel(), 271),
                                     (_integrate_family, SampledKernel(np.zeros(457), m0=0.0), 266)]:
             message = f"non-finite modal state at step {step} of {grid.steps} "
             with pytest.raises(NumericsError, match=message):
                 solve(mus, np.zeros(1), np.ones(1), kernel, grid)
+    _assert_reported_by_the_step_loop(271, True, mus, np.zeros(1), np.ones(1), ZeroKernel(), grid)
 
 
 def _same_bits(got, want):
